@@ -345,6 +345,36 @@ class SparseFormat(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+class AddressProbeFormat(SparseFormat):
+    """An organization whose point read is a probe by linear address.
+
+    :meth:`read` linearizes the query in the payload's address order
+    (:func:`meta_addr_order`) and hands it to :meth:`read_addresses`,
+    which the store's point executor calls directly with the slice of
+    its once-linearized, sorted query keys.
+    """
+
+    def read(self, payload, meta, shape, query_coords, *, memo=None):
+        query = self.validate_query(query_coords, shape)
+        addresses = linearize_order(
+            query, shape, meta_addr_order(meta), validate=False
+        )
+        return self.read_addresses(payload, meta, shape, addresses, memo=memo)
+
+    @abc.abstractmethod
+    def read_addresses(
+        self,
+        payload: Mapping[str, np.ndarray],
+        meta: Mapping[str, Any],
+        shape: Sequence[int],
+        addresses: np.ndarray,
+        *,
+        memo: MutableMapping[str, Any] | None = None,
+    ) -> ReadResult:
+        """:meth:`read` for query addresses already in the payload's
+        address order (``memo`` as in :meth:`SparseFormat.read`)."""
+
+
 @dataclass
 class EncodedTensor:
     """A tensor packaged in one organization, with its value buffer aligned.

@@ -10,7 +10,7 @@ build-time advantage once the fragment has to be written to the filesystem
 
 from __future__ import annotations
 
-from typing import Any, Mapping, MutableMapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from ..core.costmodel import NULL_COUNTER, OpCounter
 from ..core.dtypes import as_index_array
 from ..core.linearize import linearize
 from .base import (
+    AddressProbeFormat,
     BuildResult,
     ReadResult,
-    SparseFormat,
     empty_read,
     match_addresses,
     require_buffers,
@@ -28,7 +28,7 @@ from .base import (
 )
 
 
-class COOFormat(SparseFormat):
+class COOFormat(AddressProbeFormat):
     """Unsorted coordinate list."""
 
     name = "COO"
@@ -46,27 +46,17 @@ class COOFormat(SparseFormat):
         # will touch the bytes.  No map vector is produced.
         return BuildResult(payload={"coords": coords}, perm=None, meta={})
 
-    def read(
-        self,
-        payload: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        shape: Sequence[int],
-        query_coords: np.ndarray,
-        *,
-        memo: MutableMapping[str, Any] | None = None,
-    ) -> ReadResult:
+    def read_addresses(self, payload, meta, shape, addresses, *, memo=None):
         require_buffers(payload, ["coords"], self.name)
-        query = self.validate_query(query_coords, shape)
         stored = payload["coords"]
-        if stored.shape[0] == 0 or query.shape[0] == 0:
-            return empty_read(query.shape[0])
+        if stored.shape[0] == 0 or addresses.shape[0] == 0:
+            return empty_read(addresses.shape[0])
         stored_addr = None if memo is None else memo.get("coo.addresses")
         if stored_addr is None or stored_addr.shape[0] != stored.shape[0]:
             stored_addr = linearize(stored, shape, validate=False)
             if memo is not None:
                 memo["coo.addresses"] = stored_addr
-        query_addr = linearize(query, shape, validate=False)
-        found, positions = match_addresses(stored_addr, query_addr, memo=memo)
+        found, positions = match_addresses(stored_addr, addresses, memo=memo)
         return ReadResult(found=found, value_positions=positions)
 
     def decode(

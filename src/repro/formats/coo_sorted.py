@@ -15,7 +15,7 @@ store; we also provide that merge path for sorted queries).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, MutableMapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -28,16 +28,16 @@ from ..core.linearize import (
 )
 from ..core.sorting import stable_argsort
 from .base import (
+    AddressProbeFormat,
     BuildResult,
     ReadResult,
-    SparseFormat,
     empty_read,
     meta_addr_order,
     require_buffers,
 )
 
 
-class SortedCOOFormat(SparseFormat):
+class SortedCOOFormat(AddressProbeFormat):
     """Coordinate list sorted by row-major linear address."""
 
     name = "COO-SORTED"
@@ -104,38 +104,21 @@ class SortedCOOFormat(SparseFormat):
         require_buffers(payload, ["coords"], self.name)
         return as_index_array(payload["coords"])
 
-    def _query_addresses(
-        self,
-        payload: Mapping[str, np.ndarray],
-        shape: Sequence[int],
-        order: str = "row_major",
-    ) -> np.ndarray:
-        return linearize_order(payload["coords"], shape, order, validate=False)
-
-    def read(
-        self,
-        payload: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        shape: Sequence[int],
-        query_coords: np.ndarray,
-        *,
-        memo: MutableMapping[str, Any] | None = None,
-    ) -> ReadResult:
+    def read_addresses(self, payload, meta, shape, addresses, *, memo=None):
         require_buffers(payload, ["coords"], self.name)
-        query = self.validate_query(query_coords, shape)
         stored = payload["coords"]
-        if stored.shape[0] == 0 or query.shape[0] == 0:
-            return empty_read(query.shape[0])
-        addr_order = meta_addr_order(meta)
-        stored_addr = self._query_addresses(payload, shape, addr_order)
-        query_addr = linearize_order(query, shape, addr_order, validate=False)
+        if stored.shape[0] == 0 or addresses.shape[0] == 0:
+            return empty_read(addresses.shape[0])
+        stored_addr = linearize_order(
+            stored, shape, meta_addr_order(meta), validate=False
+        )
         # side="right" - 1: the last entry of an equal-address run is the
         # newest write (stable build sort keeps input order), per the
         # central duplicate policy.
-        pos = np.searchsorted(stored_addr, query_addr, side="right")
+        pos = np.searchsorted(stored_addr, addresses, side="right")
         found = pos > 0
         pos_idx = np.maximum(pos - 1, 0)
-        found &= stored_addr[pos_idx] == query_addr
+        found &= stored_addr[pos_idx] == addresses
         return ReadResult(
             found=found, value_positions=pos_idx[found].astype(np.intp)
         )

@@ -15,7 +15,7 @@ self-consistent encoding of the Fig 1 example tensor
 
 from __future__ import annotations
 
-from typing import Any, Mapping, MutableMapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -24,11 +24,17 @@ from ..core.dtypes import as_index_array
 from ..core.errors import FormatError
 from ..core.linearize import fold_coords_2d, fold_shape_2d, linearize
 from ..core.sorting import stable_argsort
-from .base import BuildResult, ReadResult, SparseFormat, empty_read, require_buffers
+from .base import (
+    AddressProbeFormat,
+    BuildResult,
+    ReadResult,
+    empty_read,
+    require_buffers,
+)
 from .csr2d import CSRMatrix, csr_pack, csr_query_scan, csr_query_vectorized
 
 
-class GCSRFormat(SparseFormat):
+class GCSRFormat(AddressProbeFormat):
     """Generalized CSR over the (min-dim × rest) folding."""
 
     name = "GCSR++"
@@ -214,21 +220,24 @@ class GCSRFormat(SparseFormat):
         addresses = linearize(coords2d, shape2d, validate=False)
         return delinearize(addresses, shape, validate=False)
 
-    def read(
-        self,
-        payload: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        shape: Sequence[int],
-        query_coords: np.ndarray,
-        *,
-        memo: MutableMapping[str, Any] | None = None,
-    ) -> ReadResult:
+    def read(self, payload, meta, shape, query_coords, *, memo=None):
+        # A query outside the shape raises here, as the fold always did.
         query = self.validate_query(query_coords, shape)
+        return self.read_addresses(
+            payload, meta, shape, linearize(query, shape), memo=memo
+        )
+
+    def read_addresses(self, payload, meta, shape, addresses, *, memo=None):
+        """The fold as one divmod of the row-major query addresses by the
+        folded column count (Algorithm 1 READ line 6)."""
         matrix = self._matrix_from_payload(payload, meta)
-        if matrix.nnz == 0 or query.shape[0] == 0:
-            return empty_read(query.shape[0])
-        comp, other, _ = self._fold(query, shape, NULL_COUNTER, note="")
-        found, positions = csr_query_vectorized(matrix, comp, other)
+        if matrix.nnz == 0 or addresses.shape[0] == 0:
+            return empty_read(addresses.shape[0])
+        rows, cols = np.divmod(addresses, np.uint64(meta["shape2d"][1]))
+        if self._min_dim_as == "rows":
+            found, positions = csr_query_vectorized(matrix, rows, cols)
+        else:
+            found, positions = csr_query_vectorized(matrix, cols, rows)
         return ReadResult(found=found, value_positions=positions)
 
     def read_faithful(

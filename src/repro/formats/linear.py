@@ -14,17 +14,17 @@ mitigation.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, MutableMapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..core.costmodel import NULL_COUNTER, OpCounter
-from ..core.linearize import DEFAULT_ADDRESS_ORDER, linearize_order
+from ..core.linearize import DEFAULT_ADDRESS_ORDER
 from ..core.sorting import stable_argsort
 from .base import (
+    AddressProbeFormat,
     BuildResult,
     ReadResult,
-    SparseFormat,
     empty_read,
     linearize_for_format,
     match_addresses,
@@ -34,7 +34,7 @@ from .base import (
 )
 
 
-class LinearFormat(SparseFormat):
+class LinearFormat(AddressProbeFormat):
     """Unsorted linear-address list."""
 
     name = "LINEAR"
@@ -82,24 +82,12 @@ class LinearFormat(SparseFormat):
         value_order = stable_argsort(stored)
         return stored[value_order], value_order
 
-    def read(
-        self,
-        payload: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        shape: Sequence[int],
-        query_coords: np.ndarray,
-        *,
-        memo: MutableMapping[str, Any] | None = None,
-    ) -> ReadResult:
+    def read_addresses(self, payload, meta, shape, addresses, *, memo=None):
         require_buffers(payload, ["addresses"], self.name)
-        query = self.validate_query(query_coords, shape)
         stored = payload["addresses"]
-        if stored.shape[0] == 0 or query.shape[0] == 0:
-            return empty_read(query.shape[0])
-        query_addr = linearize_order(
-            query, shape, meta_addr_order(meta), validate=False
-        )
-        found, positions = match_addresses(stored, query_addr, memo=memo)
+        if stored.shape[0] == 0 or addresses.shape[0] == 0:
+            return empty_read(addresses.shape[0])
+        found, positions = match_addresses(stored, addresses, memo=memo)
         return ReadResult(found=found, value_positions=positions)
 
     def decode(

@@ -63,7 +63,13 @@ class FragmentWorkload:
         the ledger measures work done, not queries issued).
     points_queried / points_matched:
         Point-query volume and hits against this fragment (point reads
-        only); their ratio is the observed selectivity.
+        only); their ratio is the observed selectivity.  A query point
+        counts as queried when it is probed against the fragment: its
+        address falls in the fragment's zone-map range (for
+        relative-coordinate fragments, also inside its bounding box).
+        Every point the fragment can match is probed; unlike a bbox-hit
+        count, the range may take in points outside the box and leave
+        out in-box points it rules out.
     load_seconds:
         Cumulative wall-clock spent loading + decoding the fragment on
         cache misses.

@@ -19,7 +19,7 @@ import numpy as np
 from ..core.boundary import Box, extract_boundary
 from ..core.costmodel import NULL_COUNTER, OpCounter
 from ..core.errors import FragmentIOError
-from ..formats.base import EncodedTensor, ReadResult
+from ..formats.base import AddressProbeFormat, EncodedTensor, ReadResult
 from ..formats.registry import get_format
 from ..obs import counter_add, gauge_set, get_registry, is_enabled, span
 from .durability import (
@@ -314,13 +314,17 @@ def query_fragment(
     *,
     faithful: bool = False,
     counter: OpCounter = NULL_COUNTER,
+    addresses: np.ndarray | None = None,
 ) -> tuple[ReadResult, np.ndarray]:
     """Run the fragment's organization READ against ``query_coords``.
 
     Returns ``(ReadResult, values_of_found)`` — Algorithm 3 READ lines 7–9
     for a single fragment.  ``counter`` is charged by the faithful read path
     (the store layer passes its span's op counter, so Table-I op accounting
-    and latency land in one report).
+    and latency land in one report).  ``addresses`` may carry the same
+    query rows already linearized in the payload's address order
+    (:func:`~repro.formats.base.meta_addr_order`); organizations that
+    probe by address then skip re-linearizing them.
     """
     fmt = get_format(payload.format_name)
     with span("format.read", format=fmt.name) as sp:
@@ -328,6 +332,11 @@ def query_fragment(
             res = fmt.read_faithful(
                 payload.buffers, payload.meta, payload.shape, query_coords,
                 counter=counter,
+            )
+        elif addresses is not None and isinstance(fmt, AddressProbeFormat):
+            res = fmt.read_addresses(
+                payload.buffers, payload.meta, payload.shape, addresses,
+                memo=payload.runtime,
             )
         else:
             res = fmt.read(

@@ -35,9 +35,10 @@ format READ kernels remain the ground truth.
 
 The WAL tail overlay reuses :class:`ZoneMap` outside the plan proper:
 :func:`repro.storage.wal.build_tail_run` attaches one to the merged
-unpacked-append run, and the store consults it (``may_contain_any`` /
-``overlaps_range``) before the tail joins a read — so unpacked appends
-get the same address-range pruning as committed fragments.
+unpacked-append run, and box reads consult it (``overlaps_range``)
+before the tail joins — so unpacked appends get the same address-range
+pruning as committed fragments.  Point reads cut the tail's slice of the
+sorted query keys (:class:`QueryKeys`) instead.
 
 Planner decisions are observable (see :mod:`repro.obs`):
 
@@ -67,13 +68,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.boundary import Box
-from ..core.dtypes import INDEX_DTYPE
+from ..core.boundary import Box, extract_boundary
+from ..core.dtypes import INDEX_DTYPE, as_index_array
+from ..core.errors import ShapeError
 from ..core.linearize import (
     alto_box_ranges,
     fits_addr_order,
     linearize_order,
 )
+from ..core.sorting import stable_argsort
 from ..obs import counter_add
 
 #: Number of fixed-width buckets in a zone map's coarse address histogram.
@@ -193,11 +196,14 @@ class ZoneMap:
             return False
         lo = int(np.searchsorted(sorted_addresses, self.addr_min, side="left"))
         hi = int(np.searchsorted(sorted_addresses, self.addr_max, side="right"))
-        if lo >= hi:
-            return False
+        return lo < hi and self.occupied(sorted_addresses[lo:hi])
+
+    def occupied(self, window: np.ndarray) -> bool:
+        """Whether any address of ``window`` — all inside ``[addr_min,
+        addr_max]`` — falls in a non-empty histogram bucket."""
         if not self.hist:
             return True
-        window = sorted_addresses[lo:hi].astype(INDEX_DTYPE, copy=False)
+        window = window.astype(INDEX_DTYPE, copy=False)
         buckets = (
             (window - INDEX_DTYPE.type(self.addr_min))
             // INDEX_DTYPE.type(self.bucket_width)
@@ -206,17 +212,93 @@ class ZoneMap:
         return bool(occupancy[np.minimum(buckets, len(self.hist) - 1)].any())
 
 
+def _zone_prune_points(
+    frags: list[Any], keys: QueryKeys
+) -> tuple[list[Any], bool]:
+    """Zone stage of a point read: per address order, two
+    ``searchsorted`` calls place every candidate's ``[addr_min,
+    addr_max]`` in the sorted keys; only ranges holding a key pay the
+    histogram test.  Returns the survivors and whether a zone was read."""
+    keep = [True] * len(frags)
+    by_order: dict[str, list[int]] = {}
+    for i, frag in enumerate(frags):
+        if getattr(frag, "zone", None) is not None:
+            order = getattr(frag, "addr_order", "row_major")
+            by_order.setdefault(order, []).append(i)
+    used = False
+    for order, members in by_order.items():
+        pair = keys.keys(order)
+        if pair is None:
+            continue
+        sa = pair[0]
+        used = True
+        zones = [frags[i].zone for i in members]
+        lo = sa.searchsorted(
+            np.array([z.addr_min for z in zones], dtype=INDEX_DTYPE), "left"
+        )
+        hi = sa.searchsorted(
+            np.array([z.addr_max for z in zones], dtype=INDEX_DTYPE), "right"
+        )
+        for i, zone, s, e in zip(members, zones, lo.tolist(), hi.tolist()):
+            keep[i] = s < e and zone.occupied(sa[s:e])
+    return [f for f, k in zip(frags, keep) if k], used
+
+
+def _zone_prune_box(
+    frags: list[Any], keys: QueryKeys | None
+) -> tuple[list[Any], bool]:
+    """Zone stage of a box read: each candidate's zone map against the
+    box's address intervals in the candidate's own order."""
+    keep, used = [], False
+    for frag in frags:
+        zone = getattr(frag, "zone", None)
+        ranges = None if zone is None or keys is None else keys.ranges(
+            getattr(frag, "addr_order", "row_major")
+        )
+        used |= ranges is not None
+        if ranges is None or any(zone.overlaps_range(*r) for r in ranges):
+            keep.append(frag)
+    return keep, used
+
+
+def _clip(box: Box, shape: Sequence[int]):
+    """``(origin, end)`` of ``box`` clipped to ``shape`` (``None``: empty)."""
+    origin = np.maximum(np.asarray(box.origin, dtype=np.int64), 0)
+    end = np.minimum(
+        np.asarray(box.end, dtype=np.int64), np.asarray(shape, dtype=np.int64)
+    )
+    return None if bool(np.any(end <= origin)) else (origin, end)
+
+
+def box_envelope(
+    box: Box, shape: Sequence[int], order: str = "row_major"
+) -> tuple[int, int] | None:
+    """Inclusive ``[lin(origin), lin(end - 1)]`` of ``box`` clipped to
+    ``shape`` in ``order``'s space (``None``: empty clip).  Both orders
+    are monotone in every coordinate, so it holds every cell of the box."""
+    clip = _clip(box, shape)
+    return None if clip is None else _envelope(*clip, shape, order)
+
+
+def _envelope(origin, end, shape, order: str) -> tuple[int, int]:
+    corners = np.array([origin, end - 1], dtype=np.uint64)
+    lo, hi = linearize_order(corners, shape, order, validate=False)
+    return int(lo), int(hi)
+
+
 class QueryKeys:
     """Per-address-order query keys, computed lazily and memoized.
 
     A mixed-order store prunes each fragment in the address space its
     zone map was built over (the fragment's ``addr_order`` tag).  One
-    instance is built per READ; the planner pulls the keys for each
-    fragment's order on demand, so a single-order store pays exactly one
-    linearize (points) or one box decomposition (boxes):
+    instance serves every stage of one READ, so a single-order store
+    pays exactly one linearize + sort (points) or box decomposition:
 
-    * point queries linearize the query coordinates once per distinct
-      order and sort them;
+    * point queries set aside rows outside the shape (not-found
+      everywhere; linearized they would alias in-shape cells), then
+      linearize the rest once per order into :meth:`keys`' ``(sorted
+      keys, permutation)`` pair — the zone stage, the probe slices, the
+      WAL-tail overlay and the shard router all cut that one vector;
     * box queries reduce to address intervals — one ``[lin(origin),
       lin(end - 1)]`` envelope in row-major order (per-coordinate
       monotonicity makes it sound), or O(address bits) contiguous
@@ -224,6 +306,16 @@ class QueryKeys:
       alto_box_ranges`), each pruned against the zone map separately so
       an interleaved box does not degrade to one giant span.
     """
+
+    @classmethod
+    def for_points(
+        cls, shape: Sequence[int], query_coords: np.ndarray
+    ) -> QueryKeys:
+        """Validate a ``(q, d)`` point query and wrap it."""
+        query = as_index_array(query_coords)
+        if query.ndim != 2 or query.shape[1] != len(shape):
+            raise ShapeError("query coords must be (q, d) matching the store")
+        return cls(shape, points=query)
 
     def __init__(
         self,
@@ -234,27 +326,67 @@ class QueryKeys:
         max_ranges: int = 64,
     ) -> None:
         self.shape = tuple(int(m) for m in shape)
-        self._points = points
+        #: The ``(q, d)`` query rows (point queries only).
+        self.points = points
+        #: Rows inside the shape, ascending (``None``: every row).
+        self.rows: np.ndarray | None = None
+        if points is not None:
+            inside = np.all(
+                points < np.asarray(self.shape, dtype=np.uint64), axis=1
+            )
+            if not inside.all():
+                self.rows = np.flatnonzero(inside)
         self._box = box
         self._max_ranges = int(max_ranges)
-        self._addresses: dict[str, np.ndarray | None] = {}
+        self._keys: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
         self._ranges: dict[str, list[tuple[int, int]] | None] = {}
 
-    def addresses(self, order: str) -> np.ndarray | None:
-        """Ascending query addresses in ``order``'s space (``None`` when
-        the shape does not fit that order or this is a box query)."""
-        if self._points is None:
+    def _inside(self) -> np.ndarray:
+        return self.points if self.rows is None else self.points[self.rows]
+
+    def bbox(self) -> Box:
+        """Bounding box of the in-shape query rows (the plan's bbox key)."""
+        return extract_boundary(self._inside())
+
+    def keys(self, order: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(sorted keys, permutation)`` of the in-shape rows in
+        ``order``'s space (``None`` when the shape does not fit that
+        order or this is a box query)."""
+        if self.points is None:
             return None
-        if order not in self._addresses:
+        if order not in self._keys:
             if not fits_addr_order(self.shape, order):
-                self._addresses[order] = None
+                self._keys[order] = None
             else:
-                self._addresses[order] = np.sort(
-                    linearize_order(
-                        self._points, self.shape, order, validate=False
-                    )
+                addrs = linearize_order(
+                    self._inside(), self.shape, order, validate=False
                 )
-        return self._addresses[order]
+                perm = stable_argsort(addrs)
+                self._keys[order] = (
+                    addrs[perm], perm if self.rows is None else self.rows[perm]
+                )
+        return self._keys[order]
+
+    def between(
+        self, order: str, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The sorted keys inside ``[lo, hi]`` and their query rows —
+        two binary searches, one contiguous slice."""
+        keys = self.keys(order)
+        if keys is None:
+            return None
+        sorted_keys, perm = keys
+        s = int(sorted_keys.searchsorted(INDEX_DTYPE.type(lo), side="left"))
+        e = int(sorted_keys.searchsorted(INDEX_DTYPE.type(hi), side="right"))
+        return sorted_keys[s:e], perm[s:e]
+
+    def band(self, order: str, s: int, e: int) -> QueryKeys:
+        """Sorted keys ``[s, e)`` as a query of their own, rows in key
+        order (its results map back through ``keys(order)[1][s:e]``)."""
+        sorted_keys, perm = self.keys(order)
+        sub = QueryKeys(self.shape, points=self.points[perm[s:e]])
+        sub._keys[order] = (sorted_keys[s:e], np.arange(e - s))
+        return sub
 
     def ranges(self, order: str) -> "list[tuple[int, int]] | None":
         """Inclusive address intervals covering the box in ``order``'s
@@ -268,37 +400,14 @@ class QueryKeys:
     def _compute_ranges(self, order: str) -> "list[tuple[int, int]] | None":
         if not fits_addr_order(self.shape, order):
             return None
-        box = self._box
-        origin = np.maximum(np.asarray(box.origin, dtype=np.int64), 0)
-        end = np.minimum(
-            np.asarray(box.end, dtype=np.int64),
-            np.asarray(self.shape, dtype=np.int64),
-        )
-        if bool(np.any(end <= origin)):
+        clip = _clip(self._box, self.shape)
+        if clip is None:
             return []
         if order == "alto":
             return alto_box_ranges(
-                origin, end, self.shape, max_ranges=self._max_ranges
+                *clip, self.shape, max_ranges=self._max_ranges
             )
-        lo = int(
-            linearize_order(
-                origin[None, :].astype(np.uint64), self.shape, order,
-                validate=False,
-            )[0]
-        )
-        hi = int(
-            linearize_order(
-                (end - 1)[None, :].astype(np.uint64), self.shape, order,
-                validate=False,
-            )[0]
-        )
-        return [(lo, hi)]
-
-    def interval_count(self) -> int:
-        """Total address intervals materialized so far (explain output)."""
-        return sum(
-            len(r) for r in self._ranges.values() if r is not None
-        )
+        return [_envelope(*clip, self.shape, order)]
 
 
 class FragmentIndex:
@@ -477,8 +586,6 @@ class QueryPlanner:
         *,
         kind: str,
         enabled: bool = True,
-        sorted_addresses: np.ndarray | None = None,
-        address_range: tuple[int, int] | None = None,
         keys: QueryKeys | None = None,
         addr_order: str | None = None,
     ) -> QueryPlan:
@@ -487,17 +594,14 @@ class QueryPlanner:
         With ``enabled=False`` this is exactly the seed's linear
         ``bbox.intersects`` scan (the plan-off reference the differential
         harness compares against).  Otherwise the interval index supplies
-        the bbox survivors and, when the caller provides query addresses
-        (points) or an address envelope (boxes), zone maps prune further.
-        Fragments without a zone map are never pruned by the zone stage.
-
-        ``keys`` (a :class:`QueryKeys`) supersedes ``sorted_addresses``
-        / ``address_range``: every surviving fragment is pruned against
-        the query keys expressed in *its own* address order
-        (``frag.addr_order``), so mixed-order stores prune correctly —
-        and ALTO box queries prune per contiguous interval instead of
-        one giant span.  ``addr_order`` is the store's active order,
-        carried into the plan for ``explain``.
+        the bbox survivors and, when the caller provides ``keys`` (a
+        :class:`QueryKeys`), zone maps prune further: every surviving
+        fragment is tested against the query keys expressed in *its own*
+        address order (``frag.addr_order``), so mixed-order stores prune
+        correctly — and ALTO box queries prune per contiguous interval
+        instead of one giant span.  Fragments without a zone map are
+        never pruned by the zone stage.  ``addr_order`` is the store's
+        active order, carried into the plan for ``explain``.
         """
         total = len(fragments)
         if not enabled:
@@ -510,43 +614,11 @@ class QueryPlanner:
                 addr_order=addr_order,
             )
         index = self.index_for(fragments, generation)
-        cand = index.candidates(query_box)
-        keep = []
-        pruned_zone = 0
-        used_zone = False
-        for i in cand:
-            frag = index.fragments[i]
-            zone = getattr(frag, "zone", None)
-            if zone is not None:
-                if keys is not None:
-                    forder = getattr(frag, "addr_order", "row_major")
-                    sa = keys.addresses(forder)
-                    if sa is not None:
-                        used_zone = True
-                        if not zone.may_contain_any(sa):
-                            pruned_zone += 1
-                            continue
-                    else:
-                        ranges = keys.ranges(forder)
-                        if ranges is not None:
-                            used_zone = True
-                            if not any(
-                                zone.overlaps_range(lo, hi)
-                                for lo, hi in ranges
-                            ):
-                                pruned_zone += 1
-                                continue
-                elif sorted_addresses is not None:
-                    used_zone = True
-                    if not zone.may_contain_any(sorted_addresses):
-                        pruned_zone += 1
-                        continue
-                elif address_range is not None:
-                    used_zone = True
-                    if not zone.overlaps_range(*address_range):
-                        pruned_zone += 1
-                        continue
-            keep.append(frag)
+        cand = [index.fragments[i] for i in index.candidates(query_box)]
+        if keys is not None and keys.points is not None:
+            keep, used_zone = _zone_prune_points(cand, keys)
+        else:
+            keep, used_zone = _zone_prune_box(cand, keys)
         intervals = None
         if keys is not None:
             counted = {
@@ -560,7 +632,7 @@ class QueryPlanner:
             total_fragments=total,
             fragments=keep,
             pruned_bbox=total - len(cand),
-            pruned_zonemap=pruned_zone,
+            pruned_zonemap=len(cand) - len(keep),
             used_index=True,
             used_zonemaps=used_zone,
             addr_order=addr_order,

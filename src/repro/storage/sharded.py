@@ -66,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from ..build.canonical import CanonicalCoords
-from ..core.boundary import Box, extract_boundary
+from ..core.boundary import Box
 from ..core.dtypes import as_index_array, cell_count, fits_index_dtype
 from ..core.errors import FragmentError, ManifestError, ShapeError
 from ..core.linearize import (
@@ -75,7 +75,6 @@ from ..core.linearize import (
     delinearize_order,
     fits_addr_order,
     linearize,
-    linearize_order,
     validate_addr_order,
 )
 from ..core.tensor import SparseTensor
@@ -512,10 +511,6 @@ class ShardedStore:
             self._children[entry.name] = store
         return store
 
-    def _cuts(self) -> np.ndarray:
-        """Band lower bounds (ascending) for ``searchsorted`` routing."""
-        return np.asarray([e.addr_lo for e in self._entries], dtype=np.uint64)
-
     # ------------------------------------------------------------------
     # WRITE: route parts to shards via the canonical sort
     # ------------------------------------------------------------------
@@ -782,29 +777,14 @@ class ShardedStore:
         )
         return plan
 
-    def _query_keys(
-        self,
-        *,
-        points: np.ndarray | None = None,
-        box: Box | None = None,
-    ) -> QueryKeys | None:
-        """Per-order query keys for the zone stage (``None``: planner off)."""
-        if not self.use_planner:
-            return None
-        return QueryKeys(self.shape, points=points, box=box)
-
     def explain(self, query) -> QueryPlan:
         """The *shard-level* plan a read of ``query`` would use."""
         if isinstance(query, Box):
             return self._plan_shards(
-                query, "box", keys=self._query_keys(box=query)
+                query, "box", keys=QueryKeys(self.shape, box=query)
             )
-        query = as_index_array(query)
-        return self._plan_shards(
-            extract_boundary(query),
-            "points",
-            keys=self._query_keys(points=query),
-        )
+        keys = QueryKeys.for_points(self.shape, query)
+        return self._plan_shards(keys.bbox(), "points", keys=keys)
 
     def read_points(
         self,
@@ -831,58 +811,21 @@ class ShardedStore:
             parallel=parallel,
             max_workers=max_workers,
         )
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
-        q = query.shape[0]
-        found = np.zeros(q, dtype=bool)
-        out_values: np.ndarray | None = None
-        if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
+        keys = QueryKeys.for_points(self.shape, query_coords)
         with self._rw.read_locked():
             with span("store.shard.read_points",
                       format=self.format_name) as sp:
-                addrs = linearize_order(
-                    query, self.shape, self.addr_order, validate=False
-                )
-                plan = self._plan_shards(
-                    extract_boundary(query),
-                    "points",
-                    keys=self._query_keys(points=query),
-                )
+                plan = self._plan_shards(keys.bbox(), "points", keys=keys)
                 surviving = {e.name for e in plan.fragments}
-                band_of = (
-                    np.searchsorted(self._cuts(), addrs, side="right") - 1
+                children = [
+                    self._child(i) if e.name in surviving else None
+                    for i, e in enumerate(self._entries)
+                ]
+                outcome = route_points(
+                    keys, self.addr_order, self._entries, children, ropts
                 )
-                visited = 0
-                for i, entry in enumerate(self._entries):
-                    if entry.name not in surviving:
-                        continue
-                    sel = np.flatnonzero(band_of == i)
-                    if sel.size == 0:
-                        continue
-                    outcome = self._child(i).read_points(
-                        query[sel], options=ropts
-                    )
-                    visited += outcome.fragments_visited
-                    idx = sel[outcome.found]
-                    found[idx] = True
-                    if outcome.values.size:
-                        if out_values is None:
-                            out_values = np.zeros(
-                                q, dtype=outcome.values.dtype
-                            )
-                        out_values[idx] = outcome.values
-                matched = int(found.sum())
-                sp.add_nnz(matched)
-        if out_values is None:
-            out_values = np.zeros(q, dtype=float)
-        return ReadOutcome(
-            found=found,
-            values=out_values[found],
-            fragments_visited=visited,
-            points_matched=matched,
-        )
+                sp.add_nnz(outcome.points_matched)
+        return outcome
 
     def read_box(
         self,
@@ -912,7 +855,7 @@ class ShardedStore:
         with self._rw.read_locked():
             with span("store.shard.read_box", format=self.format_name):
                 plan = self._plan_shards(
-                    box, "box", keys=self._query_keys(box=box)
+                    box, "box", keys=QueryKeys(self.shape, box=box)
                 )
                 surviving = {e.name for e in plan.fragments}
                 for i, entry in enumerate(self._entries):
@@ -1318,44 +1261,14 @@ class ShardedSnapshot:
         self.close()
 
     def read_points(
-        self, query_coords: np.ndarray, **kwargs
+        self, query_coords: np.ndarray, *, options: ReadOptions | None = None,
+        **legacy,
     ) -> ReadOutcome:
         """Routed point reads against the pinned per-band views."""
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
-        q = query.shape[0]
-        found = np.zeros(q, dtype=bool)
-        out_values: np.ndarray | None = None
-        if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
-        addrs = linearize_order(
-            query, self.shape, self.addr_order, validate=False
-        )
-        cuts = np.asarray(
-            [e.addr_lo for e in self._entries], dtype=np.uint64
-        )
-        band_of = np.searchsorted(cuts, addrs, side="right") - 1
-        visited = 0
-        for i, child in enumerate(self._children):
-            sel = np.flatnonzero(band_of == i)
-            if sel.size == 0:
-                continue
-            outcome = child.read_points(query[sel], **kwargs)
-            visited += outcome.fragments_visited
-            idx = sel[outcome.found]
-            found[idx] = True
-            if outcome.values.size:
-                if out_values is None:
-                    out_values = np.zeros(q, dtype=outcome.values.dtype)
-                out_values[idx] = outcome.values
-        if out_values is None:
-            out_values = np.zeros(q, dtype=float)
-        return ReadOutcome(
-            found=found,
-            values=out_values[found],
-            fragments_visited=visited,
-            points_matched=int(found.sum()),
+        return route_points(
+            QueryKeys.for_points(self.shape, query_coords), self.addr_order,
+            self._entries, self._children,
+            resolve_read_options(options, **legacy),
         )
 
     def read_box(self, box: Box, **kwargs) -> SparseTensor:
@@ -1370,6 +1283,51 @@ class ShardedSnapshot:
         coords = np.vstack([p.coords for p in parts])
         values = np.concatenate([p.values for p in parts])
         return SparseTensor(self.shape, coords, values)
+
+
+def route_points(
+    keys: QueryKeys,
+    order: str,
+    entries: Sequence[ShardEntry],
+    children: Sequence,
+    ropts: ReadOptions,
+) -> ReadOutcome:
+    """Point reads over disjoint address bands — the one router behind
+    :class:`ShardedStore` and :class:`ShardedSnapshot`.
+
+    One ``searchsorted`` cuts the query's sorted keys (in the bands'
+    ``order``) at the band boundaries; each band's child (a store or a
+    pinned snapshot; ``None`` for a band the plan pruned) reads its
+    pre-sorted slice, and the hits scatter back to query rows through
+    the permutation.  Bands are disjoint, so no merge is needed.
+    """
+    q = keys.points.shape[0]
+    found = np.zeros(q, dtype=bool)
+    out_values: np.ndarray | None = None
+    visited = 0
+    sorted_keys, perm = keys.keys(order)
+    bounds = np.asarray([e.addr_lo for e in entries[1:]], dtype=np.uint64)
+    cuts = [0, *sorted_keys.searchsorted(bounds), sorted_keys.shape[0]]
+    for i, child in enumerate(children):
+        s, e = int(cuts[i]), int(cuts[i + 1])
+        if child is None or e <= s:
+            continue
+        outcome = child._read_point_keys(keys.band(order, s, e), ropts)
+        visited += outcome.fragments_visited
+        idx = perm[s:e][outcome.found]
+        found[idx] = True
+        if outcome.values.size:
+            if out_values is None:
+                out_values = np.zeros(q, dtype=outcome.values.dtype)
+            out_values[idx] = outcome.values
+    if out_values is None:
+        out_values = np.zeros(q, dtype=float)
+    return ReadOutcome(
+        found=found,
+        values=out_values[found],
+        fragments_visited=visited,
+        points_matched=int(found.sum()),
+    )
 
 
 def is_sharded_dir(directory: str | Path) -> bool:

@@ -72,7 +72,7 @@ import numpy as np
 
 from ..build.canonical import CanonicalCoords
 from ..build.merge import SortedRun, merge_sorted_runs
-from ..core.boundary import Box, extract_boundary
+from ..core.boundary import Box
 from ..core.costmodel import OpCounter
 from ..core.dtypes import as_index_array, fits_index_dtype
 from ..core.errors import FragmentError, ManifestError, ShapeError
@@ -86,7 +86,7 @@ from ..core.linearize import (
 )
 from ..core.sorting import apply_map, stable_argsort
 from ..core.tensor import SparseTensor
-from ..formats.base import EncodedTensor, SparseFormat
+from ..formats.base import EncodedTensor, SparseFormat, meta_addr_order
 from ..formats.registry import get_format, resolve_format
 from ..obs import counter_add, observe, span
 from ..obs.workload import WorkloadLedger
@@ -124,7 +124,13 @@ from .options import (
     resolve_read_options,
     resolve_store_options,
 )
-from .planner import QueryKeys, QueryPlan, QueryPlanner, ZoneMap
+from .planner import (
+    QueryKeys,
+    QueryPlan,
+    QueryPlanner,
+    ZoneMap,
+    box_envelope,
+)
 from .serialization import unpack_header
 from .readpath import (
     FragmentCache,
@@ -1133,24 +1139,10 @@ class FragmentStore:
     # READ (Algorithm 3)
     # ------------------------------------------------------------------
 
-    def _overlapping(self, query_box: Box) -> list[FragmentInfo]:
-        """Seed-style linear bbox scan (kept as the plan-off reference)."""
-        # Materialized (not a generator): corruption handling may remove
-        # entries from ``self._fragments`` while the caller iterates.
-        with self._state_lock:
-            fragments = list(self._fragments)
-        return [f for f in fragments if f.bbox.intersects(query_box)]
-
     # -- query planning -------------------------------------------------
 
     def _plan_read(
-        self,
-        query_box: Box,
-        kind: str,
-        *,
-        sorted_addresses: np.ndarray | None = None,
-        address_range: tuple[int, int] | None = None,
-        keys: QueryKeys | None = None,
+        self, query_box: Box, kind: str, *, keys: QueryKeys | None = None
     ) -> QueryPlan:
         """Plan one READ: snapshot the fragment list, prune, never load.
 
@@ -1173,61 +1165,9 @@ class FragmentStore:
             query_box,
             kind=kind,
             enabled=self.use_planner,
-            sorted_addresses=sorted_addresses,
-            address_range=address_range,
             keys=keys,
             addr_order=self.addr_order,
         )
-
-    def _query_addresses(self, query: np.ndarray) -> np.ndarray | None:
-        """Ascending global addresses of a point query (zone-map key).
-
-        ``None`` when the shape overflows the uint64 address space — the
-        zone stage simply does not run there (exactly the shapes that
-        never had zone maps written).
-        """
-        if not (self.use_planner and self._linearizable):
-            return None
-        return np.sort(linearize(query, self.shape, validate=False))
-
-    def _query_keys(
-        self,
-        *,
-        points: np.ndarray | None = None,
-        box: Box | None = None,
-    ) -> QueryKeys | None:
-        """Per-order query keys for the zone stage (``None``: planner off)."""
-        if not self.use_planner:
-            return None
-        return QueryKeys(self.shape, points=points, box=box)
-
-    def _box_address_range(self, box: Box) -> tuple[int, int] | None:
-        """Inclusive global-address envelope of ``box`` (zone-map key)."""
-        if not (self.use_planner and self._linearizable):
-            return None
-        return self._box_envelope(box)
-
-    def _box_envelope(self, box: Box) -> tuple[int, int] | None:
-        """Inclusive global-address envelope of ``box``.
-
-        Row-major addresses are monotone in every coordinate, so every
-        cell of the box (clipped to the store shape — only stored points
-        matter) has an address in ``[lin(origin), lin(end - 1)]``.  The
-        envelope is valid for *any* box, not only axis-contained ones;
-        it is merely loose when the box spans few cells of many rows.
-        Ungated by ``use_planner`` — the WAL tail's zone check uses it
-        with the planner off too.
-        """
-        if not self._linearizable:
-            return None
-        clipped = box.intersection(Box(tuple(0 for _ in self.shape), self.shape))
-        if clipped.is_empty():
-            return None
-        corners = as_index_array(
-            [list(clipped.origin), [e - 1 for e in clipped.end]]
-        )
-        lo, hi = linearize(corners, self.shape, validate=False)
-        return int(lo), int(hi)
 
     def backfill_zone_maps(self) -> int:
         """Compute + persist zone maps missing from an old manifest.
@@ -1288,25 +1228,11 @@ class FragmentStore:
         ``repro stats --plan``.
         """
         if isinstance(query, Box):
-            plan = self._plan_read(
-                query, "box", keys=self._query_keys(box=query)
-            )
-            plan.codec_bytes = self._aggregate_codecs(plan.fragments)
-            return plan
-        query = as_index_array(query)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
-        if query.shape[0] == 0:
-            return QueryPlan(
-                kind="points",
-                total_fragments=len(self.fragments),
-                addr_order=self.addr_order,
-            )
-        plan = self._plan_read(
-            extract_boundary(query),
-            "points",
-            keys=self._query_keys(points=query),
-        )
+            keys = QueryKeys(self.shape, box=query)
+            plan = self._plan_read(query, "box", keys=keys)
+        else:
+            keys = QueryKeys.for_points(self.shape, query)
+            plan = self._plan_read(keys.bbox(), "points", keys=keys)
         plan.codec_bytes = self._aggregate_codecs(plan.fragments)
         return plan
 
@@ -1488,6 +1414,7 @@ class FragmentStore:
         *,
         parallel: str,
         max_workers: int | None,
+        on_corruption: str | None = None,
     ) -> list[tuple[FragmentInfo, object]]:
         """Run one read task per fragment; corruption policy applied in order.
 
@@ -1498,7 +1425,9 @@ class FragmentStore:
         order*, with the policy applied in that same order, so the outcome
         (raise / skip / quarantine, counters, warnings) is identical to
         the sequential path.  Skipped fragments yield ``None`` results.
+        ``on_corruption`` overrides the store's policy (snapshots raise).
         """
+        policy = on_corruption or self.on_corruption
         out: list[tuple[FragmentInfo, object]] = []
         if parallel != "thread" or len(frags) <= 1:
             # Inline: a corrupt fragment is handled (or raises) the moment
@@ -1507,7 +1436,7 @@ class FragmentStore:
                 try:
                     out.append((frag, task(frag)))
                 except FragmentError as exc:
-                    if self.on_corruption == "raise":
+                    if policy == "raise":
                         self._note_corruption(frag, exc, will_raise=True)
                         raise
                     self._note_corruption(frag, exc)
@@ -1520,7 +1449,7 @@ class FragmentStore:
                 continue
             if not isinstance(exc, FragmentError):
                 raise exc
-            if self.on_corruption == "raise":
+            if policy == "raise":
                 self._note_corruption(frag, exc, will_raise=True)
                 raise exc
             self._note_corruption(frag, exc)
@@ -1542,7 +1471,8 @@ class FragmentStore:
         Later fragments win on duplicate coordinates (overwrite semantics of
         appended fragments).  Results come back aligned with the query
         buffer; the benchmark layer separately accounts the final
-        sort-by-linear-address merge.
+        sort-by-linear-address merge.  Query rows outside the store shape
+        are not-found.
 
         Tuning arrives as one :class:`~repro.storage.options.ReadOptions`
         value (the bare keywords are warn-once deprecation shims).
@@ -1559,107 +1489,138 @@ class FragmentStore:
             parallel=parallel,
             max_workers=max_workers,
         )
-        faithful = ropts.faithful
-        check_crc = ropts.check_crc
-        parallel = ropts.parallel
-        max_workers = ropts.max_workers
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(self.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
+        keys = QueryKeys.for_points(self.shape, query_coords)
+        return self._read_point_keys(keys, ropts)
+
+    def _read_point_keys(
+        self, keys: QueryKeys, ropts: ReadOptions
+    ) -> ReadOutcome:
+        """:meth:`read_points` over pre-built keys (the shard router's
+        entry: a band arrives with its slice of the sorted keys)."""
+        q = keys.points.shape[0]
+        if q == 0:
+            return ReadOutcome(np.zeros(0, dtype=bool), np.empty(0), 0, 0)
+        with self._rw.read_locked():
+            with span("store.read_points", format=self.format_name) as sp:
+                plan = self._plan_read(keys.bbox(), "points", keys=keys)
+                outcome = self._execute_points(
+                    keys, plan, self._wal_tail(), ropts,
+                    on_corruption=self.on_corruption,
+                    ledger=self.workload_ledger, ops=sp.ops,
+                )
+                sp.add_nnz(outcome.points_matched)
+        self._record_pruning(plan)
+        counter_add("store.points_queried", q)
+        counter_add("store.points_matched", outcome.points_matched)
+        return outcome
+
+    def _execute_points(
+        self,
+        keys: QueryKeys,
+        plan: QueryPlan,
+        tail: TailRun | None,
+        ropts: ReadOptions,
+        *,
+        on_corruption: str,
+        ledger: WorkloadLedger | None = None,
+        ops: OpCounter | None = None,
+    ) -> ReadOutcome:
+        """Run one planned point READ — the executor behind every store
+        and snapshot point read (``docs/READ_PATH.md``).
+
+        Each planned fragment loads as planned, then is probed with only
+        the slice of the once-sorted ``keys`` inside its zone map (or
+        bbox envelope); hits scatter back through the permutation in
+        plan (newest-last) order and the WAL tail overlays last.  Shapes
+        without keys (beyond 64 bits) fall back to a bbox mask.
+        """
+        query = keys.points
         q = query.shape[0]
         found = np.zeros(q, dtype=bool)
         out_values: np.ndarray | None = None
-        if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
-        use_threads = parallel == "thread"
+        use_threads = ropts.parallel == "thread"
+        ops = OpCounter() if ops is None else ops
 
         def point_task(frag: FragmentInfo):
-            payload = self._load_payload(frag, check_crc=check_crc)
-            mask = frag.bbox.contains_points(query)
-            if not mask.any():
+            payload = self._load_payload(frag, check_crc=ropts.check_crc)
+            relative = payload.extra.get("relative")
+            order, zone, cut = frag.addr_order, frag.zone, None
+            if zone is not None:
+                cut = keys.between(order, zone.addr_min, zone.addr_max)
+            elif keys.keys(order) is not None:  # planned boxes are non-empty
+                cut = keys.between(
+                    order, *box_envelope(frag.bbox, self.shape, order)
+                )
+            if cut is None:
+                rows = np.flatnonzero(frag.bbox.contains_points(query))
+                addresses = None
+            else:
+                addresses, rows = cut
+                if relative:
+                    rows = rows[frag.bbox.contains_points(query[rows])]
+                if relative or meta_addr_order(payload.meta) != order:
+                    addresses = None
+            if rows.size == 0:
                 return None
-            sub = query[mask]
-            if payload.extra.get("relative"):
+            sub = query[rows]
+            if relative:
                 sub = self._to_local(frag, sub)
             # Worker threads charge a private counter, folded into the
-            # span's counter at merge time (OpCounter is lock-free).
-            ops = OpCounter() if use_threads else sp.ops
+            # caller's counter at merge time (OpCounter is lock-free).
+            fops = OpCounter() if use_threads else ops
             res, vals = query_fragment(
-                payload, sub, faithful=faithful, counter=ops
+                payload, sub, faithful=ropts.faithful, counter=fops,
+                addresses=addresses,
             )
-            return mask, res, vals, ops
+            return rows, res, vals, fops
 
-        with self._rw.read_locked():
-            with span("store.read_points", format=self.format_name) as sp:
-                tail = self._wal_tail()
-                # The WAL tail lives in row-major address space
-                # regardless of the store's active order (appends must
-                # not pay an interleave), so its overlay keys are
-                # row-major too.
-                qaddrs: np.ndarray | None = None
-                qsorted: np.ndarray | None = None
-                if self._linearizable and tail is not None and tail.n:
-                    qaddrs = linearize(query, self.shape, validate=False)
-                    qsorted = np.sort(qaddrs)
-                plan = self._plan_read(
-                    extract_boundary(query),
-                    "points",
-                    keys=self._query_keys(points=query),
+        # Key every order up front, so fanned-out tasks only read memos.
+        for order in {frag.addr_order for frag in plan.fragments}:
+            keys.keys(order)
+        for frag, result in self._run_fragment_tasks(
+            plan.fragments, point_task, parallel=ropts.parallel,
+            max_workers=ropts.max_workers, on_corruption=on_corruption,
+        ):
+            if result is None:
+                continue
+            rows, res, vals, fops = result
+            if use_threads:
+                ops.absorb(fops)
+            if out_values is None:
+                out_values = np.zeros(q, dtype=vals.dtype)
+            hit = rows[res.found]
+            found[hit] = True
+            out_values[hit] = vals
+            if ledger is not None:
+                ledger.record_point_read(
+                    frag.path.name, queried=rows.size, matched=hit.size
                 )
-                frags = plan.fragments
-                visited = len(frags)
-                per_fragment = self._run_fragment_tasks(
-                    frags, point_task,
-                    parallel=parallel, max_workers=max_workers,
-                )
-                for _frag, result in per_fragment:
-                    if result is None:
-                        continue
-                    mask, res, vals, ops = result
-                    if use_threads:
-                        sp.ops.absorb(ops)
-                    if out_values is None:
-                        out_values = np.zeros(q, dtype=vals.dtype)
-                    idx = np.flatnonzero(mask)[res.found]
-                    found[idx] = True
-                    out_values[idx] = vals
-                    self.workload_ledger.record_point_read(
-                        _frag.path.name,
-                        queried=int(mask.sum()),
-                        matched=int(res.found.sum()),
-                    )
-                # WAL tail overlay: the unpacked tail is newer than every
-                # committed fragment, so its hits overwrite — exactly as
-                # if the tail were one final appended fragment.
-                if (
-                    tail is not None and tail.n and qaddrs is not None
-                    and (tail.zone is None
-                         or tail.zone.may_contain_any(qsorted))
-                ):
-                    pos = np.searchsorted(tail.addresses, qaddrs)
-                    in_range = pos < tail.addresses.shape[0]
-                    hit = np.zeros(q, dtype=bool)
-                    hit[in_range] = (
-                        tail.addresses[pos[in_range]] == qaddrs[in_range]
-                    )
-                    if hit.any():
-                        vals = tail.values[pos[hit]]
-                        if out_values is None:
-                            out_values = np.zeros(q, dtype=vals.dtype)
-                        found[hit] = True
-                        out_values[hit] = vals
-                matched = int(found.sum())
-                sp.add_nnz(matched)
-        self._record_pruning(plan)
-        counter_add("store.points_queried", q)
-        counter_add("store.points_matched", matched)
+        # WAL tail overlay: the unpacked tail is newer than every
+        # committed fragment, so its hits overwrite — exactly as if the
+        # tail were one final appended fragment.  It lives in row-major
+        # space whatever the active order (appends never interleave).
+        cut = None
+        if tail is not None and tail.n:
+            cut = keys.between(
+                DEFAULT_ADDRESS_ORDER, tail.addresses[0], tail.addresses[-1]
+            )
+        if cut is not None:
+            window, rows = cut
+            pos = np.searchsorted(tail.addresses, window)
+            hit = tail.addresses[pos] == window
+            if hit.any():
+                vals = tail.values[pos[hit]]
+                if out_values is None:
+                    out_values = np.zeros(q, dtype=vals.dtype)
+                found[rows[hit]] = True
+                out_values[rows[hit]] = vals
         if out_values is None:
             out_values = np.zeros(q, dtype=float)
         return ReadOutcome(
             found=found,
             values=out_values[found],
-            fragments_visited=visited,
-            points_matched=matched,
+            fragments_visited=len(plan.fragments),
+            points_matched=int(found.sum()),
         )
 
     def _record_pruning(self, plan: QueryPlan) -> None:
@@ -2298,7 +2259,7 @@ class FragmentStore:
         with self._rw.read_locked():
             with span("store.read_box", format=self.format_name) as sp:
                 plan = self._plan_read(
-                    box, "box", keys=self._query_keys(box=box)
+                    box, "box", keys=QueryKeys(self.shape, box=box)
                 )
                 for _frag, result in self._run_fragment_tasks(
                     plan.fragments, box_task,
@@ -2317,7 +2278,7 @@ class FragmentStore:
                 # newest-wins priority an appended fragment would have.
                 tail = self._wal_tail()
                 if tail is not None and tail.n:
-                    envelope = self._box_envelope(box)
+                    envelope = box_envelope(box, self.shape)
                     if (
                         tail.zone is None or envelope is None
                         or tail.zone.overlaps_range(*envelope)
@@ -2352,9 +2313,11 @@ class StoreSnapshot:
     :meth:`close` (or the context-manager form); garbage collection
     releases it as a backstop.
 
-    Reads share the parent's decoded-fragment cache and retry policy but
-    always *raise* on corruption — a snapshot never quarantines or
-    de-lists anything (it owns no manifest).
+    Point reads run the store's executor over the pinned list, so they
+    plan, prune and fan out exactly like store reads.  Reads share the
+    parent's decoded-fragment cache and retry policy but always *raise*
+    on corruption — a snapshot never quarantines or de-lists anything
+    (it owns no manifest).
     """
 
     def __init__(
@@ -2370,6 +2333,9 @@ class StoreSnapshot:
         self.generation = generation
         self._fragments = list(fragments)
         self._tail = tail
+        #: The view's own interval index: pinned fragments never change,
+        #: so it is built once and never evicts the store's.
+        self._planner = QueryPlanner()
         self._finalizer = weakref.finalize(
             self, store._release_pin, token
         )
@@ -2416,10 +2382,9 @@ class StoreSnapshot:
         parallel: str = UNSET,
         max_workers: int | None = UNSET,
     ) -> ReadOutcome:
-        """Point queries against the pinned view — same semantics as
-        :meth:`FragmentStore.read_points`, minus planner pruning (the
-        pinned list is typically short-lived and already exact)."""
-        self._check_open()
+        """Point queries against the pinned view — the store's executor,
+        so the same semantics, planner pruning and fan-out as
+        :meth:`FragmentStore.read_points`."""
         ropts = resolve_read_options(
             options,
             faithful=faithful,
@@ -2427,60 +2392,24 @@ class StoreSnapshot:
             parallel=parallel,
             max_workers=max_workers,
         )
-        store = self._store
-        query = as_index_array(query_coords)
-        if query.ndim != 2 or query.shape[1] != len(store.shape):
-            raise ShapeError("query coords must be (q, d) matching the store")
-        q = query.shape[0]
-        found = np.zeros(q, dtype=bool)
-        out_values: np.ndarray | None = None
-        if q == 0:
-            return ReadOutcome(found, np.empty(0), 0, 0)
-        visited = 0
-        with store._rw.read_locked():
-            for frag in self._fragments:
-                mask = frag.bbox.contains_points(query)
-                if not mask.any():
-                    continue
-                payload = store._load_payload(
-                    frag, check_crc=ropts.check_crc
-                )
-                visited += 1
-                sub = query[mask]
-                if payload.extra.get("relative"):
-                    sub = store._to_local(frag, sub)
-                res, vals = query_fragment(
-                    payload, sub, faithful=ropts.faithful
-                )
-                if out_values is None:
-                    out_values = np.zeros(q, dtype=vals.dtype)
-                idx = np.flatnonzero(mask)[res.found]
-                found[idx] = True
-                out_values[idx] = vals
-            tail = self._tail
-            if tail is not None and tail.n and store._linearizable:
-                qaddrs = linearize(query, store.shape, validate=False)
-                pos = np.searchsorted(tail.addresses, qaddrs)
-                in_range = pos < tail.addresses.shape[0]
-                hit = np.zeros(q, dtype=bool)
-                hit[in_range] = (
-                    tail.addresses[pos[in_range]] == qaddrs[in_range]
-                )
-                if hit.any():
-                    vals = tail.values[pos[hit]]
-                    if out_values is None:
-                        out_values = np.zeros(q, dtype=vals.dtype)
-                    found[hit] = True
-                    out_values[hit] = vals
-        matched = int(found.sum())
-        if out_values is None:
-            out_values = np.zeros(q, dtype=float)
-        return ReadOutcome(
-            found=found,
-            values=out_values[found],
-            fragments_visited=visited,
-            points_matched=matched,
+        return self._read_point_keys(
+            QueryKeys.for_points(self._store.shape, query_coords), ropts
         )
+
+    def _read_point_keys(
+        self, keys: QueryKeys, ropts: ReadOptions
+    ) -> ReadOutcome:
+        self._check_open()
+        store = self._store
+        with store._rw.read_locked():
+            plan = self._planner.plan(
+                self._fragments, self.generation, keys.bbox(),
+                kind="points", enabled=store.use_planner, keys=keys,
+                addr_order=store.addr_order,
+            )
+            return store._execute_points(
+                keys, plan, self._tail, ropts, on_corruption="raise"
+            )
 
     def read_box(
         self,

@@ -17,7 +17,8 @@ Coverage axes, per the paper's input contract (§II-A):
 * all five paper formats (COO, LINEAR, GCSR++, GCSC++, CSF) plus the
   HiCOO extension,
 * ``read_points`` over mixed present/absent queries, and ``read_box``
-  over random axis-aligned windows.
+  over random axis-aligned windows; store-level point queries also
+  repeat rows and carry rows outside the shape (:func:`store_queries`).
 
 Every case is seeded and reproducible: hypothesis runs derandomized, and
 the store-level fuzz class derives everything from an explicit seed.
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 from repro.build import encode_all
 from repro.core import Box, SparseTensor
 from repro.formats import PAPER_FORMATS, get_format
-from repro.storage import FragmentStore, StoreOptions
+from repro.storage import FragmentStore, ReadOptions, StoreOptions
 from repro.testing import (
     VALUE_DTYPES,
     oracle_read_box,
@@ -91,6 +92,31 @@ def raw_cases(draw):
         draw(st.integers(1, m - o)) for o, m in zip(origin, shape)
     )
     return tensor, queries, Box(origin, size)
+
+
+def store_queries(rng, tensor):
+    """:func:`random_queries` plus the rows a store's point executor
+    treats specially: repeated rows, and rows outside the shape — one
+    past an edge, far out, and ones whose row-major address aliases a
+    stored cell.  The oracle finds none of the outside rows.
+    """
+    queries = random_queries(rng, tensor)
+    shape = np.asarray(tensor.shape, dtype=np.uint64)
+    d = shape.size
+    edge = np.column_stack([
+        rng.integers(0, m, size=d, dtype=np.uint64) for m in tensor.shape
+    ])
+    edge[np.arange(d), np.arange(d)] = shape
+    far = np.full((1, d), 1 << 40, dtype=np.uint64)
+    # (.., c, x) -> (.., c - 1, x + m_last): the same row-major address.
+    alias = np.empty((0, d), dtype=np.uint64)
+    if d > 1:
+        alias = tensor.coords[tensor.coords[:, -2] > 0][:2].astype(np.uint64)
+        alias[:, -2] -= 1
+        alias[:, -1] += shape[-1]
+    repeats = queries[rng.integers(0, queries.shape[0], size=3)]
+    mixed = np.vstack([queries, edge, far, alias, repeats])
+    return mixed[rng.permutation(mixed.shape[0])]
 
 
 def assert_points_match(outcome, tensor, queries, label):
@@ -315,7 +341,7 @@ class TestStoreDifferential:
         store, overlay, rng = self.build_store(
             tmp_path, seed, fmt_name, cache_bytes=1 << 20
         )
-        queries = random_queries(rng, overlay)
+        queries = store_queries(rng, overlay)
         out = store.read_points(queries, parallel=parallel)
         assert_points_match(
             out, overlay, queries, f"{fmt_name}/seed={seed}/{parallel}"
@@ -332,7 +358,7 @@ class TestStoreDifferential:
         store, overlay, rng = self.build_store(
             tmp_path, seed, "LINEAR", cache_bytes=1 << 20
         )
-        queries = random_queries(rng, overlay)
+        queries = store_queries(rng, overlay)
         cold = store.read_points(queries)
         warm = store.read_points(queries, parallel="thread")
         np.testing.assert_array_equal(cold.found, warm.found)
@@ -398,7 +424,7 @@ class TestWalDifferential:
             np.vstack([t.coords for t in chunks]),
             np.concatenate([t.values for t in chunks]),
         ).deduplicated(keep="last")
-        queries = random_queries(rng, overlay)
+        queries = store_queries(rng, overlay)
         box = random_box(rng, overlay.shape)
 
         # Reopen replays whatever segments are still unpacked.
@@ -483,7 +509,7 @@ class TestCodecDifferential:
             np.vstack([t.coords for t in chunks]),
             np.concatenate([t.values for t in chunks]),
         ).deduplicated(keep="last")
-        queries = random_queries(rng, overlay)
+        queries = store_queries(rng, overlay)
         box = random_box(rng, overlay.shape)
 
         want = baseline.read_points(queries)
@@ -531,7 +557,7 @@ class TestCodecDifferential:
             options=StoreOptions(codec=codec),
         )
         store.compact()
-        queries = random_queries(rng, overlay)
+        queries = store_queries(rng, overlay)
         assert_points_match(
             store.read_points(queries), overlay, queries,
             f"{fmt_name}/{codec}/compacted",
@@ -555,40 +581,56 @@ class TestPlannerDifferential:
 
     @staticmethod
     def _assert_same_reads(store_a, store_b, overlay, rng, label):
-        queries = random_queries(rng, overlay)
+        """Both stores, and a snapshot of each, read identically under
+        the same ``ReadOptions``; point reads also match the oracle."""
+        queries = store_queries(rng, overlay)
         box = random_box(rng, overlay.shape)
         for parallel in ("none", "thread"):
-            a = store_a.read_points(queries, parallel=parallel)
-            b = store_b.read_points(queries, parallel=parallel)
-            np.testing.assert_array_equal(
-                a.found, b.found, err_msg=f"{label}/{parallel}: found"
-            )
-            np.testing.assert_array_equal(
-                a.values, b.values, err_msg=f"{label}/{parallel}: values"
-            )
-            assert a.points_matched == b.points_matched, label
-            ta = store_a.read_box(box, parallel=parallel)
-            tb = store_b.read_box(box, parallel=parallel)
-            np.testing.assert_array_equal(
-                ta.coords, tb.coords, err_msg=f"{label}/{parallel}: box"
-            )
-            np.testing.assert_array_equal(
-                ta.values, tb.values, err_msg=f"{label}/{parallel}: box"
-            )
+            ropts = ReadOptions(parallel=parallel)
+            a = store_a.read_points(queries, options=ropts)
+            assert_points_match(a, overlay, queries, f"{label}/{parallel}")
+            ta = store_a.read_box(box, options=ropts)
+            for tag, view in (
+                ("b", store_b),
+                ("snapshot-a", store_a.snapshot()),
+                ("snapshot-b", store_b.snapshot()),
+            ):
+                where = f"{label}/{parallel}/{tag}"
+                b = view.read_points(queries, options=ropts)
+                np.testing.assert_array_equal(
+                    a.found, b.found, err_msg=f"{where}: found"
+                )
+                np.testing.assert_array_equal(
+                    a.values, b.values, err_msg=f"{where}: values"
+                )
+                assert a.points_matched == b.points_matched, where
+                tb = view.read_box(box, options=ropts)
+                np.testing.assert_array_equal(
+                    ta.coords, tb.coords, err_msg=f"{where}: box"
+                )
+                np.testing.assert_array_equal(
+                    ta.values, tb.values, err_msg=f"{where}: box"
+                )
+                if view is not store_b:
+                    view.close()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_plan_on_off_byte_identical(self, tmp_path, seed):
+        """Plan on vs off, for absolute and relative-coordinate stores."""
         fmt_name = DIFF_FORMATS[seed % len(DIFF_FORMATS)]
-        store_on, overlay, rng = TestStoreDifferential.build_store(
-            tmp_path, seed, fmt_name
-        )
-        store_off = FragmentStore(
-            store_on.directory, overlay.shape, fmt_name, planner=False
-        )
-        self._assert_same_reads(
-            store_on, store_off, overlay, rng,
-            f"{fmt_name}/seed={seed}/plan-on-vs-off",
-        )
+        for relative in (False, True):
+            store_on, overlay, rng = TestStoreDifferential.build_store(
+                tmp_path / f"relative={relative}", seed, fmt_name,
+                options=StoreOptions(relative_coords=relative),
+            )
+            store_off = FragmentStore(
+                store_on.directory, overlay.shape, fmt_name,
+                options=StoreOptions(relative_coords=relative, planner=False),
+            )
+            self._assert_same_reads(
+                store_on, store_off, overlay, rng,
+                f"{fmt_name}/seed={seed}/relative={relative}/plan-on-vs-off",
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stale_manifest_backfills_and_agrees(self, tmp_path, seed):
@@ -683,7 +725,7 @@ class TestAddressOrderDifferential:
         assert store.addr_order == addr_order
         for frag in store.fragments:
             assert frag.addr_order == addr_order
-        queries = random_queries(rng, overlay)
+        queries = store_queries(rng, overlay)
         box = random_box(rng, overlay.shape)
         for plan in (True, False):
             reread = FragmentStore(
@@ -731,7 +773,7 @@ class TestAddressOrderDifferential:
         assert {f.addr_order for f in mixed.fragments} == {
             "row_major", "alto"
         }
-        queries = random_queries(rng, overlay)
+        queries = store_queries(rng, overlay)
         box = random_box(rng, overlay.shape)
         label = f"{fmt_name}/seed={seed}/mixed"
         for plan in (True, False):
@@ -748,6 +790,13 @@ class TestAddressOrderDifferential:
             assert_box_match(
                 reread.read_box(box), overlay, box, f"{label}/plan={plan}"
             )
+            with reread.snapshot() as snap:
+                assert_points_match(
+                    snap.read_points(
+                        queries, options=ReadOptions(parallel="thread")
+                    ),
+                    overlay, queries, f"{label}/plan={plan}/snapshot",
+                )
         mixed.set_addr_order("alto")
         assert {f.addr_order for f in mixed.fragments} == {"alto"}
         assert_points_match(

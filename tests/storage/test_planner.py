@@ -230,6 +230,25 @@ class TestStorePlanning:
         store.read_points(bands[0][:4])
         assert _counter("store.plan.index_rebuilds") == 2
 
+    def test_snapshot_reads_keep_the_store_index(self, tmp_path):
+        """A snapshot plans with its own pinned index, so alternating
+        store and snapshot reads rebuild nothing after the first of each
+        — even once the store has moved past the snapshot's generation."""
+        store, bands = _band_store(tmp_path, n_fragments=4)
+        snap = store.snapshot()
+        store.write(bands[2][:4], np.ones(4))  # store moves on
+        for view in (store, snap):
+            view.read_points(bands[0][:4])
+        rebuilds = _counter("store.plan.index_rebuilds")
+        assert rebuilds == 2
+        for _ in range(3):
+            for view in (store, snap):
+                out = view.read_points(bands[1][:4])
+                assert out.found.all()
+                assert out.fragments_visited == 1
+        assert _counter("store.plan.index_rebuilds") == rebuilds
+        snap.close()
+
     def test_pruning_counters_split(self, tmp_path):
         store, bands = _band_store(tmp_path, n_fragments=4)
         # One band's points: bbox stage prunes the other 3 bands; the

@@ -11,6 +11,7 @@ from repro.core.boundary import Box
 from repro.storage import (
     AdaptiveStore,
     FragmentStore,
+    ShardedStore,
     StoreOptions,
     fsck,
 )
@@ -256,6 +257,32 @@ class TestStoreAppend:
         # No duplicates in the merged view.
         lin = box.coords[:, 0] * 64 + box.coords[:, 1]
         assert np.unique(lin).shape[0] == lin.shape[0]
+
+    def test_out_of_shape_rows_do_not_alias_tail(self, tmp_path):
+        """A query row outside the shape is not-found in every view.
+
+        Under ``validate=False`` row-major linearization (0, 0, 200)
+        aliases (0, 1, 8) in a 192^3 store; the packed path always said
+        not-found, the WAL-tail overlay used to answer 42.0.
+        """
+        shape = (192, 192, 192)
+        cell = np.array([[0, 1, 8]], dtype=np.uint64)
+        alias = np.array([[0, 0, 200], [0, 1, 8]], dtype=np.uint64)
+        store = FragmentStore(tmp_path / "one", shape, "LINEAR")
+        sharded = ShardedStore(tmp_path / "bands", shape, "LINEAR", n_shards=4)
+        for target in (store, sharded):
+            target.append(cell, np.array([42.0]))
+        for state in ("tail", "packed"):
+            views = {
+                "store": store, "snapshot": store.snapshot(),
+                "sharded": sharded, "sharded-snapshot": sharded.snapshot(),
+            }
+            for name, view in views.items():
+                out = view.read_points(alias)
+                assert out.found.tolist() == [False, True], (state, name)
+                assert out.values.tolist() == [42.0], (state, name)
+            store.pack_wal()
+            sharded.pack_wal()
 
     def test_background_packer(self, tmp_path, rng):
         c, v = chunk(rng, 30)
