@@ -14,6 +14,7 @@ linearize against a block's own boundary instead of the global tensor.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -538,6 +539,108 @@ def alto_box_ranges(
 
     rec(spec.total_bits - 1, 0, [0] * d)
     return out
+
+
+@dataclass(frozen=True)
+class AddressIntervals:
+    """A box as ascending, disjoint, inclusive address intervals.
+
+    ``lo`` / ``hi`` are ``uint64`` arrays in the space of address order
+    ``order``.  ``exact`` says whether the intervals hold exactly the
+    box's cells; ``False`` means an interval budget coarsened them to a
+    superset.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    exact: bool
+    order: str
+
+    def __len__(self) -> int:
+        return int(self.lo.shape[0])
+
+    def select(self, addresses: np.ndarray) -> np.ndarray:
+        """Positions of the ``addresses`` (in any order) inside an
+        interval: an envelope compare, then one ``searchsorted`` of the
+        survivors."""
+        if not len(self):
+            return np.empty(0, dtype=np.intp)
+        inside = np.flatnonzero(
+            (addresses >= self.lo[0]) & (addresses <= self.hi[-1])
+        )
+        if len(self) > 1 and inside.size:
+            cand = addresses[inside]
+            at = self.lo.searchsorted(cand, side="right") - 1
+            inside = inside[cand <= self.hi[at]]
+        return inside
+
+
+def alto_box_intervals(
+    origin: Sequence[int],
+    end: Sequence[int],
+    shape: Sequence[int],
+    *,
+    max_ranges: int = 64,
+) -> AddressIntervals:
+    """:func:`alto_box_ranges` as interval arrays, exact when the ranges
+    cover no more addresses than the box has cells."""
+    ranges = alto_box_ranges(origin, end, shape, max_ranges=max_ranges)
+    cells = 1
+    for o, e, m in zip(origin, end, shape):
+        cells *= max(0, min(int(e), int(m)) - max(int(o), 0))
+    pairs = np.array(ranges, dtype=INDEX_DTYPE).reshape(-1, 2)
+    covered = sum(hi - lo + 1 for lo, hi in ranges)
+    return AddressIntervals(pairs[:, 0], pairs[:, 1], covered == cells, "alto")
+
+
+def row_major_box_intervals(
+    origin: Sequence[int],
+    end: Sequence[int],
+    shape: Sequence[int],
+    *,
+    max_ranges: int = 4096,
+) -> AddressIntervals:
+    """Decompose a half-open box into ascending row-major intervals.
+
+    The modes after the last one the box covers only in part fold into
+    every interval, so the exact decomposition is one interval per cell
+    of the leading modes before that one.  Past ``max_ranges`` such
+    cells it stops at the deepest leading prefix within budget and
+    emits each prefix's sub-box envelope ``[lin(lo, ...), lin(hi - 1,
+    ...)]`` — a superset, since row-major addresses are monotone in
+    every coordinate — flagged ``exact=False``.
+    """
+    shape = [int(m) for m in shape]
+    lo = [max(int(o), 0) for o in origin]
+    hi = [min(int(e), m) for e, m in zip(end, shape)]
+    if any(top <= bottom for bottom, top in zip(lo, hi)):
+        empty = np.empty(0, dtype=INDEX_DTYPE)
+        return AddressIntervals(empty, empty, True, DEFAULT_ADDRESS_ORDER)
+    partial = [
+        j for j, m in enumerate(shape) if lo[j] > 0 or hi[j] < m
+    ]
+    depth = partial[-1] if partial else 0
+    prefixes = 1
+    for j in range(depth):
+        prefixes *= hi[j] - lo[j]
+    exact = True
+    while prefixes > max(1, max_ranges):
+        depth -= 1
+        prefixes //= hi[depth] - lo[depth]
+        exact = False
+    strides = [int(s) for s in row_major_strides(shape)]
+    base = np.zeros(1, dtype=INDEX_DTYPE)
+    for j in range(depth):
+        axis = np.arange(lo[j], hi[j], dtype=INDEX_DTYPE) * INDEX_DTYPE.type(
+            strides[j]
+        )
+        base = (base[:, np.newaxis] + axis[np.newaxis, :]).ravel()
+    first = sum(c * s for c, s in zip(lo[depth:], strides[depth:]))
+    last = sum((c - 1) * s for c, s in zip(hi[depth:], strides[depth:]))
+    return AddressIntervals(
+        base + INDEX_DTYPE.type(first), base + INDEX_DTYPE.type(last), exact,
+        DEFAULT_ADDRESS_ORDER,
+    )
 
 
 def fold_shape_2d(shape: Sequence[int], *, min_dim_as: str = "rows") -> tuple[int, int]:

@@ -39,7 +39,13 @@ import numpy as np
 from ..core.costmodel import NULL_COUNTER, OpCounter
 from ..core.dtypes import as_index_array
 from ..core.errors import FormatError, ShapeError
-from ..core.linearize import linearize, linearize_order
+from ..core.linearize import (
+    DEFAULT_ADDRESS_ORDER,
+    AddressIntervals,
+    delinearize_order,
+    linearize,
+    linearize_order,
+)
 from ..core.sorting import apply_map, stable_argsort
 from ..core.tensor import SparseTensor
 from ..obs import span
@@ -109,6 +115,18 @@ class ReadResult:
     def gather_values(self, stored_values: np.ndarray) -> np.ndarray:
         """Values for the found queries, in query order."""
         return stored_values[self.value_positions]
+
+
+@dataclass
+class BoxHits:
+    """One payload's points inside a query box (:meth:`SparseFormat.
+    box_probe`): their indices into the stored value buffer, plus either
+    their global row-major ``addresses`` or, from organizations that
+    read boxes by coordinates, their ``coords``."""
+
+    positions: np.ndarray
+    addresses: np.ndarray | None = None
+    coords: np.ndarray | None = None
 
 
 class SparseFormat(abc.ABC):
@@ -276,6 +294,26 @@ class SparseFormat(abc.ABC):
         mask = box.contains_points(coords)
         positions = np.flatnonzero(mask)
         return coords[positions], positions
+
+    def box_probe(
+        self,
+        payload: Mapping[str, np.ndarray],
+        meta: Mapping[str, Any],
+        shape: Sequence[int],
+        box,
+        intervals: AddressIntervals | None = None,
+    ) -> BoxHits:
+        """The store executor's box read of one payload.
+
+        ``intervals`` is the box as address intervals in the payload's
+        (global) space, in the fragment's address order.  Organizations
+        that can cut them directly override this and return row-major
+        addresses; the default runs :meth:`box_points` and returns
+        coordinates, which the executor linearizes in one batch per
+        request.
+        """
+        coords, positions = self.box_points(payload, meta, shape, box)
+        return BoxHits(positions, coords=coords)
 
     # -- shared helpers --------------------------------------------------
 
@@ -653,6 +691,57 @@ def scan_coords_faithful(
             found[i] = True
             positions[i] = cand[-1]
     return found, positions[found]
+
+
+def box_hits_by_address(
+    stored: np.ndarray,
+    positions: np.ndarray | None,
+    shape: Sequence[int],
+    box,
+    intervals: AddressIntervals,
+) -> BoxHits:
+    """Box hits among stored addresses in the intervals' order (any
+    sequence; ``positions`` their value indices, ``None``: identity).
+
+    The addresses inside ``intervals`` are the hits when the intervals
+    are exact; coarse intervals delinearize the survivors and mask them
+    with ``box``.  Row-major hits come back as addresses, others as
+    coordinates.
+    """
+    inside = intervals.select(stored)
+    stored = stored[inside]
+    positions = inside if positions is None else positions[inside]
+    row_major = intervals.order == DEFAULT_ADDRESS_ORDER
+    if row_major and intervals.exact:
+        return BoxHits(positions, addresses=stored)
+    coords = delinearize_order(stored, shape, intervals.order, validate=False)
+    if not intervals.exact:
+        keep = np.flatnonzero(box.contains_points(coords))
+        stored, positions, coords = stored[keep], positions[keep], coords[keep]
+    if row_major:
+        return BoxHits(positions, addresses=stored)
+    return BoxHits(positions, coords=coords)
+
+
+def flatten_ranges(
+    starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``arange(starts[j], ends[j])`` for all j.
+
+    Returns ``(flat_ids, owner)`` where ``owner[k]`` is the range index
+    that produced ``flat_ids[k]``.
+    """
+    lens = (ends - starts).astype(np.int64)
+    lens = np.maximum(lens, 0)
+    total = int(lens.sum())
+    if total == 0:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    offsets = np.zeros(lens.shape[0], dtype=np.int64)
+    np.cumsum(lens[:-1], out=offsets[1:])
+    flat = np.repeat(starts.astype(np.int64) - offsets, lens)
+    flat += np.arange(total, dtype=np.int64)
+    owner = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
+    return flat, owner
 
 
 def require_buffers(

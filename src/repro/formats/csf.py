@@ -34,7 +34,14 @@ from ..core.costmodel import NULL_COUNTER, OpCounter
 from ..core.dtypes import INDEX_DTYPE, INDEX_MAX, POINTER_DTYPE, as_index_array
 from ..core.errors import FormatError
 from ..core.sorting import lexsort_rows
-from .base import BuildResult, ReadResult, SparseFormat, empty_read, require_buffers
+from .base import (
+    BuildResult,
+    ReadResult,
+    SparseFormat,
+    empty_read,
+    flatten_ranges,
+    require_buffers,
+)
 
 
 def sort_dimensions(
@@ -309,27 +316,6 @@ class CSFFormat(SparseFormat):
     # Box (range) reads: subtree pruning
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _flatten_ranges(
-        starts: np.ndarray, ends: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenate ``arange(starts[j], ends[j])`` for all j.
-
-        Returns ``(flat_ids, owner)`` where ``owner[k]`` is the range index
-        that produced ``flat_ids[k]``.
-        """
-        lens = (ends - starts).astype(np.int64)
-        lens = np.maximum(lens, 0)
-        total = int(lens.sum())
-        if total == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        offsets = np.zeros(lens.shape[0], dtype=np.int64)
-        np.cumsum(lens[:-1], out=offsets[1:])
-        flat = np.repeat(starts.astype(np.int64) - offsets, lens)
-        flat += np.arange(total, dtype=np.int64)
-        owner = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
-        return flat, owner
-
     def box_points(
         self,
         payload: Mapping[str, np.ndarray],
@@ -390,7 +376,7 @@ class CSFFormat(SparseFormat):
             pkeys = nodes.astype(np.uint64) * k
             starts = np.searchsorted(composite, pkeys + np.uint64(lo[i]))
             ends = np.searchsorted(composite, pkeys + np.uint64(hi[i]))
-            children, owner = self._flatten_ranges(starts, ends)
+            children, owner = flatten_ranges(starts, ends)
             new_prefix = np.empty((children.shape[0], d), dtype=INDEX_DTYPE)
             new_prefix[:, :i] = prefix[owner, :i]
             new_prefix[:, i] = fids[i][children]

@@ -22,13 +22,20 @@ import numpy as np
 from ..core.costmodel import NULL_COUNTER, OpCounter
 from ..core.dtypes import as_index_array
 from ..core.errors import FormatError
-from ..core.linearize import fold_coords_2d, fold_shape_2d, linearize
+from ..core.linearize import (
+    DEFAULT_ADDRESS_ORDER,
+    fold_coords_2d,
+    fold_shape_2d,
+    linearize,
+)
 from ..core.sorting import stable_argsort
 from .base import (
     AddressProbeFormat,
     BuildResult,
     ReadResult,
+    box_hits_by_address,
     empty_read,
+    flatten_ranges,
     require_buffers,
 )
 from .csr2d import CSRMatrix, csr_pack, csr_query_scan, csr_query_vectorized
@@ -194,6 +201,32 @@ class GCSRFormat(AddressProbeFormat):
             addresses = matrix.indices * n_cols + compressed
         order = stable_argsort(addresses)
         return addresses[order], order
+
+    def box_probe(self, payload, meta, shape, box, intervals=None):
+        """Each folded GCSR++ row is one contiguous row-major address
+        range, so only the rows the box's intervals span are read, as
+        addresses ``row * n_cols + col``, and cut by the intervals.
+        GCSC++ columns are not contiguous: it keeps the decoding read."""
+        if (
+            intervals is None
+            or intervals.order != DEFAULT_ADDRESS_ORDER
+            or self._min_dim_as != "rows"
+        ):
+            return super().box_probe(payload, meta, shape, box)
+        matrix = self._matrix_from_payload(payload, meta)
+        n_cols = np.uint64(meta["shape2d"][1])
+        # Rows covered by some interval: +1 where a span of rows starts,
+        # -1 past where it ends, summed up.
+        edges = np.zeros(matrix.n_compressed + 1, dtype=np.int64)
+        np.add.at(edges, (intervals.lo // n_cols).astype(np.intp), 1)
+        np.add.at(edges, (intervals.hi // n_cols + 1).astype(np.intp), -1)
+        rows = np.flatnonzero(np.cumsum(edges[:-1]) > 0)
+        indptr = matrix.indptr.astype(np.int64)
+        positions, owner = flatten_ranges(indptr[rows], indptr[rows + 1])
+        addresses = rows[owner].astype(np.uint64) * n_cols + (
+            matrix.indices[positions].astype(np.uint64)
+        )
+        return box_hits_by_address(addresses, positions, shape, box, intervals)
 
     def decode(
         self,

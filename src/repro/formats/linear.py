@@ -19,12 +19,14 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ..core.costmodel import NULL_COUNTER, OpCounter
+from ..core.dtypes import as_index_array
 from ..core.linearize import DEFAULT_ADDRESS_ORDER
 from ..core.sorting import stable_argsort
 from .base import (
     AddressProbeFormat,
     BuildResult,
     ReadResult,
+    box_hits_by_address,
     empty_read,
     linearize_for_format,
     match_addresses,
@@ -89,6 +91,17 @@ class LinearFormat(AddressProbeFormat):
             return empty_read(addresses.shape[0])
         found, positions = match_addresses(stored, addresses, memo=memo)
         return ReadResult(found=found, value_positions=positions)
+
+    def box_probe(self, payload, meta, shape, box, intervals=None):
+        """The stored addresses against the box's intervals in the
+        payload's order — no decode.  Only coarse intervals or an ALTO
+        payload delinearize, and then only the survivors."""
+        if intervals is None or intervals.order != meta_addr_order(meta):
+            return super().box_probe(payload, meta, shape, box)
+        require_buffers(payload, ["addresses"], self.name)
+        return box_hits_by_address(
+            as_index_array(payload["addresses"]), None, shape, box, intervals
+        )
 
     def decode(
         self,

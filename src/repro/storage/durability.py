@@ -102,11 +102,11 @@ def _injected_os_error(op: str, path: Path) -> OSError:
 
 def read_bytes(path: str | os.PathLike) -> bytes:
     """Read a whole file; the raw ``OSError`` propagates (retryable)."""
-    path = Path(path)
     hook = _fault_hook
     if hook is not None:
-        hook.before("read", path)
-    return path.read_bytes()
+        hook.before("read", Path(path))
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def read_view(path: str | os.PathLike):

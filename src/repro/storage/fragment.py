@@ -19,7 +19,12 @@ import numpy as np
 from ..core.boundary import Box, extract_boundary
 from ..core.costmodel import NULL_COUNTER, OpCounter
 from ..core.errors import FragmentIOError
-from ..formats.base import AddressProbeFormat, EncodedTensor, ReadResult
+from ..formats.base import (
+    AddressProbeFormat,
+    BoxHits,
+    EncodedTensor,
+    ReadResult,
+)
 from ..formats.registry import get_format
 from ..obs import counter_add, gauge_set, get_registry, is_enabled, span
 from .durability import (
@@ -30,6 +35,7 @@ from .durability import (
 )
 
 if TYPE_CHECKING:  # annotation only — planner imports nothing from here
+    from ..core.linearize import AddressIntervals
     from .planner import ZoneMap
 from .compression import codec_sizes
 from .serialization import (
@@ -267,7 +273,6 @@ def load_fragment(
     corruption semantics are unchanged: ``check_crc=True`` still hashes
     the whole (mapped) file before any buffer is handed out.
     """
-    path = Path(path)
     try:
         data = read_view(path) if lazy else read_bytes(path)
     except OSError as exc:
@@ -297,15 +302,22 @@ def fragment_to_tensor(payload: FragmentPayload) -> "SparseTensor":
 
 
 def query_fragment_box(
-    payload: FragmentPayload, box
-) -> tuple[np.ndarray, np.ndarray]:
-    """Structural range read of one fragment: ``(coords, value_positions)``.
+    payload: FragmentPayload,
+    box,
+    intervals: AddressIntervals | None = None,
+) -> BoxHits:
+    """Range read of one fragment: the organization's box probe.
 
-    Coordinates are in the fragment's own space (local space for relative
+    ``intervals`` (the box in the fragment's space and address order)
+    lets LINEAR and GCSR++ cut address ranges instead of decoding the
+    payload; their hits come back as row-major addresses.  Other
+    organizations return coordinates (local space for relative
     fragments — the store layer re-bases).
     """
     fmt = get_format(payload.format_name)
-    return fmt.box_points(payload.buffers, payload.meta, payload.shape, box)
+    return fmt.box_probe(
+        payload.buffers, payload.meta, payload.shape, box, intervals
+    )
 
 
 def query_fragment(

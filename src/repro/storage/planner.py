@@ -14,11 +14,11 @@ touched:
     map records ``addr_min`` / ``addr_max`` plus a coarse fixed-width
     address histogram (:data:`ZONE_HIST_BUCKETS` buckets).  Point queries
     linearize once and drop every fragment whose zone map provably
-    excludes all query addresses; box queries drop fragments whose address
-    range misses the box's ``[lin(origin), lin(end - 1)]`` envelope
-    (row-major addresses are monotone in every coordinate, so the envelope
-    bounds every cell of *any* box — soundness does not require the box to
-    be axis-contained).
+    excludes all query addresses; box queries decompose once into address
+    intervals and drop fragments whose zone map misses every interval it
+    spans (in row-major order, the intervals' hull ``[lin(origin),
+    lin(end - 1)]``: addresses are monotone in every coordinate, so it
+    bounds every cell of *any* box).
 
 :class:`FragmentIndex`
     Per-dimension sorted interval arrays over the manifest bounding boxes
@@ -33,12 +33,9 @@ a result) but deliberately lossy in the other direction: a fragment that
 survives the plan may still contain none of the queried points.  The
 format READ kernels remain the ground truth.
 
-The WAL tail overlay reuses :class:`ZoneMap` outside the plan proper:
-:func:`repro.storage.wal.build_tail_run` attaches one to the merged
-unpacked-append run, and box reads consult it (``overlaps_range``)
-before the tail joins — so unpacked appends get the same address-range
-pruning as committed fragments.  Point reads cut the tail's slice of the
-sorted query keys (:class:`QueryKeys`) instead.
+The WAL tail overlay needs no zone map: it is one address-sorted run,
+so point reads cut its slice of the sorted query keys and box reads its
+slice of the box's row-major intervals (:class:`QueryKeys`).
 
 Planner decisions are observable (see :mod:`repro.obs`):
 
@@ -72,9 +69,12 @@ from ..core.boundary import Box, extract_boundary
 from ..core.dtypes import INDEX_DTYPE, as_index_array
 from ..core.errors import ShapeError
 from ..core.linearize import (
-    alto_box_ranges,
+    DEFAULT_ADDRESS_ORDER,
+    AddressIntervals,
+    alto_box_intervals,
     fits_addr_order,
     linearize_order,
+    row_major_box_intervals,
 )
 from ..core.sorting import stable_argsort
 from ..obs import counter_add
@@ -220,13 +220,8 @@ def _zone_prune_points(
     addr_max]`` in the sorted keys; only ranges holding a key pay the
     histogram test.  Returns the survivors and whether a zone was read."""
     keep = [True] * len(frags)
-    by_order: dict[str, list[int]] = {}
-    for i, frag in enumerate(frags):
-        if getattr(frag, "zone", None) is not None:
-            order = getattr(frag, "addr_order", "row_major")
-            by_order.setdefault(order, []).append(i)
     used = False
-    for order, members in by_order.items():
+    for order, members in _zoned_by_order(frags).items():
         pair = keys.keys(order)
         if pair is None:
             continue
@@ -247,43 +242,69 @@ def _zone_prune_points(
 def _zone_prune_box(
     frags: list[Any], keys: QueryKeys | None
 ) -> tuple[list[Any], bool]:
-    """Zone stage of a box read: each candidate's zone map against the
-    box's address intervals in the candidate's own order."""
-    keep, used = [], False
-    for frag in frags:
-        zone = getattr(frag, "zone", None)
-        ranges = None if zone is None or keys is None else keys.ranges(
-            getattr(frag, "addr_order", "row_major")
+    """Zone stage of a box read, per address order.  Row-major zones are
+    tested against the intervals' hull ``[lin(origin), lin(end - 1)]``.
+    ALTO zones meet only the intervals their ``[addr_min, addr_max]``
+    spans, located for every candidate by two ``searchsorted`` calls.
+    Returns the survivors and whether a zone was read."""
+    keep = [True] * len(frags)
+    used = False
+    for order, members in _zoned_by_order(frags).items():
+        iv = None if keys is None else keys.intervals(order)
+        if iv is None:
+            continue
+        used = True
+        zones = [frags[i].zone for i in members]
+        if order == DEFAULT_ADDRESS_ORDER:
+            hull = (int(iv.lo[0]), int(iv.hi[-1])) if len(iv) else None
+            for i, zone in zip(members, zones):
+                keep[i] = hull is not None and zone.overlaps_range(*hull)
+            continue
+        first = iv.hi.searchsorted(
+            np.array([z.addr_min for z in zones], dtype=INDEX_DTYPE), "left"
         )
-        used |= ranges is not None
-        if ranges is None or any(zone.overlaps_range(*r) for r in ranges):
-            keep.append(frag)
-    return keep, used
+        stop = iv.lo.searchsorted(
+            np.array([z.addr_max for z in zones], dtype=INDEX_DTYPE), "right"
+        )
+        for i, zone, s, e in zip(members, zones, first.tolist(), stop.tolist()):
+            keep[i] = any(
+                zone.overlaps_range(lo, hi)
+                for lo, hi in zip(iv.lo[s:e].tolist(), iv.hi[s:e].tolist())
+            )
+    return [f for f, k in zip(frags, keep) if k], used
 
 
-def _clip(box: Box, shape: Sequence[int]):
-    """``(origin, end)`` of ``box`` clipped to ``shape`` (``None``: empty)."""
-    origin = np.maximum(np.asarray(box.origin, dtype=np.int64), 0)
-    end = np.minimum(
-        np.asarray(box.end, dtype=np.int64), np.asarray(shape, dtype=np.int64)
-    )
-    return None if bool(np.any(end <= origin)) else (origin, end)
+def _zoned_by_order(frags: list[Any]) -> dict[str, list[int]]:
+    """Indices of the fragments that carry a zone map, per address order."""
+    by_order: dict[str, list[int]] = {}
+    for i, frag in enumerate(frags):
+        if getattr(frag, "zone", None) is not None:
+            order = getattr(frag, "addr_order", DEFAULT_ADDRESS_ORDER)
+            by_order.setdefault(order, []).append(i)
+    return by_order
 
 
 def box_envelope(
-    box: Box, shape: Sequence[int], order: str = "row_major"
+    box: Box, shape: Sequence[int], order: str = DEFAULT_ADDRESS_ORDER
 ) -> tuple[int, int] | None:
     """Inclusive ``[lin(origin), lin(end - 1)]`` of ``box`` clipped to
     ``shape`` in ``order``'s space (``None``: empty clip).  Both orders
     are monotone in every coordinate, so it holds every cell of the box."""
-    clip = _clip(box, shape)
-    return None if clip is None else _envelope(*clip, shape, order)
-
-
-def _envelope(origin, end, shape, order: str) -> tuple[int, int]:
+    origin = np.maximum(np.asarray(box.origin, dtype=np.int64), 0)
+    end = np.minimum(
+        np.asarray(box.end, dtype=np.int64), np.asarray(shape, dtype=np.int64)
+    )
+    if bool(np.any(end <= origin)):
+        return None
     corners = np.array([origin, end - 1], dtype=np.uint64)
     lo, hi = linearize_order(corners, shape, order, validate=False)
     return int(lo), int(hi)
+
+
+#: Interval budget of a box decomposition, per order.  ALTO's BIGMIN
+#: ranges coarsen softly past it; row-major decompositions with more
+#: leading-mode prefixes fall back to per-prefix sub-box envelopes.
+MAX_INTERVALS = {"alto": 64, DEFAULT_ADDRESS_ORDER: 4096}
 
 
 class QueryKeys:
@@ -299,12 +320,13 @@ class QueryKeys:
       linearize the rest once per order into :meth:`keys`' ``(sorted
       keys, permutation)`` pair — the zone stage, the probe slices, the
       WAL-tail overlay and the shard router all cut that one vector;
-    * box queries reduce to address intervals — one ``[lin(origin),
-      lin(end - 1)]`` envelope in row-major order (per-coordinate
-      monotonicity makes it sound), or O(address bits) contiguous
-      BIGMIN-style ranges in ALTO order (:func:`repro.core.linearize.
-      alto_box_ranges`), each pruned against the zone map separately so
-      an interleaved box does not degrade to one giant span.
+    * box queries decompose once per order into ascending address
+      intervals (:meth:`intervals`) — in row-major order one interval
+      per cell of the leading modes the box covers in part (:func:`repro.
+      core.linearize.row_major_box_intervals`), in ALTO order
+      O(address bits) BIGMIN-style ranges (:func:`repro.core.linearize.
+      alto_box_ranges`).  The zone stage, every fragment probe and the
+      WAL-tail slice cut those arrays.
     """
 
     @classmethod
@@ -323,7 +345,6 @@ class QueryKeys:
         *,
         points: np.ndarray | None = None,
         box: Box | None = None,
-        max_ranges: int = 64,
     ) -> None:
         self.shape = tuple(int(m) for m in shape)
         #: The ``(q, d)`` query rows (point queries only).
@@ -336,10 +357,12 @@ class QueryKeys:
             )
             if not inside.all():
                 self.rows = np.flatnonzero(inside)
-        self._box = box
-        self._max_ranges = int(max_ranges)
+        if box is not None and box.ndim != len(self.shape):
+            raise ShapeError("query box must have one mode per store mode")
+        #: The query box (box queries only).
+        self.box = box
         self._keys: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
-        self._ranges: dict[str, list[tuple[int, int]] | None] = {}
+        self._intervals: dict[str, AddressIntervals | None] = {}
 
     def _inside(self) -> np.ndarray:
         return self.points if self.rows is None else self.points[self.rows]
@@ -388,26 +411,25 @@ class QueryKeys:
         sub._keys[order] = (sorted_keys[s:e], np.arange(e - s))
         return sub
 
-    def ranges(self, order: str) -> "list[tuple[int, int]] | None":
-        """Inclusive address intervals covering the box in ``order``'s
-        space (``None`` when unavailable; ``[]`` for an empty box)."""
-        if self._box is None:
+    def intervals(self, order: str) -> AddressIntervals | None:
+        """The box as ascending address intervals in ``order``'s space
+        (``None`` when the shape does not fit that order or this is a
+        point query; empty arrays for a box outside the shape)."""
+        if self.box is None:
             return None
-        if order not in self._ranges:
-            self._ranges[order] = self._compute_ranges(order)
-        return self._ranges[order]
-
-    def _compute_ranges(self, order: str) -> "list[tuple[int, int]] | None":
-        if not fits_addr_order(self.shape, order):
-            return None
-        clip = _clip(self._box, self.shape)
-        if clip is None:
-            return []
-        if order == "alto":
-            return alto_box_ranges(
-                *clip, self.shape, max_ranges=self._max_ranges
-            )
-        return [_envelope(*clip, self.shape, order)]
+        if order not in self._intervals:
+            iv = None
+            if fits_addr_order(self.shape, order):
+                decompose = (
+                    alto_box_intervals if order == "alto"
+                    else row_major_box_intervals
+                )
+                iv = decompose(
+                    self.box.origin, self.box.end, self.shape,
+                    max_ranges=MAX_INTERVALS[order],
+                )
+            self._intervals[order] = iv
+        return self._intervals[order]
 
 
 class FragmentIndex:
@@ -474,12 +496,12 @@ class FragmentIndex:
             q_origin = int(query_box.origin[j])
             q_end = q_origin + int(query_box.size[j])
             # Fragments starting at/after the query's end cannot overlap.
-            k = int(np.searchsorted(self._starts[j], q_end, side="left"))
+            k = int(self._starts[j].searchsorted(q_end, side="left"))
             alive[self._start_order[j][k:]] = False
             # Fragments ending at/before the query's origin cannot overlap.
-            k = int(np.searchsorted(self._ends[j], q_origin, side="right"))
+            k = int(self._ends[j].searchsorted(q_origin, side="right"))
             alive[self._end_order[j][:k]] = False
-        return np.flatnonzero(alive)
+        return alive.nonzero()[0]
 
 
 @dataclass
@@ -622,9 +644,9 @@ class QueryPlanner:
         intervals = None
         if keys is not None:
             counted = {
-                order: len(r)
-                for order, r in keys._ranges.items()
-                if r is not None
+                order: len(iv)
+                for order, iv in keys._intervals.items()
+                if iv is not None
             }
             intervals = counted or None
         return QueryPlan(

@@ -3,7 +3,7 @@
 Algorithm 3's READ is embarrassingly parallel across fragments — each
 overlapping fragment is loaded, decoded, and queried independently, and
 only the final address-sorted merge is sequential.  This module supplies
-the two pieces the store layer composes into that pipeline:
+the pieces the store layer composes into that pipeline:
 
 :class:`FragmentCache`
     A bytes-bounded, thread-safe LRU of *decoded* fragment payloads.  The
@@ -32,6 +32,10 @@ the two pieces the store layer composes into that pipeline:
     share the lock, mutations exclude reads, and a compaction can never
     delete fragment files out from under an in-flight read.
 
+:func:`merge_box_hits`
+    The one sequential step of a box read: every fragment's hits, the WAL
+    tail's last, merged newest-wins by row-major address in one sort.
+
 Fragment *selection* happens before any of this: the store builds one
 :class:`~repro.storage.planner.QueryPlan` per query (spatial index +
 zone-map pruning, see :mod:`repro.storage.planner` and
@@ -52,6 +56,13 @@ from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Any, Callable, Sequence, TypeVar
 
+import numpy as np
+
+from ..core.dtypes import fits_index_dtype
+from ..core.linearize import delinearize, linearize
+from ..core.sorting import stable_argsort
+from ..core.tensor import SparseTensor
+from ..formats.base import BoxHits
 from ..obs import counter_add, gauge_set
 
 #: Read-side parallelism modes (``read_points(parallel=...)``).
@@ -143,6 +154,47 @@ def map_fragments_ordered(
             else:
                 out[idx] = (fut.result(), None)
     return out
+
+
+def merge_box_hits(
+    shape: Sequence[int], parts: Sequence[tuple[BoxHits, np.ndarray]]
+) -> SparseTensor:
+    """Merge one box read's hits once, newest-wins by row-major address.
+
+    ``parts`` are ``(hits, values)`` in plan (newest-last) order, the
+    WAL tail last.  Coordinate hits are linearized in one call, the
+    addresses stable-argsorted once, the last entry of each equal-address
+    run kept and only the survivors delinearized.  The result equals
+    ``deduplicated(keep="last").sorted_by_linear()`` of the concatenated
+    hits.  Shapes beyond 64 bits (coordinate hits only) keep the
+    lexicographic ``deduplicated(keep="last").sorted_lexicographic()``.
+    """
+    if not parts:
+        return SparseTensor.empty(shape)
+    values = np.concatenate([v for _, v in parts])
+    if not fits_index_dtype(shape):
+        coords = np.vstack([hits.coords for hits, _ in parts])
+        merged = SparseTensor(shape, coords, values).deduplicated(keep="last")
+        return merged.sorted_lexicographic()
+    by_coords = [hits.coords for hits, _ in parts if hits.addresses is None]
+    linearized = iter(())
+    if by_coords:
+        linearized = iter(np.split(
+            linearize(np.vstack(by_coords), shape, validate=False),
+            np.cumsum([c.shape[0] for c in by_coords])[:-1],
+        ))
+    addresses = np.concatenate([
+        next(linearized) if hits.addresses is None else hits.addresses
+        for hits, _ in parts
+    ])
+    order = stable_argsort(addresses)
+    ordered = addresses[order]
+    last = np.ones(ordered.shape[0], dtype=bool)
+    last[:-1] = ordered[1:] != ordered[:-1]
+    return SparseTensor(
+        shape, delinearize(ordered[last], shape, validate=False),
+        values[order[last]],
+    )
 
 
 def payload_nbytes(payload) -> int:

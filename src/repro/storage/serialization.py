@@ -37,6 +37,7 @@ fault-injection tests).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -237,7 +238,7 @@ def unpack_fragment(data, *, check_crc: bool = True) -> FragmentPayload:
     for entry in header["buffers"]:
         dtype = np.dtype(entry["dtype"])
         shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         codec = entry.get("codec", "raw")
         nbytes = int(entry.get("nbytes", count * dtype.itemsize))
         if offset + nbytes > len(view):

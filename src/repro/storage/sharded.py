@@ -19,8 +19,9 @@ the linearized address is a total order over the tensor, so
   CanonicalCoords`) splits it across bands with two ``searchsorted``
   calls — routing is O(log S) per cut, not O(n·S);
 * bands are disjoint, so a coordinate lives in exactly one shard —
-  reads never merge duplicates across shards, and concatenating
-  per-shard results in band order is already globally address-sorted;
+  reads never merge duplicates across shards, and every band's box hits
+  join one row-major merge (:func:`route_box`), whatever order the bands
+  were cut in;
 * the existing :class:`~repro.storage.planner.QueryPlanner` prunes
   whole shards for free: each shard is summarized by a
   :class:`ShardEntry` (bbox + zone map + nnz, the same duck type a
@@ -100,7 +101,7 @@ from .options import (
 )
 from .fragment import FragmentInfo
 from .planner import QueryKeys, QueryPlan, QueryPlanner, ZoneMap
-from .readpath import RWLock
+from .readpath import RWLock, merge_box_hits
 from .store import FragmentStore, WriteReceipt
 
 #: Parent manifest file name.  Deliberately distinct from the child
@@ -837,13 +838,8 @@ class ShardedStore:
         parallel: str = UNSET,
         max_workers: int | None = UNSET,
     ) -> SparseTensor:
-        """Box reads fanned across surviving shards, merged in band order.
-
-        Bands partition the address space, so the per-shard results
-        (each already deduplicated and address-sorted by the child) are
-        disjoint and concatenate into a globally address-sorted tensor —
-        no cross-shard dedup pass exists, by construction.
-        """
+        """Box reads fanned across the surviving shards and merged by
+        :func:`route_box` (bands are disjoint: no cross-shard dedup)."""
         ropts = resolve_read_options(
             options,
             faithful=faithful,
@@ -851,24 +847,16 @@ class ShardedStore:
             parallel=parallel,
             max_workers=max_workers,
         )
-        parts: list[SparseTensor] = []
+        keys = QueryKeys(self.shape, box=box)
         with self._rw.read_locked():
             with span("store.shard.read_box", format=self.format_name):
-                plan = self._plan_shards(
-                    box, "box", keys=QueryKeys(self.shape, box=box)
-                )
+                plan = self._plan_shards(box, "box", keys=keys)
                 surviving = {e.name for e in plan.fragments}
-                for i, entry in enumerate(self._entries):
-                    if entry.name not in surviving:
-                        continue
-                    part = self._child(i).read_box(box, options=ropts)
-                    if part.nnz:
-                        parts.append(part)
-        if not parts:
-            return SparseTensor.empty(self.shape)
-        coords = np.vstack([p.coords for p in parts])
-        values = np.concatenate([p.values for p in parts])
-        return SparseTensor(self.shape, coords, values)
+                children = [
+                    self._child(i) if e.name in surviving else None
+                    for i, e in enumerate(self._entries)
+                ]
+                return route_box(keys, children, ropts)
 
     # ------------------------------------------------------------------
     # Maintenance: parallel compaction, split, merge
@@ -1220,8 +1208,8 @@ class ShardedSnapshot:
 
     Composes one :class:`~repro.storage.store.StoreSnapshot` per band,
     captured together under the parent read lock.  Bands are disjoint,
-    so routed point reads and concatenated (band-order) box reads are
-    bit-identical to the single-store snapshot semantics.  Closing
+    so routed point reads and band-merged box reads are bit-identical
+    to the single-store snapshot semantics.  Closing
     releases every child pin; snapshots are context managers and also
     release on garbage collection.
     """
@@ -1271,18 +1259,14 @@ class ShardedSnapshot:
             resolve_read_options(options, **legacy),
         )
 
-    def read_box(self, box: Box, **kwargs) -> SparseTensor:
-        """Box reads fanned across the pinned views, merged in band order."""
-        parts = []
-        for child in self._children:
-            part = child.read_box(box, **kwargs)
-            if part.nnz:
-                parts.append(part)
-        if not parts:
-            return SparseTensor.empty(self.shape)
-        coords = np.vstack([p.coords for p in parts])
-        values = np.concatenate([p.values for p in parts])
-        return SparseTensor(self.shape, coords, values)
+    def read_box(
+        self, box: Box, *, options: ReadOptions | None = None, **legacy
+    ) -> SparseTensor:
+        """Box reads fanned across the pinned per-band views."""
+        return route_box(
+            QueryKeys(self.shape, box=box), self._children,
+            resolve_read_options(options, **legacy),
+        )
 
 
 def route_points(
@@ -1328,6 +1312,27 @@ def route_points(
         fragments_visited=visited,
         points_matched=int(found.sum()),
     )
+
+
+def route_box(
+    keys: QueryKeys, children: Sequence, ropts: ReadOptions
+) -> SparseTensor:
+    """Box reads over disjoint address bands — the one band merge behind
+    :class:`ShardedStore` and :class:`ShardedSnapshot`.
+
+    Each band's child (a store or a pinned snapshot; ``None`` for a band
+    the plan pruned) plans and probes the box with the shared ``keys``,
+    and every band's hits join one :func:`~repro.storage.readpath.
+    merge_box_hits`.  Bands are disjoint, so no address repeats across
+    them, and the merge orders the result by row-major address whatever
+    order the bands were cut in (ALTO bands interleave in row-major
+    space).
+    """
+    parts = []
+    for child in children:
+        if child is not None:
+            parts.extend(child._box_hits(keys, ropts))
+    return merge_box_hits(keys.shape, parts)
 
 
 def is_sharded_dir(directory: str | Path) -> bool:

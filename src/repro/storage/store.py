@@ -136,6 +136,7 @@ from .readpath import (
     FragmentCache,
     RWLock,
     map_fragments_ordered,
+    merge_box_hits,
 )
 from .wal import TailRun, WriteAheadLog, build_tail_run, merge_chunks, wal_path
 
@@ -2211,19 +2212,14 @@ class FragmentStore:
         """Read every stored point inside ``box``, merged and sorted by
         linear address (Algorithm 3 line 12).
 
-        Uses each organization's structural range read
-        (:meth:`~repro.formats.base.SparseFormat.box_points`), so the box
-        may cover arbitrarily many cells — work scales with stored points,
-        not box volume.  Later fragments win on duplicate coordinates.
-        Shapes whose global cell count overflows uint64 (blocked datasets)
-        are merged in lexicographic coordinate order instead of by linear
-        address — same point set, overflow-safe ordering.
-        ``faithful`` is accepted for signature compatibility with the
-        benchmark paths; box reads are always structural.
-
-        ``parallel="thread"`` fans the per-fragment load + range read out
-        over the shared read pool; the merge order (and thus newest-wins
-        deduplication) is unchanged.
+        Work scales with the stored points the box's address intervals
+        reach, never with box volume.  Later fragments win on duplicate
+        coordinates.  Shapes whose global cell count overflows uint64
+        (blocked datasets) are merged in lexicographic coordinate order
+        instead — same point set, overflow-safe ordering.  ``faithful``
+        is accepted for signature compatibility; box reads are always
+        structural.  ``parallel="thread"`` fans the per-fragment load +
+        probe out over the shared read pool; the merge is unchanged.
         """
         ropts = resolve_read_options(
             options,
@@ -2232,73 +2228,89 @@ class FragmentStore:
             parallel=parallel,
             max_workers=max_workers,
         )
-        check_crc = ropts.check_crc
-        parallel = ropts.parallel
-        max_workers = ropts.max_workers
+        keys = QueryKeys(self.shape, box=box)
+        return merge_box_hits(self.shape, self._box_hits(keys, ropts))
+
+    def _box_hits(self, keys: QueryKeys, ropts: ReadOptions) -> list:
+        """:meth:`read_box` up to its merge (the band router's entry:
+        every band's hits join one merge)."""
+        with self._rw.read_locked():
+            with span("store.read_box", format=self.format_name) as sp:
+                plan = self._plan_read(keys.box, "box", keys=keys)
+                parts = self._execute_box(
+                    keys, plan, self._wal_tail(), ropts,
+                    on_corruption=self.on_corruption,
+                    ledger=self.workload_ledger,
+                )
+                sp.add_nnz(sum(hits.positions.size for hits, _ in parts))
+        self._record_pruning(plan)
+        return parts
+
+    def _execute_box(
+        self,
+        keys: QueryKeys,
+        plan: QueryPlan,
+        tail: TailRun | None,
+        ropts: ReadOptions,
+        *,
+        on_corruption: str,
+        ledger: WorkloadLedger | None = None,
+    ) -> list:
+        """Run one planned box READ up to its merge — the executor behind
+        every store, snapshot and shard-band box read
+        (``docs/READ_PATH.md``).
+
+        Each planned fragment loads as planned and its organization's
+        probe cuts the box's address intervals in the fragment's order,
+        decomposed once (``keys.intervals``); relative fragments probe
+        their local box and re-base.  Returns the ``(hits, values)``
+        parts in plan (newest-last) order, the WAL tail's interval slice
+        last, for :func:`~repro.storage.readpath.merge_box_hits`.
+        """
+        box = keys.box
+        # Decomposed up front, so fanned-out tasks only read.
+        intervals = {
+            order: keys.intervals(order)
+            for order in {frag.addr_order for frag in plan.fragments}
+        }
 
         def box_task(frag: FragmentInfo):
-            payload = self._load_payload(frag, check_crc=check_crc)
-            query_box = box
-            if payload.extra.get("relative"):
+            payload = self._load_payload(frag, check_crc=ropts.check_crc)
+            if not payload.extra.get("relative"):
+                hits = query_fragment_box(
+                    payload, box, intervals[frag.addr_order]
+                )
+            else:
                 inter = box.intersection(frag.bbox)
                 if inter.is_empty():
                     return None
-                query_box = Box(
+                local = Box(
                     tuple(int(o) - int(g) for o, g in
                           zip(inter.origin, frag.bbox.origin)),
                     inter.size,
                 )
-                coords, positions = query_fragment_box(payload, query_box)
-                coords = self._to_global(frag, coords)
-            else:
-                coords, positions = query_fragment_box(payload, query_box)
-            return coords, payload.values[positions]
+                hits = query_fragment_box(payload, local)
+                hits.coords = self._to_global(frag, hits.coords)
+            return hits, payload.values[hits.positions]
 
-        all_coords: list[np.ndarray] = []
-        all_values: list[np.ndarray] = []
-        with self._rw.read_locked():
-            with span("store.read_box", format=self.format_name) as sp:
-                plan = self._plan_read(
-                    box, "box", keys=QueryKeys(self.shape, box=box)
+        parts = []
+        for frag, result in self._run_fragment_tasks(
+            plan.fragments, box_task, parallel=ropts.parallel,
+            max_workers=ropts.max_workers, on_corruption=on_corruption,
+        ):
+            if result is None:
+                continue
+            parts.append(result)
+            if ledger is not None:
+                ledger.record_box_read(
+                    frag.path.name, matched=int(result[1].shape[0])
                 )
-                for _frag, result in self._run_fragment_tasks(
-                    plan.fragments, box_task,
-                    parallel=parallel, max_workers=max_workers,
-                ):
-                    if result is None:
-                        continue
-                    coords, values = result
-                    all_coords.append(coords)
-                    all_values.append(values)
-                    self.workload_ledger.record_box_read(
-                        _frag.path.name, matched=int(values.shape[0])
-                    )
-                # WAL tail overlay, appended last: the final keep-last
-                # dedup below then gives the tail's points the same
-                # newest-wins priority an appended fragment would have.
-                tail = self._wal_tail()
-                if tail is not None and tail.n:
-                    envelope = box_envelope(box, self.shape)
-                    if (
-                        tail.zone is None or envelope is None
-                        or tail.zone.overlaps_range(*envelope)
-                    ):
-                        mask = box.contains_points(tail.coords)
-                        if mask.any():
-                            all_coords.append(tail.coords[mask])
-                            all_values.append(tail.values[mask])
-                sp.add_nnz(sum(c.shape[0] for c in all_coords))
-        self._record_pruning(plan)
-        if not all_coords:
-            return SparseTensor.empty(self.shape)
-        coords = np.vstack(all_coords)
-        values = np.concatenate(all_values)
-        tensor = SparseTensor(self.shape, coords, values)
-        # Later fragments override earlier ones on the same coordinate.
-        tensor = tensor.deduplicated(keep="last")
-        if fits_index_dtype(self.shape):
-            return tensor.sorted_by_linear()
-        return tensor.sorted_lexicographic()
+        # The unpacked tail is newer than every fragment: it merges last.
+        if tail is not None and tail.n:
+            hits = tail.box_hits(keys.intervals(DEFAULT_ADDRESS_ORDER), box)
+            if hits.positions.size:
+                parts.append((hits, tail.values[hits.positions]))
+        return parts
 
 
 class StoreSnapshot:
@@ -2421,9 +2433,9 @@ class StoreSnapshot:
         parallel: str = UNSET,
         max_workers: int | None = UNSET,
     ) -> SparseTensor:
-        """Structural range read against the pinned view — same
-        semantics as :meth:`FragmentStore.read_box`."""
-        self._check_open()
+        """Box reads against the pinned view — the store's executor, so
+        the same semantics, planner pruning and fan-out as
+        :meth:`FragmentStore.read_box`."""
         ropts = resolve_read_options(
             options,
             faithful=faithful,
@@ -2431,48 +2443,18 @@ class StoreSnapshot:
             parallel=parallel,
             max_workers=max_workers,
         )
+        keys = QueryKeys(self._store.shape, box=box)
+        return merge_box_hits(keys.shape, self._box_hits(keys, ropts))
+
+    def _box_hits(self, keys: QueryKeys, ropts: ReadOptions) -> list:
+        self._check_open()
         store = self._store
-        all_coords: list[np.ndarray] = []
-        all_values: list[np.ndarray] = []
         with store._rw.read_locked():
-            for frag in self._fragments:
-                if not frag.bbox.intersects(box):
-                    continue
-                payload = store._load_payload(
-                    frag, check_crc=ropts.check_crc
-                )
-                query_box = box
-                if payload.extra.get("relative"):
-                    inter = box.intersection(frag.bbox)
-                    if inter.is_empty():
-                        continue
-                    query_box = Box(
-                        tuple(int(o) - int(g) for o, g in
-                              zip(inter.origin, frag.bbox.origin)),
-                        inter.size,
-                    )
-                    coords, positions = query_fragment_box(
-                        payload, query_box
-                    )
-                    coords = store._to_global(frag, coords)
-                else:
-                    coords, positions = query_fragment_box(
-                        payload, query_box
-                    )
-                all_coords.append(coords)
-                all_values.append(payload.values[positions])
-            tail = self._tail
-            if tail is not None and tail.n:
-                mask = box.contains_points(tail.coords)
-                if mask.any():
-                    all_coords.append(tail.coords[mask])
-                    all_values.append(tail.values[mask])
-        if not all_coords:
-            return SparseTensor.empty(store.shape)
-        coords = np.vstack(all_coords)
-        values = np.concatenate(all_values)
-        tensor = SparseTensor(store.shape, coords, values)
-        tensor = tensor.deduplicated(keep="last")
-        if fits_index_dtype(store.shape):
-            return tensor.sorted_by_linear()
-        return tensor.sorted_lexicographic()
+            plan = self._planner.plan(
+                self._fragments, self.generation, keys.box, kind="box",
+                enabled=store.use_planner, keys=keys,
+                addr_order=store.addr_order,
+            )
+            return store._execute_box(
+                keys, plan, self._tail, ropts, on_corruption="raise"
+            )

@@ -61,7 +61,9 @@ import numpy as np
 
 from ..build.canonical import CanonicalCoords
 from ..build.merge import MergedPoints, SortedRun, merge_sorted_runs
-from ..core.linearize import delinearize
+from ..core.boundary import Box
+from ..core.linearize import AddressIntervals, delinearize
+from ..formats.base import BoxHits, box_hits_by_address
 from ..obs import counter_add, gauge_set
 from .durability import (
     append_bytes,
@@ -71,7 +73,6 @@ from .durability import (
     rename_file,
     truncate_file,
 )
-from .planner import ZoneMap
 
 #: Subdirectory of a store holding WAL segments.
 WAL_DIR = "wal"
@@ -495,14 +496,14 @@ class WriteAheadLog:
 class TailRun:
     """The WAL tail collapsed to one newest-wins sorted run.
 
-    ``addresses`` are ascending and unique; ``values`` is aligned.  The
-    zone map gives the planner the same pruning handle a fragment has.
+    ``addresses`` (row-major) are ascending and unique; ``values`` is
+    aligned.  Reads cut slices of it: point reads by their sorted keys,
+    box reads by the box's intervals (:meth:`box_hits`).
     """
 
     shape: tuple[int, ...]
     addresses: np.ndarray
     values: np.ndarray
-    zone: ZoneMap | None
     _coords: np.ndarray | None = None
 
     @property
@@ -517,6 +518,19 @@ class TailRun:
                 self.addresses, self.shape, validate=False
             )
         return self._coords
+
+    def box_hits(self, intervals: AddressIntervals, box: Box) -> BoxHits:
+        """The tail's points inside ``box``: its slice within the
+        envelope of the box's row-major ``intervals``, cut by them."""
+        if not len(intervals):
+            return BoxHits(np.empty(0, dtype=np.intp), addresses=self.addresses[:0])
+        s = int(self.addresses.searchsorted(intervals.lo[0], side="left"))
+        e = int(self.addresses.searchsorted(intervals.hi[-1], side="right"))
+        hits = box_hits_by_address(
+            self.addresses[s:e], None, self.shape, box, intervals
+        )
+        hits.positions += s
+        return hits
 
 
 def merge_chunks(
@@ -557,20 +571,15 @@ def build_tail_run(
     """Collapse raw appended chunks into one sorted newest-wins run.
 
     The read-overlay form of :func:`merge_chunks`: addresses come back
-    ascending and unique with aligned values, plus a zone map so box and
-    point reads can prune the tail exactly like a fragment.  Returns
-    ``None`` for an empty tail.
+    ascending and unique with aligned values, so point and box reads cut
+    the tail by binary search.  Returns ``None`` for an empty tail.
     """
     shape = tuple(int(s) for s in shape)
     merged = merge_chunks(chunks, shape)
     if merged is None:
         return None
-    sorted_addresses = merged.canonical.sorted_addresses
-    sorted_values = merged.values[merged.canonical.sort_perm]
-    zone = ZoneMap.from_addresses(sorted_addresses, assume_sorted=True)
     return TailRun(
         shape=shape,
-        addresses=sorted_addresses,
-        values=sorted_values,
-        zone=zone,
+        addresses=merged.canonical.sorted_addresses,
+        values=merged.values[merged.canonical.sort_perm],
     )

@@ -12,6 +12,7 @@ from repro.core import (
     linearize,
     linearize_block_local,
 )
+from repro.core.linearize import row_major_box_intervals
 
 
 class TestLinearize:
@@ -134,3 +135,53 @@ class TestFold2D:
     def test_bad_min_dim_as(self):
         with pytest.raises(ValueError):
             fold_shape_2d((2, 3), min_dim_as="diag")
+
+
+class TestRowMajorBoxIntervals:
+    @staticmethod
+    def oracle(origin, end, shape):
+        grids = np.meshgrid(
+            *[np.arange(o, min(e, m), dtype=np.uint64)
+              for o, e, m in zip(origin, end, shape)],
+            indexing="ij",
+        )
+        cells = np.column_stack([g.ravel() for g in grids])
+        if not cells.size:
+            return set()
+        return set(linearize(cells, shape).tolist())
+
+    def test_exact_cover_and_coarse_superset(self):
+        """Over random small shapes and boxes (some hanging over the
+        shape's edge or empty), exact intervals cover exactly the box's
+        cell addresses and budget-coarsened ones a superset; both are
+        ascending and disjoint, and ``select`` keeps exactly the covered
+        addresses."""
+        rng = np.random.default_rng(17)
+        seen = set()
+        for _ in range(300):
+            d = int(rng.integers(1, 5))
+            shape = tuple(int(m) for m in rng.integers(1, 7, size=d))
+            origin = tuple(int(rng.integers(0, m + 1)) for m in shape)
+            end = tuple(
+                int(rng.integers(o, m + 3)) for o, m in zip(origin, shape)
+            )
+            want = self.oracle(origin, end, shape)
+            every = np.arange(int(np.prod(shape)), dtype=np.uint64)
+            for budget in (1 << 16, int(rng.integers(1, 6))):
+                iv = row_major_box_intervals(
+                    origin, end, shape, max_ranges=budget
+                )
+                lo, hi = iv.lo.tolist(), iv.hi.tolist()
+                assert len(iv) <= budget
+                assert all(a <= b for a, b in zip(lo, hi))
+                assert all(b < a for b, a in zip(hi, lo[1:]))
+                covered = set()
+                for a, b in zip(lo, hi):
+                    covered.update(range(a, b + 1))
+                if iv.exact:
+                    assert covered == want, (origin, end, shape, budget)
+                else:
+                    assert want < covered, (origin, end, shape, budget)
+                assert set(every[iv.select(every)].tolist()) == covered
+                seen.add(iv.exact)
+        assert seen == {True, False}

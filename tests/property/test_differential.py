@@ -35,8 +35,10 @@ from hypothesis import strategies as st
 
 from repro.build import encode_all
 from repro.core import Box, SparseTensor
+from repro.core.linearize import DEFAULT_ADDRESS_ORDER
 from repro.formats import PAPER_FORMATS, get_format
 from repro.storage import FragmentStore, ReadOptions, StoreOptions
+from repro.storage.planner import MAX_INTERVALS
 from repro.testing import (
     VALUE_DTYPES,
     oracle_read_box,
@@ -117,6 +119,45 @@ def store_queries(rng, tensor):
     repeats = queries[rng.integers(0, queries.shape[0], size=3)]
     mixed = np.vstack([queries, edge, far, alias, repeats])
     return mixed[rng.permutation(mixed.shape[0])]
+
+
+def store_boxes(rng, shape):
+    """:func:`random_box` plus the boxes the box executor decomposes
+    specially, as ``(kind, box, row-major interval cap or None)``: one
+    covering every trailing mode whole, one hanging over the shape's
+    edge, two empty ones (zero-sized; outside the shape), and one with
+    more leading-mode prefixes than a lowered interval cap.
+    """
+    d = len(shape)
+    lead = int(rng.integers(0, shape[0]))
+    trailing = Box(
+        (lead,) + (0,) * (d - 1),
+        (int(rng.integers(1, shape[0] - lead + 1)),) + tuple(shape[1:]),
+    )
+    origin = tuple(int(rng.integers(0, m)) for m in shape)
+    overhang = Box(origin, tuple(shape))
+    prefixes = Box(
+        (0,) * (d - 1) + (shape[-1] // 2,),
+        tuple(shape[:-1]) + (max(1, shape[-1] // 2),),
+    )
+    return [
+        ("random", random_box(rng, shape), None),
+        ("trailing", trailing, None),
+        ("overhang", overhang, None),
+        ("zero-size", Box(origin, (0,) * d), None),
+        ("outside", Box(tuple(shape), (1,) * d), None),
+        ("prefixes", prefixes, 2),
+    ]
+
+
+def read_box_capped(view, box, ropts, cap):
+    """``view.read_box`` with the row-major interval cap lowered to
+    ``cap`` (``None``: the default cap)."""
+    if cap is None:
+        return view.read_box(box, options=ropts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(MAX_INTERVALS, DEFAULT_ADDRESS_ORDER, cap)
+        return view.read_box(box, options=ropts)
 
 
 def assert_points_match(outcome, tensor, queries, label):
@@ -582,14 +623,19 @@ class TestPlannerDifferential:
     @staticmethod
     def _assert_same_reads(store_a, store_b, overlay, rng, label):
         """Both stores, and a snapshot of each, read identically under
-        the same ``ReadOptions``; point reads also match the oracle."""
+        the same ``ReadOptions``; point and box reads also match the
+        oracle (boxes: :func:`store_boxes`)."""
         queries = store_queries(rng, overlay)
-        box = random_box(rng, overlay.shape)
+        boxes = store_boxes(rng, overlay.shape)
         for parallel in ("none", "thread"):
             ropts = ReadOptions(parallel=parallel)
             a = store_a.read_points(queries, options=ropts)
             assert_points_match(a, overlay, queries, f"{label}/{parallel}")
-            ta = store_a.read_box(box, options=ropts)
+            tas = []
+            for kind, box, cap in boxes:
+                ta = read_box_capped(store_a, box, ropts, cap)
+                assert_box_match(ta, overlay, box, f"{label}/{parallel}/{kind}")
+                tas.append(ta)
             for tag, view in (
                 ("b", store_b),
                 ("snapshot-a", store_a.snapshot()),
@@ -604,13 +650,14 @@ class TestPlannerDifferential:
                     a.values, b.values, err_msg=f"{where}: values"
                 )
                 assert a.points_matched == b.points_matched, where
-                tb = view.read_box(box, options=ropts)
-                np.testing.assert_array_equal(
-                    ta.coords, tb.coords, err_msg=f"{where}: box"
-                )
-                np.testing.assert_array_equal(
-                    ta.values, tb.values, err_msg=f"{where}: box"
-                )
+                for (kind, box, cap), ta in zip(boxes, tas):
+                    tb = read_box_capped(view, box, ropts, cap)
+                    np.testing.assert_array_equal(
+                        ta.coords, tb.coords, err_msg=f"{where}/{kind}: box"
+                    )
+                    np.testing.assert_array_equal(
+                        ta.values, tb.values, err_msg=f"{where}/{kind}: box"
+                    )
                 if view is not store_b:
                     view.close()
 

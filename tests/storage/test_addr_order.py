@@ -14,10 +14,12 @@ import pytest
 
 from repro.core.boundary import Box
 from repro.core.errors import ManifestError, ShapeError
+from repro.core.tensor import SparseTensor
 from repro.storage import FragmentStore, StoreOptions
 from repro.storage.compression import advise_buffer
 from repro.storage.migrate import MigrationPolicy, decide_addr_order
 from repro.storage.sharded import ShardedStore
+from repro.testing import oracle_read_box
 
 SHAPE = (32, 16, 8)
 
@@ -155,7 +157,9 @@ class TestExplain:
         store.write(coords, values)
         text = store.explain(Box((0, 0, 0), (8, 8, 8))).summary()
         assert "order: row_major" in text
-        assert "intervals: row_major=1" in text
+        # Mode 2 is covered whole and folds into each interval; mode 1 is
+        # covered in part, so each of the box's 8 mode-0 cells is one.
+        assert "intervals: row_major=8" in text
 
 
 class TestCodecAdvisorDiagnostics:
@@ -205,6 +209,29 @@ class TestShardedOrder:
                 assert frag.addr_order == "alto"
         out = store.read_points(coords)
         assert out.found.all()
+        # Four ALTO bands of a 64^3 shape split on the top bits of modes
+        # 0 and 1, so band order is not row-major order: box reads of the
+        # store and of its snapshot must still come back address-sorted.
+        shape = (64, 64, 64)
+        rng = np.random.default_rng(7)
+        cells = rng.integers(0, 64, size=(20_000, 3)).astype(np.uint64)
+        cell_values = rng.standard_normal(20_000)
+        banded = ShardedStore(
+            tmp_path / "banded", shape, "LINEAR", n_shards=4,
+            options=StoreOptions(addr_order="alto"),
+        )
+        banded.write(cells, cell_values)
+        tensor = SparseTensor(shape, cells, cell_values).deduplicated(
+            keep="last"
+        )
+        box = Box((10, 10, 10), (40, 40, 40))
+        want = oracle_read_box(tensor, box)
+        snap = banded.snapshot()
+        for view in (banded, snap):
+            got = view.read_box(box)
+            np.testing.assert_array_equal(got.coords, want.coords)
+            np.testing.assert_array_equal(got.values, want.values)
+        snap.close()
 
     def test_conflicting_reopen_rejected(self, tmp_path):
         store = ShardedStore(

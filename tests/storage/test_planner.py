@@ -19,6 +19,7 @@ from repro.storage import (
     QueryPlan,
     ZoneMap,
 )
+from repro.storage.sharded import ShardedStore
 
 
 @pytest.fixture(autouse=True)
@@ -211,6 +212,26 @@ class TestStorePlanning:
         assert plan.fragments == [] and plan.total_fragments == 2
         with pytest.raises(ShapeError):
             store.explain(np.zeros((3, 5), dtype=np.uint64))
+
+    def test_box_with_wrong_ndim_rejected(self, tmp_path):
+        """A box whose mode count differs from the store's raises, as a
+        point query of the wrong width does — never cut down or padded."""
+        store, bands = _band_store(tmp_path, n_fragments=2)
+        store.append(bands[0][:4], np.ones(4))  # a WAL tail to overlay
+        sharded = ShardedStore(
+            tmp_path / "sharded", store.shape, "LINEAR", n_shards=2
+        )
+        sharded.write(np.vstack(bands), np.ones(128))
+        views = [store, store.snapshot(), sharded, sharded.snapshot()]
+        for box in (Box((0, 0, 0), (4, 4, 4)), Box((0,), (4,))):
+            for view in views:
+                with pytest.raises(ShapeError):
+                    view.read_box(box)
+            for planned in (store, sharded):
+                with pytest.raises(ShapeError):
+                    planned.explain(box)
+        for view in views[1::2]:
+            view.close()
 
     def test_plan_off_explain_is_seed_scan(self, tmp_path):
         store, bands = _band_store(tmp_path, n_fragments=4, planner=False)
