@@ -19,13 +19,13 @@ Store-facing codec *options* (what ``StoreOptions.codec`` accepts):
     Non-eligible buffers fall back to plain ``zlib`` (the fallback is
     recorded in the stored tag, never silent);
 ``cascade``
-    the adaptive cascade: a :func:`advise_buffer` codec advisor samples
-    each buffer's distribution (residual bit-width histogram, run
-    fraction, byte-entropy estimate) and picks the cheapest of
-    delta→bit-pack (``dbp``), delta→run-length→bit-pack (``drle``),
-    plain ``zlib``, or ``raw``, with an optional trailing DEFLATE stage
-    when the packed payload still deflates.  The advisor is a pure
-    function of the buffer content, so encoding is deterministic.
+    the adaptive cascade: a :func:`advise_buffer` codec advisor costs
+    each buffer exactly under ``raw``, frame-of-reference bit-packing
+    (``for``), delta→bit-pack (``dbp``) and delta→run-length→bit-pack
+    (``drle``), picks the smallest, and appends a trailing DEFLATE
+    stage when the chosen payload still deflates (``raw`` then becomes
+    plain ``zlib``).  The advisor is a pure function of the buffer
+    content, so encoding is deterministic.
 
 What lands *on disk* is a self-describing **stage chain tag** stored
 next to each buffer: ``+``-joined stage names applied left to right on
@@ -36,6 +36,12 @@ codec stay readable by any store.  Stages:
 ``delta``
     element-wise wraparound difference in the buffer's own dtype, first
     element kept in-band (the legacy ``delta+zlib`` spelling);
+``for``
+    frame of reference: the minimum is stored out of band (u64) and
+    every value minus it is packed at the bit width of the buffer's
+    range — arrival-order (unsorted) addresses, whose deltas span the
+    whole word, still pack to the width of their range, and decode is
+    one unpack plus one add;
 ``dbp``
     Parquet-style delta + bit-pack: the first value is stored out of
     band (u64), the remaining wraparound residuals are packed at their
@@ -47,8 +53,12 @@ codec stay readable by any store.  Stages:
 ``zlib``
     DEFLATE over whatever the preceding stage produced.
 
-Example tags: ``raw``, ``zlib``, ``delta+zlib`` (legacy), ``dbp``,
-``dbp+zlib``, ``drle``, ``drle+zlib``.  Codecs operate
+Example tags: ``raw``, ``zlib``, ``delta+zlib`` (legacy), ``for``,
+``for+zlib``, ``dbp``, ``dbp+zlib``, ``drle``, ``drle+zlib``.  The
+bit-packing stages share one LSB-first bitstream: value ``i`` occupies
+bits ``[i*w, (i+1)*w)`` of a run of little-endian 64-bit words, so
+widths of 8/16/32/64 bits are plain little-endian integer arrays.
+Codecs operate
 buffer-by-buffer so a fragment's header stays readable without
 decompressing anything, and raw-tagged buffers still decode zero-copy
 from a mapped file (compressed tags decode from the buffer's slice of
@@ -81,7 +91,7 @@ CASCADE = "cascade"
 CODECS = (RAW, ZLIB, DELTA_ZLIB, CASCADE)
 
 #: Stage names legal inside a stored chain tag.
-STAGES = ("delta", "dbp", "drle", "zlib")
+STAGES = ("delta", "for", "dbp", "drle", "zlib")
 
 #: Stored next to each buffer so decode knows what actually happened
 #: (delta-zlib records "zlib" when it fell back).
@@ -125,8 +135,12 @@ def _wraparound_deltas(arr: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# bit-packing primitives (little-endian bitstream)
+# bit-packing kernels (LSB-first bitstream over little-endian u64 words)
 # ----------------------------------------------------------------------
+
+#: Widths whose bitstream is a plain little-endian integer array.
+_BYTE_WIDTHS = (8, 16, 32, 64)
+
 
 def _bit_width(vals: np.ndarray) -> int:
     """Minimal bits per element: ``bit_length(max(vals))`` (0 if empty)."""
@@ -135,28 +149,61 @@ def _bit_width(vals: np.ndarray) -> int:
     return int(vals.max()).bit_length()
 
 
-def _pack_ints(vals: np.ndarray, width: int) -> bytes:
-    """Pack unsigned ``vals`` at ``width`` bits each, LSB-first."""
-    if width == 0 or vals.size == 0:
-        return b""
-    le = np.ascontiguousarray(vals, dtype=vals.dtype.newbyteorder("<"))
-    bits = np.unpackbits(
-        le.view(np.uint8).reshape(vals.size, le.dtype.itemsize),
-        axis=1, bitorder="little",
-    )
-    return np.packbits(bits[:, :width], bitorder="little").tobytes()
-
-
 def _packed_nbytes(count: int, width: int) -> int:
     return (count * width + 7) // 8
 
 
+def _bit_slots(count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Word index and in-word shift (as uint64) of each value's lowest
+    bit."""
+    bit = np.arange(0, count * width, width, dtype=np.int64)
+    return bit >> 6, (bit & 63).view(np.uint64)
+
+
+def _pack_ints(vals: np.ndarray, width: int) -> bytes:
+    """Pack the low ``width`` bits of each unsigned value, LSB-first.
+
+    Value ``i`` lands at bits ``[i*width, (i+1)*width)`` of a stream of
+    little-endian uint64 words, truncated to ``ceil(n*width/8)`` bytes.
+    """
+    n = vals.size
+    if width == 0 or n == 0:
+        return b""
+    if width in _BYTE_WIDTHS:
+        return vals.astype(f"<u{width // 8}").tobytes()
+    v = vals.astype(np.uint64) & np.uint64((1 << width) - 1)
+    word, shift = _bit_slots(n, width)
+    # With width < 64 every word holds the lowest bit of some value:
+    # word j's first one is value ceil(64*j / width).  Values never
+    # overlap, so OR-reducing each word's values assembles it, and the
+    # high bits a value carries past its word land in the next one.
+    n_words = int(word[-1]) + 1
+    starts = -(-np.arange(n_words, dtype=np.intp) * 64 // width)
+    words = np.zeros(n_words + 1, dtype=np.uint64)
+    words[:-1] = np.bitwise_or.reduceat(v << shift, starts)
+    # ``(v >> 1) >> (63 - shift)`` is ``v >> (64 - shift)``, with every
+    # shift below 64 (a shift of 0 carries nothing over).
+    words[1:] |= np.bitwise_or.reduceat(
+        (v >> np.uint64(1)) >> (np.uint64(63) - shift), starts
+    )
+    return words.astype("<u8", copy=False).view(np.uint8)[
+        :_packed_nbytes(n, width)
+    ].tobytes()
+
+
 def _unpack_ints(data, count: int, width: int, dtype) -> np.ndarray:
-    """Invert :func:`_pack_ints` back to ``count`` values of ``dtype``."""
+    """Invert :func:`_pack_ints` back to ``count`` values of ``dtype``.
+
+    Raises :class:`FragmentError` when ``width`` is wider than ``dtype``
+    or ``data`` is shorter than the packed stream.
+    """
     dtype = np.dtype(dtype)
-    if count == 0:
-        return np.zeros(0, dtype=dtype)
-    if width == 0:
+    if width > dtype.itemsize * 8:
+        raise FragmentError(
+            f"bit-packed width {width} exceeds the {dtype.itemsize * 8} "
+            f"bits of {dtype}"
+        )
+    if count == 0 or width == 0:
         return np.zeros(count, dtype=dtype)
     need = _packed_nbytes(count, width)
     if len(data) < need:
@@ -164,19 +211,56 @@ def _unpack_ints(data, count: int, width: int, dtype) -> np.ndarray:
             f"bit-packed section truncated: {len(data)} bytes for "
             f"{count}x{width}-bit values ({need} needed)"
         )
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=need),
-        bitorder="little", count=count * width,
-    ).reshape(count, width)
-    full = np.zeros((count, dtype.itemsize * 8), dtype=np.uint8)
-    full[:, :width] = bits
-    out = np.packbits(full, axis=1, bitorder="little")
-    return out.view(dtype.newbyteorder("<")).ravel().astype(dtype, copy=False)
+    if width in _BYTE_WIDTHS:
+        return np.frombuffer(
+            data, dtype=f"<u{width // 8}", count=count
+        ).astype(dtype)
+    # One spare zero word past the last value's, so the two-word read
+    # below never runs off the end.
+    words = np.zeros(need // 8 + 2, dtype="<u8")
+    words.view(np.uint8)[:need] = np.frombuffer(data, dtype=np.uint8,
+                                                count=need)
+    word, shift = _bit_slots(count, width)
+    out = words[word] >> shift
+    out |= (words[word + 1] << np.uint64(1)) << (np.uint64(63) - shift)
+    out &= np.uint64((1 << width) - 1)
+    return out.astype(dtype, copy=False)
+
+
+def _stored_int(data, start: int, dtype: np.dtype, what: str) -> int:
+    """The u64 at ``data[start:start+8]``; it must fit ``dtype``."""
+    value = int.from_bytes(data[start:start + 8], "little")
+    if value > np.iinfo(dtype).max:
+        raise FragmentError(f"{what} {value} does not fit {dtype}")
+    return value
 
 
 # ----------------------------------------------------------------------
-# fused stages: dbp (delta + bit-pack), drle (delta + RLE + bit-pack)
+# packing stages: for (frame of reference), dbp (delta + bit-pack),
+# drle (delta + RLE + bit-pack)
 # ----------------------------------------------------------------------
+
+def _for_encode(arr: np.ndarray) -> bytes:
+    """``[u64 base][u8 width][packed arr - base]``, ``base = min(arr)``."""
+    base = arr.min()
+    offsets = arr - base
+    width = _bit_width(offsets)
+    head = int(base).to_bytes(8, "little") + bytes([width])
+    return head + _pack_ints(offsets, width)
+
+
+def _for_decode(data, dtype: np.dtype, count: int) -> np.ndarray:
+    dtype = np.dtype(dtype)
+    if count == 0:
+        return np.zeros(0, dtype=dtype)
+    if len(data) < 9:
+        raise FragmentError("for buffer truncated before header")
+    base = _stored_int(data, 0, dtype, "for base")
+    out = _unpack_ints(data[9:], count, data[8], dtype)
+    if base:
+        out += dtype.type(base)
+    return out
+
 
 def _dbp_encode(arr: np.ndarray) -> bytes:
     """``[u8 width][u64 first][packed residuals]`` over ``arr``."""
@@ -190,12 +274,10 @@ def _dbp_decode(data, dtype: np.dtype, count: int) -> np.ndarray:
     dtype = np.dtype(dtype)
     if count == 0:
         return np.zeros(0, dtype=dtype)
-    data = bytes(data) if not isinstance(data, (bytes, bytearray)) else data
     if len(data) < 9:
         raise FragmentError("dbp buffer truncated before header")
-    width = data[0]
-    first = int.from_bytes(data[1:9], "little")
-    residuals = _unpack_ints(data[9:], count - 1, width, dtype)
+    first = _stored_int(data, 1, dtype, "dbp first value")
+    residuals = _unpack_ints(data[9:], count - 1, data[0], dtype)
     out = np.empty(count, dtype=dtype)
     out[0] = dtype.type(first)
     np.cumsum(
@@ -236,11 +318,14 @@ def _drle_decode(data, dtype: np.dtype, count: int) -> np.ndarray:
     dtype = np.dtype(dtype)
     if count == 0:
         return np.zeros(0, dtype=dtype)
-    data = bytes(data) if not isinstance(data, (bytes, bytearray)) else data
     if len(data) < 18:
         raise FragmentError("drle buffer truncated before header")
-    first = int.from_bytes(data[0:8], "little")
+    first = _stored_int(data, 0, dtype, "drle first value")
     n_runs = int.from_bytes(data[8:16], "little")
+    if n_runs > count - 1:
+        raise FragmentError(
+            f"drle header claims {n_runs} runs over {count - 1} residuals"
+        )
     val_width, len_width = data[16], data[17]
     off = 18
     vbytes = _packed_nbytes(n_runs, val_width)
@@ -250,18 +335,30 @@ def _drle_decode(data, dtype: np.dtype, count: int) -> np.ndarray:
     run_lengths = _unpack_ints(
         data[off:off + lbytes], n_runs, len_width, np.uint64
     )
-    residuals = np.repeat(run_values, run_lengths.astype(np.intp))
-    if residuals.size != count - 1:
+    # Check the total before np.repeat allocates it.  Every length is
+    # below 2**64, so a uint64 running sum that wraps shows up as a
+    # decrease.
+    ends = np.cumsum(run_lengths)
+    total = int(ends[-1]) if n_runs else 0
+    if total != count - 1 or (ends[1:] < ends[:-1]).any():
         raise FragmentError(
-            f"drle run lengths sum to {residuals.size + 1} elements, "
-            f"header promises {count}"
+            f"drle run lengths do not sum to the {count - 1} residuals "
+            f"the header promises"
         )
+    residuals = np.repeat(run_values, run_lengths.astype(np.intp))
     out = np.empty(count, dtype=dtype)
     out[0] = dtype.type(first)
     np.cumsum(
         np.concatenate(([out[0]], residuals)), dtype=dtype, out=out
     )
     return out
+
+
+#: The stages that pack a 1-D unsigned array, and their inverses.
+_PACKED_ENCODERS = {"for": _for_encode, "dbp": _dbp_encode,
+                    "drle": _drle_encode}
+_PACKED_DECODERS = {"for": _for_decode, "dbp": _dbp_decode,
+                    "drle": _drle_decode}
 
 
 # ----------------------------------------------------------------------
@@ -311,20 +408,24 @@ def _width_histogram(residuals: np.ndarray) -> dict[int, int]:
 class CodecAdvice:
     """What the advisor decided for one buffer, and why.
 
-    ``chain`` is the stored tag the cascade will write.  The stats are
-    sampled (deterministically) — ``candidate_sizes`` are exact byte
-    counts for each structural candidate, which is what the decision
-    actually keys on.
+    ``chain`` is the stored tag the cascade will write, before the
+    optional trailing DEFLATE.  ``candidate_sizes`` are exact byte
+    counts for each structural candidate — ``raw``, ``for``, ``dbp`` and
+    ``drle`` for a 1-D unsigned buffer, ``raw`` alone otherwise — and
+    the decision keys on them alone; the other stats are sampled
+    (deterministically) and only explain it.
 
-    ``width_bits`` / ``n_runs`` summarize the residual distribution the
-    sizes came from: the packed bit width of the delta residuals and
-    the number of equal-residual runs.  Address buffers linearized in
-    different orders produce very different residuals (ALTO interleaving
-    spreads deltas across bit positions, row-major keeps them small and
-    runny), so these two numbers explain *why* ``dbp``/``drle`` won or
-    lost on a given fragment — the decision itself always keys on the
-    exact candidate byte counts, so a worse residual distribution can
-    only ever fall back to ``raw``, never mis-pick.
+    ``range_bits`` is the bit width of ``max - min``, the width ``for``
+    packs at.  ``width_bits`` / ``n_runs`` summarize the delta
+    residuals ``dbp``/``drle`` pack: their bit width and the number of
+    equal-residual runs.  Sorted buffers have residuals narrower than
+    their range, so a delta stage wins there; an arrival-order buffer
+    (the paper's unsorted LINEAR list, GCSR++ column indices) has
+    residuals that wrap to the full word, so ``for`` wins; address
+    orders differ too (ALTO interleaving spreads deltas across bit
+    positions, row-major keeps them small and runny).  Because the
+    decision keys on exact byte counts, a worse distribution can only
+    ever fall back to ``raw``, never mis-pick.
     """
 
     chain: str
@@ -336,6 +437,7 @@ class CodecAdvice:
     candidate_sizes: dict[str, int] = field(default_factory=dict)
     width_bits: int = 0
     n_runs: int = 0
+    range_bits: int = 0
 
 
 def _maybe_deflate(payload: bytes, chain: str) -> tuple[bytes, str]:
@@ -354,9 +456,10 @@ def advise_buffer(arr: np.ndarray) -> CodecAdvice:
     """Pick the cheapest cascade for ``arr`` — pure and deterministic.
 
     Eligible buffers (1-D unsigned, more than one element) are costed
-    exactly for ``raw`` / ``dbp`` / ``drle`` from the residual
-    distribution; non-eligible buffers only ever choose between ``raw``
-    and plain ``zlib``.  The trailing DEFLATE decision (made later, in
+    exactly for ``raw``, ``for`` (from the range), and ``dbp`` /
+    ``drle`` (from the residual distribution); the smallest wins, ties
+    by name.  Non-eligible buffers only ever choose between ``raw`` and
+    plain ``zlib``.  The trailing DEFLATE decision (made later, in
     :func:`encode_cascade`) is gated on the byte-entropy estimate
     recorded here.
     """
@@ -378,8 +481,10 @@ def advise_buffer(arr: np.ndarray) -> CodecAdvice:
     n_runs = run_values.size
     run_fraction = 1.0 - n_runs / residuals.size
     len_width = _bit_width(run_lengths)
+    range_bits = (int(arr.max()) - int(arr.min())).bit_length()
     sizes = {
         RAW: raw_nbytes,
+        "for": 9 + _packed_nbytes(arr.size, range_bits),
         "dbp": 9 + _packed_nbytes(residuals.size, width),
         "drle": 18
         + _packed_nbytes(n_runs, _bit_width(run_values))
@@ -396,6 +501,7 @@ def advise_buffer(arr: np.ndarray) -> CodecAdvice:
         candidate_sizes=sizes,
         width_bits=int(width),
         n_runs=int(n_runs),
+        range_bits=range_bits,
     )
 
 
@@ -407,12 +513,8 @@ def encode_cascade(arr: np.ndarray) -> tuple[bytes, str, CodecAdvice]:
     """
     arr = np.ascontiguousarray(arr)
     advice = advise_buffer(arr)
-    if advice.chain == "dbp":
-        payload, chain = _dbp_encode(arr), "dbp"
-    elif advice.chain == "drle":
-        payload, chain = _drle_encode(arr), "drle"
-    else:
-        payload, chain = arr.tobytes(), RAW
+    chain = advice.chain
+    payload = _PACKED_ENCODERS[chain](arr) if chain != RAW else arr.tobytes()
     if advice.entropy_bits < _ZLIB_ENTROPY_CUTOFF:
         payload, chain = _maybe_deflate(payload, chain)
     if len(payload) >= arr.nbytes and chain != RAW:
@@ -476,14 +578,16 @@ def decode_buffer(
         counter_add(
             "store.compression.decoded_bytes", len(data), codec=stored_codec
         )
-    cur = data
+    cur = memoryview(data).cast("B")  # only decoded stages yield arrays
     for stage in reversed(stored_codec.split("+")):
+        if isinstance(cur, np.ndarray) and (
+            stage == "zlib" or stage in _PACKED_DECODERS
+        ):
+            raise FragmentError(
+                f"malformed codec chain {stored_codec!r}: {stage} after "
+                "an array-producing stage"
+            )
         if stage == "zlib":
-            if isinstance(cur, np.ndarray):
-                raise FragmentError(
-                    f"malformed codec chain {stored_codec!r}: zlib after "
-                    "an array-producing stage"
-                )
             try:
                 cur = zlib.decompress(cur)
             except zlib.error as exc:
@@ -491,10 +595,8 @@ def decode_buffer(
                     f"codec chain {stored_codec!r}: corrupt DEFLATE "
                     f"payload: {exc}"
                 ) from exc
-        elif stage == "dbp":
-            cur = _dbp_decode(cur, dtype, count)
-        elif stage == "drle":
-            cur = _drle_decode(cur, dtype, count)
+        elif stage in _PACKED_DECODERS:
+            cur = _PACKED_DECODERS[stage](cur, dtype, count)
         elif stage == "delta":
             if not isinstance(cur, np.ndarray):
                 try:

@@ -5,7 +5,9 @@ asserts the sorted-TSP address-buffer size reduction at the same floor
 as the standalone run (bit-width is deterministic — no timing jitter
 to absorb), so a regression that loses the cascade's packing (or
 breaks cross-codec read identity — the bench compares all three
-codecs' reads bit for bit) fails the regular suite.
+codecs' reads bit for bit) fails the regular suite.  The arrival-order
+cells must pick ``for`` and put no more address bytes on disk than
+``zlib``.
 """
 
 from __future__ import annotations
@@ -40,3 +42,9 @@ def test_compression_cascade_smoke():
         raw = result["cells"][f"{name}/raw"]
         assert cascade["encoded_nbytes"] <= raw["encoded_nbytes"], name
         assert cascade["addr_nbytes"] < raw["addr_nbytes"], name
+        # In arrival order the cascade packs addresses at their range's
+        # width, which beats DEFLATE over the raw bytes.
+        arrival = result["arrival_cells"]
+        assert arrival[f"{name}/cascade"]["chain"] == "for", name
+        assert (arrival[f"{name}/cascade"]["addr_nbytes"]
+                <= arrival[f"{name}/zlib"]["addr_nbytes"]), name

@@ -5,6 +5,8 @@ over dtypes and distributions, asserting bit-identical decode and
 advisor determinism rather than specific payload bytes.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,12 @@ from repro.storage import (
     unpack_fragment,
 )
 from repro.storage.compression import (
+    _PACKED_ENCODERS,
     CASCADE,
     CODECS,
+    _pack_ints,
+    _packed_nbytes,
+    _unpack_ints,
     advise_buffer,
     codec_sizes,
     decode_buffer,
@@ -87,6 +93,120 @@ class TestCodecPrimitives:
     def test_unknown_stored_codec(self):
         with pytest.raises(FragmentError):
             decode_buffer(b"", "brotli", np.dtype(np.uint8), 0)
+
+
+def _reference_pack(vals, width):
+    """The original bit packer: one byte per bit via ``unpackbits``,
+    then ``packbits`` — the bitstream every stored fragment uses."""
+    if width == 0 or vals.size == 0:
+        return b""
+    le = np.ascontiguousarray(vals, dtype=vals.dtype.newbyteorder("<"))
+    bits = np.unpackbits(
+        le.view(np.uint8).reshape(vals.size, le.dtype.itemsize),
+        axis=1, bitorder="little",
+    )
+    return np.packbits(bits[:, :width], bitorder="little").tobytes()
+
+
+class TestBitPackKernels:
+    """The word-shift kernels write and read the reference bitstream."""
+
+    SIZES = (0, 1, 2, 63, 64, 65, 1000)
+
+    @pytest.mark.parametrize("dtype", UINT_DTYPES)
+    def test_pack_matches_reference(self, dtype):
+        rng = np.random.default_rng(3)
+        bits = np.dtype(dtype).itemsize * 8
+        for n in self.SIZES:
+            # full-range values: widths below the dtype's truncate
+            vals = rng.integers(0, np.iinfo(dtype).max, size=n,
+                                endpoint=True, dtype=dtype)
+            for width in range(65):
+                # past the dtype's bits the reference needs the values
+                # zero-extended to reach ``width`` bits per value
+                ref = vals if width <= bits else vals.astype(np.uint64)
+                assert (_pack_ints(vals, width)
+                        == _reference_pack(ref, width)), (n, width)
+
+    @pytest.mark.parametrize("dtype", UINT_DTYPES)
+    def test_unpack_inverts_reference(self, dtype):
+        rng = np.random.default_rng(4)
+        bits = np.dtype(dtype).itemsize * 8
+        for n in self.SIZES:
+            vals = rng.integers(0, np.iinfo(dtype).max, size=n,
+                                endpoint=True, dtype=dtype)
+            for width in range(bits + 1):
+                low = (vals.astype(np.uint64)
+                       & np.uint64((1 << width) - 1)).astype(dtype)
+                back = _unpack_ints(_reference_pack(vals, width), n, width,
+                                    dtype)
+                assert back.dtype == np.dtype(dtype)
+                assert np.array_equal(back, low), (n, width)
+
+
+def _u64(value):
+    return int(value).to_bytes(8, "little")
+
+
+class TestMalformedPackedPayloads:
+    """Every malformed bit-packed payload raises FragmentError — never a
+    numpy ValueError or a MemoryError that escapes fsck's decode pass
+    and the store's ``on_corruption`` policy."""
+
+    @pytest.mark.parametrize("stage,blob,dtype,count", [
+        # every width backed by enough bytes
+        ("dbp", bytes([40]) + _u64(1) + bytes(_packed_nbytes(299, 40)),
+         np.uint32, 300),
+        # run values at 9 bits of a uint8 buffer; run lengths at 65 bits
+        ("drle", _u64(0) + _u64(1) + bytes([9, 1]) + bytes(32),
+         np.uint8, 5),
+        ("drle", _u64(0) + _u64(1) + bytes([1, 65]) + bytes(32),
+         np.uint8, 5),
+        ("for", _u64(0) + bytes([17]) + bytes(_packed_nbytes(50, 17)),
+         np.uint16, 50),
+    ])
+    def test_width_wider_than_dtype(self, stage, blob, dtype, count):
+        with pytest.raises(FragmentError, match="exceeds"):
+            decode_buffer(blob, stage, np.dtype(dtype), count)
+
+    @pytest.mark.parametrize("lengths", [
+        [1 << 42],                       # a 4 TiB repeat before the check
+        [(1 << 63) + 5],                 # negative as an intp
+        [1 << 63, 1 << 63, 9],           # wraps uint64 to exactly 9
+        [2, 3],                          # plain short sum
+    ])
+    def test_drle_run_lengths_must_sum_to_count(self, lengths):
+        n_runs = len(lengths)
+        blob = (
+            _u64(0) + _u64(n_runs) + bytes([1, 64])
+            + _pack_ints(np.ones(n_runs, dtype=np.uint64), 1)
+            + _pack_ints(np.array(lengths, dtype=np.uint64), 64)
+        )
+        with pytest.raises(FragmentError, match="do not sum"):
+            decode_buffer(blob, "drle", np.dtype(np.uint64), 10)
+
+    def test_drle_more_runs_than_residuals(self):
+        # zero-width sections need no bytes: only the header bounds them
+        blob = _u64(0) + _u64(1 << 40) + bytes([0, 0])
+        with pytest.raises(FragmentError, match="runs"):
+            decode_buffer(blob, "drle", np.dtype(np.uint64), 10)
+
+    @pytest.mark.parametrize("stage,head", [
+        ("for", lambda v: _u64(v) + bytes([0])),
+        ("dbp", lambda v: bytes([0]) + _u64(v)),
+        ("drle", lambda v: _u64(v) + _u64(0) + bytes([0, 0])),
+    ])
+    def test_stored_value_must_fit_dtype(self, stage, head):
+        with pytest.raises(FragmentError, match="does not fit"):
+            decode_buffer(head(256), stage, np.dtype(np.uint8), 1)
+        back = decode_buffer(head(255), stage, np.dtype(np.uint8), 1)
+        assert back.tolist() == [255]
+
+    def test_packed_stage_after_array_stage_rejected(self):
+        arr = np.array([5, 1, 3], dtype=np.uint64)
+        blob = _PACKED_ENCODERS["for"](arr)
+        with pytest.raises(FragmentError, match="malformed codec chain"):
+            decode_buffer(blob, "dbp+for", arr.dtype, arr.size)
 
 
 class TestFragmentCodecs:
@@ -257,12 +377,35 @@ class TestCodecAdvisor:
 
     def test_candidate_sizes_are_exact(self, rng):
         arr = np.sort(rng.integers(0, 1 << 20, size=3000, dtype=np.uint64))
-        advice = advise_buffer(arr)
-        assert advice.candidate_sizes["raw"] == arr.nbytes
-        blob, chain, _ = encode_cascade(arr)
-        pre_zlib = chain.split("+zlib")[0]
-        if pre_zlib in advice.candidate_sizes and "+zlib" not in chain:
-            assert len(blob) == advice.candidate_sizes[pre_zlib]
+        for sample in (arr, rng.permutation(arr)):
+            advice = advise_buffer(sample)
+            assert set(advice.candidate_sizes) == {"raw", "for", "dbp",
+                                                   "drle"}
+            assert advice.candidate_sizes["raw"] == sample.nbytes
+            for stage, encode in _PACKED_ENCODERS.items():
+                assert (len(encode(sample))
+                        == advice.candidate_sizes[stage]), stage
+            blob, chain, _ = encode_cascade(sample)
+            pre_zlib = chain.split("+zlib")[0]
+            if pre_zlib in advice.candidate_sizes and "+zlib" not in chain:
+                assert len(blob) == advice.candidate_sizes[pre_zlib]
+
+    def test_arrival_order_picks_for(self, rng):
+        """Shuffled addresses over a narrow range: every delta wraps to
+        the full word, so the delta stages lose, but ``for`` packs each
+        address at the range's width and beats DEFLATE over the raw
+        bytes."""
+        addr = rng.choice(1 << 20, size=9000, replace=False).astype(
+            np.uint64
+        ) + np.uint64(7 << 40)
+        advice = advise_buffer(addr)
+        assert advice.chain == "for"
+        assert advice.range_bits == 20
+        blob, chain, _ = encode_cascade(addr)
+        assert chain == "for"
+        assert len(blob) <= len(zlib.compress(addr.tobytes(), 6))
+        back = decode_buffer(blob, chain, addr.dtype, addr.size)
+        assert np.array_equal(back, addr)
 
     def test_advice_fields(self):
         arr = np.arange(0, 1000, 2, dtype=np.uint64)
@@ -290,6 +433,9 @@ class TestChainTags:
                                  dtype=dtype)),
             np.arange(0, 1200, 3, dtype=np.uint64).astype(dtype),
             rng.integers(0, hi, size=600, endpoint=True, dtype=dtype),
+            # arrival order over a narrow range near the dtype's top
+            (hi - rng.integers(0, 1 << 6, size=600, dtype=np.uint64)
+             ).astype(dtype),
         ]
         seen = set()
         for arr in samples:
@@ -297,7 +443,7 @@ class TestChainTags:
             seen.add(chain)
             back = decode_buffer(blob, chain, arr.dtype, arr.size)
             assert np.array_equal(back, arr)
-        assert seen  # at least one chain exercised per dtype
+        assert "for" in seen
 
     def test_malformed_chain_rejected(self):
         arr = np.arange(16, dtype=np.uint64)
@@ -312,6 +458,15 @@ class TestChainTags:
         with pytest.raises(FragmentError):
             decode_buffer(blob[: len(blob) // 2], chain, addr.dtype,
                           addr.size)
+
+    def test_truncated_for_header_rejected(self):
+        arr = np.array([9, 3, 7, 5, 11], dtype=np.uint64)
+        blob = _PACKED_ENCODERS["for"](arr)
+        for cut in (0, 8):
+            with pytest.raises(FragmentError, match="before header"):
+                decode_buffer(blob[:cut], "for", arr.dtype, arr.size)
+        with pytest.raises(FragmentError, match="truncated"):
+            decode_buffer(blob[:-1], "for", arr.dtype, arr.size)
 
     def test_wrong_count_rejected(self, rng):
         addr = np.sort(rng.integers(0, 1 << 30, size=2000, dtype=np.uint64))

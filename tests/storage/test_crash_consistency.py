@@ -325,8 +325,13 @@ class TestCompressedCrashConsistency:
         chains = {b["codec"] for b in header["buffers"]}
         assert chains - {"raw"}, "fixture regressed: nothing compressed"
         # The first buffer is the delta-bit-packed addresses payload; its
-        # leading byte is the pack width.  Corrupt it and re-stamp the
-        # trailing CRC so only the decode pass can notice.
+        # leading byte is the pack width.  (A ``drle`` or ``for`` payload
+        # leads with a stored value instead, and flipping that byte
+        # would decode silently.)  Corrupt it and re-stamp the trailing
+        # CRC so only the decode pass can notice.
+        first = header["buffers"][0]
+        assert first["codec"] == "dbp", first
+        assert first["nbytes"] > 0
         blob[offset] ^= 0xFF
         body = bytes(blob[:-4])
         blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -339,6 +344,67 @@ class TestCompressedCrashConsistency:
         repaired = fsck(directory, repair=True)
         assert repaired.repaired
         assert (directory / ".quarantine" / frag.name).exists()
+        assert fsck(directory).clean
+
+    #: CRC-valid address payloads (10 uint64 addresses) that decode to a
+    #: numpy ValueError or MemoryError unless the decoder checks them.
+    MALFORMED = {
+        # pack width 65 > 64 bits, backed by enough bytes for 9 residuals
+        "dbp-width-past-dtype": (
+            "dbp", bytes([65]) + bytes(8) + bytes((9 * 65 + 7) // 8),
+        ),
+        # one run of 2**42 residuals where the header promises 9
+        "drle-run-sum": (
+            "drle",
+            bytes(8) + (1).to_bytes(8, "little") + bytes([1, 64])
+            + b"\x01" + (1 << 42).to_bytes(8, "little"),
+        ),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED))
+    def test_fsck_quarantines_malformed_packed_buffer(
+        self, tmp_path, monkeypatch, defect
+    ):
+        """A malformed bit-packed payload under a valid CRC is reported as
+        undecodable, skipped by the read side under ``on_corruption``,
+        and quarantined by ``--repair``."""
+        from repro.storage import StoreOptions, compression
+
+        chain, payload = self.MALFORMED[defect]
+        encode_buffer = compression.encode_buffer
+
+        def forge(arr, codec):
+            if arr.dtype == np.uint64:  # the addresses; values are floats
+                return payload, chain
+            return encode_buffer(arr, codec)
+
+        directory = tmp_path / defect
+        store = FragmentStore(
+            directory, SHAPE, "LINEAR",
+            options=StoreOptions(codec="cascade"),
+        )
+        store.write(*part(0))
+        with monkeypatch.context() as patch:
+            patch.setattr(compression, "encode_buffer", forge)
+            store.write(*part(1))
+        bad = store.fragments[1].path
+
+        report = fsck(directory)
+        [issue] = report.issues
+        assert issue.name == bad.name
+        assert f"compressed buffer ({chain}) undecodable" in issue.detail
+
+        skipping = FragmentStore(
+            directory, SHAPE, "LINEAR",
+            options=StoreOptions(on_corruption="skip"),
+        )
+        with pytest.warns(UserWarning, match="skipped"):
+            out = skipping.read_points(np.vstack([part(0)[0], part(1)[0]]))
+        assert out.found.tolist() == [True] * 10 + [False] * 10
+        assert skipping.corrupt_fragments == 1
+
+        assert fsck(directory, repair=True).repaired
+        assert (directory / ".quarantine" / bad.name).exists()
         assert fsck(directory).clean
 
     def test_fsck_json_reports_codecs(self, tmp_path):
