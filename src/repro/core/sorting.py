@@ -8,11 +8,29 @@ and the permutation algebra so every format treats ``map`` identically:
 
 ``map`` is the *gather* permutation: ``sorted_buffer[i] = original[map[i]]``.
 
-Sorts are ``kind="stable"`` throughout.  NumPy's stable sort (timsort for
-non-trivial sizes) is adaptive on pre-sorted runs, which is precisely the
-mechanism behind the paper's GCSR++-vs-GCSC++ asymmetry: row keys derived
-from a row-major input buffer are already non-decreasing, column keys are
-scattered (Table III discussion).
+Every sort is stable: equal keys keep input order, which is how the store's
+newest-wins rule and the GCSR++ ``map`` resolve ties.  :func:`stable_argsort`
+returns exactly ``np.argsort(keys, kind="stable")`` but picks the kernel
+that computes it fastest from what it can see in the keys:
+
+* **radix** — NumPy's own stable sort on keys of 16 bits or fewer (one
+  linear pass).  ``csr_pack`` narrows the compressed coordinate of a
+  GCSR++/GCSC++ build to ``uint16`` whenever it has at most 65 535
+  segments, so both formats' builds take this path;
+* **timsort** — NumPy's stable sort on wider keys.  It is adaptive on
+  pre-sorted runs, so it stays the choice for sorted input, a few long
+  runs (the compaction merge's concatenated fragments) and row-blocked
+  keys with short rows (GCSR++ ``extract_addresses``);
+* **packed** — for integer keys of 32 bits or more above
+  :data:`PACKED_SORT_MIN` whose strided sample is not nearly sorted: each
+  key's offset from the minimum is shifted above its input position in
+  one ``uint64`` word (as ALTO packs a multi-part index into one word),
+  the words are sorted unstably, and the positions are masked back out.
+  The packed words are unique, so the unstable sort returns the stable
+  permutation exactly.  It applies when the key range and the position
+  fit 64 bits together.
+
+``docs/BUILD_PIPELINE.md`` records the measurements behind the thresholds.
 """
 
 from __future__ import annotations
@@ -23,12 +41,74 @@ from .dtypes import POINTER_DTYPE, as_index_array
 from .errors import ShapeError
 
 
+#: Fewest keys the packed kernel is tried on.  Below it the strided
+#: sample has too few pairs to tell a dozen sorted runs from shuffled
+#: keys (and shuffled keys gain less: 1.6x at 1 024 keys, 3.8x at 2 048).
+PACKED_SORT_MIN = 2048
+
+#: Stride of the presortedness sample (one key in this many is read).
+#: Rows shorter than the stride (row-blocked keys) read as sorted.
+SAMPLE_STRIDE = 32
+
+#: The sample is "nearly sorted" — timsort's case — when fewer than one
+#: adjacent pair in this many breaks its order, ascending or descending.
+#: Shuffled keys break about one pair in two.
+NEARLY_SORTED_RATIO = 4
+
+
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of a 1D key vector; returns the gather permutation."""
+    """Stable argsort of a 1D key vector; returns the gather permutation.
+
+    Always equal to ``np.argsort(keys, kind="stable")``; wide integer keys
+    that are not nearly sorted take the packed kernel (module docstring).
+    """
     keys = np.asarray(keys)
     if keys.ndim != 1:
         raise ShapeError("keys must be 1D")
+    if (
+        keys.shape[0] >= PACKED_SORT_MIN
+        and keys.dtype.kind in "iu"
+        and keys.dtype.itemsize >= 4
+        and not _nearly_sorted(keys)
+    ):
+        perm = _packed_argsort(keys)
+        if perm is not None:
+            return perm
     return np.argsort(keys, kind="stable")
+
+
+def _nearly_sorted(keys: np.ndarray) -> bool:
+    """Whether a strided sample of ``keys`` is nearly monotone.
+
+    Timsort takes a strictly descending run in one reversal, so a sample
+    that rarely *ascends* is timsort's case as well.
+    """
+    later = keys[SAMPLE_STRIDE::SAMPLE_STRIDE]
+    pairs = later.shape[0]
+    descents = int(np.count_nonzero(later < keys[:-SAMPLE_STRIDE:SAMPLE_STRIDE]))
+    return min(descents, pairs - descents) * NEARLY_SORTED_RATIO < pairs
+
+
+def _packed_argsort(keys: np.ndarray) -> np.ndarray | None:
+    """Stable argsort by one unstable sort of ``(key - min) << b | index``.
+
+    ``b`` is the bit length of the largest index.  Returns ``None`` when
+    the key range and the index do not fit one 64-bit word together.
+    """
+    n = keys.shape[0]
+    index_bits = (n - 1).bit_length()
+    lo = int(keys.min())
+    if (int(keys.max()) - lo).bit_length() + index_bits > 64:
+        return None
+    packed = keys.astype(np.uint64)
+    if lo:
+        # Both sides wrap modulo 2**64, so the difference is exact.
+        packed -= np.uint64(lo % (1 << 64))
+    packed <<= np.uint64(index_bits)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << index_bits) - 1)
+    return packed.view(np.int64).astype(np.intp, copy=False)
 
 
 def lexsort_rows(coords: np.ndarray) -> np.ndarray:

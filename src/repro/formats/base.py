@@ -615,7 +615,12 @@ def match_addresses(
         )
     entry = None if memo is None else memo.get(memo_key)
     if entry is None or entry[0].shape[0] != stored.shape[0]:
-        order = stable_argsort(stored)
+        # NumPy's stable sort, not stable_argsort's packed kernel: with it
+        # an uncached probe of a large shuffled fragment costs no more
+        # than a sharded store's fixed per-band read, and the 16-shard
+        # hot-region floor of tests/bench/test_sharded.py no longer holds
+        # (ROADMAP item 2).  The permutation is the same either way.
+        order = np.argsort(stored, kind="stable")
         sorted_stored = stored[order]
         if memo is not None:
             memo[memo_key] = (order, sorted_stored)

@@ -77,10 +77,10 @@ def csr_pack(
     """Sort by the compressed coordinate and package pointers.
 
     Returns ``(matrix, perm)`` where ``perm`` is the gather map of the
-    stable sort (the paper's ``map``).  Stable sorting is essential to the
-    layout-alignment effect the paper reports for GCSR++ vs GCSC++: when the
-    compressed keys arrive already non-decreasing (row-major input packaged
-    by rows), timsort's run detection makes the sort effectively linear.
+    stable sort (the paper's ``map``).  With at most 65 535 segments the
+    key is sorted as ``uint16``, which NumPy radix-sorts in one linear
+    pass whatever its order; wider keys take :func:`stable_argsort`'s
+    timsort or packed kernel (see :mod:`repro.core.sorting`).
     """
     compressed_coord = as_index_array(compressed_coord)
     other_coord = as_index_array(other_coord)

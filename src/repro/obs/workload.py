@@ -242,6 +242,10 @@ class WorkloadLedger:
                 self._dirty = True
 
     def to_json_bytes(self) -> bytes:
+        # Imported here: repro.storage imports repro.obs, and with it
+        # this module.
+        from ..storage.durability import encode_manifest
+
         with self._lock:
             doc = {
                 "version": LEDGER_VERSION,
@@ -250,7 +254,7 @@ class WorkloadLedger:
                     for name, entry in sorted(self._entries.items())
                 },
             }
-        return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+        return encode_manifest(doc)
 
     def save(self, path: Path, *, fsync: bool = False) -> None:
         """Atomically persist the ledger (write-temp + rename)."""

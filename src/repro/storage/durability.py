@@ -13,7 +13,12 @@ substrate level — every organization inherits it:
     final path.  A crash at any byte offset leaves either the old file or a
     ``*.tmp`` orphan — never a torn committed file.  The manifest carries a
     monotonically increasing ``generation`` and a per-fragment CRC, so the
-    commit point of a fragment is its manifest entry, not its file.
+    commit point of a fragment is its manifest entry, not its file.  With
+    ``fsync`` on, the directory is fsync'd after the rename as well: a
+    rename lives in the directory, and until the directory reaches the
+    disk a power loss can undo it.  Every JSON document the store commits
+    (manifests, shard sidecars, the workload ledger) is encoded by
+    :func:`encode_manifest`.
 
 **Bounded retries.**
     :class:`RetryPolicy` wraps transient ``OSError`` s (but never checksum
@@ -68,7 +73,8 @@ class FaultHook(Protocol):
     ``before(op, path)`` may raise to simulate a failed syscall;
     ``torn_write(path, data)`` may return a byte count ``k`` — the write
     persists exactly ``data[:k]`` and then raises — or ``None`` to pass
-    through.  Ops are ``"write"``, ``"read"``, ``"rename"``, ``"fsync"``,
+    through.  Ops are ``"write"``, ``"read"``, ``"rename"``, ``"fsync"``
+    (of a file, or of a directory after a rename or a file creation),
     ``"unlink"``, ``"truncate"``.
     """
 
@@ -133,6 +139,30 @@ def read_view(path: str | os.PathLike):
     return np.memmap(path, dtype=np.uint8, mode="r")
 
 
+def encode_manifest(doc: Any) -> bytes:
+    """The bytes of a JSON document the store commits.
+
+    Compact, with no ``indent``, so CPython's C encoder writes it; the
+    default ``", "`` and ``": "`` separators are kept.  Documents written
+    indented by earlier versions parse to the same objects.
+    """
+    return json.dumps(doc).encode("utf-8")
+
+
+def fsync_directory(path: str | os.PathLike) -> None:
+    """fsync a directory, making the entries renamed or created in it
+    durable (fault op: ``"fsync"`` on the directory path)."""
+    path = Path(path)
+    hook = _fault_hook
+    if hook is not None:
+        hook.before("fsync", path)
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_bytes_atomic(
     path: str | os.PathLike, data: bytes, *, fsync: bool = False
 ) -> int:
@@ -140,8 +170,9 @@ def write_bytes_atomic(
 
     A crash anywhere inside this function leaves ``path`` untouched (old
     content or absent) plus at most one ``<path>.tmp`` orphan, which
-    :func:`clean_temp_files` removes on the next store open.  Returns the
-    number of bytes committed.
+    :func:`clean_temp_files` removes on the next store open.  With
+    ``fsync`` the file is fsync'd before the rename and its directory
+    after it.  Returns the number of bytes committed.
     """
     path = Path(path)
     tmp = path.with_name(path.name + TMP_SUFFIX)
@@ -163,6 +194,8 @@ def write_bytes_atomic(
     if hook is not None:
         hook.before("rename", path)
     os.replace(tmp, path)
+    if fsync:
+        fsync_directory(path.parent)
     return len(data)
 
 
@@ -197,12 +230,15 @@ def append_bytes(
     return len(data)
 
 
-def rename_file(src: str | os.PathLike, dst: str | os.PathLike) -> None:
+def rename_file(
+    src: str | os.PathLike, dst: str | os.PathLike, *, fsync: bool = False
+) -> None:
     """Atomically rename ``src`` over ``dst`` (fault op: ``"rename"``).
 
     The WAL's segment-seal commit point: sealing renames
     ``seg-N.wal.open`` to ``seg-N.wal`` so replay can distinguish the one
-    actively-appended segment from the sealed, immutable ones.
+    actively-appended segment from the sealed, immutable ones.  With
+    ``fsync`` the destination's directory is fsync'd after the rename.
     """
     src = Path(src)
     dst = Path(dst)
@@ -210,6 +246,8 @@ def rename_file(src: str | os.PathLike, dst: str | os.PathLike) -> None:
     if hook is not None:
         hook.before("rename", dst)
     os.replace(src, dst)
+    if fsync:
+        fsync_directory(dst.parent)
 
 
 def remove_file(path: str | os.PathLike) -> None:
@@ -732,9 +770,7 @@ def fsck(
         if surviving_retired:
             rebuilt["retired"] = surviving_retired
         write_bytes_atomic(
-            manifest_path,
-            json.dumps(rebuilt, indent=1).encode("utf-8"),
-            fsync=True,
+            manifest_path, encode_manifest(rebuilt), fsync=True
         )
         report.generation = rebuilt["generation"]
         report.repaired = True

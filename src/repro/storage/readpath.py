@@ -60,7 +60,6 @@ import numpy as np
 
 from ..core.dtypes import fits_index_dtype
 from ..core.linearize import delinearize, linearize
-from ..core.sorting import stable_argsort
 from ..core.tensor import SparseTensor
 from ..formats.base import BoxHits
 from ..obs import counter_add, gauge_set
@@ -187,7 +186,10 @@ def merge_box_hits(
         next(linearized) if hits.addresses is None else hits.addresses
         for hits, _ in parts
     ])
-    order = stable_argsort(addresses)
+    # NumPy's stable sort, not stable_argsort's packed kernel, for the
+    # reason match_addresses gives (ROADMAP item 2): here it is the
+    # box floor of tests/bench/test_sharded.py that stops holding.
+    order = np.argsort(addresses, kind="stable")
     ordered = addresses[order]
     last = np.ones(ordered.shape[0], dtype=bool)
     last[:-1] = ordered[1:] != ordered[:-1]

@@ -89,6 +89,7 @@ from .durability import (
     FsckReport,
     RetryPolicy,
     clean_temp_files,
+    encode_manifest,
     fsck as _fsck_store,
     write_bytes_atomic,
 )
@@ -428,7 +429,7 @@ class ShardedStore:
                 doc["addr_order"] = self.addr_order
             write_bytes_atomic(
                 self._manifest_path(),
-                json.dumps(doc, indent=1).encode("utf-8"),
+                encode_manifest(doc),
                 fsync=self.options.fsync,
             )
 
@@ -467,7 +468,7 @@ class ShardedStore:
             sidecar["addr_order"] = self.addr_order
         write_bytes_atomic(
             path / SHARD_RANGE_NAME,
-            json.dumps(sidecar).encode("utf-8"),
+            encode_manifest(sidecar),
             fsync=self.options.fsync,
         )
         return ShardEntry(
@@ -1620,8 +1621,7 @@ def fsck_sharded(
                 if meta.get("addr_order"):
                     sidecar["addr_order"] = meta["addr_order"]
                 write_bytes_atomic(
-                    child_dir / SHARD_RANGE_NAME,
-                    json.dumps(sidecar).encode("utf-8"),
+                    child_dir / SHARD_RANGE_NAME, encode_manifest(sidecar)
                 )
                 band = dict(
                     band, nnz=0, bbox_origin=None, bbox_size=None, zone=None
@@ -1701,9 +1701,7 @@ def fsck_sharded(
         rebuilt["generation"] = report.generation + 1
         rebuilt["bands"] = surviving_bands
         write_bytes_atomic(
-            manifest_path,
-            json.dumps(rebuilt, indent=1).encode("utf-8"),
-            fsync=True,
+            manifest_path, encode_manifest(rebuilt), fsync=True
         )
         report.generation = rebuilt["generation"]
         report.repaired = True

@@ -98,6 +98,7 @@ from .durability import (
     FsckReport,
     RetryPolicy,
     clean_temp_files,
+    encode_manifest,
     file_crc,
     fragment_file_crc,
     fsck as _fsck,
@@ -494,7 +495,7 @@ class FragmentStore:
             # commits atomically, and fsync follows the store's setting.
             write_bytes_atomic(
                 self._manifest_path(),
-                json.dumps(entries, indent=1).encode("utf-8"),
+                encode_manifest(entries),
                 fsync=self.fsync,
             )
         # Every committed mutation (write / compact / rescan / quarantine)

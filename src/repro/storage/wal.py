@@ -25,7 +25,9 @@ cost per chunk:
     the address buffer 8-byte aligned for zero-copy ``np.frombuffer``.
     There is no rename for appends — durability comes from the optional
     per-record fsync plus the framing: a crash mid-append leaves a *torn
-    tail* that replay detects and truncates.
+    tail* that replay detects and truncates.  With fsync on, the WAL
+    directory is fsync'd after a segment is created or sealed (renamed),
+    so the segment's directory entry is as durable as its records.
 
 **Torn-tail taxonomy (the PR 2 discrimination, applied to appends).**
     Replay and fsck classify a damaged segment by *where* the damage is:
@@ -67,6 +69,7 @@ from ..formats.base import BoxHits, box_hits_by_address
 from ..obs import counter_add, gauge_set
 from .durability import (
     append_bytes,
+    fsync_directory,
     quarantine_file,
     read_bytes,
     remove_file,
@@ -350,7 +353,10 @@ class WriteAheadLog:
         self.version = 0
         self.torn_tails = 0
         self._segments: list[_Segment] = []
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if not self.directory.is_dir():
+            self.directory.mkdir(parents=True)
+            if self.fsync:
+                fsync_directory(self.directory.parent)
         self._replay()
 
     # -- replay ---------------------------------------------------------
@@ -413,13 +419,15 @@ class WriteAheadLog:
         path = self.directory / f"seg-{seq:06d}{OPEN_SUFFIX}"
         header = encode_header(self.shape, self.epoch)
         append_bytes(path, header, fsync=self.fsync)
+        if self.fsync:
+            fsync_directory(self.directory)
         seg = _Segment(path=path, seq=seq, nbytes=len(header))
         self._segments.append(seg)
         return seg
 
     def _seal(self, seg: _Segment) -> None:
         sealed = seg.path.with_name(f"seg-{seg.seq:06d}{SEG_SUFFIX}")
-        rename_file(seg.path, sealed)
+        rename_file(seg.path, sealed, fsync=self.fsync)
         seg.path = sealed
         counter_add("store.wal.segments_sealed")
 

@@ -52,6 +52,8 @@ class FaultEvent:
     op: str
     path: Path
     torn_at: int | None = None  # byte offset for torn writes
+    #: Whether ``path`` named a directory (a directory fsync).
+    directory: bool = False
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         tear = f" torn@{self.torn_at}" if self.torn_at is not None else ""
@@ -159,7 +161,9 @@ class OpRecorder:
         self.events: list[FaultEvent] = []
 
     def before(self, op: str, path: Path) -> None:
-        self.events.append(FaultEvent(op, path))
+        self.events.append(
+            FaultEvent(op, path, directory=op == "fsync" and path.is_dir())
+        )
 
     def torn_write(self, path: Path, data: bytes) -> int | None:
         return None
@@ -171,19 +175,23 @@ def plan_for_crash_point(
     """A plan that kills the ``index``-th recorded op of a replayed run.
 
     The replay must perform the same op sequence as the recorded run (the
-    workload is deterministic; that is the point).  ``torn_bytes`` applies
-    only when the target op is a write, turning the failure into a torn
-    write at that byte offset instead of an outright error.
+    workload is deterministic; that is the point).  A file op is found
+    again by its file name; a directory fsync by its rank among the ops of
+    its kind, since the replay usually runs in a directory of another
+    name.  ``torn_bytes`` applies only when the target op is a write,
+    turning the failure into a torn write at that byte offset instead of
+    an outright error.
     """
     target = events[index]
+    pattern = "*" if target.directory else target.path.name
     preceding = sum(
         1 for e in events[:index]
-        if e.op == target.op and e.path.name == target.path.name
+        if e.op == target.op and fnmatch.fnmatch(e.path.name, pattern)
     )
     return FaultPlan([
         FaultRule(
             op=target.op,
-            pattern=target.path.name,
+            pattern=pattern,
             after=preceding,
             times=1,
             torn_bytes=torn_bytes if target.op == "write" else None,

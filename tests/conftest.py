@@ -73,3 +73,20 @@ def query_mix(
     q_addr = linearize(queries, tensor.shape)
     expected = np.array([int(a) in stored for a in q_addr])
     return queries, expected
+
+
+@pytest.fixture
+def packed_sort_calls(monkeypatch):
+    """Key counts of the sorts that reach ``stable_argsort``'s packed
+    kernel while the test runs."""
+    from repro.core import sorting
+
+    calls = []
+    real = sorting._packed_argsort
+
+    def spy(keys):
+        calls.append(keys.shape[0])
+        return real(keys)
+
+    monkeypatch.setattr(sorting, "_packed_argsort", spy)
+    return calls

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ShapeError,
@@ -13,6 +15,84 @@ from repro.core import (
     segment_boundaries,
     stable_argsort,
 )
+from repro.core import sorting
+from repro.core.sorting import PACKED_SORT_MIN
+
+WIDE_DTYPES = {
+    "uint32": np.uint32,
+    "uint64": np.uint64,
+    "int32": np.int32,
+    "int64": np.int64,
+    "intp": np.intp,
+}
+SIZES = [0, 1, PACKED_SORT_MIN - 1, PACKED_SORT_MIN, PACKED_SORT_MIN + 1,
+         25_600]
+
+
+def _wide(rng, n, dtype):
+    """Keys spread over the dtype, at most 2**41 wide (packable)."""
+    info = np.iinfo(dtype)
+    lo, hi = max(int(info.min), -(1 << 40)), min(int(info.max), 1 << 40)
+    return rng.integers(lo, hi, n, endpoint=True).astype(dtype)
+
+
+def _runs(rng, sizes, dtype):
+    return np.concatenate(
+        [np.sort(_wide(rng, int(k), dtype)) for k in sizes]
+    ).astype(dtype)
+
+
+def _row_blocked(rng, n, dtype, row):
+    """Rows ascending, the columns of each row shuffled (GCSR++ layout)."""
+    rows = -(-n // row)
+    cols = rng.permuted(np.tile(np.arange(256), (rows, 1)), axis=1)
+    return (np.arange(n) // row * 256 + cols[:, :row].ravel()[:n]).astype(
+        dtype
+    )
+
+
+KEY_CLASSES = {
+    "random": lambda rng, n, dt: _wide(rng, n, dt),
+    "sorted": lambda rng, n, dt: np.sort(_wide(rng, n, dt)),
+    "sorted_ties": lambda rng, n, dt: np.sort(
+        rng.integers(0, max(1, n // 8), n)
+    ).astype(dt),
+    "reversed": lambda rng, n, dt: np.sort(_wide(rng, n, dt))[::-1].copy(),
+    # The compaction merge's runs: one base fragment and eight packs.
+    "9_runs_one_dominant": lambda rng, n, dt: _runs(
+        rng, [n - 8 * (n // 40)] + [n // 40] * 8, dt
+    ),
+    "64_runs": lambda rng, n, dt: _runs(
+        rng, np.diff(np.linspace(0, n, 65).astype(int)), dt
+    ),
+    "row_blocked_short": lambda rng, n, dt: _row_blocked(rng, n, dt, 12),
+    "row_blocked_long": lambda rng, n, dt: _row_blocked(rng, n, dt, 200),
+    "duplicate_heavy": lambda rng, n, dt: rng.integers(0, 16, n).astype(dt),
+    "negative": lambda rng, n, dt: rng.integers(-(1 << 30), 0, n).astype(dt),
+    "uint64_top_half": lambda rng, n, dt: (
+        np.uint64(1 << 63) + rng.integers(0, 1 << 40, n).astype(np.uint64)
+    ),
+    "uint64_full_range": lambda rng, n, dt: rng.integers(
+        0, np.iinfo(np.uint64).max, n, dtype=np.uint64, endpoint=True
+    ),
+}
+
+
+def _applies(key_class, dtype):
+    if key_class == "negative":
+        return np.iinfo(dtype).min < 0
+    if key_class.startswith("uint64_"):
+        return dtype is np.uint64
+    return True
+
+
+CASES = [
+    pytest.param(dt, n, kc, id=f"{dn}-{n}-{kc}")
+    for dn, dt in WIDE_DTYPES.items()
+    for n in SIZES
+    for kc in KEY_CLASSES
+    if _applies(kc, dt)
+]
 
 
 class TestStableArgsort:
@@ -28,6 +108,91 @@ class TestStableArgsort:
     def test_rejects_2d(self):
         with pytest.raises(ShapeError):
             stable_argsort(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dtype, n, key_class", CASES)
+    def test_matches_numpy_stable(self, dtype, n, key_class):
+        rng = np.random.default_rng(n)
+        keys = KEY_CLASSES[key_class](rng, n, dtype)
+        assert keys.dtype == dtype and keys.shape == (n,)
+        perm = stable_argsort(keys)
+        assert perm.dtype == np.intp
+        np.testing.assert_array_equal(perm, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_packed_word_limit(self, dtype):
+        """Range bits + index bits of exactly 64 pack; 65 fall back."""
+        rng = np.random.default_rng(3)
+        n = PACKED_SORT_MIN + 1
+        index_bits = (n - 1).bit_length()
+        lo = -(1 << 50) if dtype is np.int64 else 1 << 10
+        for range_bits, packs in ((64 - index_bits, True),
+                                  (65 - index_bits, False)):
+            span = (1 << range_bits) - 1
+            keys = (lo + rng.integers(0, span, n, endpoint=True)).astype(dtype)
+            keys[:2] = [lo + span, lo]  # pin the range exactly
+            assert (int(keys.max()) - int(keys.min())).bit_length() == range_bits
+            assert (sorting._packed_argsort(keys) is not None) is packs
+            np.testing.assert_array_equal(
+                stable_argsort(keys), np.argsort(keys, kind="stable")
+            )
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.uint8, np.int8, np.uint16, np.int16, np.float32, np.float64],
+    )
+    def test_narrow_and_float_keys_keep_numpy(self, dtype, packed_sort_calls):
+        """Radix-sorted (<=16-bit) and float keys never take the packed
+        kernel and return NumPy's stable sort."""
+        rng = np.random.default_rng(5)
+        keys = (rng.random(25_600) * 100).astype(dtype)
+        np.testing.assert_array_equal(
+            stable_argsort(keys), np.argsort(keys, kind="stable")
+        )
+        assert packed_sort_calls == []
+
+    @pytest.mark.parametrize("key_class, tried", [
+        ("random", True),
+        ("duplicate_heavy", True),
+        ("row_blocked_long", True),
+        # Sampled as shuffled; the kernel then declines (64 range bits).
+        ("uint64_full_range", True),
+        ("sorted", False),
+        ("sorted_ties", False),
+        ("reversed", False),
+        ("9_runs_one_dominant", False),
+        ("row_blocked_short", False),
+    ])
+    def test_kernel_selection(self, key_class, tried, packed_sort_calls):
+        """Only keys at or above the cutover whose sample looks shuffled
+        try the packed kernel; presorted and short-row keys stay on
+        timsort."""
+        rng = np.random.default_rng(11)
+        for n in (PACKED_SORT_MIN - 1, PACKED_SORT_MIN, 25_600):
+            stable_argsort(KEY_CLASSES[key_class](rng, n, np.uint64))
+        assert packed_sort_calls == (
+            [PACKED_SORT_MIN, 25_600] if tried else []
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(PACKED_SORT_MIN - 2, 3 * PACKED_SORT_MIN),
+        range_bits=st.integers(0, 63),
+        n_runs=st.integers(1, 200),
+        signed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_numpy_stable(self, n, range_bits, n_runs,
+                                           signed, seed):
+        rng = np.random.default_rng(seed)
+        hi = (1 << range_bits) - 1
+        keys = rng.integers(0, hi, n, dtype=np.uint64, endpoint=True)
+        cuts = np.sort(rng.integers(0, n, n_runs - 1))
+        keys = np.concatenate([np.sort(p) for p in np.split(keys, cuts)])
+        if signed:
+            keys = (keys >> np.uint64(1)).astype(np.int64) - (hi >> 2)
+        np.testing.assert_array_equal(
+            stable_argsort(keys), np.argsort(keys, kind="stable")
+        )
 
 
 class TestLexsortRows:

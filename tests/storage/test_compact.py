@@ -50,6 +50,27 @@ def write_chunks(store, rng, n_chunks=3, n=80):
     ).deduplicated(keep="last")
 
 
+def assert_strategies_bit_identical(tmp_path, fmt_name, relative, shape, n):
+    """Merge and decode-and-rebuild compaction of four overlapping chunks
+    of ``n`` shuffled points write byte-identical fragment files."""
+    stores = {}
+    for strategy in ("merge", "decode"):
+        store = FragmentStore(
+            tmp_path / strategy, shape, fmt_name, relative_coords=relative,
+        )
+        chunk_rng = np.random.default_rng(99)
+        write_chunks(store, chunk_rng, n_chunks=4, n=n)
+        written = sum(f.nnz for f in store.fragments)
+        store.compact(strategy=strategy)
+        stores[strategy] = store
+    merge_frag = stores["merge"].fragments[0]
+    decode_frag = stores["decode"].fragments[0]
+    assert merge_frag.nnz < written  # cross-chunk duplicates collapsed
+    assert merge_frag.bbox == decode_frag.bbox
+    assert merge_frag.nnz == decode_frag.nnz
+    assert merge_frag.path.read_bytes() == decode_frag.path.read_bytes()
+
+
 class TestDecodeFragment:
     @pytest.mark.parametrize("fmt_name", available_formats())
     def test_round_trip(self, tmp_path, tensor_3d, fmt_name):
@@ -143,23 +164,21 @@ class TestMergeCompaction:
     def test_bit_identical_to_decode_rebuild(self, tmp_path, rng,
                                              fmt_name, relative):
         """Both strategies must produce byte-identical fragment files."""
-        shape = (17, 9, 11)
-        stores = {}
-        for strategy in ("merge", "decode"):
-            store = FragmentStore(
-                tmp_path / strategy, shape, fmt_name,
-                relative_coords=relative,
-            )
-            chunk_rng = np.random.default_rng(99)
-            write_chunks(store, chunk_rng, n_chunks=4, n=120)
-            store.compact(strategy=strategy)
-            stores[strategy] = store
-        merge_frag = stores["merge"].fragments[0]
-        decode_frag = stores["decode"].fragments[0]
-        assert merge_frag.bbox == decode_frag.bbox
-        assert merge_frag.nnz == decode_frag.nnz
-        assert (merge_frag.path.read_bytes()
-                == decode_frag.path.read_bytes())
+        assert_strategies_bit_identical(
+            tmp_path, fmt_name, relative, (17, 9, 11), n=120
+        )
+
+    @pytest.mark.parametrize("fmt_name", available_formats())
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_bit_identical_above_packed_sort_cutover(
+        self, tmp_path, fmt_name, relative, packed_sort_calls
+    ):
+        """The same at a size where the merge's survivor re-sort and the
+        decode strategy's canonical sort take the packed kernel."""
+        assert_strategies_bit_identical(
+            tmp_path, fmt_name, relative, (64, 64, 64), n=3000
+        )
+        assert packed_sort_calls, "no sort reached the packed kernel"
 
     def test_merge_performs_zero_full_decodes(self, tmp_path, rng, metered):
         """Acceptance criterion: merge compaction never reconstructs a

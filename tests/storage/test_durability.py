@@ -12,17 +12,24 @@ from repro.core import (
     FragmentIOError,
     ManifestError,
 )
-from repro.storage import FragmentStore, fsck
+from repro.storage import FragmentStore, ShardedStore, StoreOptions, fsck
 from repro.storage.durability import (
     NO_RETRY,
     RetryPolicy,
     clean_temp_files,
+    encode_manifest,
     file_crc,
     fragment_file_crc,
     quarantine_file,
     write_bytes_atomic,
 )
-from repro.testing.faults import FaultPlan, FaultRule, SeededFaults, inject
+from repro.testing.faults import (
+    FaultPlan,
+    FaultRule,
+    OpRecorder,
+    SeededFaults,
+    inject,
+)
 
 
 def make_store(path, *, n=30, seed=7, **kwargs):
@@ -115,6 +122,120 @@ class TestAtomicCommit:
         # Backward compatible: still a FragmentError.
         with pytest.raises(FragmentError):
             FragmentStore(tmp_path / "ds", (32, 32), "LINEAR")
+
+
+class TestDirectoryFsync:
+    """A rename, or a new WAL segment, survives power loss only once its
+    directory is fsync'd; that follows the store's fsync flags."""
+
+    @staticmethod
+    def _record(directory, fsync, wal_fsync):
+        recorder = OpRecorder()
+        opts = StoreOptions(
+            fsync=fsync, wal_fsync=wal_fsync, wal_segment_bytes=512
+        )
+        rng = np.random.default_rng(0)
+        with inject(recorder):
+            store, _, _ = make_store(directory, options=opts)
+            for _ in range(4):  # creates and seals segments
+                coords = rng.integers(0, 32, (20, 2)).astype(np.uint64)
+                store.append(coords, rng.random(20))
+            store.pack_wal()
+            store.compact()
+        return recorder.events
+
+    @pytest.mark.parametrize("fsync, wal_fsync", [
+        (True, None), (False, None), (False, True),
+    ])
+    def test_directory_fsync_follows_each_rename(self, tmp_path, fsync,
+                                                 wal_fsync):
+        events = self._record(tmp_path / "ds", fsync, wal_fsync)
+        wal_on = fsync if wal_fsync is None else wal_fsync
+        expected = 0
+        renames = [i for i, e in enumerate(events) if e.op == "rename"]
+        assert {events[i].path.parent.name for i in renames} == {"ds", "wal"}
+        for i in renames:
+            if wal_on if events[i].path.parent.name == "wal" else fsync:
+                following = events[i + 1]
+                assert (following.op, following.path, following.directory) \
+                    == ("fsync", events[i].path.parent, True)
+                expected += 1
+        created = []
+        for i, e in enumerate(events):
+            if (e.op == "write" and e.path.name.startswith("seg-")
+                    and e.path not in {events[j].path for j in created}):
+                created.append(i)  # the segment's header write
+        assert len(created) >= 2
+        if wal_on:
+            # The WAL directory's own entry, then each new segment's.
+            first = events[created[0] - 1]
+            assert (first.op, first.path.name, first.directory) \
+                == ("fsync", "ds", True)
+            for i in created:
+                assert [(x.op, x.directory) for x in events[i + 1:i + 3]] \
+                    == [("fsync", False), ("fsync", True)]
+                assert events[i + 2].path == events[i].path.parent
+            expected += 1 + len(created)
+        assert sum(e.directory for e in events) == expected
+
+
+class TestManifestEncoding:
+    def test_documents_are_compact(self, tmp_path):
+        store, coords, _ = make_store(tmp_path / "ds")
+        store.read_points(coords)
+        store.close()
+        for name in ("manifest.json", "workload.json"):
+            blob = (tmp_path / "ds" / name).read_bytes()
+            assert b"\n" not in blob and b'": ' in blob
+            assert blob == encode_manifest(json.loads(blob))
+
+    def test_indented_documents_open_and_read_unchanged(self, tmp_path):
+        """Every store written before the compact encoding has indented
+        manifests and ledgers; they open, read and update unchanged."""
+        directory = tmp_path / "ds"
+        store, coords, values = make_store(directory)
+        store.write(coords[:5], values[:5] + 1.0)
+        store.read_points(coords)
+        store.close()
+        ledger = json.loads((directory / "workload.json").read_text())
+        for name in ("manifest.json", "workload.json"):
+            path = directory / name
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps(doc, indent=1) + "\n")
+
+        reopened = FragmentStore(directory, (32, 32), "LINEAR")
+        assert len(reopened.fragments) == 2
+        out = reopened.read_points(coords)
+        assert out.found.all()
+        expected = values.copy()
+        expected[:5] += 1.0
+        np.testing.assert_array_equal(out.values, expected)
+        for name, entry in ledger["fragments"].items():
+            assert reopened.workload_ledger.get(name).writes == entry["writes"]
+        reopened.compact()
+        reopened.close()
+        assert b"\n" not in (directory / "manifest.json").read_bytes()
+        again = FragmentStore(directory, (32, 32), "LINEAR")
+        np.testing.assert_array_equal(again.read_points(coords).values,
+                                      expected)
+
+    def test_indented_sharded_manifests_open_unchanged(self, tmp_path):
+        directory = tmp_path / "sh"
+        store = ShardedStore(directory, (32, 32), "LINEAR", n_shards=2)
+        rng = np.random.default_rng(1)
+        lin = rng.choice(32 * 32, size=40, replace=False)
+        coords = np.column_stack([lin // 32, lin % 32]).astype(np.uint64)
+        values = rng.random(40)
+        store.write(coords, values)
+        for path in [directory / "shards.json",
+                     *directory.glob("*/manifest.json")]:
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps(doc, indent=1))
+
+        reopened = ShardedStore(directory, (32, 32), "LINEAR", n_shards=2)
+        out = reopened.read_points(coords)
+        assert out.found.all()
+        np.testing.assert_array_equal(out.values, values)
 
 
 class TestRetryPolicy:

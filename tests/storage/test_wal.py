@@ -244,6 +244,53 @@ class TestStoreAppend:
         assert store.choices  # the advisor ran on the packed part
         assert store.read_points(c).found.all()
 
+    @pytest.mark.parametrize("fmt_name", ["LINEAR", "GCSR++"])
+    def test_large_chunks_match_newest_wins_oracle(self, tmp_path, fmt_name,
+                                                   packed_sort_calls):
+        """Chunks of 2 048 points with duplicates inside and across them:
+        packs and the compaction take the packed sort, and the store
+        agrees with a newest-wins dict at every step, WAL tail included."""
+        side = 256
+        rng = np.random.default_rng(2048)
+        store = FragmentStore(tmp_path / "ds", (side, side), fmt_name)
+        oracle: dict[int, float] = {}
+
+        def append():
+            lin = rng.integers(0, side * side, 2048)
+            values = rng.standard_normal(2048)
+            store.append(
+                np.column_stack([lin // side, lin % side]).astype(np.uint64),
+                values,
+            )
+            oracle.update(zip(lin.tolist(), values.tolist()))
+
+        def check():
+            cells = np.arange(side * side)
+            out = store.read_points(
+                np.column_stack([cells // side, cells % side])
+            )
+            present = np.array(sorted(oracle))
+            assert np.array_equal(np.flatnonzero(out.found), present)
+            expected = np.array([oracle[a] for a in present.tolist()])
+            assert np.array_equal(out.values, expected)
+            box = store.read_box(Box((0, 0), (side, side)))
+            lin = box.coords[:, 0] * side + box.coords[:, 1]
+            assert np.array_equal(lin, present)
+            assert np.array_equal(box.values, expected)
+
+        for _ in range(2):
+            for _ in range(3):
+                append()
+            store.pack_wal()
+        append()  # left in the WAL tail
+        check()
+        store.compact()
+        check()
+        store.pack_wal()
+        check()
+        assert len(store.fragments) == 2
+        assert packed_sort_calls, "no sort reached the packed kernel"
+
     def test_wal_overwrites_packed_fragment(self, tmp_path, rng, opts):
         c, v = chunk(rng, 40)
         store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR",
