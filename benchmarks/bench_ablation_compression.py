@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bench import render_table
-from repro.storage import CODECS, FragmentStore
+from repro.storage import CODECS, FragmentStore, StoreOptions
 
 from conftest import emit_report
 
@@ -30,7 +30,8 @@ def test_write_with_codec(benchmark, tmp_path_factory, tensor, fmt_name,
                           codec):
     def run():
         root = tmp_path_factory.mktemp("codec")
-        store = FragmentStore(root, tensor.shape, fmt_name, codec=codec)
+        store = FragmentStore(root, tensor.shape, fmt_name,
+                              options=StoreOptions(codec=codec))
         return store.write_tensor(tensor)
 
     receipt = benchmark.pedantic(run, rounds=2, iterations=1)
@@ -46,7 +47,7 @@ def test_report_compression(benchmark, tmp_path_factory, tensor):
             for codec in CODECS:
                 root = tmp_path_factory.mktemp("rep")
                 store = FragmentStore(root, tensor.shape, fmt_name,
-                                      codec=codec)
+                                      options=StoreOptions(codec=codec))
                 receipt = store.write_tensor(tensor)
                 sizes[codec] = receipt.file_nbytes
                 out = store.read_points(queries)

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.storage import FragmentStore
+from repro.storage import FragmentStore, ReadOptions, StoreOptions
 
 #: The PR-facing claim for the standalone run (warm/cold speedup floor).
 MIN_SPEEDUP = 2.0
@@ -67,9 +67,10 @@ def build_store(
 
 def _time_reads(store: FragmentStore, queries, *, parallel, repeats) -> float:
     best = float("inf")
+    options = ReadOptions(parallel=parallel)
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = store.read_points(queries, parallel=parallel)
+        out = store.read_points(queries, options=options)
         best = min(best, time.perf_counter() - t0)
         assert out.found.all()  # sanity: the bench reads stored points
     return best
@@ -93,9 +94,12 @@ def bench_parallel_read(
             tmp / "ds", n_fragments=n_fragments, points=points
         )
         queries = queries[order]
-        cold_store = FragmentStore(tmp / "ds", SHAPE, "LINEAR", cache_bytes=0)
+        cold_store = FragmentStore(
+            tmp / "ds", SHAPE, "LINEAR", options=StoreOptions(cache_bytes=0)
+        )
         warm_store = FragmentStore(
-            tmp / "ds", SHAPE, "LINEAR", cache_bytes=1 << 28
+            tmp / "ds", SHAPE, "LINEAR",
+            options=StoreOptions(cache_bytes=1 << 28),
         )
         cold = _time_reads(
             cold_store, queries, parallel="none", repeats=repeats

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.boundary import Box
-from repro.storage import FragmentStore
+from repro.storage import FragmentStore, StoreOptions
 
 #: The PR-facing claim for the standalone run (plan-on/off point floor).
 MIN_SPEEDUP = 3.0
@@ -127,17 +127,19 @@ def bench_planner(
         band = SHAPE[0] // n_fragments
         box = Box((band * (n_fragments // 2), 0), (band, SHAPE[1] // 4))
         configs = {
-            "off_eager": dict(planner=False, crc_mode="eager"),
-            "off_once": dict(planner=False, crc_mode="once"),
-            "on_eager": dict(planner=True, crc_mode="eager"),
-            "on_once": dict(planner=True, crc_mode="once"),
-            "on_lazy": dict(planner=True, crc_mode="once", lazy_load=True),
+            "off_eager": StoreOptions(planner=False, crc_mode="eager"),
+            "off_once": StoreOptions(planner=False, crc_mode="once"),
+            "on_eager": StoreOptions(planner=True, crc_mode="eager"),
+            "on_once": StoreOptions(planner=True, crc_mode="once"),
+            "on_lazy": StoreOptions(
+                planner=True, crc_mode="once", lazy_load=True
+            ),
         }
         result: dict[str, float] = {"fragments": float(n_fragments)}
         hit_counts = set()
         stores = {}
-        for name, kwargs in configs.items():
-            store = FragmentStore(tmp / "ds", SHAPE, "LINEAR", **kwargs)
+        for name, options in configs.items():
+            store = FragmentStore(tmp / "ds", SHAPE, "LINEAR", options=options)
             stores[name] = store
             t, hits = _time_points(store, queries, repeats=repeats)
             result[f"point_{name}"] = t

@@ -47,7 +47,7 @@ def main() -> None:
     root = Path(tempfile.mkdtemp(prefix="ingest-"))
     try:
         store = AdaptiveStore(root / "live", SHAPE, workload=BALANCED)
-        with StreamingWriter(store, flush_points=20_000) as writer:
+        with StreamingWriter(store, pack_points=20_000) as writer:
             for coords, values in event_stream(rng):
                 writer.append(coords, values)
         print(f"ingested {writer.points_written:,} points as "

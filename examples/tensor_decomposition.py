@@ -22,7 +22,7 @@ import numpy as np
 from repro import SparseTensor
 from repro.algebra import mttkrp_csf
 from repro.formats import get_format
-from repro.storage import FragmentStore
+from repro.storage import FragmentStore, StoreOptions
 
 SHAPE = (30, 40, 50)
 RANK = 3
@@ -75,7 +75,8 @@ def main() -> None:
 
     root = Path(tempfile.mkdtemp(prefix="cp-"))
     try:
-        store = FragmentStore(root, tensor.shape, "CSF", codec="zlib")
+        store = FragmentStore(root, tensor.shape, "CSF",
+                              options=StoreOptions(codec="zlib"))
         receipt = store.write_tensor(tensor)
         print(f"stored as CSF fragment: {receipt.file_nbytes:,} bytes "
               f"(zlib codec)")

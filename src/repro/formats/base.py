@@ -23,7 +23,6 @@ Two read paths exist deliberately (DESIGN.md §4):
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -53,18 +52,6 @@ from ..readapi import ReadOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..build.canonical import CanonicalCoords
-
-#: Deprecation shims warn once per process; tests reset this set to
-#: re-arm the warning deterministically.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
 
 @dataclass
 class BuildResult:
@@ -455,21 +442,6 @@ class EncodedTensor:
             fragments_visited=1,
             points_matched=matched,
         )
-
-    def read(self, query_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated alias of :meth:`read_points`.
-
-        Returns the legacy ``(found_mask, values_of_found)`` tuple; new code
-        should call :meth:`read_points` and use the richer
-        :class:`~repro.readapi.ReadOutcome`.
-        """
-        _warn_deprecated_once(
-            "EncodedTensor.read",
-            "EncodedTensor.read is deprecated; use read_points, which "
-            "returns a ReadOutcome",
-        )
-        out = self.read_points(query_coords)
-        return out.found, out.values
 
     def decode(self) -> SparseTensor:
         """Reconstruct the original tensor (point order may differ)."""

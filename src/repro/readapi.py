@@ -15,7 +15,6 @@ same two methods:
 
 Code written against :class:`Readable` works unchanged whether the data
 lives in memory, in one fragment directory, or sharded over blocks.
-``EncodedTensor.read`` survives as a deprecated alias of ``read_points``.
 Generation-pinned store views (:class:`~repro.storage.store.
 StoreSnapshot`, :class:`~repro.storage.sharded.ShardedSnapshot` — see
 ``docs/WAL_SNAPSHOTS.md``) answer the same two methods, so query code
@@ -24,13 +23,13 @@ is equally agnostic to whether it reads the live store or a snapshot.
 The storage-backed implementations (:class:`~repro.storage.store.
 FragmentStore`, :class:`~repro.storage.adaptive.AdaptiveStore`,
 :class:`~repro.storage.blocks.BlockedDataset`,
-:class:`~repro.storage.sharded.ShardedStore`) additionally share one
-keyword-only *tuning surface* on both methods — a single
-``options=``\\ :class:`~repro.storage.options.ReadOptions` value, plus
-the pre-consolidation keywords ``faithful``, ``check_crc``, ``parallel``
-(``"none"`` | ``"thread"``), and ``max_workers`` as warn-once
-deprecation shims — so per-call read tuning is portable across every
-store kind (see ``docs/READ_PATH.md`` and ``docs/API_GUIDE.md``).
+:class:`~repro.storage.sharded.ShardedStore` and both snapshot views)
+additionally share one keyword-only *tuning surface* on both methods —
+a single ``options=``\\ :class:`~repro.storage.options.ReadOptions`
+value (``faithful``, ``check_crc``, ``parallel`` = ``"none"`` |
+``"thread"``, ``max_workers``) — so per-call read tuning is portable
+across every store kind (see ``docs/READ_PATH.md`` and
+``docs/API_GUIDE.md``).
 In-memory encodings ignore storage tuning by construction: there is
 nothing to cache or fan out.
 """
@@ -48,12 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The keyword-only per-call tuning parameters every storage-backed
 #: ``Readable`` accepts on ``read_points`` and ``read_box`` (snapshot
-#: tested in ``tests/test_public_api.py``).  ``options`` is the
-#: consolidated :class:`~repro.storage.options.ReadOptions` spelling; the
-#: rest are its warn-once deprecated keyword shims.
-STORE_READ_TUNING = (
-    "options", "faithful", "check_crc", "parallel", "max_workers"
-)
+#: tested in ``tests/test_public_api.py``): the one
+#: :class:`~repro.storage.options.ReadOptions` value.
+STORE_READ_TUNING = ("options",)
 
 
 @dataclass

@@ -38,10 +38,9 @@ from ..formats.base import SparseFormat
 from ..formats.registry import PAPER_FORMATS, get_format, resolve_format
 from ..obs import counter_add, gauge_set
 from ..patterns.stats import characterize
-from .durability import RetryPolicy
 from .fragment import FragmentInfo
 from .migrate import MigrationDecision, MigrationPolicy, plan_migrations
-from .options import UNSET, StoreOptions, resolve_store_options
+from .options import StoreOptions
 from .store import FragmentStore, WriteReceipt
 
 #: With ``migrate="auto"``, re-examine the store after this many reads
@@ -56,11 +55,11 @@ class AdaptiveStore(FragmentStore):
 
     ``candidates`` accepts registry names or
     :class:`~repro.formats.base.SparseFormat` instances; tuning arrives
-    as one :class:`~repro.storage.options.StoreOptions` value (the bare
-    keywords are warn-once deprecation shims).  ``policy`` tunes the
-    migration thresholds (:class:`~repro.storage.migrate.
-    MigrationPolicy`); it only matters when ``StoreOptions.migrate`` is
-    not ``"off"`` or :meth:`migrate_fragments` is called explicitly.
+    as one :class:`~repro.storage.options.StoreOptions` value.
+    ``policy`` tunes the migration thresholds (:class:`~repro.storage.
+    migrate.MigrationPolicy`); it only matters when
+    ``StoreOptions.migrate`` is not ``"off"`` or
+    :meth:`migrate_fragments` is called explicitly.
     """
 
     def __init__(
@@ -72,32 +71,11 @@ class AdaptiveStore(FragmentStore):
         candidates: Sequence[str | SparseFormat] = PAPER_FORMATS,
         policy: MigrationPolicy | None = None,
         options: StoreOptions | None = None,
-        relative_coords: bool = UNSET,
-        fsync: bool = UNSET,
-        codec: str | None = UNSET,
-        on_corruption: str = UNSET,
-        retry: RetryPolicy | None = UNSET,
-        cache_bytes: int = UNSET,
-        planner: bool = UNSET,
-        crc_mode: str = UNSET,
-        lazy_load: bool = UNSET,
     ):
         candidates = tuple(resolve_format(c).name for c in candidates)
-        opts = resolve_store_options(
-            options,
-            relative_coords=relative_coords,
-            fsync=fsync,
-            codec=codec,
-            on_corruption=on_corruption,
-            retry=retry,
-            cache_bytes=cache_bytes,
-            planner=planner,
-            crc_mode=crc_mode,
-            lazy_load=lazy_load,
-        )
         # The parent needs *a* format for bookkeeping; the per-write pick
         # overrides it before each fragment is built.
-        super().__init__(directory, shape, candidates[0], options=opts)
+        super().__init__(directory, shape, candidates[0], options=options)
         self.workload = workload
         self.candidates = tuple(candidates)
         self.policy = policy or MigrationPolicy()
@@ -241,44 +219,14 @@ class AdaptiveStore(FragmentStore):
             self._maybe_migrate()
         return receipt
 
-    def read_points(
-        self,
-        query_coords,
-        *,
-        options=None,
-        faithful=UNSET,
-        check_crc=UNSET,
-        parallel=UNSET,
-        max_workers=UNSET,
-    ):
-        out = super().read_points(
-            query_coords,
-            options=options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
+    # The read overrides exist only to run the migration hook after
+    # each read.
+    def read_points(self, query_coords, *, options=None):
+        out = super().read_points(query_coords, options=options)
         self._maybe_migrate_after_read()
         return out
 
-    def read_box(
-        self,
-        box,
-        *,
-        options=None,
-        faithful=UNSET,
-        check_crc=UNSET,
-        parallel=UNSET,
-        max_workers=UNSET,
-    ):
-        out = super().read_box(
-            box,
-            options=options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
+    def read_box(self, box, *, options=None):
+        out = super().read_box(box, options=options)
         self._maybe_migrate_after_read()
         return out

@@ -24,13 +24,7 @@ from ..core.dtypes import INDEX_DTYPE, as_index_array, cell_count
 from ..core.errors import ShapeError
 from ..core.sorting import stable_argsort
 from ..core.tensor import SparseTensor
-from .options import (
-    UNSET,
-    ReadOptions,
-    StoreOptions,
-    resolve_read_options,
-    resolve_store_options,
-)
+from .options import ReadOptions, StoreOptions
 from .store import FragmentStore, ReadOutcome
 
 
@@ -136,12 +130,6 @@ class BlockedDataset:
         format_name,
         *,
         options: StoreOptions | None = None,
-        on_corruption: str = UNSET,
-        retry=UNSET,
-        cache_bytes: int = UNSET,
-        planner: bool = UNSET,
-        crc_mode: str = UNSET,
-        lazy_load: bool = UNSET,
     ):
         self.shape = tuple(int(m) for m in shape)
         self.block_shape = tuple(int(b) for b in block_shape)
@@ -151,22 +139,13 @@ class BlockedDataset:
         from ..core.dtypes import check_linearizable
 
         check_linearizable(self.block_shape)
-        opts = resolve_store_options(
-            options,
-            on_corruption=on_corruption,
-            retry=retry,
-            cache_bytes=cache_bytes,
-            planner=planner,
-            crc_mode=crc_mode,
-            lazy_load=lazy_load,
-        )
         # Block-local coordinates are the whole point of this class — force
         # the flag regardless of what the caller's options say.
         self.store = FragmentStore(
             directory,
             self.shape,
             format_name,
-            options=opts.replace(relative_coords=True),
+            options=(options or StoreOptions()).replace(relative_coords=True),
         )
 
     def write(self, coords: np.ndarray, values: np.ndarray) -> BlockWriteSummary:
@@ -202,37 +181,21 @@ class BlockedDataset:
         query_coords: np.ndarray,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> ReadOutcome:
         """Point queries routed through per-block fragments.
 
-        Accepts the full unified :class:`~repro.readapi.Readable` tuning
-        surface as one :class:`~repro.storage.options.ReadOptions` value
-        (the bare keywords are warn-once deprecation shims) and forwards
-        it to the underlying store, so per-call tuning behaves identically
-        whether the dataset is blocked or not.
+        Accepts the unified :class:`~repro.readapi.Readable` tuning
+        surface, one :class:`~repro.storage.options.ReadOptions` value,
+        and forwards it to the underlying store, so per-call tuning
+        behaves identically whether the dataset is blocked or not.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        return self.store.read_points(query_coords, options=ropts)
+        return self.store.read_points(query_coords, options=options)
 
     def read_box(
         self,
         box: Box,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> SparseTensor:
         """Region read merged across blocks, sorted by linear address.
 
@@ -242,14 +205,7 @@ class BlockedDataset:
         the blocked case this class exists for.  Per-call tuning forwards
         to the store, exactly as in :meth:`read_points`.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-        return self.store.read_box(box, options=ropts)
+        return self.store.read_box(box, options=options)
 
     def explain(self, query):
         """The underlying store's :class:`~repro.storage.planner.QueryPlan`

@@ -149,6 +149,17 @@ def encode_manifest(doc: Any) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def peek_manifest(path: str | os.PathLike) -> dict:
+    """The JSON document committed at ``path``, or ``{}`` when it is
+    missing or unreadable — what a store consults before it opens, to
+    adopt the settings an existing directory was created with."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return {}
+    return doc if isinstance(doc, dict) else {}
+
+
 def fsync_directory(path: str | os.PathLike) -> None:
     """fsync a directory, making the entries renamed or created in it
     durable (fault op: ``"fsync"`` on the directory path)."""

@@ -26,17 +26,13 @@ rather than on the first degraded read.  Use :func:`dataclasses.replace`
     store = FragmentStore(path, shape, "LINEAR", options=opts)
     lazy = opts.replace(lazy_load=True)
 
-The pre-existing keywords survive as **warn-once deprecation shims**:
-passing ``FragmentStore(..., cache_bytes=1024)`` still works, emits one
-:class:`DeprecationWarning` per keyword per process, and overrides the
-corresponding ``options`` field.  See ``docs/API_GUIDE.md`` for the
-migration table.
+``options=`` is the only way to pass these settings;
+``docs/API_GUIDE.md`` §3 lists the bare keywords it replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -67,35 +63,6 @@ MIGRATE_POLICIES = ("off", "compact", "auto")
 #: ``None`` adopts the order recorded in an existing manifest and
 #: defaults to ``"row_major"`` for fresh stores.
 ADDR_ORDER_SETTINGS = ("row_major", "alto", "auto")
-
-
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from an explicit value."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNSET = _Unset()
-
-#: Deprecated keywords already warned about this process (warn once each).
-_WARNED: set[str] = set()
-
-
-def _warn_legacy(keyword: str, options_cls: str) -> None:
-    if keyword in _WARNED:
-        return
-    _WARNED.add(keyword)
-    warnings.warn(
-        f"the {keyword!r} keyword is deprecated; pass "
-        f"options={options_cls}({keyword}=...) instead "
-        "(see docs/API_GUIDE.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 @dataclass(frozen=True)
@@ -257,38 +224,3 @@ class ReadOptions:
         """A copy with ``changes`` applied (:func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
-
-def resolve_store_options(
-    options: StoreOptions | None, **legacy: Any
-) -> StoreOptions:
-    """Merge legacy keyword values into ``options`` (shim entry point).
-
-    ``legacy`` maps field names to either :data:`UNSET` (keyword not
-    passed — the ``options`` value wins) or an explicit value (deprecated
-    spelling — warn once per keyword per process, then override).
-    Internal callers forward pre-built options and leave every legacy
-    keyword unset, so they never pay a warning.
-    """
-    base = options if options is not None else StoreOptions()
-    overrides = {}
-    for key, value in legacy.items():
-        if isinstance(value, _Unset):
-            continue
-        _warn_legacy(key, "StoreOptions")
-        overrides[key] = value
-    return base.replace(**overrides) if overrides else base
-
-
-def resolve_read_options(
-    options: ReadOptions | None, **legacy: Any
-) -> ReadOptions:
-    """Merge legacy read keywords into ``options`` — see
-    :func:`resolve_store_options`."""
-    base = options if options is not None else ReadOptions()
-    overrides = {}
-    for key, value in legacy.items():
-        if isinstance(value, _Unset):
-            continue
-        _warn_legacy(key, "ReadOptions")
-        overrides[key] = value
-    return base.replace(**overrides) if overrides else base

@@ -64,7 +64,7 @@ from ..core.tensor import SparseTensor
 from ..formats.base import BoxHits
 from ..obs import counter_add, gauge_set
 
-#: Read-side parallelism modes (``read_points(parallel=...)``).
+#: Read-side parallelism modes (``ReadOptions(parallel=...)``).
 PARALLEL_MODES = ("none", "thread")
 
 #: Upper bound on the shared read pool (per process).

@@ -26,7 +26,7 @@ sliced through one ``memoryview``, so handing in a mapped file decodes
 ``codec="raw"`` buffers *zero-copy*: the payload arrays alias the mapping
 and no whole-file byte copy is ever materialized (``bytes`` slicing would
 copy each section).  This is the substrate of the store's lazy read path
-(``FragmentStore(lazy_load=True)``, see ``docs/QUERY_PLANNER.md``).
+(``StoreOptions(lazy_load=True)``, see ``docs/QUERY_PLANNER.md``).
 
 A trailing CRC-32 guards against truncation and bit rot; failure raises
 :class:`~repro.core.errors.ChecksumError` (a

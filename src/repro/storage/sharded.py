@@ -87,19 +87,13 @@ from .durability import (
     TMP_SUFFIX,
     FsckIssue,
     FsckReport,
-    RetryPolicy,
     clean_temp_files,
     encode_manifest,
     fsck as _fsck_store,
+    peek_manifest,
     write_bytes_atomic,
 )
-from .options import (
-    UNSET,
-    ReadOptions,
-    StoreOptions,
-    resolve_read_options,
-    resolve_store_options,
-)
+from .options import ReadOptions, StoreOptions
 from .fragment import FragmentInfo
 from .planner import QueryKeys, QueryPlan, QueryPlanner, ZoneMap
 from .readpath import RWLock, merge_box_hits
@@ -215,9 +209,10 @@ class ShardedStore:
     creation; reopening an existing sharded directory adopts the
     committed band table (``n_shards`` is ignored).  All construction
     tuning arrives as one :class:`~repro.storage.options.StoreOptions`
-    (the bare keywords are warn-once deprecation shims) and is applied
-    to every child store; reads take the matching
-    :class:`~repro.storage.options.ReadOptions`.
+    and is applied to every child store; reads take the matching
+    :class:`~repro.storage.options.ReadOptions`.  ``None`` settings
+    (``codec``, ``addr_order``) adopt what the parent manifest recorded,
+    as :class:`~repro.storage.store.FragmentStore` does with its own.
 
     ``split_nnz`` / ``merge_nnz`` arm automatic re-banding: after each
     routed write, any shard whose nnz exceeds ``split_nnz`` is split at
@@ -236,28 +231,8 @@ class ShardedStore:
         split_nnz: int | None = None,
         merge_nnz: int | None = None,
         options: StoreOptions | None = None,
-        relative_coords: bool = UNSET,
-        fsync: bool = UNSET,
-        codec: str | None = UNSET,
-        on_corruption: str = UNSET,
-        retry: RetryPolicy | None = UNSET,
-        cache_bytes: int = UNSET,
-        planner: bool = UNSET,
-        crc_mode: str = UNSET,
-        lazy_load: bool = UNSET,
     ):
-        opts = resolve_store_options(
-            options,
-            relative_coords=relative_coords,
-            fsync=fsync,
-            codec=codec,
-            on_corruption=on_corruption,
-            retry=retry,
-            cache_bytes=cache_bytes,
-            planner=planner,
-            crc_mode=crc_mode,
-            lazy_load=lazy_load,
-        )
+        opts = options or StoreOptions()
         self.directory = Path(directory)
         self.shape = tuple(int(m) for m in shape)
         if not fits_index_dtype(self.shape):
@@ -272,6 +247,12 @@ class ShardedStore:
             )
         self.fmt = resolve_format(format_name)
         self.format_name = self.fmt.name
+        persisted = peek_manifest(self._manifest_path())
+        # ``codec=None`` adopts the committed codec, so a reopened store
+        # keeps writing (and re-recording) the codec it was created with;
+        # a fresh store records ``null`` and its children default to raw.
+        if opts.codec is None and persisted.get("codec"):
+            opts = opts.replace(codec=persisted["codec"])
         self.options = opts
         self.use_planner = bool(opts.planner)
         if int(n_shards) < 1:
@@ -286,14 +267,14 @@ class ShardedStore:
         # ``None``/``"auto"`` adopt the committed order (row-major for
         # new and legacy stores); an explicit order is honored on
         # creation and must match the manifest on reopen.
-        persisted = self._peek_addr_order(Path(directory))
+        committed = persisted.get("addr_order") or DEFAULT_ADDRESS_ORDER
         if opts.addr_order in (None, "auto"):
-            resolved_order = persisted or DEFAULT_ADDRESS_ORDER
+            resolved_order = committed
         else:
             resolved_order = validate_addr_order(opts.addr_order)
-            if persisted is not None and resolved_order != persisted:
+            if persisted and resolved_order != committed:
                 raise ManifestError(
-                    f"sharded store bands are cut in {persisted!r} address "
+                    f"sharded store bands are cut in {committed!r} address "
                     f"space; cannot reopen with addr_order="
                     f"{resolved_order!r} (re-banding is not supported — "
                     "create a new store and copy the data)"
@@ -332,21 +313,6 @@ class ShardedStore:
 
     def _manifest_path(self) -> Path:
         return self.directory / SHARD_MANIFEST_NAME
-
-    @staticmethod
-    def _peek_addr_order(directory: Path) -> str | None:
-        """The committed address order, or ``None`` when no parent
-        manifest exists yet (legacy manifests without the key read as
-        row-major — their bands were cut in that space)."""
-        try:
-            doc = json.loads(
-                (Path(directory) / SHARD_MANIFEST_NAME).read_text()
-            )
-        except (OSError, json.JSONDecodeError, ValueError):
-            return None
-        if not isinstance(doc, dict):
-            return None
-        return str(doc.get("addr_order") or DEFAULT_ADDRESS_ORDER)
 
     @property
     def generation(self) -> int:
@@ -793,10 +759,6 @@ class ShardedStore:
         query_coords: np.ndarray,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> ReadOutcome:
         """Point reads, routed: each query point belongs to exactly one
         band, so per-shard sub-queries merge back disjointly.
@@ -806,13 +768,7 @@ class ShardedStore:
         reorders fragments within a shard, and bands are disjoint so no
         cross-shard duplicate can exist.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
+        ropts = options or ReadOptions()
         keys = QueryKeys.for_points(self.shape, query_coords)
         with self._rw.read_locked():
             with span("store.shard.read_points",
@@ -834,20 +790,10 @@ class ShardedStore:
         box: Box,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> SparseTensor:
         """Box reads fanned across the surviving shards and merged by
         :func:`route_box` (bands are disjoint: no cross-shard dedup)."""
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
+        ropts = options or ReadOptions()
         keys = QueryKeys(self.shape, box=box)
         with self._rw.read_locked():
             with span("store.shard.read_box", format=self.format_name):
@@ -1250,23 +1196,21 @@ class ShardedSnapshot:
         self.close()
 
     def read_points(
-        self, query_coords: np.ndarray, *, options: ReadOptions | None = None,
-        **legacy,
+        self, query_coords: np.ndarray, *, options: ReadOptions | None = None
     ) -> ReadOutcome:
         """Routed point reads against the pinned per-band views."""
         return route_points(
             QueryKeys.for_points(self.shape, query_coords), self.addr_order,
-            self._entries, self._children,
-            resolve_read_options(options, **legacy),
+            self._entries, self._children, options or ReadOptions(),
         )
 
     def read_box(
-        self, box: Box, *, options: ReadOptions | None = None, **legacy
+        self, box: Box, *, options: ReadOptions | None = None
     ) -> SparseTensor:
         """Box reads fanned across the pinned per-band views."""
         return route_box(
             QueryKeys(self.shape, box=box), self._children,
-            resolve_read_options(options, **legacy),
+            options or ReadOptions(),
         )
 
 

@@ -22,25 +22,27 @@ gracefully under the ``on_corruption`` policy (``"raise"`` / ``"skip"`` /
 ``"quarantine"``) with bounded retries for transient I/O errors.
 
 Read pipeline (see :mod:`repro.storage.readpath` and ``docs/READ_PATH.md``):
-``read_points`` / ``read_box`` accept ``parallel="thread"`` to fan the
-per-fragment load + decode + query out over a shared bounded thread pool
-(merge order and corruption semantics identical to the sequential path),
-and ``cache_bytes`` enables a bytes-bounded LRU of decoded fragments that
-is invalidated on every manifest generation change.  One store is safe
-under mixed concurrent read/write/compact traffic: mutations take the
-store's writer lock, reads share the reader side.
+``read_points`` / ``read_box`` take ``ReadOptions(parallel="thread")`` to
+fan the per-fragment load + decode + query out over a shared bounded
+thread pool (merge order and corruption semantics identical to the
+sequential path), and ``StoreOptions.cache_bytes`` enables a
+bytes-bounded LRU of decoded fragments that is invalidated on every
+manifest generation change.  One store is safe under mixed concurrent
+read/write/compact traffic: mutations take the store's writer lock,
+reads share the reader side.
 
 Query planning (see :mod:`repro.storage.planner` and
 ``docs/QUERY_PLANNER.md``): every read first builds a :class:`QueryPlan`
 — interval-index bbox pruning plus zone-map linear-address pruning over
 the manifest metadata — and only the plan's survivors are loaded.  The
 plan is computed once per query and shared by the sequential and parallel
-fan-outs.  ``planner=False`` restores the seed's linear ``bbox`` scan
-(results are byte-identical either way), ``lazy_load=True`` maps fragment
-files zero-copy instead of copying them, and ``crc_mode="once"`` memoizes
-the whole-file CRC per (fragment, generation) so repeated reads skip the
-re-hash.  ``FragmentStore.explain(query)`` returns the plan a read would
-use without executing it.
+fan-outs.  ``StoreOptions(planner=False)`` restores the seed's linear
+``bbox`` scan (results are byte-identical either way), ``lazy_load=True``
+maps fragment files zero-copy instead of copying them, and
+``crc_mode="once"`` memoizes the whole-file CRC per (fragment,
+generation) so repeated reads skip the re-hash.
+``FragmentStore.explain(query)`` returns the plan a read would use
+without executing it.
 
 Streaming ingest (see :mod:`repro.storage.wal` and
 ``docs/WAL_SNAPSHOTS.md``): :meth:`FragmentStore.append` skips the full
@@ -96,12 +98,12 @@ from .durability import (
 )
 from .durability import (
     FsckReport,
-    RetryPolicy,
     clean_temp_files,
     encode_manifest,
     file_crc,
     fragment_file_crc,
     fsck as _fsck,
+    peek_manifest,
     quarantine_file,
     remove_file,
     write_bytes_atomic,
@@ -119,11 +121,8 @@ from .fragment import (
 from .options import (
     CORRUPTION_POLICIES,
     CRC_MODES,
-    UNSET,
     ReadOptions,
     StoreOptions,
-    resolve_read_options,
-    resolve_store_options,
 )
 from .planner import (
     QueryKeys,
@@ -173,11 +172,7 @@ class FragmentStore:
     ``format_name`` accepts either a registry name (``"LINEAR"``) or a
     :class:`~repro.formats.base.SparseFormat` instance.  All tuning is
     consolidated in one :class:`~repro.storage.options.StoreOptions`
-    value passed as ``options=``; the pre-existing keywords
-    (``relative_coords``, ``fsync``, ``codec``, ``on_corruption``,
-    ``retry``, ``cache_bytes``, ``planner``, ``crc_mode``,
-    ``lazy_load``) survive as warn-once deprecation shims that override
-    the corresponding options field.
+    value passed as ``options=``.
 
     ``on_corruption`` controls what the read side does with a fragment that
     fails its checksum (or is unreadable after retries): ``"raise"`` (the
@@ -192,9 +187,9 @@ class FragmentStore:
     ``cache_bytes`` (default 0 = off) bounds the decoded-fragment LRU
     (:attr:`cache`, see :class:`~repro.storage.readpath.FragmentCache`)
     that serves repeated reads without touching disk; it is invalidated on
-    every committed mutation.  ``read_points`` / ``read_box`` additionally
-    accept ``parallel="thread"`` + ``max_workers`` to fan the per-fragment
-    work out over the shared read pool.
+    every committed mutation.  ``read_points`` / ``read_box`` take
+    ``ReadOptions(parallel="thread", max_workers=...)`` to fan the
+    per-fragment work out over the shared read pool.
 
     ``planner`` (default on) routes every read through the query planner
     (interval-index + zone-map pruning, see
@@ -212,30 +207,10 @@ class FragmentStore:
         format_name: str | SparseFormat,
         *,
         options: StoreOptions | None = None,
-        relative_coords: bool = UNSET,
-        fsync: bool = UNSET,
-        codec: str | None = UNSET,
-        on_corruption: str = UNSET,
-        retry: RetryPolicy | None = UNSET,
-        cache_bytes: int = UNSET,
-        planner: bool = UNSET,
-        crc_mode: str = UNSET,
-        lazy_load: bool = UNSET,
     ):
         from .compression import validate_codec
 
-        opts = resolve_store_options(
-            options,
-            relative_coords=relative_coords,
-            fsync=fsync,
-            codec=codec,
-            on_corruption=on_corruption,
-            retry=retry,
-            cache_bytes=cache_bytes,
-            planner=planner,
-            crc_mode=crc_mode,
-            lazy_load=lazy_load,
-        )
+        opts = options or StoreOptions()
         self.directory = Path(directory)
         self.shape = tuple(int(m) for m in shape)
         self.fmt = resolve_format(format_name)
@@ -245,9 +220,10 @@ class FragmentStore:
         # ``codec=None`` adopts the codec recorded in an existing manifest
         # (so reopening a store — and then compacting it — keeps writing
         # with the codec it was created with); fresh stores default to raw.
+        persisted = peek_manifest(self.directory / _MANIFEST)
         resolved_codec = opts.codec
         if resolved_codec is None:
-            resolved_codec = self._peek_manifest_codec(self.directory) or "raw"
+            resolved_codec = persisted.get("codec") or "raw"
         self.codec = validate_codec(resolved_codec)
         # The address order resolves like the codec: ``None`` (and the
         # workload-driven ``"auto"`` policy) adopts the order persisted
@@ -256,8 +232,7 @@ class FragmentStore:
         self._addr_auto = opts.addr_order == "auto"
         if opts.addr_order in (None, "auto"):
             resolved_order = (
-                self._peek_manifest_addr_order(self.directory)
-                or DEFAULT_ADDRESS_ORDER
+                persisted.get("addr_order") or DEFAULT_ADDRESS_ORDER
             )
         else:
             resolved_order = opts.addr_order
@@ -356,27 +331,6 @@ class FragmentStore:
 
     def _manifest_path(self) -> Path:
         return self.directory / _MANIFEST
-
-    @staticmethod
-    def _peek_manifest_codec(directory: Path) -> str | None:
-        """Codec recorded in the directory's manifest, if one exists."""
-        try:
-            return json.loads((directory / _MANIFEST).read_text()).get("codec")
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    @staticmethod
-    def _peek_manifest_addr_order(directory: Path) -> str | None:
-        """Address order recorded in the directory's manifest, if any.
-
-        Manifests written before address orders existed carry no
-        ``addr_order`` key — they load as ``None`` (row-major)."""
-        try:
-            return json.loads(
-                (directory / _MANIFEST).read_text()
-            ).get("addr_order")
-        except (OSError, json.JSONDecodeError):
-            return None
 
     @property
     def generation(self) -> int:
@@ -1463,10 +1417,6 @@ class FragmentStore:
         query_coords: np.ndarray,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> ReadOutcome:
         """Algorithm 3 READ for an explicit query coordinate buffer.
 
@@ -1477,22 +1427,14 @@ class FragmentStore:
         are not-found.
 
         Tuning arrives as one :class:`~repro.storage.options.ReadOptions`
-        value (the bare keywords are warn-once deprecation shims).
-        ``parallel="thread"`` fans the per-fragment load + decode + query
-        out over the shared read pool (``max_workers`` bounds this call's
-        fan-out); the merge stays in fragment order, so results — including
-        newest-wins duplicate handling and the ``on_corruption`` behavior —
-        are identical to the sequential path.
+        value.  ``parallel="thread"`` fans the per-fragment load + decode +
+        query out over the shared read pool (``max_workers`` bounds this
+        call's fan-out); the merge stays in fragment order, so results —
+        including newest-wins duplicate handling and the ``on_corruption``
+        behavior — are identical to the sequential path.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
         keys = QueryKeys.for_points(self.shape, query_coords)
-        return self._read_point_keys(keys, ropts)
+        return self._read_point_keys(keys, options or ReadOptions())
 
     def _read_point_keys(
         self, keys: QueryKeys, ropts: ReadOptions
@@ -1743,9 +1685,65 @@ class FragmentStore:
             )
         if strategy == "merge" and not fits_index_dtype(self.shape):
             strategy = "decode"  # no global linear addresses to merge on
-        if strategy == "merge":
-            return self._compact_merge_locked()
-        return self._compact_decode_locked()
+        with span("store.compact", format=self.format_name) as sp:
+            n_before = len(self._fragments)
+            order = self._merge_order()
+            # "merge" extracts each fragment as a sorted address run;
+            # "decode" (the byte-identity reference) decodes it whole.
+            parts: list = []
+            merged_from: list[FragmentInfo] = []
+            for frag in list(self._fragments):
+                payload = self._load_fragment_guarded(frag)
+                if payload is None:
+                    continue
+                if strategy == "merge":
+                    parts.append(
+                        self._fragment_sorted_run(frag, payload, order=order)
+                    )
+                else:
+                    parts.append(self._payload_to_tensor(frag, payload))
+                merged_from.append(frag)
+            if not parts:
+                raise FragmentError(
+                    "nothing to compact: no readable fragments survive"
+                )
+            if strategy == "merge":
+                merged = merge_sorted_runs(parts, self.shape, addr_order=order)
+                receipt = self.write_canonical(
+                    merged.canonical,
+                    merged.values,
+                    bbox=self._union_bbox(merged_from),
+                )
+                nnz = merged.canonical.n
+            else:
+                coords = np.vstack([p.coords for p in parts])
+                values = np.concatenate([p.values for p in parts])
+                merged = SparseTensor(self.shape, coords, values).deduplicated(
+                    keep="last"
+                )
+                receipt = self.write(merged.coords, merged.values)
+                nnz = merged.nnz
+            # The merged fragment took the next unused sequence number, so
+            # its name cannot collide; quarantined fragments are already
+            # off the list.
+            with self._state_lock:
+                self._fragments = [receipt.info]
+                doomed = self._retire_locked(merged_from)
+            self._save_manifest()
+            # Manifest-then-delete: the de-listing is committed, so a
+            # crash here only leaves unreferenced (fsck-visible) files.
+            for frag in doomed:
+                try:
+                    remove_file(frag.path)
+                except OSError:
+                    pass
+            sp.add_nnz(nnz)
+        self.workload_ledger.merge_into(
+            [f.path.name for f in merged_from], receipt.info.path.name
+        )
+        counter_add("store.fragments_compacted", n_before)
+        self._save_workload_ledger()
+        return receipt
 
     def _merge_order(self) -> str:
         """The address order compaction/conversion runs merge in.
@@ -1829,92 +1827,6 @@ class FragmentStore:
         origin = tuple(min(b.origin[i] for b in boxes) for i in range(d))
         end = tuple(max(b.end[i] for b in boxes) for i in range(d))
         return Box(origin, tuple(e - o for o, e in zip(origin, end)))
-
-    def _compact_merge_locked(self) -> WriteReceipt:
-        with span("store.compact", format=self.format_name) as sp:
-            n_before = len(self._fragments)
-            old = list(self._fragments)
-            order = self._merge_order()
-            runs: list[SortedRun] = []
-            merged_from: list[FragmentInfo] = []
-            for frag in old:
-                payload = self._load_fragment_guarded(frag)
-                if payload is None:
-                    continue
-                runs.append(
-                    self._fragment_sorted_run(frag, payload, order=order)
-                )
-                merged_from.append(frag)
-            if not runs:
-                raise FragmentError(
-                    "nothing to compact: no readable fragments survive"
-                )
-            merged = merge_sorted_runs(runs, self.shape, addr_order=order)
-            receipt = self.write_canonical(
-                merged.canonical,
-                merged.values,
-                bbox=self._union_bbox(merged_from),
-            )
-            with self._state_lock:
-                self._fragments = [receipt.info]
-                doomed = self._retire_locked(merged_from)
-            self._save_manifest()
-            # Manifest-then-delete: the de-listing is committed, so a
-            # crash here only leaves unreferenced (fsck-visible) files.
-            for frag in doomed:
-                try:
-                    remove_file(frag.path)
-                except OSError:
-                    pass
-            sp.add_nnz(merged.canonical.n)
-        self.workload_ledger.merge_into(
-            [f.path.name for f in merged_from], receipt.info.path.name
-        )
-        counter_add("store.fragments_compacted", n_before)
-        self._save_workload_ledger()
-        return receipt
-
-    def _compact_decode_locked(self) -> WriteReceipt:
-        with span("store.compact", format=self.format_name) as sp:
-            n_before = len(self._fragments)
-            old = list(self._fragments)
-            parts: list[SparseTensor] = []
-            merged_from: list[FragmentInfo] = []
-            for frag in old:
-                payload = self._load_fragment_guarded(frag)
-                if payload is None:
-                    continue
-                parts.append(self._payload_to_tensor(frag, payload))
-                merged_from.append(frag)
-            if not parts:
-                raise FragmentError(
-                    "nothing to compact: no readable fragments survive"
-                )
-            coords = np.vstack([p.coords for p in parts])
-            values = np.concatenate([p.values for p in parts])
-            merged = SparseTensor(self.shape, coords, values).deduplicated(
-                keep="last"
-            )
-            # Write the merged fragment under the next unused sequence number
-            # (so the name cannot collide), then drop and delete the old
-            # fragments.  Quarantined fragments are already off the list.
-            receipt = self.write(merged.coords, merged.values)
-            with self._state_lock:
-                self._fragments = [receipt.info]
-                doomed = self._retire_locked(merged_from)
-            self._save_manifest()
-            for frag in doomed:
-                try:
-                    remove_file(frag.path)
-                except OSError:
-                    pass
-            sp.add_nnz(merged.nnz)
-        self.workload_ledger.merge_into(
-            [f.path.name for f in merged_from], receipt.info.path.name
-        )
-        counter_add("store.fragments_compacted", n_before)
-        self._save_workload_ledger()
-        return receipt
 
     def migrate_fragment(
         self, index: int, format_name: str | SparseFormat
@@ -2205,10 +2117,6 @@ class FragmentStore:
         box: Box,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> SparseTensor:
         """Read every stored point inside ``box``, merged and sorted by
         linear address (Algorithm 3 line 12).
@@ -2217,20 +2125,15 @@ class FragmentStore:
         reach, never with box volume.  Later fragments win on duplicate
         coordinates.  Shapes whose global cell count overflows uint64
         (blocked datasets) are merged in lexicographic coordinate order
-        instead — same point set, overflow-safe ordering.  ``faithful``
-        is accepted for signature compatibility; box reads are always
-        structural.  ``parallel="thread"`` fans the per-fragment load +
-        probe out over the shared read pool; the merge is unchanged.
+        instead — same point set, overflow-safe ordering.  Box reads are
+        always structural, so ``ReadOptions.faithful`` has no effect
+        here.  ``parallel="thread"`` fans the per-fragment load + probe
+        out over the shared read pool; the merge is unchanged.
         """
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
         keys = QueryKeys(self.shape, box=box)
-        return merge_box_hits(self.shape, self._box_hits(keys, ropts))
+        return merge_box_hits(
+            self.shape, self._box_hits(keys, options or ReadOptions())
+        )
 
     def _box_hits(self, keys: QueryKeys, ropts: ReadOptions) -> list:
         """:meth:`read_box` up to its merge (the band router's entry:
@@ -2390,23 +2293,13 @@ class StoreSnapshot:
         query_coords: np.ndarray,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> ReadOutcome:
         """Point queries against the pinned view — the store's executor,
         so the same semantics, planner pruning and fan-out as
         :meth:`FragmentStore.read_points`."""
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
         return self._read_point_keys(
-            QueryKeys.for_points(self._store.shape, query_coords), ropts
+            QueryKeys.for_points(self._store.shape, query_coords),
+            options or ReadOptions(),
         )
 
     def _read_point_keys(
@@ -2429,23 +2322,14 @@ class StoreSnapshot:
         box: Box,
         *,
         options: ReadOptions | None = None,
-        faithful: bool = UNSET,
-        check_crc: bool = UNSET,
-        parallel: str = UNSET,
-        max_workers: int | None = UNSET,
     ) -> SparseTensor:
         """Box reads against the pinned view — the store's executor, so
         the same semantics, planner pruning and fan-out as
         :meth:`FragmentStore.read_box`."""
-        ropts = resolve_read_options(
-            options,
-            faithful=faithful,
-            check_crc=check_crc,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
         keys = QueryKeys(self._store.shape, box=box)
-        return merge_box_hits(keys.shape, self._box_hits(keys, ropts))
+        return merge_box_hits(
+            keys.shape, self._box_hits(keys, options or ReadOptions())
+        )
 
     def _box_hits(self, keys: QueryKeys, ropts: ReadOptions) -> list:
         self._check_open()

@@ -22,25 +22,7 @@ import numpy as np
 from ..core.dtypes import as_index_array
 from ..core.errors import ShapeError
 from ..obs import counter_add
-from .options import UNSET, _Unset
 from .store import FragmentStore, WriteReceipt
-
-#: Whether the ``flush_points`` deprecation has been warned this process.
-_WARNED_FLUSH_POINTS = False
-
-
-def _warn_flush_points() -> None:
-    global _WARNED_FLUSH_POINTS
-    if _WARNED_FLUSH_POINTS:
-        return
-    _WARNED_FLUSH_POINTS = True
-    warnings.warn(
-        "the 'flush_points' keyword is deprecated; pass 'pack_points' "
-        "instead (StreamingWriter now appends through the store's "
-        "write-ahead log — see docs/WAL_SNAPSHOTS.md)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 class StreamingWriter:
@@ -78,11 +60,7 @@ class StreamingWriter:
         *,
         pack_points: int = 100_000,
         durable: bool = True,
-        flush_points: int | _Unset = UNSET,
     ):
-        if not isinstance(flush_points, _Unset):
-            _warn_flush_points()
-            pack_points = flush_points
         if pack_points <= 0:
             raise ValueError("pack_points must be positive")
         self.store = store

@@ -39,7 +39,8 @@ class TestRead:
     def test_mixed_queries(self, fmt, any_tensor, rng):
         enc = fmt.encode(any_tensor)
         queries, expected = query_mix(any_tensor, rng)
-        found, vals = enc.read(queries)
+        out = enc.read_points(queries)
+        found, vals = out.found, out.values
         assert np.array_equal(found, expected)
         assert np.allclose(vals[: any_tensor.nnz], any_tensor.values)
 
@@ -59,5 +60,5 @@ class TestRead:
 
         t = SparseTensor.from_points((4, 4), [(0, 0)], [1.0])
         enc = fmt.encode(t)
-        found, _ = enc.read(np.array([[3, 3]], dtype=np.uint64))
+        found = enc.read_points(np.array([[3, 3]], dtype=np.uint64)).found
         assert not found[0]

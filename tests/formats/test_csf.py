@@ -90,7 +90,8 @@ class TestRead:
     def test_mixed_queries(self, fmt, any_tensor, rng):
         enc = fmt.encode(any_tensor)
         queries, expected = query_mix(any_tensor, rng)
-        found, vals = enc.read(queries)
+        out = enc.read_points(queries)
+        found, vals = out.found, out.values
         assert np.array_equal(found, expected)
         assert np.allclose(vals[: any_tensor.nnz], any_tensor.values)
 
@@ -113,7 +114,8 @@ class TestRead:
              [1, 1, 1]],  # hit
             dtype=np.uint64,
         )
-        found, vals = enc.read(queries)
+        out = enc.read_points(queries)
+        found, vals = out.found, out.values
         assert found.tolist() == [False, False, False, True]
         assert vals.tolist() == [7.0]
         res = fmt.read_faithful(enc.payload, enc.meta, t.shape, queries)
@@ -139,7 +141,8 @@ class TestRead:
         )
         t = SparseTensor(shape, coords, rng.standard_normal(200)).deduplicated()
         enc = fmt.encode(t)
-        found, vals = enc.read(t.coords)
+        out = enc.read_points(t.coords)
+        found, vals = out.found, out.values
         assert found.all()
         assert np.allclose(vals, t.values)
 

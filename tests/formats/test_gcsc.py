@@ -42,7 +42,8 @@ class TestRead:
     def test_mixed_queries(self, fmt, any_tensor, rng):
         enc = fmt.encode(any_tensor)
         queries, expected = query_mix(any_tensor, rng)
-        found, vals = enc.read(queries)
+        out = enc.read_points(queries)
+        found, vals = out.found, out.values
         assert np.array_equal(found, expected)
         assert np.allclose(vals[: any_tensor.nnz], any_tensor.values)
 
@@ -60,8 +61,10 @@ class TestRead:
         queries, _ = query_mix(tensor_3d, rng)
         enc_r = GCSRFormat().encode(tensor_3d)
         enc_c = fmt.encode(tensor_3d)
-        found_r, vals_r = enc_r.read(queries)
-        found_c, vals_c = enc_c.read(queries)
+        out = enc_r.read_points(queries)
+        found_r, vals_r = out.found, out.values
+        out = enc_c.read_points(queries)
+        found_c, vals_c = out.found, out.values
         assert np.array_equal(found_r, found_c)
         assert np.allclose(vals_r, vals_c)
 

@@ -44,7 +44,8 @@ class TestRead:
     def test_mixed_queries(self, fmt, any_tensor, rng):
         enc = fmt.encode(any_tensor)
         queries, expected = query_mix(any_tensor, rng)
-        found, vals = enc.read(queries)
+        out = enc.read_points(queries)
+        found, vals = out.found, out.values
         assert np.array_equal(found, expected)
         assert np.allclose(vals[: any_tensor.nnz], any_tensor.values)
 

@@ -216,12 +216,12 @@ class TestInstrumentation:
         assert reg.gauge("fragment.compression_ratio").value > 0
 
     def test_faithful_read_ops_reach_registry(self, tmp_path):
-        from repro import FragmentStore
+        from repro import FragmentStore, ReadOptions
 
         store = FragmentStore(tmp_path / "s", (16, 16), "COO")
         coords = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.uint64)
         store.write(coords, np.ones(3))
-        store.read_points(coords, faithful=True)
+        store.read_points(coords, options=ReadOptions(faithful=True))
         reg = obs.get_registry()
         ops = reg.counter(
             "store.read_points.ops.comparisons", format="COO"

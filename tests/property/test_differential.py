@@ -310,7 +310,7 @@ class TestBuildPipelineDifferential:
             tensor = random_sparse_tensor(rng, max_points=48, max_side=6)
             store = FragmentStore(
                 tmp_path / f"{strategy}{seed}", tensor.shape, fmt_name,
-                relative_coords=relative,
+                options=StoreOptions(relative_coords=relative),
             )
             wrote = False
             for _ in range(int(rng.integers(2, 6))):
@@ -347,11 +347,11 @@ class TestStoreDifferential:
     SEEDS = range(20)
 
     @staticmethod
-    def build_store(tmp_path, seed, fmt_name, **store_kw):
+    def build_store(tmp_path, seed, fmt_name, options=None):
         rng = np.random.default_rng(seed)
         tensor = random_sparse_tensor(rng, max_points=48, max_side=6)
         store = FragmentStore(
-            tmp_path / f"ds{seed}", tensor.shape, fmt_name, **store_kw
+            tmp_path / f"ds{seed}", tensor.shape, fmt_name, options=options
         )
         written = []
         for _ in range(int(rng.integers(1, 5))):
@@ -380,16 +380,16 @@ class TestStoreDifferential:
     def test_store_matches_oracle(self, tmp_path, seed, parallel):
         fmt_name = PAPER_FORMATS[seed % len(PAPER_FORMATS)]
         store, overlay, rng = self.build_store(
-            tmp_path, seed, fmt_name, cache_bytes=1 << 20
+            tmp_path, seed, fmt_name, options=StoreOptions(cache_bytes=1 << 20)
         )
         queries = store_queries(rng, overlay)
-        out = store.read_points(queries, parallel=parallel)
+        out = store.read_points(queries, options=ReadOptions(parallel=parallel))
         assert_points_match(
             out, overlay, queries, f"{fmt_name}/seed={seed}/{parallel}"
         )
         box = random_box(rng, overlay.shape)
         assert_box_match(
-            store.read_box(box, parallel=parallel),
+            store.read_box(box, options=ReadOptions(parallel=parallel)),
             overlay, box, f"{fmt_name}/seed={seed}/{parallel}",
         )
 
@@ -397,11 +397,13 @@ class TestStoreDifferential:
     def test_warm_cache_reads_identical(self, tmp_path, seed):
         """Cold-cache and warm-cache reads return bit-identical results."""
         store, overlay, rng = self.build_store(
-            tmp_path, seed, "LINEAR", cache_bytes=1 << 20
+            tmp_path, seed, "LINEAR", options=StoreOptions(cache_bytes=1 << 20)
         )
         queries = store_queries(rng, overlay)
         cold = store.read_points(queries)
-        warm = store.read_points(queries, parallel="thread")
+        warm = store.read_points(
+            queries, options=ReadOptions(parallel="thread")
+        )
         np.testing.assert_array_equal(cold.found, warm.found)
         np.testing.assert_array_equal(cold.values, warm.values)
         assert store.cache.hits > 0 or store.cache.misses == 0
@@ -445,11 +447,12 @@ class TestWalDifferential:
             ))
 
         synced = FragmentStore(
-            tmp_path / "sync", tensor.shape, fmt_name, planner=plan
+            tmp_path / "sync", tensor.shape, fmt_name,
+            options=StoreOptions(planner=plan),
         )
         walled = FragmentStore(
-            tmp_path / "wal", tensor.shape, fmt_name, planner=plan,
-            options=StoreOptions(wal_segment_bytes=256),
+            tmp_path / "wal", tensor.shape, fmt_name,
+            options=StoreOptions(wal_segment_bytes=256, planner=plan),
         )
         for i, chunk in enumerate(chunks):
             synced.write(chunk.coords, chunk.values)
@@ -470,8 +473,8 @@ class TestWalDifferential:
 
         # Reopen replays whatever segments are still unpacked.
         reopened = FragmentStore(
-            tmp_path / "wal", tensor.shape, fmt_name, planner=plan,
-            options=StoreOptions(wal_segment_bytes=256),
+            tmp_path / "wal", tensor.shape, fmt_name,
+            options=StoreOptions(wal_segment_bytes=256, planner=plan),
         )
         want_points = synced.read_points(queries)
         want_box = synced.read_box(box)
@@ -697,7 +700,8 @@ class TestPlannerDifferential:
         path.write_text(json.dumps(manifest))
         stale = FragmentStore(store.directory, overlay.shape, fmt_name)
         off = FragmentStore(
-            store.directory, overlay.shape, fmt_name, planner=False
+            store.directory, overlay.shape, fmt_name,
+            options=StoreOptions(planner=False),
         )
         self._assert_same_reads(
             stale, off, overlay, rng, f"{fmt_name}/seed={seed}/stale"
@@ -712,7 +716,8 @@ class TestPlannerDifferential:
         store.write(np.empty((0, 3), dtype=np.uint64), np.empty(0))
         store.write(np.array([[5, 5, 5]], dtype=np.uint64), np.ones(1))
         store.write(np.array([[0, 0, 0]], dtype=np.uint64), -np.ones(1))
-        off = FragmentStore(tmp_path / "ds", shape, fmt_name, planner=False)
+        off = FragmentStore(tmp_path / "ds", shape, fmt_name,
+                            options=StoreOptions(planner=False))
         queries = np.array(
             [[5, 5, 5], [0, 0, 0], [3, 3, 3]], dtype=np.uint64
         )
@@ -734,7 +739,7 @@ class TestPlannerDifferential:
         )
         tuned = FragmentStore(
             eager.directory, overlay.shape, fmt_name,
-            crc_mode="once", lazy_load=True,
+            options=StoreOptions(crc_mode="once", lazy_load=True),
         )
         # Read twice so the second round exercises the CRC memo.
         for _ in range(2):

@@ -65,7 +65,8 @@ class TestRoundTrip:
     def test_all_stored_points_found_every_format(self, tensor):
         for name in available_formats():
             enc = get_format(name).encode(tensor)
-            found, values = enc.read(tensor.coords)
+            out = enc.read_points(tensor.coords)
+            found, values = out.found, out.values
             assert found.all(), name
             assert np.array_equal(values, tensor.values), name
 
@@ -80,7 +81,7 @@ class TestRoundTrip:
         expected = np.array([int(a) in stored for a in q_addr], dtype=bool)
         for name in available_formats():
             enc = get_format(name).encode(tensor)
-            found, _ = enc.read(queries)
+            found = enc.read_points(queries).found
             assert np.array_equal(found, expected), name
 
     @settings(max_examples=25, deadline=None)

@@ -9,7 +9,7 @@ from repro import obs
 from repro.core import SparseTensor
 from repro.core.errors import FragmentError
 from repro.formats import available_formats
-from repro.storage import AdaptiveStore, FragmentStore
+from repro.storage import AdaptiveStore, FragmentStore, StoreOptions
 
 
 def counter_total(name: str) -> int:
@@ -56,7 +56,8 @@ def assert_strategies_bit_identical(tmp_path, fmt_name, relative, shape, n):
     stores = {}
     for strategy in ("merge", "decode"):
         store = FragmentStore(
-            tmp_path / strategy, shape, fmt_name, relative_coords=relative,
+            tmp_path / strategy, shape, fmt_name,
+            options=StoreOptions(relative_coords=relative),
         )
         chunk_rng = np.random.default_rng(99)
         write_chunks(store, chunk_rng, n_chunks=4, n=n)
@@ -83,7 +84,7 @@ class TestDecodeFragment:
         shape = (1000, 1000)
         coords = np.array([[900, 900], [905, 910]], dtype=np.uint64)
         store = FragmentStore(tmp_path / "ds", shape, "LINEAR",
-                              relative_coords=True)
+                              options=StoreOptions(relative_coords=True))
         store.write(coords, np.array([1.0, 2.0]))
         back = store.decode_fragment(0)
         assert back.same_points(SparseTensor(shape, coords,
@@ -139,7 +140,7 @@ class TestCompact:
     def test_compact_with_relative_coords(self, tmp_path):
         shape = (512, 512)
         store = FragmentStore(tmp_path / "ds", shape, "LINEAR",
-                              relative_coords=True)
+                              options=StoreOptions(relative_coords=True))
         a = np.array([[10, 10], [20, 20]], dtype=np.uint64)
         b = np.array([[400, 400]], dtype=np.uint64)
         store.write(a, np.array([1.0, 2.0]))
@@ -215,7 +216,7 @@ class TestCodecPreservedOnCompact:
 
     def test_reopen_adopts_manifest_codec(self, tmp_path, tensor_2d):
         store = FragmentStore(tmp_path / "ds", tensor_2d.shape, "LINEAR",
-                              codec="zlib")
+                              options=StoreOptions(codec="zlib"))
         store.write_tensor(tensor_2d)
         reopened = FragmentStore(tmp_path / "ds", tensor_2d.shape, "LINEAR")
         assert reopened.codec == "zlib"
@@ -224,7 +225,7 @@ class TestCodecPreservedOnCompact:
     def test_compact_after_reopen_keeps_codec(self, tmp_path, tensor_2d,
                                               strategy):
         store = FragmentStore(tmp_path / "ds", tensor_2d.shape, "LINEAR",
-                              codec="zlib")
+                              options=StoreOptions(codec="zlib"))
         half = tensor_2d.nnz // 2
         store.write(tensor_2d.coords[:half], tensor_2d.values[:half])
         store.write(tensor_2d.coords[half:], tensor_2d.values[half:])
@@ -242,7 +243,8 @@ class TestCodecPreservedOnCompact:
         """An adaptive store whose fragments use different formats must
         merge-compact without decoding and re-pick the format."""
         shape = (30, 30, 30)
-        store = AdaptiveStore(tmp_path / "ds", shape, codec="zlib")
+        store = AdaptiveStore(tmp_path / "ds", shape,
+                              options=StoreOptions(codec="zlib"))
         overlay = write_chunks(store, rng, n_chunks=4, n=200)
         formats_before = {f.format_name for f in store.fragments}
         obs.reset()

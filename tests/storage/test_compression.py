@@ -256,7 +256,8 @@ class TestStoreCodec:
     @pytest.mark.parametrize("codec", CODECS)
     def test_store_round_trip(self, tmp_path, tensor_3d, codec):
         store = FragmentStore(
-            tmp_path / codec, tensor_3d.shape, "LINEAR", codec=codec
+            tmp_path / codec, tensor_3d.shape, "LINEAR",
+            options=StoreOptions(codec=codec),
         )
         store.write_tensor(tensor_3d)
         out = store.read_points(tensor_3d.coords)
@@ -265,7 +266,8 @@ class TestStoreCodec:
 
     def test_store_rejects_bad_codec(self, tmp_path):
         with pytest.raises(FragmentError):
-            FragmentStore(tmp_path / "x", (4, 4), "COO", codec="rar")
+            FragmentStore(tmp_path / "x", (4, 4), "COO",
+                          options=StoreOptions(codec="rar"))
 
     def test_compression_shrinks_clustered_fragment(self, tmp_path):
         """A banded (TSP) tensor: sorted-address deltas compress well."""
@@ -275,7 +277,8 @@ class TestStoreCodec:
         tensor = tensor.sorted_by_linear()
         raw_store = FragmentStore(tmp_path / "raw", tensor.shape, "LINEAR")
         zip_store = FragmentStore(
-            tmp_path / "zip", tensor.shape, "LINEAR", codec="delta-zlib"
+            tmp_path / "zip", tensor.shape, "LINEAR",
+            options=StoreOptions(codec="delta-zlib"),
         )
         r_raw = raw_store.write_tensor(tensor)
         r_zip = zip_store.write_tensor(tensor)

@@ -26,7 +26,7 @@ import pytest
 
 from repro import obs
 from repro.core import Box
-from repro.storage import FragmentStore
+from repro.storage import FragmentStore, ReadOptions, StoreOptions
 
 SHAPE = (48, 48)
 SIDE = SHAPE[1]
@@ -46,7 +46,8 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions):
     obs.enable()
     obs.reset()
     store = FragmentStore(
-        tmp_path / "ds", SHAPE, "LINEAR", cache_bytes=cache_bytes
+        tmp_path / "ds", SHAPE, "LINEAR",
+        options=StoreOptions(cache_bytes=cache_bytes),
     )
     base = np.vstack([row_block(r) for r in range(4)])
     store.write(base, value_of(base))
@@ -71,7 +72,9 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions):
                     rng.integers(0, SHAPE[0], size=n, dtype=np.uint64),
                     rng.integers(0, SHAPE[1], size=n, dtype=np.uint64),
                 ])
-                out = store.read_points(queries, parallel=parallel)
+                out = store.read_points(
+                    queries, options=ReadOptions(parallel=parallel)
+                )
                 got = out.values
                 want = value_of(queries[out.found])
                 check(
@@ -85,7 +88,9 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions):
                 )
                 r0 = int(rng.integers(0, SHAPE[0]))
                 box = Box((r0, 0), (min(6, SHAPE[0] - r0), SHAPE[1]))
-                tensor = store.read_box(box, parallel=parallel)
+                tensor = store.read_box(
+                    box, options=ReadOptions(parallel=parallel)
+                )
                 check(
                     np.array_equal(tensor.values, value_of(tensor.coords)),
                     "torn box read",
@@ -145,7 +150,9 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions):
     with rows_lock:
         rows = sorted(written_rows)
     all_coords = np.vstack([row_block(r) for r in rows])
-    out = store.read_points(all_coords, parallel="thread")
+    out = store.read_points(
+        all_coords, options=ReadOptions(parallel="thread")
+    )
     assert out.found.all()
     np.testing.assert_array_equal(out.values, value_of(all_coords))
     full = store.read_box(Box((0, 0), SHAPE))

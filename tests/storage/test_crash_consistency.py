@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.storage import FragmentStore, fsck
+from repro.storage import FragmentStore, StoreOptions, fsck
 from repro.testing.faults import (
     FaultEvent,
     FaultPlan,
@@ -146,7 +146,7 @@ class TestInjectionPointEnumeration:
         recorder = OpRecorder()
         with inject(recorder):
             store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR",
-                                  fsync=True)
+                                  options=StoreOptions(fsync=True))
             store.write(*part(0))
         assert any(e.op == "fsync" for e in recorder.events)
 
@@ -207,7 +207,9 @@ class TestSeededSoak:
 
         store = FragmentStore(
             tmp_path / "ds", SHAPE, "LINEAR",
-            retry=RetryPolicy(attempts=12, sleep=lambda s: None),
+            options=StoreOptions(
+                retry=RetryPolicy(attempts=12, sleep=lambda s: None)
+            ),
         )
         for j in range(N_WRITES):
             store.write(*part(j))

@@ -32,9 +32,9 @@ from repro.testing.faults import (
 )
 
 
-def make_store(path, *, n=30, seed=7, **kwargs):
+def make_store(path, *, n=30, seed=7, options=None):
     rng = np.random.default_rng(seed)
-    store = FragmentStore(path, (32, 32), "LINEAR", **kwargs)
+    store = FragmentStore(path, (32, 32), "LINEAR", options=options)
     # Distinct coordinates so value comparisons are unambiguous.
     lin = rng.choice(32 * 32, size=n, replace=False)
     coords = np.column_stack([lin // 32, lin % 32]).astype(np.uint64)
@@ -288,7 +288,9 @@ class TestRetryPolicy:
     def test_store_retry_absorbs_intermittent_reads(self, tmp_path):
         store, coords, values = make_store(
             tmp_path / "ds",
-            retry=RetryPolicy(attempts=10, sleep=lambda s: None),
+            options=StoreOptions(
+                retry=RetryPolicy(attempts=10, sleep=lambda s: None)
+            ),
         )
         faults = SeededFaults(seed=3, p=0.5, ops=("read",), pattern="frag-*")
         with inject(faults):
@@ -303,7 +305,7 @@ class TestCorruptionPolicies:
     def test_invalid_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             FragmentStore(tmp_path / "ds", (8, 8), "LINEAR",
-                          on_corruption="ignore")
+                          options=StoreOptions(on_corruption="ignore"))
 
     def test_raise_policy_propagates_checksum_error(self, tmp_path):
         store, coords, _ = make_store(tmp_path / "ds")
@@ -313,7 +315,7 @@ class TestCorruptionPolicies:
 
     def test_skip_policy_serves_surviving_fragments(self, tmp_path):
         store, coords, values = make_store(
-            tmp_path / "ds", on_corruption="skip"
+            tmp_path / "ds", options=StoreOptions(on_corruption="skip")
         )
         # Second fragment with disjoint data remains readable.
         coords2 = coords.copy()
@@ -329,7 +331,7 @@ class TestCorruptionPolicies:
 
     def test_quarantine_policy_moves_file_and_delists(self, tmp_path):
         store, coords, values = make_store(
-            tmp_path / "ds", on_corruption="quarantine"
+            tmp_path / "ds", options=StoreOptions(on_corruption="quarantine")
         )
         store.write(coords, values + 1.0)
         bad = store.fragments[0].path
@@ -349,7 +351,7 @@ class TestCorruptionPolicies:
 
     def test_read_box_honors_policy(self, tmp_path):
         store, coords, values = make_store(
-            tmp_path / "ds", on_corruption="skip"
+            tmp_path / "ds", options=StoreOptions(on_corruption="skip")
         )
         store.write(coords, values + 1.0)
         corrupt_file(store.fragments[0].path)
@@ -359,7 +361,7 @@ class TestCorruptionPolicies:
 
     def test_compact_quarantines_and_merges_survivors(self, tmp_path):
         store, coords, values = make_store(
-            tmp_path / "ds", on_corruption="quarantine"
+            tmp_path / "ds", options=StoreOptions(on_corruption="quarantine")
         )
         far = coords.copy()
         far[:, 0] = (far[:, 0] + 16) % 32
@@ -386,7 +388,9 @@ class TestCorruptionPolicies:
 
         obs.enable()
         obs.reset()
-        store, coords, _ = make_store(tmp_path / "ds", on_corruption="skip")
+        store, coords, _ = make_store(
+            tmp_path / "ds", options=StoreOptions(on_corruption="skip")
+        )
         corrupt_file(store.fragments[0].path)
         with pytest.warns(UserWarning):
             store.read_points(coords)

@@ -1,7 +1,6 @@
-"""StoreOptions / ReadOptions: validation, resolution, deprecation shims."""
+"""StoreOptions / ReadOptions: validation and acceptance by every store."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +12,6 @@ from repro import (
     ReadOptions,
     ShardedStore,
     StoreOptions,
-)
-from repro.storage.options import (
-    UNSET,
-    resolve_read_options,
-    resolve_store_options,
 )
 
 SHAPE = (16, 16, 16)
@@ -82,52 +76,6 @@ class TestReadOptions:
             ReadOptions(parallel="fibers")
 
 
-class TestResolution:
-    def test_none_yields_defaults(self):
-        assert resolve_store_options(None) == StoreOptions()
-        assert resolve_read_options(None) == ReadOptions()
-
-    def test_options_passthrough(self):
-        opts = StoreOptions(fsync=True)
-        assert resolve_store_options(opts) is opts
-
-    def test_legacy_keyword_overrides(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            opts = resolve_store_options(None, cache_bytes=512)
-            assert opts.cache_bytes == 512
-            # Explicit legacy keyword wins over the options object too.
-            opts = resolve_store_options(StoreOptions(fsync=False), fsync=True)
-            assert opts.fsync is True
-            ropts = resolve_read_options(ReadOptions(), faithful=True)
-            assert ropts.faithful is True
-
-    def test_unset_sentinel_ignored(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # UNSET values must not trigger deprecation warnings.
-            opts = resolve_store_options(None, fsync=UNSET, codec=UNSET)
-        assert opts == StoreOptions()
-
-    def test_legacy_keyword_warns(self):
-        from repro.storage import options as options_mod
-
-        options_mod._WARNED.discard("planner")
-        with pytest.warns(DeprecationWarning, match="planner"):
-            resolve_store_options(None, planner=False)
-
-    def test_warn_once_per_keyword(self):
-        from repro.storage import options as options_mod
-
-        options_mod._WARNED.discard("retry")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_store_options(None, retry=None)
-            resolve_store_options(None, retry=None)
-        deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-
-
 class TestStoresAcceptOptions:
     def test_fragment_store(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -172,20 +120,3 @@ class TestStoresAcceptOptions:
         with pytest.raises(Exception):
             ShardedStore(tmp_path / "sh", SHAPE, "LINEAR",
                          options=StoreOptions(relative_coords=True))
-
-    def test_legacy_constructor_keyword_still_works(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            store = FragmentStore(tmp_path / "s", SHAPE, "COO",
-                                  cache_bytes=2048)
-        assert store.cache.max_bytes == 2048
-
-    def test_legacy_read_keyword_still_works(self, tmp_path):
-        rng = np.random.default_rng(1)
-        store = FragmentStore(tmp_path / "s", SHAPE, "LINEAR")
-        coords = make_coords(rng)
-        store.write(coords, np.ones(len(coords)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            out = store.read_points(coords[:4], faithful=True)
-        assert out.found.all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Box, ShapeError
-from repro.storage import FragmentStore
+from repro.storage import FragmentStore, StoreOptions
 from repro.storage.parallel import pack_part, pack_parts_parallel
 
 
@@ -91,7 +91,7 @@ class TestWriteMany:
     def test_with_codec_and_relative(self, tmp_path, tensor_3d):
         store = FragmentStore(
             tmp_path / "ds", tensor_3d.shape, "LINEAR",
-            relative_coords=True, codec="delta-zlib",
+            options=StoreOptions(relative_coords=True, codec="delta-zlib"),
         )
         store.write_many(split_parts(tensor_3d, 3), max_workers=2)
         out = store.read_points(tensor_3d.coords)

@@ -17,6 +17,7 @@ from repro.storage import (
     FragmentIndex,
     FragmentStore,
     QueryPlan,
+    StoreOptions,
     ZoneMap,
 )
 from repro.storage.sharded import ShardedStore
@@ -41,11 +42,11 @@ def _counter(name: str) -> int:
     )
 
 
-def _band_store(tmp_path, *, n_fragments=8, points=64, seed=0, **kwargs):
+def _band_store(tmp_path, *, n_fragments=8, points=64, seed=0, options=None):
     """Disjoint-row-band LINEAR store; returns (store, per-band coords)."""
     shape = (n_fragments * 16, 64)
     rng = np.random.default_rng(seed)
-    store = FragmentStore(tmp_path / "ds", shape, "LINEAR", **kwargs)
+    store = FragmentStore(tmp_path / "ds", shape, "LINEAR", options=options)
     bands = []
     for i in range(n_fragments):
         rows = rng.integers(i * 16, (i + 1) * 16, size=points,
@@ -184,7 +185,8 @@ class TestStorePlanning:
     def test_plan_on_off_results_identical(self, tmp_path):
         store_on, bands = _band_store(tmp_path)
         store_off = FragmentStore(
-            tmp_path / "ds", store_on.shape, "LINEAR", planner=False
+            tmp_path / "ds", store_on.shape, "LINEAR",
+            options=StoreOptions(planner=False),
         )
         queries = np.vstack([b[:4] for b in bands])
         a = store_on.read_points(queries)
@@ -234,7 +236,9 @@ class TestStorePlanning:
             view.close()
 
     def test_plan_off_explain_is_seed_scan(self, tmp_path):
-        store, bands = _band_store(tmp_path, n_fragments=4, planner=False)
+        store, bands = _band_store(
+            tmp_path, n_fragments=4, options=StoreOptions(planner=False)
+        )
         plan = store.explain(np.vstack([bands[0][:4], bands[3][:4]]))
         assert not plan.used_index and not plan.used_zonemaps
         assert plan.pruned_zonemap == 0
@@ -286,7 +290,8 @@ class TestStorePlanning:
 
     def test_invalid_crc_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            FragmentStore(tmp_path / "ds", (8, 8), "LINEAR", crc_mode="bad")
+            FragmentStore(tmp_path / "ds", (8, 8), "LINEAR",
+                          options=StoreOptions(crc_mode="bad"))
 
 
 class TestBackfill:
@@ -330,7 +335,8 @@ class TestBackfill:
         store, bands = _band_store(tmp_path, n_fragments=2)
         self._strip_zones(store.directory)
         off = FragmentStore(
-            tmp_path / "ds", store.shape, "LINEAR", planner=False
+            tmp_path / "ds", store.shape, "LINEAR",
+            options=StoreOptions(planner=False),
         )
         assert off.read_points(bands[0][:4]).found.all()
         manifest = json.loads(
@@ -342,7 +348,7 @@ class TestBackfill:
 class TestCrcMemoAndLazy:
     def test_crc_memo_hits_on_repeat_reads(self, tmp_path):
         store, bands = _band_store(
-            tmp_path, n_fragments=2, crc_mode="once"
+            tmp_path, n_fragments=2, options=StoreOptions(crc_mode="once")
         )
         q = bands[0][:8]
         store.read_points(q)  # first read verifies + memoizes
@@ -366,7 +372,7 @@ class TestCrcMemoAndLazy:
         store, bands = _band_store(tmp_path, n_fragments=4)
         lazy = FragmentStore(
             tmp_path / "ds", store.shape, "LINEAR",
-            lazy_load=True, crc_mode="once",
+            options=StoreOptions(lazy_load=True, crc_mode="once"),
         )
         queries = np.vstack([b[:8] for b in bands])
         a = store.read_points(queries)
@@ -386,7 +392,8 @@ class TestCrcMemoAndLazy:
         blob[-3] ^= 0xFF
         frag_path.write_bytes(bytes(blob))
         lazy = FragmentStore(
-            tmp_path / "ds", store.shape, "LINEAR", lazy_load=True
+            tmp_path / "ds", store.shape, "LINEAR",
+            options=StoreOptions(lazy_load=True),
         )
         from repro.core.errors import FragmentError
 

@@ -1,5 +1,5 @@
 """Unified read-side API: one protocol across encodings and stores,
-deprecation shims, and str|SparseFormat constructor arguments."""
+and str|SparseFormat constructor arguments."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro import (
     SparseTensor,
     get_format,
 )
-from repro.formats import base as formats_base
 
 
 @pytest.fixture
@@ -91,29 +90,6 @@ class TestUnifiedProtocol:
             got.coords, np.array([[5, 5], [20000, 20000]], dtype=np.uint64)
         )
         np.testing.assert_allclose(got.values, [1.0, 2.0])
-
-
-class TestDeprecatedRead:
-    @pytest.fixture(autouse=True)
-    def rearm_warning(self):
-        formats_base._DEPRECATION_WARNED.clear()
-        yield
-        formats_base._DEPRECATION_WARNED.clear()
-
-    def test_warns_exactly_once_and_matches_read_points(self, tensor, queries):
-        enc = get_format("COO").encode(tensor)
-        with pytest.warns(DeprecationWarning, match="read_points"):
-            found, values = enc.read(queries)
-        # Second call: the shim stays quiet.
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error", DeprecationWarning)
-            found2, values2 = enc.read(queries)
-        out = enc.read_points(queries)
-        for f, v in ((found, values), (found2, values2)):
-            np.testing.assert_array_equal(f, out.found)
-            np.testing.assert_allclose(v, out.values)
 
 
 class TestFormatArguments:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import ChecksumError
-from repro.storage import FragmentStore
+from repro.storage import FragmentStore, ReadOptions, StoreOptions
 from repro.storage.durability import RetryPolicy
 from repro.storage.readpath import (
     MAX_READ_WORKERS,
@@ -33,10 +33,10 @@ from repro.storage.readpath import (
 from repro.testing.faults import FaultPlan, FaultRule, inject
 
 
-def make_store(path, *, n_fragments=4, points_per_fragment=12, **kwargs):
+def make_store(path, *, n_fragments=4, points_per_fragment=12, options=None):
     """A LINEAR store with ``n_fragments`` disjoint fragments."""
     shape = (64, 64)
-    store = FragmentStore(path, shape, "LINEAR", **kwargs)
+    store = FragmentStore(path, shape, "LINEAR", options=options)
     all_coords, all_values = [], []
     for i in range(n_fragments):
         rows = np.arange(points_per_fragment, dtype=np.uint64)
@@ -75,7 +75,7 @@ class TestValidateParallel:
     def test_store_rejects_unknown(self, tmp_path):
         store, coords, _ = make_store(tmp_path / "ds", n_fragments=1)
         with pytest.raises(ValueError, match="parallel"):
-            store.read_points(coords, parallel="fork")
+            store.read_points(coords, options=ReadOptions(parallel="fork"))
 
     def test_worker_bound_positive(self):
         assert MAX_READ_WORKERS >= 1
@@ -205,7 +205,8 @@ class TestFragmentCache:
         obs.enable()
         obs.reset()
         store, coords, _ = make_store(
-            tmp_path / "ds", n_fragments=2, cache_bytes=1 << 20
+            tmp_path / "ds", n_fragments=2,
+            options=StoreOptions(cache_bytes=1 << 20),
         )
         store.read_points(coords)
         store.read_points(coords)
@@ -274,7 +275,8 @@ class TestParallelMatchesSequential:
         store, coords, values = make_store(tmp_path / "ds", n_fragments=6)
         seq = store.read_points(coords)
         par = store.read_points(
-            coords, parallel="thread", max_workers=max_workers
+            coords,
+            options=ReadOptions(parallel="thread", max_workers=max_workers),
         )
         np.testing.assert_array_equal(seq.found, par.found)
         np.testing.assert_array_equal(seq.values, par.values)
@@ -286,7 +288,7 @@ class TestParallelMatchesSequential:
         store, *_ = make_store(tmp_path / "ds", n_fragments=6)
         box = Box((0, 0), (20, 64))
         seq = store.read_box(box)
-        par = store.read_box(box, parallel="thread")
+        par = store.read_box(box, options=ReadOptions(parallel="thread"))
         np.testing.assert_array_equal(seq.coords, par.coords)
         np.testing.assert_array_equal(seq.values, par.values)
 
@@ -299,7 +301,7 @@ class TestParallelMatchesSequential:
         def total_ops(parallel):
             obs.enable()
             obs.reset()
-            store.read_points(coords, parallel=parallel)
+            store.read_points(coords, options=ReadOptions(parallel=parallel))
             snap = obs.snapshot()
             return {
                 m["name"]: m["value"] for m in snap["counters"]
@@ -315,11 +317,12 @@ class TestCorruptionPolicyParity:
     @pytest.mark.parametrize("parallel", ["none", "thread"])
     def test_skip_parity(self, tmp_path, parallel):
         store, coords, values = make_store(
-            tmp_path / f"ds-{parallel}", on_corruption="skip"
+            tmp_path / f"ds-{parallel}",
+            options=StoreOptions(on_corruption="skip"),
         )
         corrupt_file(store.fragments[1].path)
         with pytest.warns(UserWarning, match="skip"):
-            out = store.read_points(coords, parallel=parallel)
+            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
         # Fragment 1's points vanish; everything else survives.
         expected = np.ones(len(coords), dtype=bool)
         expected[12:24] = False
@@ -331,12 +334,13 @@ class TestCorruptionPolicyParity:
     @pytest.mark.parametrize("parallel", ["none", "thread"])
     def test_quarantine_parity(self, tmp_path, parallel):
         store, coords, _ = make_store(
-            tmp_path / f"ds-{parallel}", on_corruption="quarantine"
+            tmp_path / f"ds-{parallel}",
+            options=StoreOptions(on_corruption="quarantine"),
         )
         bad = store.fragments[2].path
         corrupt_file(bad)
         with pytest.warns(UserWarning, match="quarantine"):
-            out = store.read_points(coords, parallel=parallel)
+            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert int(out.found.sum()) == 36
         assert not bad.exists()
         assert (bad.parent / ".quarantine" / bad.name).exists()
@@ -350,19 +354,19 @@ class TestCorruptionPolicyParity:
         store, coords, _ = make_store(tmp_path / f"ds-{parallel}")
         corrupt_file(store.fragments[0].path)
         with pytest.raises(ChecksumError):
-            store.read_points(coords, parallel=parallel)
+            store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert len(store.fragments) == 4  # raise never mutates the store
 
     @pytest.mark.parametrize("parallel", ["none", "thread"])
     def test_corrupt_fragment_never_cached(self, tmp_path, parallel):
         store, coords, _ = make_store(
             tmp_path / f"ds-{parallel}",
-            on_corruption="skip", cache_bytes=1 << 20,
+            options=StoreOptions(on_corruption="skip", cache_bytes=1 << 20),
         )
         corrupt_file(store.fragments[0].path)
         for _ in range(2):  # second read must re-detect, not hit a cache
             with pytest.warns(UserWarning):
-                store.read_points(coords, parallel=parallel)
+                store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert store.corrupt_fragments == 2
 
 
@@ -372,32 +376,36 @@ class TestRetryParity:
         """One injected EIO per fragment read is retried transparently."""
         store, coords, values = make_store(
             tmp_path / f"ds-{parallel}",
-            retry=RetryPolicy(attempts=3, sleep=lambda _t: None),
+            options=StoreOptions(
+                retry=RetryPolicy(attempts=3, sleep=lambda _t: None)
+            ),
         )
         plan = FaultPlan(
             [FaultRule(op="read", pattern="frag-*.bin", times=2)]
         )
         with inject(plan):
-            out = store.read_points(coords, parallel=parallel)
+            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
         assert out.found.all()
         np.testing.assert_array_equal(out.values, values)
 
     def test_exhausted_retries_surface(self, tmp_path):
         store, coords, _ = make_store(
             tmp_path / "ds",
-            retry=RetryPolicy(attempts=2, sleep=lambda _t: None),
+            options=StoreOptions(
+                retry=RetryPolicy(attempts=2, sleep=lambda _t: None)
+            ),
         )
         plan = FaultPlan(
             [FaultRule(op="read", pattern="frag-*.bin", times=None)]
         )
         with inject(plan), pytest.raises(Exception):
-            store.read_points(coords, parallel="thread")
+            store.read_points(coords, options=ReadOptions(parallel="thread"))
 
 
 class TestCacheLifecycle:
     def test_write_invalidates(self, tmp_path):
         store, coords, values = make_store(
-            tmp_path / "ds", cache_bytes=1 << 20
+            tmp_path / "ds", options=StoreOptions(cache_bytes=1 << 20)
         )
         store.read_points(coords)
         assert len(store.cache) > 0
@@ -406,7 +414,7 @@ class TestCacheLifecycle:
 
     def test_compact_invalidates_and_next_read_is_fresh(self, tmp_path):
         store, coords, values = make_store(
-            tmp_path / "ds", cache_bytes=1 << 20
+            tmp_path / "ds", options=StoreOptions(cache_bytes=1 << 20)
         )
         store.read_points(coords)
         store.compact()
@@ -417,7 +425,8 @@ class TestCacheLifecycle:
 
     def test_warm_read_skips_disk(self, tmp_path):
         store, coords, _ = make_store(
-            tmp_path / "ds", n_fragments=3, cache_bytes=1 << 20
+            tmp_path / "ds", n_fragments=3,
+            options=StoreOptions(cache_bytes=1 << 20),
         )
         store.read_points(coords)          # cold: 3 misses
         misses_after_cold = store.cache.misses
@@ -427,7 +436,7 @@ class TestCacheLifecycle:
             [FaultRule(op="read", pattern="frag-*.bin", times=None)]
         )
         with inject(plan):
-            out = store.read_points(coords, parallel="thread")
+            out = store.read_points(coords, options=ReadOptions(parallel="thread"))
         assert out.found.all()
         assert store.cache.misses == misses_after_cold
         assert store.cache.hits >= 3

@@ -365,6 +365,34 @@ class TestSplitMerge:
         assert len(store.shards) == 1
 
 
+class TestReopenAdoptsCodec:
+    """``codec=None`` on reopen adopts the parent manifest's codec, as
+    :class:`FragmentStore` adopts its own manifest's."""
+
+    @pytest.mark.parametrize("codec, recorded, written", [
+        ("cascade", "cascade", "cascade"),
+        (None, None, "raw"),  # a fresh store records null; bands write raw
+    ])
+    def test_reopen_keeps_codec_through_split(self, tmp_path, codec,
+                                              recorded, written):
+        store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=2,
+                             options=StoreOptions(codec=codec))
+        for coords, values in make_parts():
+            store.write(coords, values)
+        store.close()
+
+        reopened = ShardedStore(tmp_path / "s", SHAPE, "LINEAR")
+        assert reopened.compression_stats()["codec"] == written
+        reopened.split(0)  # commits the parent, writes two new bands
+        parent = json.loads(
+            (reopened.directory / SHARD_MANIFEST_NAME).read_text()
+        )
+        assert parent["codec"] == recorded
+        for entry in reopened.shards:
+            child = json.loads((entry.path / "manifest.json").read_text())
+            assert child["codec"] == written
+
+
 class TestFsckSharded:
     def test_clean_tree(self, tmp_path):
         sharded, _ = build_pair(tmp_path)

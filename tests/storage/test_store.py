@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Box, ShapeError, SparseTensor
-from repro.storage import FragmentStore
+from repro.storage import FragmentStore, ReadOptions, StoreOptions
 
 
 @pytest.fixture
@@ -114,7 +114,9 @@ class TestRead:
         assert probe.fragments_visited == 1
 
     def test_faithful_flag(self, store, tensor_3d):
-        out = store.read_points(tensor_3d.coords[:20], faithful=True)
+        out = store.read_points(
+            tensor_3d.coords[:20], options=ReadOptions(faithful=True)
+        )
         assert out.found.all()
 
     def test_empty_query(self, store):
@@ -126,7 +128,8 @@ class TestRead:
 class TestRelativeCoords:
     def test_round_trip(self, tmp_path, tensor_3d):
         s = FragmentStore(
-            tmp_path / "ds", tensor_3d.shape, "LINEAR", relative_coords=True
+            tmp_path / "ds", tensor_3d.shape, "LINEAR",
+            options=StoreOptions(relative_coords=True),
         )
         s.write_tensor(tensor_3d)
         out = s.read_points(tensor_3d.coords)
@@ -143,7 +146,8 @@ class TestRelativeCoords:
         values = np.ones(36)
         abs_store = FragmentStore(tmp_path / "abs", shape, "GCSR++")
         rel_store = FragmentStore(
-            tmp_path / "rel", shape, "GCSR++", relative_coords=True
+            tmp_path / "rel", shape, "GCSR++",
+            options=StoreOptions(relative_coords=True),
         )
         r_abs = abs_store.write(coords, values)
         r_rel = rel_store.write(coords, values)

@@ -96,18 +96,6 @@ class TestStreamingWriter:
         assert w.fragments_written == 1
         assert store.read_points(coords).found.all()
 
-    def test_flush_points_shim(self, store, rng):
-        import repro.storage.streaming as streaming
-
-        streaming._WARNED_FLUSH_POINTS = False
-        with pytest.warns(DeprecationWarning, match="flush_points"):
-            w = StreamingWriter(store, flush_points=77)
-        assert w.pack_points == 77
-        # Warn-once: the second use is silent.
-        with warnings_catcher() as caught:
-            StreamingWriter(store, flush_points=77)
-        assert not caught
-
     def test_empty_append_is_noop(self, store):
         w = StreamingWriter(store)
         w.append(np.empty((0, 2), dtype=np.uint64), np.empty(0))
@@ -128,24 +116,3 @@ class TestStreamingWriter:
             w.append(np.zeros((2, 2), dtype=np.uint64), np.zeros(3))
         with pytest.raises(ValueError):
             StreamingWriter(store, pack_points=0)
-        with pytest.raises(ValueError):
-            import repro.storage.streaming as streaming
-
-            streaming._WARNED_FLUSH_POINTS = True  # silence the shim
-            StreamingWriter(store, flush_points=0)
-
-
-def warnings_catcher():
-    import warnings
-
-    class _Catcher:
-        def __enter__(self):
-            self._cm = warnings.catch_warnings(record=True)
-            caught = self._cm.__enter__()
-            warnings.simplefilter("always")
-            return caught
-
-        def __exit__(self, *exc):
-            return self._cm.__exit__(*exc)
-
-    return _Catcher()

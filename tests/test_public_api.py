@@ -1,5 +1,6 @@
 """Public API integrity: exports resolve, docstrings exist, doctest runs."""
 
+import dataclasses
 import doctest
 import importlib
 import inspect
@@ -105,32 +106,36 @@ class TestStoreReadTuningSurface:
     """Every storage-backed Readable shares one keyword-only tuning surface.
 
     ``repro.readapi.STORE_READ_TUNING`` is the checked-in snapshot; a PR
-    that renames or drops one of these parameters on any store's
-    ``read_points``/``read_box`` must update the snapshot deliberately
-    (and with it ``docs/READ_PATH.md``).
+    that renames, adds or drops one of these parameters on any store's
+    or view's ``read_points``/``read_box`` must update the snapshot
+    deliberately (and with it ``docs/READ_PATH.md``).
     """
 
     def test_snapshot_value(self):
         from repro.readapi import STORE_READ_TUNING
 
-        assert STORE_READ_TUNING == (
-            "options", "faithful", "check_crc", "parallel", "max_workers",
-        )
+        assert STORE_READ_TUNING == ("options",)
 
     @pytest.mark.parametrize("cls_name", [
         "FragmentStore", "AdaptiveStore", "BlockedDataset", "ShardedStore",
+        "StoreSnapshot", "ShardedSnapshot",
     ])
     @pytest.mark.parametrize("method", ["read_points", "read_box"])
     def test_stores_accept_tuning_keywords(self, cls_name, method):
+        """Exactly the snapshot's keyword-only parameters, no catch-all."""
         from repro.readapi import STORE_READ_TUNING
 
-        sig = inspect.signature(getattr(getattr(repro, cls_name), method))
-        for name in STORE_READ_TUNING:
-            param = sig.parameters.get(name)
-            assert param is not None, f"{cls_name}.{method} lacks {name}"
-            assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
-                f"{cls_name}.{method}({name}) must be keyword-only"
-            )
+        cls = getattr(importlib.import_module("repro.storage"), cls_name)
+        sig = inspect.signature(getattr(cls, method))
+        keyword_only = tuple(
+            name for name, param in sig.parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY
+        )
+        assert keyword_only == STORE_READ_TUNING, f"{cls_name}.{method}"
+        assert not any(
+            param.kind is inspect.Parameter.VAR_KEYWORD
+            for param in sig.parameters.values()
+        ), f"{cls_name}.{method} takes **kwargs"
 
     def test_stores_are_readable(self):
         for cls_name in ("FragmentStore", "AdaptiveStore", "BlockedDataset",
@@ -148,6 +153,20 @@ class TestStoreReadTuningSurface:
             param = sig.parameters.get("options")
             assert param is not None, f"{cls_name} lacks options="
             assert param.kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_constructors_take_no_option_keywords(self):
+        """``options=`` is the only spelling of a StoreOptions field."""
+        fields = {f.name for f in dataclasses.fields(repro.StoreOptions)}
+        for cls_name in ("FragmentStore", "AdaptiveStore", "BlockedDataset",
+                         "ShardedStore"):
+            sig = inspect.signature(getattr(repro, cls_name).__init__)
+            keyword_only = {
+                name for name, param in sig.parameters.items()
+                if param.kind is inspect.Parameter.KEYWORD_ONLY
+            }
+            assert not keyword_only & fields, (
+                f"{cls_name} spells {sorted(keyword_only & fields)} twice"
+            )
 
 
 class TestDocstrings:
