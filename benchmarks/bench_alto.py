@@ -24,7 +24,8 @@ then times a skewed box workload on the mode-skewed 3D/4D shapes:
   ``box_speedup`` must be >= ``MIN_BOX_SPEEDUP`` standalone
   (``MIN_BOX_SPEEDUP_SMOKE`` in the tier-1 smoke).
 * **guardrails**: stored-point lookups and the sorted-run (TSP-style)
-  ingest itself must stay within ``MAX_SIDE_REGRESSION`` of the
+  ingest itself (best of ``INGEST_ROUNDS`` alternating builds per
+  order) must stay within ``MAX_SIDE_REGRESSION`` of the
   row-major baseline — the interleaved transform is a handful of
   vectorized shift/mask gathers, not a new cost tier.
 
@@ -57,6 +58,9 @@ MIN_BOX_SPEEDUP_SMOKE = 1.2
 MAX_SIDE_REGRESSION = 1.1
 #: Smoke-size guardrail (tiny batches, jitter-dominated).
 MAX_SIDE_REGRESSION_SMOKE = 1.5
+#: Each order's ingest time is the best of this many builds, the orders
+#: alternating, so one slow wall-clock sample cannot trip the guardrail.
+INGEST_ROUNDS = 3
 
 #: Mode-skewed shapes: one long leading mode, short late modes.
 SHAPES = {
@@ -196,12 +200,18 @@ def bench_alto(
             )
             queries = coords[pick]
             stores = {}
+            ingest = dict.fromkeys(ORDERS, float("inf"))
+            for _ in range(INGEST_ROUNDS):
+                for order in ORDERS:
+                    directory = tmp / f"{key}-{order}"
+                    shutil.rmtree(directory, ignore_errors=True)
+                    stores[order], seconds = build_store(
+                        directory, shape, order, coords, values,
+                        n_fragments=n_fragments,
+                    )
+                    ingest[order] = min(ingest[order], seconds)
             for order in ORDERS:
-                stores[order], ingest = build_store(
-                    tmp / f"{key}-{order}", shape, order, coords, values,
-                    n_fragments=n_fragments,
-                )
-                result[f"ingest_{order}_{key}"] = ingest
+                result[f"ingest_{order}_{key}"] = ingest[order]
             # Both layouts must answer identically before any timing.
             probe = boxes[0]
             assert _tensor_key(stores["row_major"].read_box(probe)) == \

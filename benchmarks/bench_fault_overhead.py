@@ -30,9 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import obs
-from repro.storage import FragmentStore
-from repro.storage.parallel import pack_part
+from repro import SparseTensor, obs
+from repro.core.boundary import extract_boundary
+from repro.formats.registry import get_format
+from repro.storage import FragmentStore, pack_fragment
 from repro.testing.faults import OpRecorder, inject
 
 #: Allowed hooked/unhooked ratio (the PR-facing claim is < 5%).
@@ -75,19 +76,25 @@ def baseline_ingest(directory: Path, parts) -> None:
     writes make the comparison hostage to dirty-page writeback timing.
     """
     directory.mkdir(parents=True, exist_ok=True)
+    fmt = get_format("LINEAR")
     entries = []
     for i, (coords, values) in enumerate(parts):
-        item = pack_part(SHAPE, "LINEAR", "raw", False, coords, values)
+        encoded = fmt.encode(SparseTensor(SHAPE, coords, values))
+        bbox = extract_boundary(coords)
+        blob = pack_fragment(
+            fmt.name, SHAPE, encoded.nnz, encoded.meta, encoded.payload,
+            encoded.values, bbox_origin=bbox.origin, bbox_size=bbox.size,
+        )
         path = directory / f"frag-{i:06d}.bin"
-        path.write_bytes(item.blob)
+        path.write_bytes(blob)
         entries.append({
             "file": path.name,
             "format": "LINEAR",
             "shape": list(SHAPE),
-            "nnz": item.nnz,
-            "bbox_origin": list(item.bbox_origin),
-            "bbox_size": list(item.bbox_size),
-            "nbytes": len(item.blob),
+            "nnz": encoded.nnz,
+            "bbox_origin": list(bbox.origin),
+            "bbox_size": list(bbox.size),
+            "nbytes": len(blob),
         })
         (directory / "manifest.json").write_text(
             json.dumps({"fragments": entries}, indent=1)

@@ -25,10 +25,9 @@ matrix:
   interval index and zone confirmation; reported, not asserted.
 
 ``crc_mode="once"`` rows show whole-file CRC memoization stacking on
-top (repeats > 1, so later rounds hit the memo); the ``lazy`` row adds
-``lazy_load=True`` (memmap-backed zero-copy loads) to the fastest
-config.  Every configuration reads the identical on-disk store and the
-bench asserts identical hit counts across all of them.
+top (repeats > 1, so later rounds hit the memo).  Every configuration
+reads the identical on-disk store and the bench asserts identical hit
+counts across all of them.
 
 Runs standalone (``python benchmarks/bench_planner.py``) and in the
 tier-1 suite at a laxer floor to absorb CI jitter.
@@ -111,7 +110,7 @@ def bench_planner(
     """Scattered point + band box reads over the planner config matrix.
 
     Returns per-config best times (``point_<cfg>`` / ``box_<cfg>`` for
-    cfg in ``off_eager / off_once / on_eager / on_once / on_lazy``),
+    cfg in ``off_eager / off_once / on_eager / on_once``),
     the headline ``point_speedup`` and ``box_speedup`` (eager plan-on
     vs eager plan-off), and ``visited_on`` / ``visited_off`` fragment
     counts from the plans themselves.  obs is disabled during timing
@@ -131,9 +130,6 @@ def bench_planner(
             "off_once": StoreOptions(planner=False, crc_mode="once"),
             "on_eager": StoreOptions(planner=True, crc_mode="eager"),
             "on_once": StoreOptions(planner=True, crc_mode="once"),
-            "on_lazy": StoreOptions(
-                planner=True, crc_mode="once", lazy_load=True
-            ),
         }
         result: dict[str, float] = {"fragments": float(n_fragments)}
         hit_counts = set()
@@ -196,7 +192,7 @@ if __name__ == "__main__":
     print(f"{int(r['fragments'])}-fragment LINEAR store, scattered points "
           f"from {QUERY_BANDS} bands "
           f"(visited {r['visited_on']:.0f}/{r['visited_off']:.0f} frags):")
-    for cfg in ("off_eager", "off_once", "on_eager", "on_once", "on_lazy"):
+    for cfg in ("off_eager", "off_once", "on_eager", "on_once"):
         print(f"  {cfg:<10s} point={r['point_' + cfg] * 1e3:8.2f} ms  "
               f"box={r['box_' + cfg] * 1e3:8.2f} ms")
     print(f"point speedup (on/eager vs off/eager): "

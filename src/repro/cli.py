@@ -203,7 +203,6 @@ def _render_plan_section(
 ) -> str:
     """The ``repro stats --plan`` section: read-side planner counters."""
     from . import obs
-    from .bench.report import format_bytes
 
     counters = {
         c["name"]: c["value"] for c in obs.snapshot()["counters"]
@@ -225,9 +224,7 @@ def _render_plan_section(
         f"zone backfills {counters.get('store.plan.zone_backfilled', 0)}"
     )
     lines.append(
-        f"  crc memo hits {counters.get('store.plan.crc_memo_hits', 0)}  "
-        f"lazy bytes avoided "
-        f"{format_bytes(counters.get('store.plan.lazy_bytes_avoided', 0))}"
+        f"  crc memo hits {counters.get('store.plan.crc_memo_hits', 0)}"
     )
     if explain_summary:
         lines.append("  example plan (first fragment's bbox):")

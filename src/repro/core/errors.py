@@ -47,11 +47,11 @@ class FragmentIOError(FragmentError):
 
 
 class WorkerError(ReproError):
-    """A parallel packaging worker failed; ``part_index`` names the part.
+    """Packaging one part of a batch write failed; ``part_index`` names it.
 
-    Raised by :func:`repro.storage.parallel.pack_parts_parallel` (and thus
-    :meth:`FragmentStore.write_many`) so a partial-batch failure reports
-    *which* input part died instead of surfacing a bare pickled traceback.
+    Raised by :meth:`FragmentStore.write_many` (inline or on a pool
+    thread, chained to the original error) so a partial-batch failure
+    reports *which* input part died; nothing of the batch is committed.
     """
 
     def __init__(self, message: str, *, part_index: int | None = None):

@@ -47,9 +47,8 @@ spatial interval index excluded before bbox tests ran),
 no query address can be present), ``store.plan.index_rebuilds`` (interval
 index rebuilt after a manifest generation bump),
 ``store.plan.zone_backfilled`` (pre-v2 manifest entries given zone maps
-lazily), ``store.plan.crc_memo_hits`` (whole-file CRC skipped under
-``crc_mode="once"``), and ``store.plan.lazy_bytes_avoided`` (bytes mapped
-instead of read eagerly under ``lazy_load=True``).  The bbox-level
+lazily), and ``store.plan.crc_memo_hits`` (whole-file CRC skipped under
+``crc_mode="once"``).  The bbox-level
 ``store.fragments_pruned`` counter keeps its pre-planner meaning — only
 bounding-box rejections — so existing dashboards stay comparable.
 ``repro stats --store DIR --plan`` prints a planner section from these.

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis.advisor import BALANCED, Workload, recommend
-from ..core.dtypes import as_index_array
+from ..build.canonical import CanonicalCoords
 from ..core.tensor import SparseTensor
 from ..formats.base import SparseFormat
 from ..formats.registry import PAPER_FORMATS, get_format, resolve_format
@@ -73,64 +73,35 @@ class AdaptiveStore(FragmentStore):
         options: StoreOptions | None = None,
     ):
         candidates = tuple(resolve_format(c).name for c in candidates)
-        # The parent needs *a* format for bookkeeping; the per-write pick
-        # overrides it before each fragment is built.
+        # The parent needs *a* format for bookkeeping; each fragment is
+        # built in the per-write pick (:meth:`_format_for`).
         super().__init__(directory, shape, candidates[0], options=options)
         self.workload = workload
         self.candidates = tuple(candidates)
         self.policy = policy or MigrationPolicy()
-        #: Format chosen for each fragment, in write order (in-session
-        #: decision log; see :meth:`format_histogram` for stored state).
+        #: Format chosen for each fragment, in decision order (in-session
+        #: log; ``write_many`` decides its parts concurrently).  See
+        #: :meth:`format_histogram` for stored state.
         self.choices: list[str] = []
         self._reads_since_sweep = 0
 
-    def _pick_format(self, coords: np.ndarray, values: np.ndarray) -> str:
-        """Advisor pick for one fragment's point set."""
-        if coords.shape[0]:
-            stats = characterize(SparseTensor(self.shape, coords, values))
-            return recommend(
-                stats, self.workload, formats=self.candidates
-            ).best
-        return self.candidates[0]
+    def _format_for(
+        self, canon: CanonicalCoords, values: np.ndarray
+    ) -> SparseFormat:
+        """Advisor pick for one fragment's point set.
 
-    def _write_picked(self, pick: str, commit) -> WriteReceipt:
-        """Switch the store's format to ``pick`` and run ``commit``.
-
-        The pick mutates the store's current format; hold the writer lock
-        (reentrant) so concurrent adaptive writes cannot interleave
-        between the format switch and the fragment build.
+        Every write path packages through this hook — ``write``,
+        ``write_many``, ``pack_wal``, compaction and conversion — so a
+        compacted adaptive store re-characterizes the merged point set
+        rather than inheriting the last fragment's pick.
         """
-        with self._rw.write_locked():
-            self.format_name = pick
-            self.fmt = get_format(pick)
-            self.choices.append(pick)
-            counter_add("adaptive.decisions", format=pick)
-            receipt = commit()
-        for name, count in self.format_histogram().items():
-            gauge_set("adaptive.fragments", count, format=name)
-        return receipt
-
-    def write(self, coords: np.ndarray, values: np.ndarray) -> WriteReceipt:
-        coords = as_index_array(coords)
-        values = np.asarray(values)
-        pick = self._pick_format(coords, values)
-        return self._write_picked(pick, lambda: super(AdaptiveStore, self).write(coords, values))
-
-    def write_canonical(self, canon, values, *, bbox=None) -> WriteReceipt:
-        """Canonical-path write with the same per-fragment advisor pick.
-
-        Merge-based compaction and store conversion land here, so a
-        compacted or converted adaptive store re-characterizes the merged
-        point set rather than inheriting the last fragment's pick.
-        """
-        values = np.asarray(values)
-        pick = self._pick_format(canon.coords, values)
-        return self._write_picked(
-            pick,
-            lambda: super(AdaptiveStore, self).write_canonical(
-                canon, values, bbox=bbox
-            ),
-        )
+        pick = self.candidates[0]
+        if canon.n:
+            stats = characterize(SparseTensor(self.shape, canon.coords, values))
+            pick = recommend(stats, self.workload, formats=self.candidates).best
+        self.choices.append(pick)
+        counter_add("adaptive.decisions", format=pick)
+        return get_format(pick)
 
     def format_histogram(
         self, *, include_retired: bool = False

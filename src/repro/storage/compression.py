@@ -61,8 +61,7 @@ widths of 8/16/32/64 bits are plain little-endian integer arrays.
 Codecs operate
 buffer-by-buffer so a fragment's header stays readable without
 decompressing anything, and raw-tagged buffers still decode zero-copy
-from a mapped file (compressed tags decode from the buffer's slice of
-the mapping — the lazy path degrades gracefully instead of failing).
+from the loaded file bytes.
 
 ``store.compression.*`` counters account every encode/decode by stored
 tag, so ``repro stats --compression`` can report bytes-on-disk per

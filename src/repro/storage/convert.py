@@ -32,14 +32,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from ..build.canonical import CanonicalCoords
 from ..core.errors import FragmentError
-from ..formats.base import EncodedTensor
-from ..formats.registry import get_format, resolve_format
-from .fragment import load_fragment, write_fragment
-from .store import FragmentStore
+from ..formats.registry import resolve_format
+from .fragment import load_fragment, payload_encoded
+from .store import FragmentStore, _PackedPart
 
 
 def _convert_fragment_direct(
@@ -54,40 +51,23 @@ def _convert_fragment_direct(
     fragment reuses the source's bounding box and zone map — migration
     preserves the point set exactly.
     """
-    from .migrate import get_kernel
+    from .migrate import direct_convert, get_kernel
 
     frag = source.fragments[index]
     if get_kernel(frag.format_name, dest.format_name) is None:
         return False
     payload = load_fragment(frag.path)
-    encoded = EncodedTensor(
-        fmt=get_format(payload.format_name),
-        shape=tuple(int(m) for m in payload.shape),
-        nnz=int(payload.nnz),
-        payload=dict(payload.buffers),
-        meta=dict(payload.meta),
-        values=np.asarray(payload.values),
-    )
-    from .migrate import direct_convert
-
-    converted = direct_convert(encoded, dest.fmt)
+    converted = direct_convert(payload_encoded(payload), dest.fmt)
     if converted is None:
         return False
+    part = _PackedPart(
+        encoded=converted,
+        bbox=frag.bbox,
+        extra=dict(payload.extra),
+        zone=frag.zone,
+    )
     with dest._rw.write_locked():
-        path = dest._next_fragment_path()
-        info = write_fragment(
-            path,
-            converted,
-            bbox=frag.bbox,
-            extra=dict(payload.extra),
-            fsync=dest.fsync,
-            codec=dest.codec,
-        )
-        info.zone = frag.zone
-        with dest._state_lock:
-            dest._fragments.append(info)
-        dest._save_manifest()
-        dest.workload_ledger.record_write(info.path.name)
+        dest._commit_locked([part])
     return True
 
 

@@ -115,30 +115,6 @@ def read_bytes(path: str | os.PathLike) -> bytes:
         return fh.read()
 
 
-def read_view(path: str | os.PathLike):
-    """Map a whole file read-only; returns a flat ``uint8`` array view.
-
-    The zero-copy twin of :func:`read_bytes`: the returned ``np.memmap``
-    aliases the page cache instead of materializing a bytes copy, and the
-    unpack side slices it section by section (see
-    :mod:`repro.storage.serialization`).  Same fault-hook contract as
-    :func:`read_bytes` — the injection op is ``"read"``, so fault plans
-    that tear reads hit the lazy path identically.  POSIX rename/unlink
-    semantics keep an open mapping consistent while compaction replaces
-    or deletes the file underneath it.  Empty files (not a valid mmap
-    target) degrade to an empty in-memory array.
-    """
-    import numpy as np
-
-    path = Path(path)
-    hook = _fault_hook
-    if hook is not None:
-        hook.before("read", path)
-    if path.stat().st_size == 0:
-        return np.empty(0, dtype=np.uint8)
-    return np.memmap(path, dtype=np.uint8, mode="r")
-
-
 def encode_manifest(doc: Any) -> bytes:
     """The bytes of a JSON document the store commits.
 

@@ -30,7 +30,6 @@ from ..obs import counter_add, gauge_set, get_registry, is_enabled, span
 from .durability import (
     fragment_file_crc,
     read_bytes,
-    read_view,
     write_bytes_atomic,
 )
 
@@ -51,9 +50,8 @@ def record_fragment_written(
 ) -> None:
     """Account one committed fragment: bytes written + compression ratio.
 
-    Shared by the sequential write path (:func:`write_fragment`) and the
-    parallel commit loop (:meth:`FragmentStore.write_many`), so the
-    ``fragment.*`` counters agree regardless of the ingestion path.
+    Called by :func:`write_fragment`, so every write path (plain, batch,
+    compaction, migration) feeds the same ``fragment.*`` counters.
     """
     if not is_enabled():
         return
@@ -258,7 +256,7 @@ def read_fragment_header(path: str | os.PathLike) -> FragmentInfo:
 
 
 def load_fragment(
-    path: str | os.PathLike, *, check_crc: bool = True, lazy: bool = False
+    path: str | os.PathLike, *, check_crc: bool = True
 ) -> FragmentPayload:
     """Load and decode a whole fragment file.
 
@@ -266,21 +264,27 @@ def load_fragment(
     (retryable, see :class:`~repro.storage.durability.RetryPolicy`);
     corruption raises :class:`~repro.core.errors.ChecksumError` or another
     non-retryable :class:`~repro.core.errors.FragmentError`.
-
-    ``lazy=True`` maps the file instead of copying it into a ``bytes``
-    object (:func:`~repro.storage.durability.read_view`); raw-codec
-    payload buffers then alias the mapping — zero-copy loading.  CRC and
-    corruption semantics are unchanged: ``check_crc=True`` still hashes
-    the whole (mapped) file before any buffer is handed out.
     """
     try:
-        data = read_view(path) if lazy else read_bytes(path)
+        data = read_bytes(path)
     except OSError as exc:
         raise FragmentIOError(f"cannot read fragment {path}: {exc}") from exc
     counter_add("fragment.bytes_read", len(data))
-    if lazy:
-        counter_add("store.plan.lazy_bytes_avoided", len(data))
     return unpack_fragment(data, check_crc=check_crc)
+
+
+def payload_encoded(payload: FragmentPayload) -> EncodedTensor:
+    """A loaded fragment as the :class:`EncodedTensor` the conversion
+    kernels take — the source of every format and address-order
+    rewrite."""
+    return EncodedTensor(
+        fmt=get_format(payload.format_name),
+        shape=tuple(int(m) for m in payload.shape),
+        nnz=int(payload.nnz),
+        payload=dict(payload.buffers),
+        meta=dict(payload.meta),
+        values=np.asarray(payload.values),
+    )
 
 
 def fragment_to_tensor(payload: FragmentPayload) -> "SparseTensor":

@@ -2,7 +2,7 @@
 
 The storage layer grew one keyword knob per PR — ``relative_coords``,
 ``fsync``, ``codec``, ``on_corruption``, ``retry``, ``cache_bytes``,
-``planner``, ``crc_mode``, ``lazy_load`` on constructors and ``faithful``,
+``planner``, ``crc_mode`` on constructors and ``faithful``,
 ``check_crc``, ``parallel``, ``max_workers`` on every read — and by PR 5
 each store class repeated the full list.  This module consolidates the
 sprawl into two frozen dataclasses:
@@ -24,7 +24,7 @@ rather than on the first degraded read.  Use :func:`dataclasses.replace`
 
     opts = StoreOptions(cache_bytes=64 << 20, crc_mode="once")
     store = FragmentStore(path, shape, "LINEAR", options=opts)
-    lazy = opts.replace(lazy_load=True)
+    uncached = opts.replace(cache_bytes=0)
 
 ``options=`` is the only way to pass these settings;
 ``docs/API_GUIDE.md`` §3 lists the bare keywords it replaced.
@@ -99,8 +99,6 @@ class StoreOptions:
         maps); ``False`` restores the seed's linear bbox scan.
     crc_mode:
         Whole-file CRC policy, one of :data:`CRC_MODES`.
-    lazy_load:
-        Map fragment files zero-copy instead of reading byte copies.
     wal_segment_bytes:
         WAL segment size: the active segment is sealed (and becomes
         packable) once its file crosses this many bytes.
@@ -147,7 +145,6 @@ class StoreOptions:
     cache_bytes: int = 0
     planner: bool = True
     crc_mode: str = "eager"
-    lazy_load: bool = False
     wal_segment_bytes: int = 4 << 20
     wal_fsync: bool | None = None
     wal_pack_interval: float | None = None

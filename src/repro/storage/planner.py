@@ -47,8 +47,6 @@ Planner decisions are observable (see :mod:`repro.obs`):
     fragment-index rebuilds (one per generation actually queried),
 ``store.plan.zone_backfilled``
     zone maps lazily computed for pre-zone-map manifests,
-``store.plan.lazy_bytes_avoided``
-    bytes served through zero-copy mapped views instead of read copies,
 ``store.plan.crc_memo_hits``
     whole-file CRC checks skipped by ``crc_mode="once"`` memoization.
 

@@ -22,11 +22,9 @@ are 8-byte aligned so they can be wrapped zero-copy with ``frombuffer``.
 
 The read side accepts any C-contiguous buffer-protocol object — ``bytes``,
 ``memoryview``, or an ``np.memmap`` of the whole file.  Sections are
-sliced through one ``memoryview``, so handing in a mapped file decodes
-``codec="raw"`` buffers *zero-copy*: the payload arrays alias the mapping
-and no whole-file byte copy is ever materialized (``bytes`` slicing would
-copy each section).  This is the substrate of the store's lazy read path
-(``StoreOptions(lazy_load=True)``, see ``docs/QUERY_PLANNER.md``).
+sliced through one ``memoryview``, so ``codec="raw"`` buffers decode
+*zero-copy*: the payload arrays alias the input and no section is copied
+(``bytes`` slicing would copy each one).
 
 A trailing CRC-32 guards against truncation and bit rot; failure raises
 :class:`~repro.core.errors.ChecksumError` (a

@@ -37,8 +37,7 @@ Query planning (see :mod:`repro.storage.planner` and
 the manifest metadata — and only the plan's survivors are loaded.  The
 plan is computed once per query and shared by the sequential and parallel
 fan-outs.  ``StoreOptions(planner=False)`` restores the seed's linear
-``bbox`` scan (results are byte-identical either way), ``lazy_load=True``
-maps fragment files zero-copy instead of copying them, and
+``bbox`` scan (results are byte-identical either way), and
 ``crc_mode="once"`` memoizes the whole-file CRC per (fragment,
 generation) so repeated reads skip the re-hash.
 ``FragmentStore.explain(query)`` returns the plan a read would use
@@ -61,6 +60,7 @@ fragment a live snapshot pins.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time
@@ -77,7 +77,7 @@ from ..build.merge import SortedRun, merge_sorted_runs
 from ..core.boundary import Box
 from ..core.costmodel import OpCounter
 from ..core.dtypes import as_index_array, fits_index_dtype
-from ..core.errors import FragmentError, ManifestError, ShapeError
+from ..core.errors import FragmentError, ManifestError, ShapeError, WorkerError
 from ..core.linearize import (
     DEFAULT_ADDRESS_ORDER,
     delinearize,
@@ -101,21 +101,19 @@ from .durability import (
     clean_temp_files,
     encode_manifest,
     file_crc,
-    fragment_file_crc,
     fsck as _fsck,
     peek_manifest,
     quarantine_file,
     remove_file,
     write_bytes_atomic,
 )
-from .compression import codec_sizes
 from .fragment import (
     FragmentInfo,
     load_fragment,
+    payload_encoded,
     query_fragment,
     query_fragment_box,
     read_fragment_header,
-    record_fragment_written,
     write_fragment,
 )
 from .options import (
@@ -131,7 +129,6 @@ from .planner import (
     ZoneMap,
     box_envelope,
 )
-from .serialization import unpack_header
 from .readpath import (
     FragmentCache,
     RWLock,
@@ -166,6 +163,27 @@ class WriteReceipt:
     write_seconds: float
 
 
+@dataclass
+class _PackedPart:
+    """One fragment out of :meth:`FragmentStore._package`, not yet written."""
+
+    encoded: EncodedTensor
+    bbox: Box | None
+    extra: dict
+    zone: ZoneMap | None
+    build_seconds: float = 0.0
+    reorg_seconds: float = 0.0
+
+
+def _capture(task: Callable, item) -> tuple[object, Exception | None]:
+    """``task(item)`` as a ``(result, exception)`` pair, as
+    :func:`~repro.storage.readpath.map_fragments_ordered` reports it."""
+    try:
+        return task(item), None
+    except Exception as exc:
+        return None, exc
+
+
 class FragmentStore:
     """A directory of fragments sharing one tensor shape and organization.
 
@@ -195,9 +213,8 @@ class FragmentStore:
     (interval-index + zone-map pruning, see
     :mod:`repro.storage.planner`); ``planner=False`` restores the seed's
     linear bbox scan.  ``crc_mode`` picks the whole-file CRC policy
-    (:data:`CRC_MODES`), ``lazy_load=True`` maps fragment files zero-copy
-    instead of copying them into memory.  All three only change *how*
-    fragments are selected and loaded — query results are identical.
+    (:data:`CRC_MODES`).  Both only change *how* fragments are selected
+    and loaded — query results are identical.
     """
 
     def __init__(
@@ -258,7 +275,6 @@ class FragmentStore:
         self.retry = opts.retry
         self.use_planner = bool(opts.planner)
         self.crc_mode = opts.crc_mode
-        self.lazy_load = bool(opts.lazy_load)
         self._linearizable = fits_index_dtype(self.shape)
         #: Per-store planner state (cached interval index per generation).
         self._planner = QueryPlanner()
@@ -555,23 +571,7 @@ class FragmentStore:
         and *Write* (serialization + file write).
         """
         with self._rw.write_locked():
-            return self._write_locked(coords, values)
-
-    def _write_locked(
-        self,
-        coords: np.ndarray,
-        values: np.ndarray,
-    ) -> WriteReceipt:
-        coords = as_index_array(coords)
-        values = np.asarray(values)
-        if coords.ndim != 2 or coords.shape[1] != len(self.shape):
-            raise ShapeError("coords must be (n, d) matching the store shape")
-        if values.shape[0] != coords.shape[0]:
-            raise ShapeError("values must align with coords")
-        canon = CanonicalCoords.from_coords(
-            coords, self.shape, addr_order=self.addr_order
-        )
-        return self._write_canonical_locked(canon, values)
+            return self._commit_locked([self._package_coords(coords, values)])[0]
 
     def write_canonical(
         self,
@@ -590,22 +590,101 @@ class FragmentStore:
         merge compaction path passes the union of the source fragments'
         boxes — skip re-deriving it from materialized coordinates.
 
-        This is the single commit point of the write side:
-        :meth:`write`, :meth:`compact` and
-        :func:`~repro.storage.convert.convert_store` all funnel through
-        it.  :class:`~repro.storage.adaptive.AdaptiveStore` overrides it
-        to pick the fragment's organization first.
+        :meth:`compact`, :meth:`pack_wal` and
+        :func:`~repro.storage.convert.convert_store` write through here;
+        it runs the same packaging step and commit as :meth:`write`.
         """
         with self._rw.write_locked():
-            return self._write_canonical_locked(canon, values, bbox=bbox)
+            return self._commit_locked([self._package(canon, values, bbox=bbox)])[0]
 
-    def _write_canonical_locked(
+    def write_many(
+        self,
+        parts: list[tuple[np.ndarray, np.ndarray]],
+        *,
+        max_workers: int | None = None,
+    ) -> list[FragmentInfo]:
+        """Write many ``(coords, values)`` parts, committed by one manifest
+        write.
+
+        Each part runs :meth:`write`'s packaging step (canonical sort,
+        BUILD, value reorg, zone map).  With more than one part and
+        ``max_workers != 0`` the steps fan out over the shared thread
+        pool (:func:`~repro.storage.readpath.map_fragments_ordered`), at
+        most ``max_workers`` (default: the CPU count) at a time; NumPy
+        releases the GIL in the heavy kernels.  The files are then
+        written in part order, so they are byte-identical to a loop of
+        :meth:`write`.
+
+        A part that fails to package raises
+        :class:`~repro.core.errors.WorkerError` carrying its
+        ``part_index``; nothing is written or committed.
+        """
+        with self._rw.write_locked():
+            packed = self._package_parts(parts, max_workers)
+            return [r.info for r in self._commit_locked(packed)]
+
+    def _package_parts(
+        self,
+        parts: list[tuple[np.ndarray, np.ndarray]],
+        max_workers: int | None,
+    ) -> list[_PackedPart]:
+        def task(part):
+            return self._package_coords(*part)
+
+        if max_workers == 0 or len(parts) <= 1:
+            # A generator, so the inline loop stops at the first failure.
+            outcomes = (_capture(task, part) for part in parts)
+        else:
+            outcomes = map_fragments_ordered(
+                parts, task, max_workers=max_workers or os.cpu_count()
+            )
+        packed = []
+        for i, (item, exc) in enumerate(outcomes):
+            if exc is not None:
+                raise WorkerError(
+                    f"packing part {i} failed: {exc}", part_index=i
+                ) from exc
+            packed.append(item)
+        return packed
+
+    def _package_coords(
+        self, coords: np.ndarray, values: np.ndarray
+    ) -> _PackedPart:
+        coords = as_index_array(coords)
+        values = np.asarray(values)
+        if coords.ndim != 2 or coords.shape[1] != len(self.shape):
+            raise ShapeError("coords must be (n, d) matching the store shape")
+        if values.shape[0] != coords.shape[0]:
+            raise ShapeError("values must align with coords")
+        canon = CanonicalCoords.from_coords(
+            coords, self.shape, addr_order=self.addr_order
+        )
+        return self._package(canon, values)
+
+    def _format_for(
+        self, canon: CanonicalCoords, values: np.ndarray
+    ) -> SparseFormat:
+        """The organization one fragment is built in: the store's own.
+
+        :class:`~repro.storage.adaptive.AdaptiveStore` overrides this
+        with its advisor pick.  It runs inside the packaging step, which
+        may be on a pool thread, so it must take no store lock.
+        """
+        return self.fmt
+
+    def _package(
         self,
         canon: CanonicalCoords,
         values: np.ndarray,
         *,
         bbox: Box | None = None,
-    ) -> WriteReceipt:
+    ) -> _PackedPart:
+        """Algorithm 3 WRITE up to the file: the one packaging step.
+
+        Store-order canonical, bounding box, relative rebase, BUILD in
+        the :meth:`_format_for` organization, value reorg by ``map``,
+        zone map.  Takes no store lock (see :meth:`write_many`).
+        """
         values = np.asarray(values)
         if canon.shape != self.shape:
             raise ShapeError(
@@ -613,6 +692,7 @@ class FragmentStore:
             )
         if values.shape[0] != canon.n:
             raise ShapeError("values must align with coords")
+        fmt = self._format_for(canon, values)
         if canon.addr_order != self.addr_order:
             # Callers that pre-built their canonical in another order
             # (the WAL packer merges row-major, convert_store feeds the
@@ -628,126 +708,81 @@ class FragmentStore:
             build_canon = canon
             build_shape = self.shape
 
-        with span("store.write", format=self.format_name) as sp:
+        with span("store.write", format=fmt.name) as sp:
             t0 = time.perf_counter()
-            result = self.fmt.build_canonical(build_canon)
+            result = fmt.build_canonical(build_canon)
             t1 = time.perf_counter()
             stored_values = apply_map(values, result.perm)
             t2 = time.perf_counter()
-            encoded = EncodedTensor(
-                fmt=self.fmt,
+            # Zone map from the *global* canonical sort in the store's
+            # active order (relative stores build from the rebased copy,
+            # so the global addresses are derived here).
+            zone = None
+            if fits_addr_order(self.shape, canon.addr_order):
+                zone = ZoneMap.from_addresses(
+                    canon.sorted_addresses, assume_sorted=True
+                )
+            sp.add_nnz(canon.n)
+        observe("store.build.seconds", t1 - t0, format=fmt.name)
+        observe("store.reorg.seconds", t2 - t1, format=fmt.name)
+        extra: dict = {"relative": self.relative_coords}
+        if canon.addr_order != DEFAULT_ADDRESS_ORDER:
+            extra["addr_order"] = canon.addr_order
+        return _PackedPart(
+            encoded=EncodedTensor(
+                fmt=fmt,
                 shape=build_shape,
                 nnz=canon.n,
                 payload=result.payload,
                 meta=result.meta,
                 values=stored_values,
-            )
-            path = self._next_fragment_path()
-            extra: dict = {"relative": self.relative_coords}
-            if canon.addr_order != DEFAULT_ADDRESS_ORDER:
-                extra["addr_order"] = canon.addr_order
+            ),
+            bbox=bbox,
+            extra=extra,
+            zone=zone,
+            build_seconds=t1 - t0,
+            reorg_seconds=t2 - t1,
+        )
+
+    def _commit_locked(self, parts: list[_PackedPart]) -> list[WriteReceipt]:
+        """Write packaged fragments in order, then commit them with one
+        manifest write (writer lock held).
+
+        A failed file write leaves only unlisted files behind (reported,
+        and recoverable, by ``fsck``); nothing is committed.
+        """
+        receipts: list[WriteReceipt] = []
+        for part in parts:
+            t0 = time.perf_counter()
             info = write_fragment(
-                path,
-                encoded,
-                bbox=bbox,
-                extra=extra,
+                self._next_fragment_path(),
+                part.encoded,
+                bbox=part.bbox,
+                extra=part.extra,
                 fsync=self.fsync,
                 codec=self.codec,
             )
-            t3 = time.perf_counter()
-            # Zone map from the *global* canonical sort in the store's
-            # active order (relative stores build from the rebased copy,
-            # so the global addresses are derived here).
-            if fits_addr_order(self.shape, canon.addr_order):
-                info.zone = ZoneMap.from_addresses(
-                    canon.sorted_addresses, assume_sorted=True
-                )
-            sp.add_nnz(canon.n)
-            sp.add_bytes_out(info.nbytes)
-        observe("store.build.seconds", t1 - t0, format=self.format_name)
-        observe("store.reorg.seconds", t2 - t1, format=self.format_name)
-        observe("store.write_io.seconds", t3 - t2, format=self.format_name)
+            write_seconds = time.perf_counter() - t0
+            info.zone = part.zone
+            observe(
+                "store.write_io.seconds", write_seconds,
+                format=info.format_name,
+            )
+            receipts.append(WriteReceipt(
+                info=info,
+                index_nbytes=part.encoded.index_nbytes,
+                value_nbytes=part.encoded.value_nbytes,
+                file_nbytes=info.nbytes,
+                build_seconds=part.build_seconds,
+                reorg_seconds=part.reorg_seconds,
+                write_seconds=write_seconds,
+            ))
         with self._state_lock:
-            self._fragments.append(info)
+            self._fragments.extend(r.info for r in receipts)
         self._save_manifest()
-        self.workload_ledger.record_write(info.path.name)
-        return WriteReceipt(
-            info=info,
-            index_nbytes=result.index_nbytes(),
-            value_nbytes=int(stored_values.nbytes),
-            file_nbytes=info.nbytes,
-            build_seconds=t1 - t0,
-            reorg_seconds=t2 - t1,
-            write_seconds=t3 - t2,
-        )
-
-    def write_many(
-        self,
-        parts: list[tuple[np.ndarray, np.ndarray]],
-        *,
-        max_workers: int | None = None,
-        executor: str = "process",
-    ) -> list[FragmentInfo]:
-        """Package many parts in parallel, then commit them as fragments.
-
-        The CPU-bound packaging (BUILD + reorg + serialization) runs on a
-        worker pool (see :mod:`repro.storage.parallel`); the file writes
-        and the manifest update happen here, in part order, so the result
-        is byte-identical to sequential :meth:`write` calls.
-        ``executor="thread"`` keeps the workers in-process (metrics recorded
-        by workers land in this process's registry).
-
-        A worker failure raises :class:`~repro.core.errors.WorkerError`
-        with the failing part's index attached; parts packed before the
-        failure are discarded (nothing is committed — the manifest only
-        updates after every file write succeeds).
-        """
-        from .parallel import pack_parts_parallel
-
-        packed = pack_parts_parallel(
-            self.shape,
-            self.format_name,
-            parts,
-            codec=self.codec,
-            relative=self.relative_coords,
-            max_workers=max_workers,
-            executor=executor,
-        )
-        infos: list[FragmentInfo] = []
-        with self._rw.write_locked():
-            for item in packed:
-                path = self._next_fragment_path()
-                write_bytes_atomic(path, item.blob, fsync=self.fsync)
-                # Per-codec footprints come from the blob's own header
-                # (one small JSON parse), so parallel commits record the
-                # same manifest codec stats as sequential writes.
-                frag_codecs, frag_raw = codec_sizes(unpack_header(item.blob)[0])
-                info = FragmentInfo(
-                    path=path,
-                    format_name=self.format_name,
-                    shape=self.shape,
-                    nnz=item.nnz,
-                    bbox=Box(item.bbox_origin, item.bbox_size),
-                    nbytes=len(item.blob),
-                    crc=fragment_file_crc(item.blob),
-                    # Workers compute zone stats next to their canonical
-                    # sort and ship them as JSON (process-pool friendly).
-                    zone=ZoneMap.from_json(item.zone),
-                    codecs=frag_codecs,
-                    raw_nbytes=frag_raw,
-                )
-                record_fragment_written(
-                    self.format_name,
-                    item.index_nbytes + item.value_nbytes,
-                    len(item.blob),
-                )
-                with self._state_lock:
-                    self._fragments.append(info)
-                infos.append(info)
-            self._save_manifest()
-            for info in infos:
-                self.workload_ledger.record_write(info.path.name)
-        return infos
+        for r in receipts:
+            self.workload_ledger.record_write(r.info.path.name)
+        return receipts
 
     def write_tensor(self, tensor: SparseTensor) -> WriteReceipt:
         """Convenience wrapper over :meth:`write`."""
@@ -1043,6 +1078,55 @@ class FragmentStore:
             self._gc_horizon = max(self._gc_horizon, retire_gen)
         return doomed
 
+    @staticmethod
+    def _unlink(frags: list[FragmentInfo]) -> None:
+        """Delete superseded fragment files *after* the manifest commit
+        that de-listed them (manifest-then-delete: a crash before this
+        only leaves unreferenced, fsck-visible files)."""
+        for f in frags:
+            try:
+                remove_file(f.path)
+            except OSError:  # pragma: no cover - already gone
+                pass
+
+    def _replace_fragment_locked(
+        self,
+        index: int,
+        frag: FragmentInfo,
+        encoded: EncodedTensor,
+        *,
+        extra: dict,
+        zone: ZoneMap | None,
+    ) -> FragmentInfo:
+        """Commit a rewrite of live fragment ``index`` (same points, new
+        bytes); the writer lock must be held.
+
+        The replacement lands atomically under a fresh file name with
+        ``frag``'s bounding box, and pins ``frag``'s logical ``seq`` so
+        the newest-wins order (snapshots included) is untouched.  The
+        manifest commit is the single switch point and ``frag`` is
+        retired after it (retention rules apply), so a crash anywhere
+        leaves the store reading either the old or the new fragment,
+        never a mix and never a loss.
+        """
+        info = write_fragment(
+            self._next_fragment_path(),
+            encoded,
+            bbox=frag.bbox,
+            extra=extra,
+            fsync=self.fsync,
+            codec=self.codec,
+        )
+        info.zone = zone
+        info.seq = frag.effective_seq()
+        with self._state_lock:
+            self._fragments[index] = info
+            doomed = self._retire_locked([frag])
+        self._save_manifest()
+        self._unlink(doomed)
+        self.workload_ledger.carry_over(frag.path.name, info.path.name)
+        return info
+
     def gc(self, *, keep_generations: int | None = None) -> int:
         """Delete retired fragments older than the retention window.
 
@@ -1083,11 +1167,7 @@ class FragmentStore:
                     max(f.retired for f in doomed),
                 )
                 self._save_manifest()
-            for f in doomed:
-                try:
-                    remove_file(f.path)
-                except OSError:  # pragma: no cover - already gone
-                    pass
+            self._unlink(doomed)
         counter_add("store.wal.gc_deleted", len(doomed))
         return len(doomed)
 
@@ -1293,8 +1373,7 @@ class FragmentStore:
         ``crc_mode="once"`` skips the whole-file re-hash when this
         fragment already verified at the current generation (the memo is
         cleared on every manifest commit alongside the cache, so a hit
-        can never attest stale bytes); ``lazy_load`` maps the file
-        zero-copy instead of reading a byte copy.
+        can never attest stale bytes).
         """
         payload = self.cache.get(frag.path.name)
         if payload is not None:
@@ -1309,9 +1388,7 @@ class FragmentStore:
             counter_add("store.plan.crc_memo_hits")
 
         def attempt():
-            return load_fragment(
-                frag.path, check_crc=effective_crc, lazy=self.lazy_load
-            )
+            return load_fragment(frag.path, check_crc=effective_crc)
 
         t0 = time.perf_counter()
         if self.retry is not None:
@@ -1730,13 +1807,7 @@ class FragmentStore:
                 self._fragments = [receipt.info]
                 doomed = self._retire_locked(merged_from)
             self._save_manifest()
-            # Manifest-then-delete: the de-listing is committed, so a
-            # crash here only leaves unreferenced (fsck-visible) files.
-            for frag in doomed:
-                try:
-                    remove_file(frag.path)
-                except OSError:
-                    pass
+            self._unlink(doomed)
             sp.add_nnz(nnz)
         self.workload_ledger.merge_into(
             [f.path.name for f in merged_from], receipt.info.path.name
@@ -1873,43 +1944,14 @@ class FragmentStore:
         with span(
             "store.migrate", src=frag.format_name, dst=fmt.name
         ) as sp:
-            encoded = EncodedTensor(
-                fmt=get_format(payload.format_name),
-                shape=tuple(int(m) for m in payload.shape),
-                nnz=int(payload.nnz),
-                payload=dict(payload.buffers),
-                meta=dict(payload.meta),
-                values=np.asarray(payload.values),
+            converted = payload_encoded(payload).convert(fmt)
+            # Same point set, so the range metadata carries over.
+            info = self._replace_fragment_locked(
+                index, frag, converted,
+                extra=dict(payload.extra), zone=frag.zone,
             )
-            converted = encoded.convert(fmt)
-            path = self._next_fragment_path()
-            info = write_fragment(
-                path,
-                converted,
-                bbox=frag.bbox,
-                extra=dict(payload.extra),
-                fsync=self.fsync,
-                codec=self.codec,
-            )
-            # Same point set, so the range metadata carries over; the
-            # logical sequence pins the replacement to the old slot in
-            # the newest-wins order.
-            info.zone = frag.zone
-            info.seq = frag.effective_seq()
             sp.add_nnz(converted.nnz)
             sp.add_bytes_out(info.nbytes)
-        with self._state_lock:
-            self._fragments[index] = info
-            doomed = self._retire_locked([frag])
-        self._save_manifest()
-        # Manifest-then-delete, as everywhere: a crash before this point
-        # leaves the old file retired/unreferenced, never missing data.
-        for f in doomed:
-            try:
-                remove_file(f.path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self.workload_ledger.carry_over(frag.path.name, info.path.name)
         counter_add(
             "store.migrate.fragments", src=frag.format_name, dst=fmt.name
         )
@@ -1991,9 +2033,8 @@ class FragmentStore:
     ) -> FragmentInfo | None:
         """Rewrite one fragment's tag/payload/zone into ``addr_order``.
 
-        Mirrors :meth:`_migrate_fragment_locked`'s commit protocol; the
-        replacement pins the old fragment's logical ``seq`` so the
-        newest-wins shadowing order is untouched.
+        Commits through :meth:`_replace_fragment_locked`, as format
+        migration does.
         """
         from .migrate import convert_addr_order
 
@@ -2006,15 +2047,7 @@ class FragmentStore:
             "store.addr_order.migrate",
             src=frag.addr_order, dst=addr_order,
         ) as sp:
-            encoded = EncodedTensor(
-                fmt=get_format(payload.format_name),
-                shape=tuple(int(m) for m in payload.shape),
-                nnz=int(payload.nnz),
-                payload=dict(payload.buffers),
-                meta=dict(payload.meta),
-                values=np.asarray(payload.values),
-            )
-            converted = convert_addr_order(encoded, addr_order)
+            converted = convert_addr_order(payload_encoded(payload), addr_order)
             extra = dict(payload.extra)
             if addr_order == DEFAULT_ADDRESS_ORDER:
                 extra.pop("addr_order", None)
@@ -2030,29 +2063,11 @@ class FragmentStore:
                 zone = ZoneMap.from_addresses(
                     run.addresses, assume_sorted=True
                 )
-            path = self._next_fragment_path()
-            info = write_fragment(
-                path,
-                converted,
-                bbox=frag.bbox,
-                extra=extra,
-                fsync=self.fsync,
-                codec=self.codec,
+            info = self._replace_fragment_locked(
+                index, frag, converted, extra=extra, zone=zone
             )
-            info.zone = zone
-            info.seq = frag.effective_seq()
             sp.add_nnz(converted.nnz)
             sp.add_bytes_out(info.nbytes)
-        with self._state_lock:
-            self._fragments[index] = info
-            doomed = self._retire_locked([frag])
-        self._save_manifest()
-        for f in doomed:
-            try:
-                remove_file(f.path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self.workload_ledger.carry_over(frag.path.name, info.path.name)
         counter_add(
             "store.addr_order.fragments",
             src=frag.addr_order, dst=addr_order,

@@ -155,7 +155,9 @@ class TestThreadSafety:
         for i in range(n_threads):
             assert reg.counter("t.mine", thread=i).value == n_iter
 
-    def test_write_many_thread_executor_records_worker_metrics(self, tmp_path):
+    def test_write_many_records_what_write_records(self, tmp_path):
+        """Pool threads record into the shared registry: write_many leaves
+        the counts a loop of write leaves, part for part."""
         from repro import FragmentStore
 
         rng = np.random.default_rng(7)
@@ -167,31 +169,25 @@ class TestThreadSafety:
                 for _ in range(2)
             ])
             parts.append((coords, rng.random(200)))
-        store = FragmentStore(tmp_path / "s", shape, "LINEAR")
-        infos = store.write_many(parts, max_workers=4, executor="thread")
-        assert len(infos) == 8
-        reg = obs.get_registry()
-        # Worker threads recorded into the shared registry.
-        assert reg.counter("parallel.pack.calls", format="LINEAR").value == 8
-        assert reg.counter("parallel.parts").value == 8
-        assert reg.gauge("parallel.workers").value == 4
-        assert 0 < reg.gauge("parallel.utilization").value <= 1.5
-        assert reg.counter("fragment.bytes_written", format="LINEAR").value \
-            == sum(i.nbytes for i in infos)
-        # The fragments are identical to what sequential writes produce.
-        out = store.read_points(parts[0][0])
-        assert out.found.all()
 
-    def test_write_many_rejects_unknown_executor(self, tmp_path):
-        from repro import FragmentStore
+        def recorded(name, write):
+            obs.reset()
+            write(FragmentStore(tmp_path / name, shape, "LINEAR"))
+            snap = obs.snapshot()
+            key = lambda m: (m["name"], json.dumps(m["labels"], sort_keys=True))
+            return (
+                {key(c): c["value"] for c in snap["counters"]},
+                {key(h): h["count"] for h in snap["histograms"]},
+            )
 
-        store = FragmentStore(tmp_path / "s", (8, 8), "COO")
-        parts = [
-            (np.array([[i, i]], dtype=np.uint64), np.array([1.0]))
-            for i in range(4)
-        ]
-        with pytest.raises(ValueError, match="executor"):
-            store.write_many(parts, max_workers=2, executor="fiber")
+        loop = recorded("loop", lambda s: [s.write(c, v) for c, v in parts])
+        batch = recorded("batch", lambda s: s.write_many(parts, max_workers=4))
+        assert batch == loop
+        counters, histograms = batch
+        assert counters[("store.write.calls", '{"format": "LINEAR"}')] == 8
+        for phase in ("build", "reorg", "write_io"):
+            name = f"store.{phase}.seconds"
+            assert histograms[(name, '{"format": "LINEAR"}')] == 8
 
 
 class TestInstrumentation:

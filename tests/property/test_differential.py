@@ -616,7 +616,7 @@ class TestPlannerDifferential:
     Every store above already runs plan-on (the default); this class
     pins the other direction: plan-on vs plan-off (the seed's linear
     bbox scan), stale pre-zone-map manifests, degenerate fragments, and
-    the crc/lazy load variants all return byte-identical outcomes.
+    the memoized-CRC load variant all return byte-identical outcomes.
     ``ReadOutcome.fragments_visited`` is deliberately *not* compared —
     visiting fewer fragments is the planner's entire point.
     """
@@ -739,13 +739,13 @@ class TestPlannerDifferential:
         )
         tuned = FragmentStore(
             eager.directory, overlay.shape, fmt_name,
-            options=StoreOptions(crc_mode="once", lazy_load=True),
+            options=StoreOptions(crc_mode="once"),
         )
         # Read twice so the second round exercises the CRC memo.
         for _ in range(2):
             self._assert_same_reads(
                 eager, tuned, overlay, rng,
-                f"{fmt_name}/seed={seed}/crc-once-lazy",
+                f"{fmt_name}/seed={seed}/crc-once",
             )
 
 

@@ -32,7 +32,10 @@ class TestStoreOptions:
         assert opts.cache_bytes == 0
         assert opts.planner is True
         assert opts.crc_mode == "eager"
-        assert opts.lazy_load is False
+
+    def test_removed_fields_rejected(self):
+        with pytest.raises(TypeError):
+            StoreOptions(lazy_load=True)
 
     def test_frozen(self):
         opts = StoreOptions()

@@ -367,35 +367,3 @@ class TestCrcMemoAndLazy:
         store.read_points(bands[0][:8])
         store.read_points(bands[0][:8])
         assert _counter("store.plan.crc_memo_hits") == 0
-
-    def test_lazy_load_identical_results(self, tmp_path):
-        store, bands = _band_store(tmp_path, n_fragments=4)
-        lazy = FragmentStore(
-            tmp_path / "ds", store.shape, "LINEAR",
-            options=StoreOptions(lazy_load=True, crc_mode="once"),
-        )
-        queries = np.vstack([b[:8] for b in bands])
-        a = store.read_points(queries)
-        b = lazy.read_points(queries)
-        np.testing.assert_array_equal(a.found, b.found)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert _counter("store.plan.lazy_bytes_avoided") > 0
-        box = Box((0, 0), store.shape)
-        np.testing.assert_array_equal(
-            store.read_box(box).values, lazy.read_box(box).values
-        )
-
-    def test_lazy_load_detects_corruption(self, tmp_path):
-        store, bands = _band_store(tmp_path, n_fragments=2)
-        frag_path = store.fragments[0].path
-        blob = bytearray(frag_path.read_bytes())
-        blob[-3] ^= 0xFF
-        frag_path.write_bytes(bytes(blob))
-        lazy = FragmentStore(
-            tmp_path / "ds", store.shape, "LINEAR",
-            options=StoreOptions(lazy_load=True),
-        )
-        from repro.core.errors import FragmentError
-
-        with pytest.raises(FragmentError):
-            lazy.read_points(bands[0][:8])
