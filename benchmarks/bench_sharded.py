@@ -6,8 +6,7 @@ nothing prunes, every read pays for every byte.  ``ShardedStore`` routes
 the same writes through the global-address bands first, so every
 fragment it commits is band-limited by construction: a hot-region query
 (the paper's locality pattern) touches only the bands the region maps
-to, and the parent-level planner proves the rest empty without opening
-their child manifests.
+to, and routing never opens the other children.
 
 This bench builds the same scattered workload three ways — one
 ``FragmentStore``, a 4-shard and a 16-shard ``ShardedStore`` — compacts

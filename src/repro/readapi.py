@@ -26,8 +26,8 @@ FragmentStore`, :class:`~repro.storage.adaptive.AdaptiveStore`,
 :class:`~repro.storage.sharded.ShardedStore` and both snapshot views)
 additionally share one keyword-only *tuning surface* on both methods —
 a single ``options=``\\ :class:`~repro.storage.options.ReadOptions`
-value (``faithful``, ``check_crc``, ``parallel`` = ``"none"`` |
-``"thread"``, ``max_workers``) — so per-call read tuning is portable
+value (``faithful``, ``parallel`` = ``"none"`` | ``"thread"``,
+``max_workers``) — so per-call read tuning is portable
 across every store kind (see ``docs/READ_PATH.md`` and
 ``docs/API_GUIDE.md``).
 In-memory encodings ignore storage tuning by construction: there is

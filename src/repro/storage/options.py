@@ -3,8 +3,8 @@
 The storage layer grew one keyword knob per PR — ``relative_coords``,
 ``fsync``, ``codec``, ``on_corruption``, ``retry``, ``cache_bytes``,
 ``planner``, ``crc_mode`` on constructors and ``faithful``,
-``check_crc``, ``parallel``, ``max_workers`` on every read — and by PR 5
-each store class repeated the full list.  This module consolidates the
+``parallel``, ``max_workers`` on every read — and by PR 5 each store
+class repeated the full list.  This module consolidates the
 sprawl into two frozen dataclasses:
 
 :class:`StoreOptions`
@@ -198,8 +198,6 @@ class ReadOptions:
     faithful:
         Use the paper's faithful (reference) read kernels where the
         organization distinguishes them; box reads are always structural.
-    check_crc:
-        Verify fragment checksums on load.
     parallel:
         Per-fragment fan-out mode: ``"none"`` (inline) or ``"thread"``
         (the shared bounded read pool).
@@ -208,7 +206,6 @@ class ReadOptions:
     """
 
     faithful: bool = False
-    check_crc: bool = True
     parallel: str = "none"
     max_workers: int | None = None
 

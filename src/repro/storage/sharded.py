@@ -8,9 +8,11 @@ space ``[0, cell_count(shape))`` is split into contiguous *bands*, and
 each band is an independent, fully durable
 :class:`~repro.storage.store.FragmentStore` directory with its own
 manifest generation.  A crash-safe **parent manifest**
-(``shards.json``, atomic tmp+rename, monotonic parent generation)
-records the band boundaries and child directories — it is the single
-commit point of every re-banding operation.
+(``shards.json``, atomic tmp+rename, monotonic parent generation) is
+the band table alone — each shard's directory, its ``[addr_lo,
+addr_hi)`` band and the epoch that created it — and it is the single
+commit point of every re-banding operation.  Routed writes, appends,
+packs, compactions and migrations commit only in the children.
 
 Why bands over the *linear address*?  ALTO's observation (PAPERS.md):
 the linearized address is a total order over the tensor, so
@@ -22,11 +24,11 @@ the linearized address is a total order over the tensor, so
   reads never merge duplicates across shards, and every band's box hits
   join one row-major merge (:func:`route_box`), whatever order the bands
   were cut in;
-* the existing :class:`~repro.storage.planner.QueryPlanner` prunes
-  whole shards for free: each shard is summarized by a
-  :class:`ShardEntry` (bbox + zone map + nnz, the same duck type a
-  fragment presents) kept in the *parent* manifest, so zone maps can
-  prune a shard before its child manifest is even opened.
+* routing is the whole shard-level prune (:func:`band_visits`): a point
+  query's sorted keys, or a box's address intervals, cut at the band
+  edges with one ``searchsorted``, so a read opens only the bands it
+  can touch, and each of those children's planners prunes its own
+  fragments.
 
 Maintenance scales out the same way: :meth:`ShardedStore.compact` runs
 per-shard compactions on a worker pool (each child takes only its own
@@ -58,11 +60,10 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -84,6 +85,7 @@ from ..formats.registry import resolve_format
 from ..obs import counter_add, span
 from ..readapi import ReadOutcome
 from .durability import (
+    QUARANTINE_DIR,
     TMP_SUFFIX,
     FsckIssue,
     FsckReport,
@@ -95,7 +97,7 @@ from .durability import (
 )
 from .options import ReadOptions, StoreOptions
 from .fragment import FragmentInfo
-from .planner import QueryKeys, QueryPlan, QueryPlanner, ZoneMap
+from .planner import QueryKeys, QueryPlan
 from .readpath import RWLock, merge_box_hits
 from .store import FragmentStore, WriteReceipt
 
@@ -116,15 +118,13 @@ _SHARD_DIR_PREFIX = "shard-"
 
 @dataclass
 class ShardEntry:
-    """Parent-manifest summary of one shard (the planner's duck type).
+    """One row of the parent's band table.
 
-    Presents exactly the attributes :class:`~repro.storage.planner.
-    FragmentIndex` and the zone stage consult on a fragment — ``bbox``,
-    ``nnz``, ``zone``, ``path`` — so one shard can be pruned by the
-    *unmodified* :class:`~repro.storage.planner.QueryPlanner` before its
-    child manifest is opened.  ``addr_lo`` / ``addr_hi`` are the band
-    (inclusive / exclusive); ``epoch`` is the parent generation that
-    created the shard (the recovery tie-breaker).
+    ``path`` is the shard directory, ``[addr_lo, addr_hi)`` the band it
+    owns in the store's address order, and ``epoch`` the parent
+    generation that created it (the recovery tie-breaker).  What the
+    shard holds — points, fragments, zone maps — lives in its child
+    store; routing needs only the band.
     """
 
     name: str
@@ -132,14 +132,6 @@ class ShardEntry:
     addr_lo: int
     addr_hi: int
     epoch: int
-    nnz: int = 0
-    bbox: Box | None = None
-    zone: ZoneMap | None = None
-    #: Linearization order of the band/zone addresses.  Set by the
-    #: parent from its store-level order (one order per sharded store),
-    #: not serialized per entry — the planner's zone stage reads it via
-    #: ``getattr`` so each entry is pruned in its own space.
-    addr_order: str = DEFAULT_ADDRESS_ORDER
 
     def to_json(self) -> dict:
         return {
@@ -147,59 +139,19 @@ class ShardEntry:
             "addr_lo": int(self.addr_lo),
             "addr_hi": int(self.addr_hi),
             "epoch": int(self.epoch),
-            "nnz": int(self.nnz),
-            "bbox_origin": list(self.bbox.origin) if self.bbox else None,
-            "bbox_size": list(self.bbox.size) if self.bbox else None,
-            "zone": self.zone.to_json() if self.zone else None,
         }
 
     @classmethod
     def from_json(cls, parent: Path, obj: dict) -> "ShardEntry":
-        bbox = None
-        if obj.get("bbox_origin") is not None:
-            bbox = Box(tuple(obj["bbox_origin"]), tuple(obj["bbox_size"]))
+        """One band; the per-shard stats keys older parent manifests
+        carry (``nnz``, ``bbox_*``, ``zone``) are ignored."""
         return cls(
             name=str(obj["dir"]),
             path=parent / str(obj["dir"]),
             addr_lo=int(obj["addr_lo"]),
             addr_hi=int(obj["addr_hi"]),
             epoch=int(obj.get("epoch", 0)),
-            nnz=int(obj.get("nnz", 0)),
-            bbox=bbox,
-            zone=ZoneMap.from_json(obj.get("zone")),
         )
-
-
-def _empty_box(ndim: int) -> Box:
-    """An empty placeholder bbox (masked out by the fragment index)."""
-    return Box(tuple(0 for _ in range(ndim)), tuple(0 for _ in range(ndim)))
-
-
-def _union_box(a: Box | None, b: Box | None) -> Box | None:
-    if a is None or a.is_empty():
-        return b
-    if b is None or b.is_empty():
-        return a
-    origin = tuple(min(x, y) for x, y in zip(a.origin, b.origin))
-    end = tuple(max(x, y) for x, y in zip(a.end, b.end))
-    return Box(origin, tuple(e - o for o, e in zip(origin, end)))
-
-
-def _union_zone(a: ZoneMap | None, b: ZoneMap | None) -> ZoneMap | None:
-    """Range-only union of two zone maps.
-
-    Parent-level zones summarize whole shards; histograms built with
-    different bucket widths do not merge losslessly, so the union keeps
-    only the (always sound) ``[addr_min, addr_max]`` range — an empty
-    histogram makes both pruning predicates range-only.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return ZoneMap(
-        min(a.addr_min, b.addr_min), max(a.addr_max, b.addr_max), ()
-    )
 
 
 class ShardedStore:
@@ -215,10 +167,11 @@ class ShardedStore:
     as :class:`~repro.storage.store.FragmentStore` does with its own.
 
     ``split_nnz`` / ``merge_nnz`` arm automatic re-banding: after each
-    routed write, any shard whose nnz exceeds ``split_nnz`` is split at
-    its median stored address, and any adjacent pair whose combined nnz
-    falls below ``merge_nnz`` is merged.  Both default to off; explicit
-    :meth:`split` / :meth:`merge` always work.
+    routed write, any shard whose child store's nnz exceeds
+    ``split_nnz`` is split at its median stored address, and any
+    adjacent pair whose combined nnz falls below ``merge_nnz`` is
+    merged.  Both default to off; explicit :meth:`split` /
+    :meth:`merge` always work.
     """
 
     def __init__(
@@ -254,7 +207,6 @@ class ShardedStore:
         if opts.codec is None and persisted.get("codec"):
             opts = opts.replace(codec=persisted["codec"])
         self.options = opts
-        self.use_planner = bool(opts.planner)
         if int(n_shards) < 1:
             raise ValueError("n_shards must be >= 1")
         self.split_nnz = None if split_nnz is None else int(split_nnz)
@@ -288,7 +240,6 @@ class ShardedStore:
         self._cells = address_space_size(self.shape, resolved_order)
         self._rw = RWLock()
         self._state_lock = threading.RLock()
-        self._planner = QueryPlanner()
         self._generation = 0
         self._entries: list[ShardEntry] = []
         self._children: dict[str, FragmentStore] = {}
@@ -316,8 +267,8 @@ class ShardedStore:
 
     @property
     def generation(self) -> int:
-        """Parent-manifest generation (bumped by every committed
-        re-banding or per-shard stat refresh)."""
+        """Parent-manifest generation: bumped by creation, split, merge
+        and fsck repair — the operations that commit the band table."""
         return self._generation
 
     @property
@@ -328,8 +279,10 @@ class ShardedStore:
 
     @property
     def nnz(self) -> int:
-        """Total stored points across shards (duplicates counted)."""
-        return sum(e.nnz for e in self.shards)
+        """Stored points across shards, counted as
+        :attr:`FragmentStore.nnz` counts them: packed points, duplicates
+        included, unpacked appends not."""
+        return sum(self._child(i).nnz for i in range(len(self.shards)))
 
     @property
     def fragments(self):
@@ -356,8 +309,6 @@ class ShardedStore:
         self._generation = int(doc.get("generation", 0))
         entries = [ShardEntry.from_json(self.directory, b) for b in bands]
         entries.sort(key=lambda e: e.addr_lo)
-        for e in entries:
-            e.addr_order = self.addr_order
         self._validate_bands(entries)
         self._entries = entries
 
@@ -399,21 +350,6 @@ class ShardedStore:
                 fsync=self.options.fsync,
             )
 
-    def _next_shard_name(self) -> str:
-        used = set()
-        for p in self.directory.glob(f"{_SHARD_DIR_PREFIX}*"):
-            try:
-                used.add(int(p.name[len(_SHARD_DIR_PREFIX):]))
-            except ValueError:
-                continue
-        for e in self._entries:
-            try:
-                used.add(int(e.name[len(_SHARD_DIR_PREFIX):]))
-            except ValueError:
-                continue
-        n = max(used) + 1 if used else 0
-        return f"{_SHARD_DIR_PREFIX}{n:04d}"
-
     def _make_shard_dir(self, lo: int, hi: int, epoch: int) -> ShardEntry:
         """Create one shard directory + its ``range.json`` breadcrumb.
 
@@ -421,26 +357,16 @@ class ShardedStore:
         commit references it; the sidecar is what ``fsck --repair``
         rebuilds a lost parent from.
         """
-        name = self._next_shard_name()
+        name = _next_shard_name(
+            self.directory, [e.name for e in self._entries]
+        )
         path = self.directory / name
         path.mkdir(parents=True, exist_ok=True)
-        sidecar = {
-            "addr_lo": int(lo),
-            "addr_hi": int(hi),
-            "epoch": int(epoch),
-            "shape": list(self.shape),
-        }
-        if self.addr_order != DEFAULT_ADDRESS_ORDER:
-            sidecar["addr_order"] = self.addr_order
-        write_bytes_atomic(
-            path / SHARD_RANGE_NAME,
-            encode_manifest(sidecar),
-            fsync=self.options.fsync,
+        entry = ShardEntry(name, path, int(lo), int(hi), int(epoch))
+        _write_range_sidecar(
+            entry, self.shape, self.addr_order, fsync=self.options.fsync
         )
-        return ShardEntry(
-            name=name, path=path, addr_lo=int(lo), addr_hi=int(hi),
-            epoch=int(epoch), addr_order=self.addr_order,
-        )
+        return entry
 
     def _create_bands(self, n_shards: int) -> None:
         n_shards = int(min(n_shards, self._cells))
@@ -483,6 +409,22 @@ class ShardedStore:
     # WRITE: route parts to shards via the canonical sort
     # ------------------------------------------------------------------
 
+    def _canonical(
+        self, coords: np.ndarray, values: np.ndarray
+    ) -> tuple[CanonicalCoords, np.ndarray]:
+        """Validate one part and sort it in the store's address order
+        (outside the write lock; :meth:`_route_canonical` cuts it)."""
+        coords = as_index_array(coords)
+        values = np.asarray(values)
+        if coords.ndim != 2 or coords.shape[1] != len(self.shape):
+            raise ShapeError("coords must be (n, d) matching the store shape")
+        if values.shape[0] != coords.shape[0]:
+            raise ShapeError("values must align with coords")
+        canon = CanonicalCoords.from_coords(
+            coords, self.shape, addr_order=self.addr_order
+        )
+        return canon, values
+
     def _route_canonical(
         self, canon: CanonicalCoords, values: np.ndarray
     ) -> list[tuple[int, CanonicalCoords, np.ndarray]]:
@@ -494,7 +436,6 @@ class ShardedStore:
         within each segment, so routed writes preserve the single-store
         overwrite semantics exactly.
         """
-        values = np.asarray(values)
         if canon.n == 0:
             return []
         addrs = canon.sorted_addresses
@@ -519,39 +460,15 @@ class ShardedStore:
     def write(self, coords: np.ndarray, values: np.ndarray) -> list[WriteReceipt]:
         """Route one part across shards; one fragment per touched band.
 
-        The parent's per-shard stats (nnz / bbox / zone) commit *before*
-        the child writes: a crash between the two leaves the parent
-        over-covering (sound — zone maps that cover more than is stored
-        merely prune less), never under-covering a committed fragment.
-        Each child commit is then atomic on its own manifest.  Returns
-        the per-shard receipts in band order.
+        Each child commit is atomic on its own manifest; the parent
+        manifest (the band table) is not written.  Returns the per-shard
+        receipts in band order.
         """
-        coords = as_index_array(coords)
-        values = np.asarray(values)
-        if coords.ndim != 2 or coords.shape[1] != len(self.shape):
-            raise ShapeError("coords must be (n, d) matching the store shape")
-        if values.shape[0] != coords.shape[0]:
-            raise ShapeError("values must align with coords")
-        canon = CanonicalCoords.from_coords(
-            coords, self.shape, addr_order=self.addr_order
-        )
+        canon, values = self._canonical(coords, values)
         receipts: list[WriteReceipt] = []
         with self._rw.write_locked():
             with span("store.shard.write", format=self.format_name) as sp:
-                routed = self._route_canonical(canon, values)
-                for i, sub, _vals in routed:
-                    entry = self._entries[i]
-                    entry.nnz += sub.n
-                    entry.bbox = _union_box(entry.bbox, sub.bounding_box)
-                    entry.zone = _union_zone(
-                        entry.zone,
-                        ZoneMap.from_addresses(
-                            sub.sorted_addresses, assume_sorted=True
-                        ),
-                    )
-                if routed:
-                    self._save_parent_manifest()
-                for i, sub, vals in routed:
+                for i, sub, vals in self._route_canonical(canon, values):
                     receipts.append(self._child(i).write_canonical(sub, vals))
                     counter_add("store.shard.routed_parts")
                 sp.add_nnz(canon.n)
@@ -566,7 +483,7 @@ class ShardedStore:
         Parts commit in order; a crash leaves a *prefix* of fully routed
         parts plus at most one part that is present in some of the
         shards it straddles — each child internally consistent (its
-        manifest is its commit point), the parent stat refresh pending.
+        manifest is its commit point).
         """
         out = []
         for coords, values in parts:
@@ -587,39 +504,14 @@ class ShardedStore:
     def append(self, coords: np.ndarray, values: np.ndarray) -> int:
         """Durably append points, routed to each band's write-ahead log.
 
-        Same crash-ordering contract as :meth:`write`: the parent's
-        per-shard stats commit *before* the child appends, so a crash in
-        the window leaves the parent over-covering (sound for pruning),
-        never hiding an appended point.  Each child append is then an
-        independent WAL commit — an acknowledged ``append`` with
-        ``wal_fsync`` survives any crash.  Returns the number of points
-        appended.
+        Each child append is an independent WAL commit — an acknowledged
+        ``append`` with ``wal_fsync`` survives any crash — and the parent
+        manifest is not written.  Returns the number of points appended.
         """
-        coords = as_index_array(coords)
-        values = np.asarray(values)
-        if coords.ndim != 2 or coords.shape[1] != len(self.shape):
-            raise ShapeError("coords must be (n, d) matching the store shape")
-        if values.shape[0] != coords.shape[0]:
-            raise ShapeError("values must align with coords")
-        canon = CanonicalCoords.from_coords(
-            coords, self.shape, addr_order=self.addr_order
-        )
+        canon, values = self._canonical(coords, values)
         with self._rw.write_locked():
             with span("store.shard.append", format=self.format_name) as sp:
-                routed = self._route_canonical(canon, values)
-                for i, sub, _vals in routed:
-                    entry = self._entries[i]
-                    entry.nnz += sub.n
-                    entry.bbox = _union_box(entry.bbox, sub.bounding_box)
-                    entry.zone = _union_zone(
-                        entry.zone,
-                        ZoneMap.from_addresses(
-                            sub.sorted_addresses, assume_sorted=True
-                        ),
-                    )
-                if routed:
-                    self._save_parent_manifest()
-                for i, sub, vals in routed:
+                for i, sub, vals in self._route_canonical(canon, values):
                     # Routing happens in the store order, but the WAL
                     # address space is always row-major (the pack path
                     # converts once at fragment-build time).  Duplicate
@@ -643,23 +535,14 @@ class ShardedStore:
     def pack_wal(self) -> list[WriteReceipt]:
         """Drain every shard's WAL into fragments (band order).
 
-        Each child pack is atomic on that child's manifest; the parent
-        stat refresh at the end commits once.  Returns the per-shard
-        receipts for shards that held unpacked points.
+        Each child pack is atomic on that child's manifest.  Returns the
+        per-shard receipts for shards that held unpacked points.
         """
-        receipts: list[WriteReceipt] = []
         with self._rw.write_locked():
-            packed = []
-            for i in range(len(self._entries)):
-                receipt = self._child(i).pack_wal()
-                if receipt is not None:
-                    packed.append(i)
-                    receipts.append(receipt)
-            if packed:
-                for i in packed:
-                    self._refresh_entry(i)
-                self._save_parent_manifest()
-        return receipts
+            receipts = [
+                self._child(i).pack_wal() for i in range(len(self._entries))
+            ]
+        return [r for r in receipts if r is not None]
 
     def wal_stats(self) -> dict[str, int]:
         """Aggregate WAL footprint across shards."""
@@ -698,61 +581,29 @@ class ShardedStore:
         }
 
     # ------------------------------------------------------------------
-    # READ: parent-level pruning, per-shard fan-out
+    # READ: routing prunes whole shards, each child plans its fragments
     # ------------------------------------------------------------------
 
-    def _plan_shards(
-        self,
-        query_box: Box,
-        kind: str,
-        *,
-        keys: QueryKeys | None = None,
-    ) -> QueryPlan:
-        """Prune whole shards with the unmodified fragment planner.
-
-        :class:`ShardEntry` duck-types a fragment (bbox/nnz/zone/path/
-        addr_order), so the same interval index + zone-map stages that
-        prune fragments inside one store here prune entire shard
-        directories — before any child manifest is opened.  ``keys``
-        carries the query's per-order addresses/intervals; the zone
-        stage evaluates each entry in the store's active order.
-        """
-        with self._state_lock:
-            entries = [
-                e if e.bbox is not None else
-                ShardEntry(
-                    name=e.name, path=e.path, addr_lo=e.addr_lo,
-                    addr_hi=e.addr_hi, epoch=e.epoch, nnz=0,
-                    bbox=_empty_box(len(self.shape)),
-                    addr_order=self.addr_order,
-                )
-                for e in self._entries
-            ]
-            generation = self._generation
-        plan = self._planner.plan(
-            entries,
-            generation,
-            query_box,
+    def explain(self, query) -> QueryPlan:
+        """The *shard-level* plan of a read of ``query``: the bands
+        routing would visit, as :class:`ShardEntry` rows in
+        ``fragments`` (a band's range is its bounding box, so the bands
+        routing skips count as ``pruned_bbox``).  Each child's own
+        :meth:`FragmentStore.explain` shows its fragment plan."""
+        if isinstance(query, Box):
+            kind, keys = "box", QueryKeys(self.shape, box=query)
+        else:
+            kind, keys = "points", QueryKeys.for_points(self.shape, query)
+        entries = self.shards
+        visits = band_visits(keys, self.addr_order, entries)
+        visit = [entries[i] for i, _s, _e in visits]
+        return QueryPlan(
             kind=kind,
-            enabled=self.use_planner,
-            keys=keys,
+            total_fragments=len(entries),
+            fragments=visit,
+            pruned_bbox=len(entries) - len(visit),
             addr_order=self.addr_order,
         )
-        counter_add("store.shard.visited", len(plan.fragments))
-        counter_add(
-            "store.shard.pruned",
-            plan.total_fragments - len(plan.fragments),
-        )
-        return plan
-
-    def explain(self, query) -> QueryPlan:
-        """The *shard-level* plan a read of ``query`` would use."""
-        if isinstance(query, Box):
-            return self._plan_shards(
-                query, "box", keys=QueryKeys(self.shape, box=query)
-            )
-        keys = QueryKeys.for_points(self.shape, query)
-        return self._plan_shards(keys.bbox(), "points", keys=keys)
 
     def read_points(
         self,
@@ -773,14 +624,8 @@ class ShardedStore:
         with self._rw.read_locked():
             with span("store.shard.read_points",
                       format=self.format_name) as sp:
-                plan = self._plan_shards(keys.bbox(), "points", keys=keys)
-                surviving = {e.name for e in plan.fragments}
-                children = [
-                    self._child(i) if e.name in surviving else None
-                    for i, e in enumerate(self._entries)
-                ]
                 outcome = route_points(
-                    keys, self.addr_order, self._entries, children, ropts
+                    keys, self.addr_order, self._entries, self._child, ropts
                 )
                 sp.add_nnz(outcome.points_matched)
         return outcome
@@ -791,19 +636,16 @@ class ShardedStore:
         *,
         options: ReadOptions | None = None,
     ) -> SparseTensor:
-        """Box reads fanned across the surviving shards and merged by
-        :func:`route_box` (bands are disjoint: no cross-shard dedup)."""
+        """Box reads fanned across the bands the box's address intervals
+        meet and merged by :func:`route_box` (bands are disjoint: no
+        cross-shard dedup)."""
         ropts = options or ReadOptions()
         keys = QueryKeys(self.shape, box=box)
         with self._rw.read_locked():
             with span("store.shard.read_box", format=self.format_name):
-                plan = self._plan_shards(box, "box", keys=keys)
-                surviving = {e.name for e in plan.fragments}
-                children = [
-                    self._child(i) if e.name in surviving else None
-                    for i, e in enumerate(self._entries)
-                ]
-                return route_box(keys, children, ropts)
+                return route_box(
+                    keys, self.addr_order, self._entries, self._child, ropts
+                )
 
     # ------------------------------------------------------------------
     # Maintenance: parallel compaction, split, merge
@@ -819,7 +661,6 @@ class ShardedStore:
         share no state, so per-shard compaction is embarrassingly
         parallel.  Children holding ≤1 fragment no-op without a
         generation bump (so their caches and planner state survive).
-        The parent commit at the end refreshes per-shard stats once.
         """
         with self._rw.write_locked():
             with span("store.shard.compact", format=self.format_name):
@@ -827,22 +668,16 @@ class ShardedStore:
                     i for i in range(len(self._entries))
                     if len(self._child(i).fragments) >= 2
                 ]
-                workers = max_workers or max(1, len(idxs))
-                receipts: list[WriteReceipt] = []
-                if idxs:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        futures = [
-                            pool.submit(
-                                self._child(i).compact, strategy=strategy
-                            )
-                            for i in idxs
-                        ]
-                        done = [f.result() for f in futures]
-                    for i, receipt in zip(idxs, done):
-                        self._refresh_entry(i)
-                        receipts.append(receipt)
-                        counter_add("store.shard.compactions")
-                    self._save_parent_manifest()
+                if not idxs:
+                    return []
+                workers = max_workers or len(idxs)
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    futures = [
+                        pool.submit(self._child(i).compact, strategy=strategy)
+                        for i in idxs
+                    ]
+                    receipts = [f.result() for f in futures]
+                counter_add("store.shard.compactions", len(receipts))
         return receipts
 
     def migrate_all(self, format_name: str) -> list[FragmentInfo]:
@@ -851,42 +686,15 @@ class ShardedStore:
         Delegates to each child's
         :meth:`~repro.storage.store.FragmentStore.migrate_all` (direct
         payload→payload kernels when registered, canonical fallback
-        otherwise), then refreshes the parent-level shard stats once.
-        Like :meth:`compact`, each child commits independently — a crash
-        mid-sweep leaves a mixed-format store that reads bit-identically.
+        otherwise).  Like :meth:`compact`, each child commits
+        independently — a crash mid-sweep leaves a mixed-format store
+        that reads bit-identically.
         """
         out: list[FragmentInfo] = []
         with self._rw.write_locked():
-            touched = []
             for i in range(len(self._entries)):
-                migrated = self._child(i).migrate_all(format_name)
-                if migrated:
-                    out.extend(migrated)
-                    touched.append(i)
-            for i in touched:
-                self._refresh_entry(i)
-            if touched:
-                self._save_parent_manifest()
+                out.extend(self._child(i).migrate_all(format_name))
         return out
-
-    def _refresh_entry(self, i: int) -> None:
-        """Recompute one shard's parent-level stats from its fragments."""
-        entry = self._entries[i]
-        store = self._child(i)
-        entry.nnz = store.nnz
-        bbox: Box | None = None
-        zone: ZoneMap | None = None
-        mixed = False
-        for f in store.fragments:
-            bbox = _union_box(bbox, f.bbox)
-            zone = _union_zone(zone, f.zone)
-            if f.addr_order != self.addr_order:
-                mixed = True
-        entry.bbox = bbox
-        # A fragment tagged with a different order (a child manipulated
-        # outside the parent) would poison the union with addresses from
-        # another space; drop the zone instead — sound, just prunes less.
-        entry.zone = None if mixed else zone
 
     def _shard_merged_run(self, i: int):
         """One shard's full content as ``(canonical, values)``.
@@ -966,10 +774,7 @@ class ShardedStore:
                     dest.path, self.shape, self.format_name,
                     options=self._child_options(),
                 )
-                receipt = store.write_canonical(sub, values[s:e])
-                dest.nnz = receipt.info.nnz
-                dest.bbox = receipt.info.bbox
-                dest.zone = receipt.info.zone
+                store.write_canonical(sub, values[s:e])
         old = self._entries[index]
         with self._state_lock:
             self._entries[index:index + 1] = [lo_entry, hi_entry]
@@ -1005,11 +810,7 @@ class ShardedStore:
         for i in (index, index + 1):
             src = self._child(i)
             for j in range(len(src.fragments)):
-                canon, values = src.fragment_canonical(j)
-                receipt = store.write_canonical(canon, values)
-                dest.nnz += receipt.info.nnz
-                dest.bbox = _union_box(dest.bbox, receipt.info.bbox)
-                dest.zone = _union_zone(dest.zone, receipt.info.zone)
+                store.write_canonical(*src.fragment_canonical(j))
         with self._state_lock:
             self._entries[index:index + 2] = [dest]
             self._children.pop(a.name, None)
@@ -1021,12 +822,14 @@ class ShardedStore:
         self._remove_shard_dir(b.path)
 
     def _rebalance_locked(self) -> None:
-        """Apply the configured nnz thresholds (one pass, writer held)."""
+        """Apply the configured nnz thresholds to the child stores' nnz
+        (one pass, writer held)."""
         if self.split_nnz is not None:
             i = 0
             while i < len(self._entries):
                 e = self._entries[i]
-                if e.nnz > self.split_nnz and e.addr_hi - e.addr_lo > 1:
+                if (self._child(i).nnz > self.split_nnz
+                        and e.addr_hi - e.addr_lo > 1):
                     try:
                         self._split_locked(i)
                     except (FragmentError, ValueError):
@@ -1036,8 +839,8 @@ class ShardedStore:
         if self.merge_nnz is not None:
             i = 0
             while i + 1 < len(self._entries):
-                a, b = self._entries[i], self._entries[i + 1]
-                if a.nnz + b.nnz < self.merge_nnz:
+                combined = self._child(i).nnz + self._child(i + 1).nnz
+                if combined < self.merge_nnz:
                     self._merge_locked(i)
                     continue
                 i += 1
@@ -1084,7 +887,7 @@ class ShardedStore:
                 "shard": e.name,
                 "addr_lo": e.addr_lo,
                 "addr_hi": e.addr_hi,
-                "nnz": e.nnz,
+                "nnz": store.nnz,
                 "fragments": len(store.fragments),
                 "nbytes": store.total_file_nbytes,
                 "generation": store.generation,
@@ -1201,7 +1004,8 @@ class ShardedSnapshot:
         """Routed point reads against the pinned per-band views."""
         return route_points(
             QueryKeys.for_points(self.shape, query_coords), self.addr_order,
-            self._entries, self._children, options or ReadOptions(),
+            self._entries, self._children.__getitem__,
+            options or ReadOptions(),
         )
 
     def read_box(
@@ -1209,39 +1013,75 @@ class ShardedSnapshot:
     ) -> SparseTensor:
         """Box reads fanned across the pinned per-band views."""
         return route_box(
-            QueryKeys(self.shape, box=box), self._children,
-            options or ReadOptions(),
+            QueryKeys(self.shape, box=box), self.addr_order, self._entries,
+            self._children.__getitem__, options or ReadOptions(),
         )
+
+
+def band_visits(
+    keys: QueryKeys, order: str, entries: Sequence[ShardEntry]
+) -> list[tuple[int, int, int]]:
+    """The bands a read of ``keys`` reaches, as ``(band, s, e)`` — the
+    whole shard-level prune.
+
+    Bands partition ``order``'s address space.  A point query's sorted
+    keys are cut at the band edges with one ``searchsorted``; ``[s, e)``
+    is a band's slice of them, and a band with no key is not reached.  A
+    box reaches the bands that meet one of its address intervals
+    (``s == e == 0``): one ``searchsorted`` finds, per band, the first
+    interval ending at or after the band's low edge, and the band is
+    reached when that interval starts below the next band's low edge.
+    """
+    lows = np.asarray([e.addr_lo for e in entries], dtype=np.uint64)
+    if keys.box is not None:
+        iv = keys.intervals(order)
+        first = iv.hi.searchsorted(lows)
+        reached = first < len(iv)
+        inner = np.flatnonzero(reached[:-1])
+        reached[inner] = iv.lo[first[inner]] < lows[inner + 1]
+        return [(int(i), 0, 0) for i in np.flatnonzero(reached)]
+    sorted_keys, _perm = keys.keys(order)
+    cuts = [0, *sorted_keys.searchsorted(lows[1:]), sorted_keys.shape[0]]
+    return [
+        (i, int(s), int(e))
+        for i, (s, e) in enumerate(zip(cuts, cuts[1:]))
+        if e > s
+    ]
+
+
+def _routed(
+    keys: QueryKeys, order: str, entries: Sequence[ShardEntry]
+) -> list[tuple[int, int, int]]:
+    """:func:`band_visits` for a read, counted."""
+    visits = band_visits(keys, order, entries)
+    counter_add("store.shard.visited", len(visits))
+    counter_add("store.shard.pruned", len(entries) - len(visits))
+    return visits
 
 
 def route_points(
     keys: QueryKeys,
     order: str,
     entries: Sequence[ShardEntry],
-    children: Sequence,
+    child: Callable[[int], Any],
     ropts: ReadOptions,
 ) -> ReadOutcome:
     """Point reads over disjoint address bands — the one router behind
     :class:`ShardedStore` and :class:`ShardedSnapshot`.
 
-    One ``searchsorted`` cuts the query's sorted keys (in the bands'
-    ``order``) at the band boundaries; each band's child (a store or a
-    pinned snapshot; ``None`` for a band the plan pruned) reads its
-    pre-sorted slice, and the hits scatter back to query rows through
-    the permutation.  Bands are disjoint, so no merge is needed.
+    Each band :func:`band_visits` reaches has ``child(i)`` (a store or a
+    pinned snapshot) read its slice of the query's sorted keys, and the
+    hits scatter back to query rows through the permutation.  Bands are
+    disjoint, so no merge is needed.
     """
     q = keys.points.shape[0]
     found = np.zeros(q, dtype=bool)
     out_values: np.ndarray | None = None
     visited = 0
-    sorted_keys, perm = keys.keys(order)
-    bounds = np.asarray([e.addr_lo for e in entries[1:]], dtype=np.uint64)
-    cuts = [0, *sorted_keys.searchsorted(bounds), sorted_keys.shape[0]]
-    for i, child in enumerate(children):
-        s, e = int(cuts[i]), int(cuts[i + 1])
-        if child is None or e <= s:
-            continue
-        outcome = child._read_point_keys(keys.band(order, s, e), ropts)
+    visits = _routed(keys, order, entries)
+    perm = keys.keys(order)[1]
+    for i, s, e in visits:
+        outcome = child(i)._read_point_keys(keys.band(order, s, e), ropts)
         visited += outcome.fragments_visited
         idx = perm[s:e][outcome.found]
         found[idx] = True
@@ -1260,13 +1100,17 @@ def route_points(
 
 
 def route_box(
-    keys: QueryKeys, children: Sequence, ropts: ReadOptions
+    keys: QueryKeys,
+    order: str,
+    entries: Sequence[ShardEntry],
+    child: Callable[[int], Any],
+    ropts: ReadOptions,
 ) -> SparseTensor:
     """Box reads over disjoint address bands — the one band merge behind
     :class:`ShardedStore` and :class:`ShardedSnapshot`.
 
-    Each band's child (a store or a pinned snapshot; ``None`` for a band
-    the plan pruned) plans and probes the box with the shared ``keys``,
+    Each band :func:`band_visits` reaches has ``child(i)`` (a store or a
+    pinned snapshot) plan and probe the box with the shared ``keys``,
     and every band's hits join one :func:`~repro.storage.readpath.
     merge_box_hits`.  Bands are disjoint, so no address repeats across
     them, and the merge orders the result by row-major address whatever
@@ -1274,9 +1118,8 @@ def route_box(
     space).
     """
     parts = []
-    for child in children:
-        if child is not None:
-            parts.extend(child._box_hits(keys, ropts))
+    for i, _s, _e in _routed(keys, order, entries):
+        parts.extend(child(i)._box_hits(keys, ropts))
     return merge_box_hits(keys.shape, parts)
 
 
@@ -1308,22 +1151,55 @@ def _read_range_sidecar(path: Path) -> dict | None:
         return None
 
 
-def _next_free_shard_name(directory: Path, taken: set) -> str:
-    used = set()
-    for p in directory.glob(f"{_SHARD_DIR_PREFIX}*"):
+def _next_shard_name(directory: Path, taken) -> str:
+    """One past the highest ``shard-NNNN`` number on disk or in
+    ``taken`` (names referenced but possibly absent from disk)."""
+    used = [-1]
+    for name in [*(p.name for p in directory.glob(f"{_SHARD_DIR_PREFIX}*")),
+                 *taken]:
         try:
-            used.add(int(p.name[len(_SHARD_DIR_PREFIX):]))
+            used.append(int(name[len(_SHARD_DIR_PREFIX):]))
         except ValueError:
             continue
-    for name in taken:
-        try:
-            used.add(int(name[len(_SHARD_DIR_PREFIX):]))
-        except ValueError:
-            continue
-    n = max(used) + 1 if used else 0
-    name = f"{_SHARD_DIR_PREFIX}{n:04d}"
-    taken.add(name)
-    return name
+    return f"{_SHARD_DIR_PREFIX}{max(used) + 1:04d}"
+
+
+def _write_range_sidecar(
+    entry: ShardEntry, shape, addr_order: str | None, *, fsync: bool = False
+) -> None:
+    """Commit ``entry``'s ``range.json`` breadcrumb (the store's shape and
+    a non-default address order ride along for parent recovery)."""
+    sidecar = {
+        "addr_lo": int(entry.addr_lo),
+        "addr_hi": int(entry.addr_hi),
+        "epoch": int(entry.epoch),
+        "shape": None if shape is None else [int(m) for m in shape],
+    }
+    if addr_order and addr_order != DEFAULT_ADDRESS_ORDER:
+        sidecar["addr_order"] = addr_order
+    write_bytes_atomic(
+        entry.path / SHARD_RANGE_NAME, encode_manifest(sidecar), fsync=fsync
+    )
+
+
+def _flag_extra_shard(
+    directory: Path, name: str, detail: str, report: FsckReport,
+    *, repair: bool,
+) -> None:
+    """Report a shard directory the band table does not use; under
+    ``repair`` move it into ``.quarantine/`` — kept, never deleted."""
+    issue = FsckIssue("extra", name, detail)
+    if repair:
+        qdir = directory / QUARANTINE_DIR
+        qdir.mkdir(parents=True, exist_ok=True)
+        target = qdir / name
+        n = 0
+        while target.exists():
+            n += 1
+            target = qdir / f"{name}.{n}"
+        (directory / name).rename(target)
+        issue.repaired = "quarantined"
+    report.issues.append(issue)
 
 
 def _rebuild_parent(
@@ -1369,7 +1245,8 @@ def _rebuild_parent(
             f"coverage gap: [{lo}, {hi}) has no shard",
         )
         if repair:
-            name = _next_free_shard_name(directory, taken)
+            name = _next_shard_name(directory, taken)
+            taken.add(name)
             chosen.append((lo, 0, hi, name))
             issue.repaired = "filled with empty shard"
         report.issues.append(issue)
@@ -1379,25 +1256,11 @@ def _rebuild_parent(
             chosen.append((lo, epoch, hi, name))
             cursor = hi
         elif lo < cursor:
-            issue = FsckIssue(
-                "extra", name,
-                f"orphan shard band [{lo}, {hi}) overlaps committed "
-                "coverage",
+            _flag_extra_shard(
+                directory, name,
+                f"orphan shard band [{lo}, {hi}) overlaps committed coverage",
+                report, repair=repair,
             )
-            if repair:
-                from .durability import QUARANTINE_DIR
-
-                p = directory / name
-                qdir = directory / QUARANTINE_DIR
-                qdir.mkdir(parents=True, exist_ok=True)
-                target = qdir / name
-                n = 0
-                while target.exists():
-                    n += 1
-                    target = qdir / f"{name}.{n}"
-                p.rename(target)
-                issue.repaired = "quarantined"
-            report.issues.append(issue)
         else:
             fill_gap(cursor, lo)
             chosen.append((lo, epoch, hi, name))
@@ -1405,50 +1268,10 @@ def _rebuild_parent(
     if cells is not None and cursor < cells:
         fill_gap(cursor, cells)
         cursor = cells
-    chosen.sort()
-    bands = []
-    for lo, epoch, hi, name in chosen:
-        bands.append({
-            "dir": name, "addr_lo": lo, "addr_hi": hi, "epoch": epoch,
-            "nnz": 0, "bbox_origin": None, "bbox_size": None, "zone": None,
-        })
-    return bands
-
-
-def _band_stats_from_child(child_dir: Path) -> dict | None:
-    """Recompute one band's parent-level stats from the child manifest.
-
-    The repair path runs this so a repaired parent never carries stale
-    (potentially under-covering) stats; ``None`` when the child manifest
-    is unreadable.
-    """
-    try:
-        doc = json.loads((child_dir / "manifest.json").read_text())
-        frags = doc["fragments"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError):
-        return None
-    nnz = 0
-    bbox: Box | None = None
-    zone: ZoneMap | None = None
-    order = str(doc.get("addr_order") or DEFAULT_ADDRESS_ORDER)
-    mixed = False
-    for f in frags:
-        nnz += int(f.get("nnz", 0))
-        if f.get("bbox_origin"):
-            bbox = _union_box(
-                bbox, Box(tuple(f["bbox_origin"]), tuple(f["bbox_size"]))
-            )
-        zone = _union_zone(zone, ZoneMap.from_json(f.get("zone")))
-        if str(f.get("addr_order") or DEFAULT_ADDRESS_ORDER) != order:
-            mixed = True  # foreign-order zone: drop the union (sound)
-    if mixed:
-        zone = None
-    return {
-        "nnz": nnz,
-        "bbox_origin": list(bbox.origin) if bbox else None,
-        "bbox_size": list(bbox.size) if bbox else None,
-        "zone": zone.to_json() if zone else None,
-    }
+    return [
+        ShardEntry(name, directory / name, lo, hi, epoch).to_json()
+        for lo, epoch, hi, name in sorted(chosen)
+    ]
 
 
 def fsck_sharded(
@@ -1461,8 +1284,7 @@ def fsck_sharded(
     (child issues are reported with a ``<shard>/`` prefix), flags
     unreferenced shard directories and stale parent temp files, and —
     with ``repair=True`` — quarantines orphan shard directories, repairs
-    every child, refreshes the parent's per-shard stats from the child
-    manifests, recreates referenced-but-missing shard directories as
+    every child, recreates referenced-but-missing shard directories as
     empty shards, and rebuilds a lost or corrupt parent manifest from
     the shards' ``range.json`` sidecars.
     """
@@ -1556,19 +1378,12 @@ def fsck_sharded(
                 # but the band table must keep covering the address
                 # space for the store to stay openable.
                 child_dir.mkdir(parents=True, exist_ok=True)
-                sidecar = {
-                    "addr_lo": int(band.get("addr_lo", 0)),
-                    "addr_hi": int(band.get("addr_hi", 0)),
-                    "epoch": int(band.get("epoch", 0)),
-                    "shape": meta.get("shape"),
-                }
-                if meta.get("addr_order"):
-                    sidecar["addr_order"] = meta["addr_order"]
-                write_bytes_atomic(
-                    child_dir / SHARD_RANGE_NAME, encode_manifest(sidecar)
-                )
-                band = dict(
-                    band, nnz=0, bbox_origin=None, bbox_size=None, zone=None
+                _write_range_sidecar(
+                    ShardEntry(
+                        name, child_dir, int(band.get("addr_lo", 0)),
+                        int(band.get("addr_hi", 0)), int(band.get("epoch", 0)),
+                    ),
+                    meta.get("shape"), meta.get("addr_order"),
                 )
                 # Materialize an empty child manifest so the recreated
                 # shard verifies clean (the data itself is gone).
@@ -1598,10 +1413,6 @@ def fsck_sharded(
                 issue.kind, f"{name}/{issue.name}", issue.detail,
                 issue.repaired,
             ))
-        if repair:
-            stats = _band_stats_from_child(child_dir)
-            if stats is not None:
-                band = dict(band, **stats)
         surviving_bands.append(band)
 
     # Shard directories the parent manifest does not reference (killed
@@ -1609,25 +1420,12 @@ def fsck_sharded(
     # committed) — quarantined under repair, never silently deleted.
     if doc is not None:
         for p in sorted(directory.glob(f"{_SHARD_DIR_PREFIX}*")):
-            if not p.is_dir() or p.name in referenced:
-                continue
-            issue = FsckIssue(
-                "extra", p.name,
-                "shard directory not referenced by the parent manifest",
-            )
-            if repair:
-                from .durability import QUARANTINE_DIR
-
-                qdir = directory / QUARANTINE_DIR
-                qdir.mkdir(parents=True, exist_ok=True)
-                target = qdir / p.name
-                n = 0
-                while target.exists():
-                    n += 1
-                    target = qdir / f"{p.name}.{n}"
-                p.rename(target)
-                issue.repaired = "quarantined"
-            report.issues.append(issue)
+            if p.is_dir() and p.name not in referenced:
+                _flag_extra_shard(
+                    directory, p.name,
+                    "shard directory not referenced by the parent manifest",
+                    report, repair=repair,
+                )
 
     for tmp in sorted(directory.glob(f"*{TMP_SUFFIX}")):
         issue = FsckIssue("tmp", tmp.name, "stale temporary file")
@@ -1643,7 +1441,12 @@ def fsck_sharded(
         rebuilt = dict(meta)
         rebuilt.setdefault("version", SHARD_MANIFEST_VERSION)
         rebuilt["generation"] = report.generation + 1
-        rebuilt["bands"] = surviving_bands
+        # The band keys only: older parents also carried per-shard
+        # stats, which nothing reads.
+        rebuilt["bands"] = [
+            {k: b[k] for k in ("dir", "addr_lo", "addr_hi", "epoch") if k in b}
+            for b in surviving_bands
+        ]
         write_bytes_atomic(
             manifest_path, encode_manifest(rebuilt), fsync=True
         )

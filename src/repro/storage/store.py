@@ -1360,7 +1360,7 @@ class FragmentStore:
             self._fragments = [f for f in self._fragments if f is not frag]
             self._save_manifest()
 
-    def _load_payload(self, frag: FragmentInfo, *, check_crc: bool = True):
+    def _load_payload(self, frag: FragmentInfo):
         """Load one fragment through the cache + retry policy (raising).
 
         The decoded-fragment cache is consulted first; on a miss the file
@@ -1370,25 +1370,22 @@ class FragmentStore:
         applies the ``on_corruption`` policy, so the sequential loop and
         the parallel coordinator share one policy implementation.
 
-        ``crc_mode="once"`` skips the whole-file re-hash when this
-        fragment already verified at the current generation (the memo is
-        cleared on every manifest commit alongside the cache, so a hit
-        can never attest stale bytes).
+        Every load verifies the whole-file CRC, except that
+        ``crc_mode="once"`` skips the re-hash when this fragment already
+        verified at the current generation (the memo is cleared on every
+        manifest commit alongside the cache, so a hit can never attest
+        stale bytes).
         """
         payload = self.cache.get(frag.path.name)
         if payload is not None:
             return payload
-        effective_crc = check_crc
-        if (
-            check_crc
-            and self.crc_mode == "once"
-            and frag.path.name in self._crc_verified
-        ):
-            effective_crc = False
+        memo = self.crc_mode == "once"
+        check_crc = not (memo and frag.path.name in self._crc_verified)
+        if not check_crc:
             counter_add("store.plan.crc_memo_hits")
 
         def attempt():
-            return load_fragment(frag.path, check_crc=effective_crc)
+            return load_fragment(frag.path, check_crc=check_crc)
 
         t0 = time.perf_counter()
         if self.retry is not None:
@@ -1398,7 +1395,7 @@ class FragmentStore:
         self.workload_ledger.record_load(
             frag.path.name, time.perf_counter() - t0
         )
-        if check_crc and self.crc_mode == "once":
+        if memo:
             self._crc_verified.add(frag.path.name)
         self.cache.put(frag.path.name, payload)
         return payload
@@ -1421,9 +1418,7 @@ class FragmentStore:
             stacklevel=4,
         )
 
-    def _load_fragment_guarded(
-        self, frag: FragmentInfo, *, check_crc: bool = True
-    ):
+    def _load_fragment_guarded(self, frag: FragmentInfo):
         """Load one fragment under the store's retry + corruption policy.
 
         Returns the payload, or ``None`` when the fragment was skipped or
@@ -1432,7 +1427,7 @@ class FragmentStore:
         never retry.
         """
         try:
-            return self._load_payload(frag, check_crc=check_crc)
+            return self._load_payload(frag)
         except FragmentError as exc:
             if self.on_corruption == "raise":
                 self._note_corruption(frag, exc, will_raise=True)
@@ -1563,7 +1558,7 @@ class FragmentStore:
         ops = OpCounter() if ops is None else ops
 
         def point_task(frag: FragmentInfo):
-            payload = self._load_payload(frag, check_crc=ropts.check_crc)
+            payload = self._load_payload(frag)
             relative = payload.extra.get("relative")
             order, zone, cut = frag.addr_order, frag.zone, None
             if zone is not None:
@@ -2194,7 +2189,7 @@ class FragmentStore:
         }
 
         def box_task(frag: FragmentInfo):
-            payload = self._load_payload(frag, check_crc=ropts.check_crc)
+            payload = self._load_payload(frag)
             if not payload.extra.get("relative"):
                 hits = query_fragment_box(
                     payload, box, intervals[frag.addr_order]

@@ -13,8 +13,10 @@ The read pipeline's thread-safety contract (``docs/READ_PATH.md``):
 
 Values are a pure function of the coordinate (``value_of``), so any
 returned value is checkable without knowing which writes a read raced
-with.  The fast variant runs in tier-1; the soak variant is
-``@pytest.mark.slow``.
+with.  The writer stops after ``max_writes`` writes, or earlier once the
+first reader finishes, so the fragment count a run reaches — and with
+it the run time — stays bounded however the threads are scheduled.  The
+fast variant runs in tier-1; the soak variant is ``@pytest.mark.slow``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def row_block(row: int, width: int = SIDE) -> np.ndarray:
     return np.column_stack([np.full(width, row, dtype=np.uint64), cols])
 
 
-def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions):
+def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions,
+               max_writes):
     obs.enable()
     obs.reset()
     store = FragmentStore(
@@ -113,7 +116,9 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions):
     def writer(seed):
         rng = np.random.default_rng(seed)
         try:
-            while not stop.is_set():
+            for _ in range(max_writes):
+                if stop.is_set():
+                    break
                 row = int(rng.integers(4, SHAPE[0]))
                 coords = row_block(row)
                 store.write(coords, value_of(coords))
@@ -172,13 +177,13 @@ class TestConcurrentStress:
     def test_mixed_traffic_fast(self, tmp_path):
         run_stress(
             tmp_path, n_readers=3, iterations=30,
-            cache_bytes=64 * 1024, compactions=2,
+            cache_bytes=64 * 1024, compactions=2, max_writes=60,
         )
 
     def test_mixed_traffic_cache_disabled(self, tmp_path):
         store = run_stress(
             tmp_path, n_readers=2, iterations=15,
-            cache_bytes=0, compactions=1,
+            cache_bytes=0, compactions=1, max_writes=30,
         )
         assert store.cache.stats()["hits"] == 0
 
@@ -186,7 +191,7 @@ class TestConcurrentStress:
         """A cache too small for the working set evicts but never corrupts."""
         store = run_stress(
             tmp_path, n_readers=2, iterations=15,
-            cache_bytes=2048, compactions=1,
+            cache_bytes=2048, compactions=1, max_writes=30,
         )
         assert store.cache.current_bytes <= 2048
 
@@ -194,5 +199,5 @@ class TestConcurrentStress:
     def test_mixed_traffic_soak(self, tmp_path):
         run_stress(
             tmp_path, n_readers=6, iterations=150,
-            cache_bytes=256 * 1024, compactions=8,
+            cache_bytes=256 * 1024, compactions=8, max_writes=300,
         )

@@ -66,9 +66,13 @@ class TestReadOptions:
     def test_defaults(self):
         ropts = ReadOptions()
         assert ropts.faithful is False
-        assert ropts.check_crc is True
         assert ropts.parallel == "none"
         assert ropts.max_workers is None
+
+    def test_removed_fields_rejected(self):
+        # Every load verifies its CRC; crc_mode="once" is the only skip.
+        with pytest.raises(TypeError):
+            ReadOptions(check_crc=False)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -100,6 +100,23 @@ class TestBanding:
         again = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=9)
         assert [e.name for e in again.shards] == names
 
+    def test_parent_with_old_stats_keys_opens_unchanged(self, tmp_path):
+        """Parent manifests that still carry per-shard stats open as
+        before (the keys are ignored) and lose them at the next commit."""
+        sharded, single = build_pair(tmp_path)
+        path = sharded.directory / SHARD_MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        for band in doc["bands"]:
+            band.update(nnz=1, bbox_origin=[0, 0, 0], bbox_size=[1, 1, 1],
+                        zone={"addr_min": 0, "addr_max": 0, "hist": []})
+        path.write_text(json.dumps(doc))
+        reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
+        assert_reads_identical(reopened, single)
+        reopened.split(0)
+        for band in json.loads(path.read_text())["bands"]:
+            assert set(band) == {"dir", "addr_lo", "addr_hi", "epoch"}
+        assert_reads_identical(reopened, single)
+
     def test_rejects_relative_coords(self, tmp_path):
         with pytest.raises(ShapeError):
             ShardedStore(tmp_path / "s", SHAPE, "LINEAR",
@@ -127,19 +144,29 @@ class TestRouting:
         # No cross-shard duplication: per-shard nnz sums to the part
         # size (duplicates counted, same as a single FragmentStore).
         assert store.nnz == coords.shape[0]
-        assert sum(e.nnz for e in store.shards) == coords.shape[0]
+        assert sum(r["nnz"] for r in store.stats()) == coords.shape[0]
+        # ...and every child holds only addresses inside its own band.
+        for i, entry in enumerate(store.shards):
+            for frag in store._child(i).fragments:
+                assert entry.addr_lo <= frag.zone.addr_min
+                assert frag.zone.addr_max < entry.addr_hi
 
     def test_parent_stats_track_writes(self, tmp_path):
+        """Per-shard stats come from the child stores; a routed write
+        leaves the parent's band table (and generation) alone."""
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
         gen0 = store.generation
         coords, values = make_parts(n_parts=1)[0]
         store.write(coords, values)
-        assert store.generation > gen0
-        touched = [e for e in store.shards if e.nnz]
-        assert touched
-        for e in touched:
-            assert e.bbox is not None and not e.bbox.is_empty()
-            assert e.zone is not None
+        assert store.generation == gen0
+        rows = store.stats()
+        assert any(r["nnz"] for r in rows)
+        for i, row in enumerate(rows):
+            child = store._child(i)
+            assert row["nnz"] == child.nnz
+            assert row["fragments"] == (1 if row["nnz"] else 0)
+            for frag in child.fragments:
+                assert not frag.bbox.is_empty() and frag.zone is not None
 
     def test_untouched_shard_stays_empty(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
@@ -150,9 +177,32 @@ class TestRouting:
             np.arange(10, dtype=np.uint64),
         ])
         store.write(coords, np.ones(10))
-        assert store.shards[0].nnz == 10
-        for e in store.shards[1:]:
-            assert e.nnz == 0 and e.bbox is None
+        rows = store.stats()
+        assert rows[0]["nnz"] == 10
+        for row in rows[1:]:
+            assert row["nnz"] == 0 and row["fragments"] == 0
+
+    def test_routed_ops_never_commit_parent(self, tmp_path):
+        """Routed writes, appends, packs, compactions and migrations
+        commit in the children only: no ``shards.json`` op, and the
+        parent generation stays put."""
+        from repro.testing.faults import OpRecorder, inject
+
+        store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
+        gen = store.generation
+        parts = make_parts(n_parts=3)
+        recorder = OpRecorder()
+        with inject(recorder):
+            store.write(*parts[0])
+            store.write_many(parts[1:2])
+            store.append(*parts[2])
+            store.pack_wal()
+            store.compact()
+            store.migrate_all("COO")
+        touched = [e for e in recorder.events
+                   if e.path.name.startswith(SHARD_MANIFEST_NAME)]
+        assert recorder.events and not touched
+        assert store.generation == gen
 
     def test_empty_write_is_noop(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR")
@@ -175,6 +225,69 @@ class TestRouting:
         coords, values = make_parts(n_parts=1)[0]
         store.write_tensor(SparseTensor(SHAPE, coords, values))
         assert store.nnz > 0
+
+
+class TestBandRouting:
+    """Routing is the shard-level prune: a read reaches only the bands
+    its keys or box intervals fall in."""
+
+    @pytest.mark.parametrize("order, box, band", [
+        ("row_major", Box((7, 3, 3), (4, 10, 10)), 1),   # rows 6..11
+        ("alto", Box((16, 16, 16), (4, 4, 4)), 3),       # top bits 111
+    ])
+    def test_box_inside_one_band_visits_only_it(self, tmp_path, order, box,
+                                                band):
+        from repro import obs
+
+        opts = StoreOptions(addr_order=order)
+        sharded = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR",
+                               n_shards=4, options=opts)
+        single = FragmentStore(tmp_path / "single", SHAPE, "LINEAR",
+                               options=opts)
+        for coords, values in make_parts():
+            sharded.write(coords, values)
+            single.write(coords, values)
+        assert all(row["nnz"] for row in sharded.stats())
+        plan = sharded.explain(box)
+        assert [e.name for e in plan.fragments] == [sharded.shards[band].name]
+
+        def counter(name):
+            return {c["name"]: c["value"]
+                    for c in obs.snapshot()["counters"]}.get(name, 0)
+
+        visited = counter("store.shard.visited")
+        pruned = counter("store.shard.pruned")
+        got = sharded.read_box(box)
+        assert counter("store.shard.visited") == visited + 1
+        assert counter("store.shard.pruned") == pruned + 3
+        want = single.read_box(box)
+        assert want.nnz > 0
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.values, want.values)
+
+
+    @pytest.mark.parametrize("order", ["row_major", "alto"])
+    def test_reads_at_band_edges(self, tmp_path, order):
+        """The last cell of each band and the first of the next route to
+        their own bands, as points and as one-cell boxes."""
+        from repro.core.linearize import delinearize_order
+
+        shape = (16, 16, 16)  # ALTO's address space is the cell count
+        sharded = ShardedStore(tmp_path / "s", shape, "LINEAR", n_shards=4,
+                               options=StoreOptions(addr_order=order))
+        edges = np.array(
+            [a for e in sharded.shards[1:] for a in (e.addr_lo - 1, e.addr_lo)],
+            dtype=np.uint64,
+        )
+        coords = delinearize_order(edges, shape, order)
+        values = np.arange(1, edges.size + 1, dtype=float)
+        sharded.write(coords, values)
+        out = sharded.read_points(coords)
+        assert out.found.all() and np.array_equal(out.values, values)
+        for cell, value in zip(coords, values):
+            box = Box(tuple(int(c) for c in cell), (1, 1, 1))
+            got = sharded.read_box(box)
+            assert got.nnz == 1 and got.values[0] == value
 
 
 class TestPlanner:
@@ -277,9 +390,9 @@ class TestCompaction:
         before = len(sharded.fragments)
         assert before > len(sharded.shards)
         sharded.compact()
-        for i, entry in enumerate(sharded.shards):
-            if entry.nnz:
-                assert len(sharded._child(i).fragments) == 1
+        for row in sharded.stats():
+            if row["nnz"]:
+                assert row["fragments"] == 1
 
     def test_compact_skips_single_fragment_shards(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
@@ -299,13 +412,14 @@ class TestSplitMerge:
     def test_split_halves_the_band(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
         entry = sharded.shards[0]
-        lo, hi, nnz = entry.addr_lo, entry.addr_hi, entry.nnz
+        lo, hi, nnz = entry.addr_lo, entry.addr_hi, sharded.stats()[0]["nnz"]
         sharded.split(0)
         a, b = sharded.shards[0], sharded.shards[1]
         assert a.addr_lo == lo and b.addr_hi == hi and a.addr_hi == b.addr_lo
+        a_nnz, b_nnz = (row["nnz"] for row in sharded.stats()[:2])
         # The split rewrite merges fragments, so duplicates collapse.
-        assert 0 < a.nnz + b.nnz <= nnz
-        assert a.nnz > 0 and b.nnz > 0   # median split puts data both sides
+        assert 0 < a_nnz + b_nnz <= nnz
+        assert a_nnz > 0 and b_nnz > 0   # median split puts data both sides
 
     def test_split_at_explicit_address(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
@@ -329,11 +443,12 @@ class TestSplitMerge:
     def test_merge_joins_neighbours(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
         a, b = sharded.shards[0], sharded.shards[1]
+        a_row, b_row = sharded.stats()[:2]
         n_before = len(sharded.shards)
         sharded.merge(0)
         merged = sharded.shards[0]
         assert merged.addr_lo == a.addr_lo and merged.addr_hi == b.addr_hi
-        assert merged.nnz == a.nnz + b.nnz
+        assert sharded.stats()[0]["nnz"] == a_row["nnz"] + b_row["nnz"]
         assert len(sharded.shards) == n_before - 1
         assert fsck_sharded(sharded.directory).clean
 
@@ -348,9 +463,9 @@ class TestSplitMerge:
         coords, values = make_parts(n_parts=1, n=600)[0]
         store.write(coords, values)
         assert len(store.shards) > 2
-        for e in store.shards:
+        for e, row in zip(store.shards, store.stats()):
             # Post-split every shard is at/below threshold (or unsplittable).
-            assert e.nnz <= 100 or e.addr_hi - e.addr_lo <= 1
+            assert row["nnz"] <= 100 or e.addr_hi - e.addr_lo <= 1
 
     def test_auto_merge_on_threshold(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4,
@@ -427,7 +542,7 @@ class TestFsckSharded:
         assert any(i.kind == "missing" for i in report.issues)
         # Coverage survives: the store reopens, the band reads empty.
         reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
-        assert reopened.shards[1].nnz == 0
+        assert reopened.stats()[1]["nnz"] == 0
         assert fsck_sharded(sharded.directory).clean
 
     def test_lost_parent_manifest_rebuilt(self, tmp_path):
@@ -452,16 +567,19 @@ class TestFsckSharded:
         assert_reads_identical(reopened, single)
 
     def test_repair_refreshes_band_stats(self, tmp_path):
-        """Rebuilt parents recompute nnz/bbox from child manifests, so
-        bbox=None still means *genuinely empty* (the pruning invariant)."""
+        """A rebuilt parent is the band table alone; the per-shard
+        counts, read from the child stores, come through unchanged."""
         sharded, _ = build_pair(tmp_path)
-        expect = {e.name: e.nnz for e in sharded.shards}
+        expect = [(r["shard"], r["nnz"]) for r in sharded.stats()]
         (sharded.directory / SHARD_MANIFEST_NAME).unlink()
         fsck_sharded(sharded.directory, repair=True)
         reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
-        assert {e.name: e.nnz for e in reopened.shards} == expect
-        for e in reopened.shards:
-            assert (e.bbox is None) == (e.nnz == 0)
+        assert [(r["shard"], r["nnz"]) for r in reopened.stats()] == expect
+        parent = json.loads(
+            (sharded.directory / SHARD_MANIFEST_NAME).read_text()
+        )
+        for band in parent["bands"]:
+            assert set(band) == {"dir", "addr_lo", "addr_hi", "epoch"}
 
     def test_stale_parent_tmp_cleaned(self, tmp_path):
         sharded, _ = build_pair(tmp_path)

@@ -148,10 +148,10 @@ class TestRoutedWriteCrash:
             store.write_many([part(j) for j in range(N_PARTS)])
         return recorder.events
 
-    def run_crash(self, tmp_path, events, index, torn_bytes=None):
-        directory = tmp_path / f"crash-{index}-{torn_bytes}"
+    def run_crash(self, tmp_path, events, index):
+        directory = tmp_path / f"crash-{index}"
         store = make_store(directory)
-        plan = plan_for_crash_point(events, index, torn_bytes=torn_bytes)
+        plan = plan_for_crash_point(events, index)
         with inject(plan), pytest.raises(OSError):
             store.write_many([part(j) for j in range(N_PARTS)])
         assert plan.fired, "the planned fault never triggered"
@@ -190,24 +190,6 @@ class TestRoutedWriteCrash:
         # parts in both bands before the last injected op.
         assert min(sum(o) for o in outcomes) == 0
         assert max(sum(o) for o in outcomes) > 0
-
-    def test_torn_parent_manifest(self, tmp_path):
-        events = self.record(tmp_path)
-        torn_indices = [
-            i for i, e in enumerate(events)
-            if e.op == "write" and e.path.name == "shards.json.tmp"
-        ]
-        assert torn_indices
-        for index in torn_indices:
-            for torn in (0, 1, 100):
-                directory = self.run_crash(
-                    tmp_path, events, index, torn_bytes=torn
-                )
-                # The committed parent manifest survives a torn tmp.
-                store = reopen(directory)
-                assert_shard_prefixes(store)
-                fsck_sharded(directory, repair=True)
-                assert fsck_sharded(directory).clean
 
 
 class SplitMergeBase:
@@ -290,6 +272,33 @@ class TestSplitCrash(SplitMergeBase):
             assert fsck_sharded(directory).clean
             assert_matches_single(reopen(directory), single)
         return n_layouts
+
+    def test_torn_parent_manifest(self, tmp_path):
+        """Routed writes never write ``shards.json``; re-banding does, and
+        a torn band-table commit leaves the committed layout in force."""
+        events = self.record(tmp_path)
+        torn_indices = [
+            i for i, e in enumerate(events)
+            if e.op == "write" and e.path.name == "shards.json.tmp"
+        ]
+        assert torn_indices
+        single = make_single(tmp_path / "single")
+        for index in torn_indices:
+            for torn in (0, 1, 100):
+                directory = tmp_path / f"crash-{index}-{torn}"
+                store = self.build(directory)
+                before = [(e.addr_lo, e.addr_hi) for e in store.shards]
+                plan = plan_for_crash_point(events, index, torn_bytes=torn)
+                with inject(plan), pytest.raises(OSError):
+                    store.split(0)
+                assert plan.fired
+                # The committed parent manifest survives a torn tmp.
+                store = reopen(directory)
+                assert [(e.addr_lo, e.addr_hi) for e in store.shards] == before
+                assert_shard_prefixes(store)
+                assert_matches_single(store, single)
+                fsck_sharded(directory, repair=True)
+                assert fsck_sharded(directory).clean
 
     def test_every_split_crash_point(self, tmp_path):
         n_layouts = self.run_all_crash_points(tmp_path)

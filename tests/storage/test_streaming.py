@@ -71,30 +71,13 @@ class TestStreamingWriter:
                     raise RuntimeError("producer died")
         assert w.fragments_written == 0
         assert len(store.fragments) == 0
-        # Durable mode: the appended points survive in the WAL anyway.
+        # The appended points survive in the WAL anyway.
         assert store.read_points(coords).found.all()
 
-    def test_non_durable_error_drops_buffer(self, store, rng):
-        coords, values = chunk(rng, 10)
-        with pytest.raises(RuntimeError):
-            with pytest.warns(RuntimeWarning, match="discarding"):
-                with StreamingWriter(
-                    store, pack_points=1000, durable=False
-                ) as w:
-                    w.append(coords, values)
-                    raise RuntimeError("producer died")
-        assert w.fragments_written == 0
-        assert len(store.fragments) == 0
-        assert not store.read_points(coords).found.any()
-
-    def test_non_durable_buffers_in_memory(self, store, rng):
-        coords, values = chunk(rng, 42)
-        with StreamingWriter(store, pack_points=1000, durable=False) as w:
-            w.append(coords, values)
-            assert w.buffered_points == 42
-            assert store.wal_stats()["points"] == 0
-        assert w.fragments_written == 1
-        assert store.read_points(coords).found.all()
+    def test_in_memory_mode_removed(self, store):
+        # Every append goes through the write-ahead log.
+        with pytest.raises(TypeError):
+            StreamingWriter(store, durable=False)
 
     def test_empty_append_is_noop(self, store):
         w = StreamingWriter(store)

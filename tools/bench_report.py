@@ -65,14 +65,19 @@ def load_bench(name: str):
     return module
 
 
+def _git(*args: str) -> str:
+    return subprocess.check_output(["git", *args], cwd=REPO, text=True).strip()
+
+
 def git_commit() -> str:
+    """HEAD's short hash, suffixed ``-dirty`` when tracked files differ
+    from it (a record taken on uncommitted changes is not HEAD's)."""
     try:
-        return subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO, text=True,
-        ).strip()
+        commit = _git("rev-parse", "--short", "HEAD")
+        changed = _git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return f"{commit}-dirty" if changed else commit
 
 
 def append_record(out_dir: Path, name: str, metrics: dict) -> Path:
