@@ -139,22 +139,20 @@ def _query_boxes(shape: tuple[int, ...], rng) -> list[Box]:
     return boxes
 
 
-def _time_boxes(store: FragmentStore, boxes, *, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for box in boxes:
-            store.read_box(box)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _best_of_alternating(stores, run, *, repeats: int) -> dict[str, float]:
+    """Each order's best wall time of ``run(store)`` over ``repeats``.
 
-
-def _time_points(store: FragmentStore, queries, *, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        store.read_points(queries)
-        best = min(best, time.perf_counter() - t0)
+    The orders alternate repeat by repeat, and which goes first swaps
+    each repeat, so a slow stretch of the machine lands on both sides
+    instead of on every repeat of one.
+    """
+    best = dict.fromkeys(stores, float("inf"))
+    orders = list(stores)
+    for r in range(repeats):
+        for order in orders if r % 2 == 0 else orders[::-1]:
+            t0 = time.perf_counter()
+            run(stores[order])
+            best[order] = min(best[order], time.perf_counter() - t0)
     return best
 
 
@@ -225,12 +223,17 @@ def bench_alto(
                     for box in boxes
                 ))
                 result[f"visited_{order}_{key}"] = visited[order]
-                result[f"box_{order}_{key}"] = _time_boxes(
-                    stores[order], boxes, repeats=repeats
-                )
-                result[f"point_{order}_{key}"] = _time_points(
-                    stores[order], queries, repeats=repeats
-                )
+            box_times = _best_of_alternating(
+                stores, lambda store: [store.read_box(b) for b in boxes],
+                repeats=repeats,
+            )
+            point_times = _best_of_alternating(
+                stores, lambda store: store.read_points(queries),
+                repeats=repeats,
+            )
+            for order in ORDERS:
+                result[f"box_{order}_{key}"] = box_times[order]
+                result[f"point_{order}_{key}"] = point_times[order]
             prune_ratios.append(
                 visited["row_major"] / max(visited["alto"], 1.0)
             )

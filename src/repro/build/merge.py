@@ -21,6 +21,9 @@ merge over per-fragment *sorted address runs*:
    fragment is bit-identical to what the legacy decode-and-rebuild
    compaction produced, while sorted target formats still skip their
    build sort.
+
+Steps 2–4 are :func:`newest_wins`, which the WAL pack also runs, once,
+over its raw appended chunks concatenated oldest-first.
 """
 
 from __future__ import annotations
@@ -82,12 +85,9 @@ def merge_sorted_runs(
     """
     counter_add("build.merge.runs", len(runs))
     if not runs:
-        return MergedPoints(
-            canonical=CanonicalCoords.from_addresses(
-                np.empty(0, dtype=np.uint64), shape, is_sorted=True,
-                addr_order=addr_order,
-            ),
-            values=np.empty(0, dtype=np.float64),
+        return newest_wins(
+            np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64),
+            shape, addr_order=addr_order,
         )
     addresses = np.concatenate([r.addresses for r in runs])
     values = np.concatenate([r.values for r in runs])
@@ -100,8 +100,32 @@ def merge_sorted_runs(
          for r, off in zip(runs, offsets)]
     )
     counter_add("build.merge.points", int(addresses.shape[0]))
-    # Stable argsort over concatenated sorted runs == the k-way merge
-    # (timsort gallops through the pre-sorted stretches).
+    return newest_wins(
+        addresses, values, shape, positions=gpos, addr_order=addr_order
+    )
+
+
+def newest_wins(
+    addresses: np.ndarray,
+    values: np.ndarray,
+    shape: tuple[int, ...],
+    *,
+    positions: np.ndarray | None = None,
+    addr_order: str = "row_major",
+) -> MergedPoints:
+    """Collapse points to one per address, the newest write winning.
+
+    ``positions`` is each entry's global stored position (``None``: its
+    index in ``addresses``).  Entries with equal addresses must appear in
+    ascending position, which holds for concatenated sorted runs (stable
+    within themselves, oldest first) and for raw appends concatenated
+    oldest first.  One stable argsort groups equal addresses — timsort
+    gallops through pre-sorted runs — and the last entry of each group
+    survives.  The survivors come back in position order (what
+    decode-and-rebuild produced: deduplicated keep-last, selection
+    indices ascending) with their sort permutation *derived*, not
+    re-sorted.
+    """
     order = stable_argsort(addresses)
     merged = addresses[order]
     if merged.shape[0] == 0:
@@ -114,17 +138,11 @@ def merge_sorted_runs(
     is_last = np.empty(merged.shape[0], dtype=bool)
     is_last[-1] = True
     np.not_equal(merged[1:], merged[:-1], out=is_last[:-1])
-    # Within an equal-address group entries arrive in ascending global
-    # stored position (runs are concatenated oldest-first and are stable
-    # within themselves), so the last entry is the newest write.
     survivors = order[is_last]
     addr_sorted = merged[is_last]
-    surv_gpos = gpos[survivors]
+    surv_pos = survivors if positions is None else positions[survivors]
     surv_values = values[survivors]
-    # Re-express in legacy concatenation order (what decode-and-rebuild
-    # produced: deduplicated keep-last, selection indices ascending),
-    # deriving the sort permutation instead of re-sorting addresses.
-    to_concat_order = stable_argsort(surv_gpos)
+    to_concat_order = stable_argsort(surv_pos)
     sort_perm = invert_permutation(to_concat_order).astype(np.intp)
     return MergedPoints(
         canonical=CanonicalCoords.from_addresses(

@@ -40,6 +40,21 @@ def _validate_coords(coords: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return coords
 
 
+def _check_bounds(coords: np.ndarray, shape: Sequence[int]) -> None:
+    """Raise ``ShapeError`` naming the first point outside ``shape``.
+
+    One column at a time: a reduction along the short axis of an (n, d)
+    buffer costs ~20x more than d reductions of columns.
+    """
+    if any(int(coords[:, i].max()) >= int(m) for i, m in enumerate(shape)):
+        bounds = as_index_array(list(shape))
+        bad = int(np.argmax(np.any(coords >= bounds[np.newaxis, :], axis=1)))
+        raise ShapeError(
+            f"coordinate {tuple(int(c) for c in coords[bad])} outside "
+            f"tensor shape {tuple(int(m) for m in shape)}"
+        )
+
+
 def linearize(
     coords: np.ndarray,
     shape: Sequence[int],
@@ -68,22 +83,19 @@ def linearize(
     coords = _validate_coords(coords, shape)
     check_linearizable(shape)
     if validate and coords.size:
-        bounds = as_index_array(list(shape))
-        if np.any(coords >= bounds[np.newaxis, :]):
-            bad = int(np.argmax(np.any(coords >= bounds[np.newaxis, :], axis=1)))
-            raise ShapeError(
-                f"coordinate {tuple(int(c) for c in coords[bad])} outside "
-                f"tensor shape {tuple(int(m) for m in shape)}"
-            )
+        _check_bounds(coords, shape)
     if order == "row":
         strides = row_major_strides(shape)
     elif order == "col":
         strides = column_major_strides(shape)
     else:
         raise ValueError(f"order must be 'row' or 'col', got {order!r}")
-    # (coords * strides).sum keeps everything in uint64; overflow is ruled
-    # out by check_linearizable above.
-    return (coords * strides[np.newaxis, :]).sum(axis=1, dtype=INDEX_DTYPE)
+    # Accumulate c_i * stride_i column by column, all in uint64; overflow
+    # is ruled out by check_linearizable above.
+    out = np.zeros(coords.shape[0], dtype=INDEX_DTYPE)
+    for i, stride in enumerate(strides):
+        out += coords[:, i] * stride
+    return out
 
 
 def delinearize(
@@ -368,13 +380,7 @@ def linearize_alto(
     coords = _validate_coords(coords, shape)
     spec = _alto_spec(shape)
     if validate and coords.size:
-        bounds = as_index_array(list(shape))
-        if np.any(coords >= bounds[np.newaxis, :]):
-            bad = int(np.argmax(np.any(coords >= bounds[np.newaxis, :], axis=1)))
-            raise ShapeError(
-                f"coordinate {tuple(int(c) for c in coords[bad])} outside "
-                f"tensor shape {tuple(int(m) for m in shape)}"
-            )
+        _check_bounds(coords, shape)
     tables = spec.spread_tables
     if tables is not None:
         out = tables[0][coords[:, 0]] if tables else np.zeros(

@@ -13,10 +13,11 @@ actually happened so the migration policy
 :class:`WorkloadLedger`
     Thread-safe map ``fragment file name → FragmentWorkload``.  Stores
     update it on the read path (outside their fragment locks) and
-    persist it beside the manifest as ``workload.json`` at durable
-    points (``pack_wal`` / ``compact`` / ``migrate`` / ``close``) —
-    **never** per read, so losing the last few observations in a crash
-    is acceptable by design (the ledger is advisory, not data).
+    persist it beside the manifest as ``workload.json`` at ``compact``,
+    ``migrate`` and ``close`` — **never** per read or per ``pack_wal``,
+    so losing the observations since the last of those in a crash is
+    acceptable by design (the ledger is advisory, not data).  Policies
+    read the in-memory ledger, which always holds every observation.
 
 The on-disk schema is one JSON object::
 

@@ -50,6 +50,7 @@ import json
 import os
 import struct
 import time
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,35 +187,61 @@ def write_bytes_atomic(
     return len(data)
 
 
-def append_bytes(
-    path: str | os.PathLike, data: bytes, *, fsync: bool = False
-) -> int:
-    """Append ``data`` to ``path`` (created if absent); returns bytes written.
+class AppendFile:
+    """A file held open for appends: the WAL's active segment.
 
-    The WAL's primitive: unlike :func:`write_bytes_atomic` there is no
-    rename commit point — a crash mid-append leaves a *torn tail*, which
-    the WAL's record framing (length prefix + body CRC) detects and
-    truncates on replay.  Same fault-hook contract as the atomic writer:
-    the injection ops are ``"write"`` (torn writes persist an exact byte
-    prefix) and ``"fsync"``.
+    Unlike :func:`write_bytes_atomic` there is no rename commit point — a
+    crash mid-append leaves a *torn tail*, which the WAL's record framing
+    (length prefix + body CRC) detects and truncates on replay.  The file
+    is opened once (created if absent) and every :meth:`write` goes
+    straight to the descriptor, looping on short writes, so no byte waits
+    in a user-space buffer once it returns.  Same fault-hook contract as
+    the atomic writer: each write is one ``"write"`` op (torn writes
+    persist an exact byte prefix), followed by ``"fsync"`` when ``fsync``
+    is set; :meth:`truncate` is a ``"truncate"`` op.  The descriptor
+    closes on :meth:`close` or, as a backstop, when the object is
+    collected.
     """
-    path = Path(path)
-    hook = _fault_hook
-    with open(path, "ab") as fh:
+
+    def __init__(self, path: str | os.PathLike, *, fsync: bool = False):
+        self.path = Path(path)
+        self.fsync = bool(fsync)
+        self._fd = os.open(
+            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666
+        )
+        self._closer = weakref.finalize(self, os.close, self._fd)
+
+    def write(self, data: bytes) -> int:
+        """Append ``data``; returns the number of bytes written."""
+        hook = _fault_hook
         if hook is not None:
-            hook.before("write", path)
-            torn = hook.torn_write(path, data)
+            hook.before("write", self.path)
+            torn = hook.torn_write(self.path, data)
             if torn is not None:
-                fh.write(data[:torn])
-                fh.flush()
-                raise _injected_os_error("write", path)
-        fh.write(data)
-        if fsync:
-            fh.flush()
+                self._write_all(memoryview(data)[:torn])
+                raise _injected_os_error("write", self.path)
+        self._write_all(data)
+        if self.fsync:
             if hook is not None:
-                hook.before("fsync", path)
-            os.fsync(fh.fileno())
-    return len(data)
+                hook.before("fsync", self.path)
+            os.fsync(self._fd)
+        return len(data)
+
+    def _write_all(self, data) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view):]
+
+    def truncate(self, size: int) -> None:
+        """Cut the file back to ``size`` bytes (fault op: ``"truncate"``)."""
+        hook = _fault_hook
+        if hook is not None:
+            hook.before("truncate", self.path)
+        os.ftruncate(self._fd, size)
+
+    def close(self) -> None:
+        """Close the descriptor.  Idempotent."""
+        self._closer()
 
 
 def rename_file(

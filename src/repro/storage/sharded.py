@@ -699,13 +699,15 @@ class ShardedStore:
     def _shard_merged_run(self, i: int):
         """One shard's full content as ``(canonical, values)``.
 
-        K-way merges the per-fragment canonical runs exactly like
-        merge-based compaction, so newest-wins duplicate order is
-        preserved; ``None`` for an empty shard.
+        Packs the shard's WAL tail first, then k-way merges the
+        per-fragment canonical runs exactly like merge-based compaction,
+        so newest-wins duplicate order is preserved; ``None`` for an
+        empty shard.
         """
         from ..build.merge import SortedRun, merge_sorted_runs
 
         store = self._child(i)
+        store.pack_wal()
         runs = []
         for j in range(len(store.fragments)):
             canon, values = store.fragment_canonical(j)
@@ -770,15 +772,15 @@ class ShardedStore:
                     addrs[s:e], self.shape, is_sorted=True,
                     addr_order=self.addr_order,
                 )
-                store = FragmentStore(
+                with FragmentStore(
                     dest.path, self.shape, self.format_name,
                     options=self._child_options(),
-                )
-                store.write_canonical(sub, values[s:e])
+                ) as store:
+                    store.write_canonical(sub, values[s:e])
         old = self._entries[index]
         with self._state_lock:
             self._entries[index:index + 1] = [lo_entry, hi_entry]
-            self._children.pop(old.name, None)
+        self._close_child(old)
         # COMMIT POINT: one atomic rename swaps the band table.
         self._save_parent_manifest()
         counter_add("store.shard.splits")
@@ -803,23 +805,31 @@ class ShardedStore:
         a, b = self._entries[index], self._entries[index + 1]
         epoch = self._generation + 1
         dest = self._make_shard_dir(a.addr_lo, b.addr_hi, epoch)
-        store = FragmentStore(
+        with FragmentStore(
             dest.path, self.shape, self.format_name,
             options=self._child_options(),
-        )
-        for i in (index, index + 1):
-            src = self._child(i)
-            for j in range(len(src.fragments)):
-                store.write_canonical(*src.fragment_canonical(j))
+        ) as store:
+            for i in (index, index + 1):
+                src = self._child(i)
+                src.pack_wal()  # the unpacked tail moves with the band
+                for j in range(len(src.fragments)):
+                    store.write_canonical(*src.fragment_canonical(j))
         with self._state_lock:
             self._entries[index:index + 2] = [dest]
-            self._children.pop(a.name, None)
-            self._children.pop(b.name, None)
+        self._close_child(a)
+        self._close_child(b)
         # COMMIT POINT: one atomic rename swaps the band table.
         self._save_parent_manifest()
         counter_add("store.shard.merges")
         self._remove_shard_dir(a.path)
         self._remove_shard_dir(b.path)
+
+    def _close_child(self, entry: ShardEntry) -> None:
+        """Close and forget a band's cached child store (if opened)."""
+        with self._state_lock:
+            store = self._children.pop(entry.name, None)
+        if store is not None:
+            store.close()
 
     def _rebalance_locked(self) -> None:
         """Apply the configured nnz thresholds to the child stores' nnz
@@ -867,14 +877,21 @@ class ShardedStore:
     def fsck(self, *, repair: bool = False) -> FsckReport:
         """Verify (and with ``repair=True`` restore) the whole tree.
 
-        Delegates to :func:`fsck_sharded`; after a repair the parent
-        manifest and child handles are reloaded.
+        Delegates to :func:`fsck_sharded`.  A repair closes the opened
+        children first; the parent manifest is reloaded after it and the
+        children reopen on next use.
         """
         with self._rw.write_locked():
+            if repair:
+                # Repair may rewrite any child's files: stop the children
+                # (packers, open WAL segments) first, reopen them lazily.
+                with self._state_lock:
+                    children = list(self._children.values())
+                    self._children.clear()
+                for child in children:
+                    child.close()
             report = fsck_sharded(self.directory, repair=repair)
             if repair:
-                with self._state_lock:
-                    self._children.clear()
                 self._load_parent_manifest()
         return report
 

@@ -880,15 +880,17 @@ class FragmentStore:
     def pack_wal(self) -> WriteReceipt | None:
         """Drain the WAL into one committed fragment; retire its segments.
 
-        Seals the active segment, merges every logged chunk through the
-        canonical intermediate (newest-wins — the packed fragment reads
-        bit-identically to the tail it replaces) and commits it via
+        Merges every logged chunk, the active segment's included, through
+        the canonical intermediate (newest-wins — the packed fragment
+        reads bit-identically to the tail it replaces) and commits it via
         :meth:`write_canonical` (so :class:`~repro.storage.adaptive.
         AdaptiveStore` still picks the fragment's format).  Commit order
         is manifest-then-delete: the fragment's manifest entry lands
         before any segment file is unlinked, so a crash in the window
         leaves duplicate points that the read merge already absorbs.
-        Returns ``None`` when the WAL holds no points.
+        The writer lock keeps appends out until every segment is gone,
+        so the active segment needs no seal first.  Returns ``None`` when
+        the WAL holds no points.
         """
         with self._rw.write_locked():
             receipt = self._pack_wal_locked()
@@ -900,7 +902,6 @@ class FragmentStore:
         if wal is None or wal.total_points == 0:
             return None
         with span("store.wal.pack", format=self.format_name) as sp:
-            wal.seal_active()
             merged = merge_chunks(list(wal.iter_chunks()), self.shape)
             receipt = self.write_canonical(merged.canonical, merged.values)
             # The fragment is committed; from here on every crash leaves
@@ -912,7 +913,6 @@ class FragmentStore:
                 self._tail_cache = None
             sp.add_nnz(merged.canonical.n)
         counter_add("store.wal.pack_runs")
-        self._save_workload_ledger()
         return receipt
 
     def _packer_loop(self) -> None:  # pragma: no cover - timing-dependent
@@ -939,7 +939,8 @@ class FragmentStore:
             return wal.stats()
 
     def close(self) -> None:
-        """Stop the background packer (if any).  Idempotent.
+        """Stop the background packer (if any), close the WAL's open
+        segment file and persist the workload ledger.  Idempotent.
 
         Appended-but-unpacked points stay durable in the WAL; the next
         open replays them.  Stores are also context managers::
@@ -952,15 +953,19 @@ class FragmentStore:
             self._packer_stop.set()
             thread.join(timeout=30.0)
             self._packer_thread = None
+        with self._rw.write_locked():
+            if self._wal is not None:
+                self._wal.close()
         self._save_workload_ledger()
 
     def _save_workload_ledger(self) -> None:
         """Persist the workload ledger beside the manifest (best-effort).
 
-        Called at durable points (pack / compact / migrate / close),
-        never per read.  The ledger is advisory: an I/O failure here is
-        swallowed — losing observations must not fail the operation that
-        triggered the save.
+        Called at compact, migrate and close — never per read or per
+        pack.  The ledger is advisory: a crash loses the observations
+        since the last save, and an I/O failure here is swallowed —
+        losing observations must not fail the operation that triggered
+        the save.
         """
         ledger = self.workload_ledger
         if not ledger.dirty:
@@ -2116,6 +2121,8 @@ class FragmentStore:
                 # fsck may have truncated or quarantined WAL segments;
                 # drop the in-memory mirror and re-replay from disk.
                 with self._state_lock:
+                    if self._wal is not None:
+                        self._wal.close()
                     self._wal = None
                     self._tail_cache = None
                 if self._linearizable and wal_path(self.directory).is_dir():
@@ -2272,11 +2279,10 @@ class StoreSnapshot:
 
     @property
     def nnz(self) -> int:
-        """Stored points visible to this view (duplicates counted)."""
-        total = sum(f.nnz for f in self._fragments)
-        if self._tail is not None:
-            total += self._tail.n
-        return total
+        """Packed points across the pinned fragments (duplicates
+        counted) — :attr:`FragmentStore.nnz` of the pinned state; the
+        unpacked WAL tail is not counted."""
+        return sum(f.nnz for f in self._fragments)
 
     @property
     def closed(self) -> bool:

@@ -8,12 +8,15 @@ cost per chunk:
 
 **Segments.**
     Appends go to ``<store>/wal/seg-NNNNNN.wal.open`` — the single
-    *active* segment.  When it crosses ``StoreOptions.wal_segment_bytes``
-    it is *sealed* by an atomic rename to ``seg-NNNNNN.wal`` (the rename
-    is the commit point, exactly like fragment commits) and a fresh
-    active segment starts.  Sealed segments are immutable; the background
-    packer drains them through ``CanonicalCoords``/``merge_sorted_runs``
-    into real fragments and retires them (manifest-then-delete).
+    *active* segment, whose file is opened once, when the segment is
+    created, and stays open until it is sealed, drained or the store
+    closes.  When it crosses ``StoreOptions.wal_segment_bytes`` it is
+    *sealed* by an atomic rename to ``seg-NNNNNN.wal`` (the rename is the
+    commit point, exactly like fragment commits) and a fresh active
+    segment starts.  Sealed segments are immutable.  A pack drains every
+    segment, the active one included, through one newest-wins sort
+    (:func:`merge_chunks`) into a real fragment and retires them
+    (manifest-then-delete).
 
 **Records.**
     One append = one framed record::
@@ -25,9 +28,12 @@ cost per chunk:
     the address buffer 8-byte aligned for zero-copy ``np.frombuffer``.
     There is no rename for appends — durability comes from the optional
     per-record fsync plus the framing: a crash mid-append leaves a *torn
-    tail* that replay detects and truncates.  With fsync on, the WAL
-    directory is fsync'd after a segment is created or sealed (renamed),
-    so the segment's directory entry is as durable as its records.
+    tail* that replay detects and truncates.  An append that *fails*
+    (the process lives on) cuts its bytes back off before it raises, or,
+    when that fails too, seals the segment, so a later record never
+    lands behind a torn one.  With fsync on, the WAL directory is
+    fsync'd after a segment is created or sealed (renamed), so the
+    segment's directory entry is as durable as its records.
 
 **Torn-tail taxonomy (the PR 2 discrimination, applied to appends).**
     Replay and fsck classify a damaged segment by *where* the damage is:
@@ -61,14 +67,13 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from ..build.canonical import CanonicalCoords
-from ..build.merge import MergedPoints, SortedRun, merge_sorted_runs
+from ..build.merge import MergedPoints, newest_wins
 from ..core.boundary import Box
 from ..core.linearize import AddressIntervals, delinearize
 from ..formats.base import BoxHits, box_hits_by_address
 from ..obs import counter_add, gauge_set
 from .durability import (
-    append_bytes,
+    AppendFile,
     fsync_directory,
     quarantine_file,
     read_bytes,
@@ -182,24 +187,22 @@ def encode_record(addresses: np.ndarray, values: np.ndarray) -> bytes:
     values = np.ascontiguousarray(values)
     if values.dtype.byteorder not in ("=", "|", "<"):
         values = values.astype(values.dtype.newbyteorder("<"))
-    meta = json.dumps(
-        {"n": int(addresses.shape[0]), "value_dtype": values.dtype.str},
-        sort_keys=True,
-    ).encode("ascii")
-    # Pad the meta JSON with spaces so the address buffer starts on an
-    # 8-byte boundary within the body (frombuffer alignment).
-    pad = (-(4 + len(meta))) % 8
-    meta = meta + b" " * pad
-    body = b"".join([
-        _U32.pack(len(meta)),
-        meta,
-        addresses.tobytes(),
-        values.tobytes(),
-    ])
+    # The bytes ``json.dumps(meta, sort_keys=True)`` writes, spelled out
+    # (a dtype string needs no JSON escaping), then space-padded so the
+    # address buffer starts on an 8-byte boundary within the body
+    # (frombuffer alignment).
+    meta = b'{"n": %d, "value_dtype": "%s"}' % (
+        addresses.shape[0], values.dtype.str.encode("ascii"),
+    )
+    meta += b" " * ((-(4 + len(meta))) % 8)
+    head = _U32.pack(len(meta)) + meta
+    crc = zlib.crc32(values, zlib.crc32(addresses, zlib.crc32(head)))
     return b"".join([
-        _U32.pack(len(body)),
-        body,
-        _U32.pack(zlib.crc32(body) & 0xFFFFFFFF),
+        _U32.pack(len(head) + addresses.nbytes + values.nbytes),
+        head,
+        addresses,
+        values,
+        _U32.pack(crc & 0xFFFFFFFF),
     ])
 
 
@@ -316,16 +319,20 @@ def scan_segment(
 
 @dataclass
 class _Segment:
-    """In-memory mirror of one on-disk segment."""
+    """In-memory mirror of one on-disk segment.
+
+    ``sealed`` means the segment takes no more appends.  It is set before
+    the seal's rename, so a segment whose rename failed keeps its
+    ``.wal.open`` name but is never appended to again by this log;
+    replay truncates its torn tail and seals it once a newer segment
+    follows it.
+    """
 
     path: Path
     seq: int
     nbytes: int
     chunks: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-    @property
-    def sealed(self) -> bool:
-        return not self.path.name.endswith(OPEN_SUFFIX)
+    sealed: bool = False
 
 
 class WriteAheadLog:
@@ -334,6 +341,8 @@ class WriteAheadLog:
     Not thread-safe on its own; the owning store serializes mutations
     under its write lock.  ``version`` increments on every mutation so
     callers can cache derived state (the merged tail run) against it.
+    The active segment's file stays open between appends; :meth:`close`
+    closes it (a later append reopens it).
     """
 
     def __init__(
@@ -353,6 +362,8 @@ class WriteAheadLog:
         self.version = 0
         self.torn_tails = 0
         self._segments: list[_Segment] = []
+        #: The open file of ``_segments[-1]`` while it takes appends.
+        self._active: AppendFile | None = None
         if not self.directory.is_dir():
             self.directory.mkdir(parents=True)
             if self.fsync:
@@ -383,6 +394,7 @@ class WriteAheadLog:
                 seq=segment_seq(path),
                 nbytes=scan.valid_bytes,
                 chunks=scan.chunks,
+                sealed=not path.name.endswith(OPEN_SUFFIX),
             )
             self._segments.append(seg)
             counter_add("store.wal.records_replayed", len(scan.chunks))
@@ -397,46 +409,88 @@ class WriteAheadLog:
     # -- append path ----------------------------------------------------
 
     def append(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        """Durably append one chunk to the active segment."""
+        """Durably append one chunk to the active segment.
+
+        An append that raises leaves no trace in the log (see
+        :meth:`_write`), so the appends before and after it replay.
+        """
+        addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
+        values = np.ascontiguousarray(values)
         record = encode_record(addresses, values)
         seg = self._active_segment()
-        append_bytes(seg.path, record, fsync=self.fsync)
-        seg.nbytes += len(record)
-        seg.chunks.append((
-            np.ascontiguousarray(addresses, dtype=np.uint64),
-            np.ascontiguousarray(values),
-        ))
+        self._write(seg, record)
+        seg.chunks.append((addresses, values))
+        self.version += 1
         counter_add("store.wal.appends")
+        self._publish_bytes()
         if seg.nbytes >= self.segment_bytes:
             self._seal(seg)
-        self.version += 1
-        self._publish_bytes()
 
     def _active_segment(self) -> _Segment:
-        if self._segments and not self._segments[-1].sealed:
+        """The segment appends go to; a new one when the last is sealed."""
+        if self._active is not None:
             return self._segments[-1]
+        if self._segments and not self._segments[-1].sealed:
+            # Replayed, or its file was closed: reopen it.
+            seg = self._segments[-1]
+            self._active = AppendFile(seg.path, fsync=self.fsync)
+            return seg
         seq = self._segments[-1].seq + 1 if self._segments else 0
         path = self.directory / f"seg-{seq:06d}{OPEN_SUFFIX}"
-        header = encode_header(self.shape, self.epoch)
-        append_bytes(path, header, fsync=self.fsync)
+        self._active = AppendFile(path, fsync=self.fsync)
+        seg = _Segment(path=path, seq=seq, nbytes=0)
+        self._segments.append(seg)
+        self._write(seg, encode_header(self.shape, self.epoch))
         if self.fsync:
             fsync_directory(self.directory)
-        seg = _Segment(path=path, seq=seq, nbytes=len(header))
-        self._segments.append(seg)
         return seg
 
+    def _write(self, seg: _Segment, data: bytes) -> None:
+        """Append ``data`` to the active segment ``seg``, or raise with
+        the segment as it was.
+
+        A record mid-segment that fails its CRC quarantines the whole
+        segment at replay, so the bytes of a failed write must not stay
+        where the next record would follow them.  They are cut off
+        (``seg.nbytes`` is the intact length); when that fails too, or
+        the segment's header itself failed, the segment is sealed: the
+        next append starts a new one, and replay reads the bytes as a
+        torn final record.
+        """
+        try:
+            self._active.write(data)
+        except BaseException:
+            if not (seg.nbytes and self._cut_back(seg.nbytes)):
+                try:
+                    self._seal(seg)
+                except OSError:
+                    pass  # sealed in memory; replay seals it on disk
+            raise
+        seg.nbytes += len(data)
+
+    def _cut_back(self, size: int) -> bool:
+        try:
+            self._active.truncate(size)
+        except OSError:
+            return False
+        return True
+
     def _seal(self, seg: _Segment) -> None:
+        """Seal ``seg``, closing its file first when it is the active one."""
+        if seg is self._segments[-1]:
+            self.close()
+        seg.sealed = True
         sealed = seg.path.with_name(f"seg-{seg.seq:06d}{SEG_SUFFIX}")
         rename_file(seg.path, sealed, fsync=self.fsync)
         seg.path = sealed
         counter_add("store.wal.segments_sealed")
 
-    def seal_active(self) -> None:
-        """Seal the active segment (if any, and if it holds records)."""
-        if self._segments and not self._segments[-1].sealed:
-            if self._segments[-1].chunks:
-                self._seal(self._segments[-1])
-                self.version += 1
+    def close(self) -> None:
+        """Close the active segment's file.  Idempotent; the log stays
+        usable (the next append reopens the segment)."""
+        if self._active is not None:
+            self._active.close()
+            self._active = None
 
     # -- drain ----------------------------------------------------------
 
@@ -451,6 +505,8 @@ class WriteAheadLog:
         duplicate points that the newest-wins read merge absorbs.
         """
         doomed = {Path(p).name for p in paths}
+        if self._segments and self._segments[-1].path.name in doomed:
+            self.close()
         for seg in self._segments:
             if seg.path.name in doomed:
                 try:
@@ -547,29 +603,23 @@ def merge_chunks(
 ) -> MergedPoints | None:
     """Merge raw appended chunks into one newest-wins canonical point set.
 
-    Reuses the compactor's merge (:func:`~repro.build.merge.
-    merge_sorted_runs`): chunks are oldest-first runs, so duplicate
-    addresses resolve to the newest append's latest occurrence — the
-    exact semantics a synchronous ``write`` of the same points has.
-    The packer hands the result straight to ``write_canonical``; the
-    read overlay collapses it further via :func:`build_tail_run`.
-    Returns ``None`` when no chunk holds a point.
+    The chunks are concatenated oldest-first and collapsed by the
+    compactor's selection (:func:`~repro.build.merge.newest_wins`): one
+    stable sort, and duplicate addresses resolve to the newest append's
+    latest occurrence — the exact semantics a synchronous ``write`` of
+    the same points has.  The packer hands the result straight to
+    ``write_canonical``; the read overlay collapses it further via
+    :func:`build_tail_run`.  Returns ``None`` when no chunk holds a
+    point.
     """
-    shape = tuple(int(s) for s in shape)
-    runs = []
-    for addresses, values in chunks:
-        if addresses.shape[0] == 0:
-            continue
-        canon = CanonicalCoords.from_addresses(addresses, shape)
-        perm = canon.sort_perm
-        runs.append(SortedRun(
-            addresses=canon.sorted_addresses,
-            values=np.asarray(values)[perm],
-            positions=perm,
-        ))
-    if not runs:
+    chunks = [(a, v) for a, v in chunks if a.shape[0]]
+    if not chunks:
         return None
-    return merge_sorted_runs(runs, shape)
+    return newest_wins(
+        np.concatenate([a for a, _ in chunks]),
+        np.concatenate([np.asarray(v) for _, v in chunks]),
+        tuple(int(s) for s in shape),
+    )
 
 
 def build_tail_run(

@@ -7,6 +7,7 @@ re-banding.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -478,6 +479,42 @@ class TestSplitMerge:
         store.write(coords, np.ones(3))
         # Every adjacent pair is under threshold -> collapse to one shard.
         assert len(store.shards) == 1
+
+
+class TestRebandingLifecycle:
+    def test_split_merge_and_fsck_leave_no_packer_threads(self, tmp_path):
+        before = set(threading.enumerate())
+        store = ShardedStore(
+            tmp_path / "s", (16, 16), "LINEAR", n_shards=2,
+            options=StoreOptions(wal_pack_interval=0.05),
+        )
+        coords = np.array([[1, 1], [2, 2], [3, 3], [9, 9]], dtype=np.uint64)
+        store.write(coords, np.arange(4.0))
+        store.split(0)
+        store.merge(0)
+        store.read_points(coords)  # opens every band's child
+        store.fsck(repair=True)    # drops (and must close) the children
+        store.close()
+        leaked = [
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("wal-packer:")
+        ]
+        assert leaked == []
+
+    @pytest.mark.parametrize("op", ["split", "merge"])
+    def test_unpacked_tail_moves_with_the_band(self, tmp_path, op):
+        store = ShardedStore(tmp_path / "s", (16, 16), "LINEAR", n_shards=2)
+        store.write(
+            np.array([[1, 1], [2, 2], [3, 3]], dtype=np.uint64), np.ones(3)
+        )
+        tail = np.array([[1, 5], [2, 6]], dtype=np.uint64)
+        store.append(tail, np.array([7.0, 8.0]))
+        getattr(store, op)(0)
+        store.close()
+        reopened = ShardedStore(tmp_path / "s", (16, 16), "LINEAR")
+        out = reopened.read_points(tail)
+        assert out.found.all() and np.array_equal(out.values, [7.0, 8.0])
+        reopened.close()
 
 
 class TestReopenAdoptsCodec:

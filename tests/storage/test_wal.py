@@ -1,7 +1,11 @@
 """Unit tests for the write-ahead log, snapshots and retention GC."""
 
 import json
+import os
+import struct
 import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from repro.storage import (
     StoreOptions,
     fsck,
 )
+from repro.storage import wal as wal_module
+from repro.storage.store import WORKLOAD_LEDGER_NAME
 from repro.storage.wal import (
     TailRun,
     WriteAheadLog,
@@ -27,6 +33,7 @@ from repro.storage.wal import (
     scan_segment,
     wal_path,
 )
+from repro.testing.faults import OpRecorder, inject
 
 SHAPE = (64, 64)
 
@@ -73,6 +80,34 @@ class TestFraming:
             assert np.array_equal(out_v, values)
             assert out_v.dtype == np.dtype(dtype).newbyteorder("<")
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 100, 1001])
+    @pytest.mark.parametrize(
+        "dtype", ["<f8", "<f4", "<i8", "<i4", "|u1", "|b1", ">f8"]
+    )
+    def test_record_bytes_match_json_framing(self, n, dtype):
+        """The meta is spelled out, not encoded, and must stay byte-
+        identical to the ``json.dumps`` framing every segment on disk
+        was written with."""
+        rng = np.random.default_rng(n)
+        addrs = rng.integers(0, 1 << 40, n).astype(np.uint64)
+        values = (rng.random(n) * 100).astype(dtype)
+        u32 = struct.Struct("<I")
+        v = values.astype(values.dtype.newbyteorder("<"))
+        meta = json.dumps(
+            {"n": n, "value_dtype": v.dtype.str}, sort_keys=True
+        ).encode("ascii")
+        meta += b" " * ((-(4 + len(meta))) % 8)
+        body = u32.pack(len(meta)) + meta + addrs.tobytes() + v.tobytes()
+        expected = (
+            u32.pack(len(body)) + body
+            + u32.pack(zlib.crc32(body) & 0xFFFFFFFF)
+        )
+        assert encode_record(addrs, values) == expected
+        # Strided inputs frame their values, not their memory layout.
+        assert encode_record(
+            np.repeat(addrs, 2)[::2], np.repeat(values, 2)[::2]
+        ) == expected
+
     def test_record_addresses_are_aligned(self):
         rec = encode_record(
             np.array([1], dtype=np.uint64), np.array([1.0])
@@ -108,6 +143,25 @@ class TestWriteAheadLog:
         sealed = [p for p in wal.segment_paths()
                   if p.name.endswith(".wal")]
         assert sealed
+
+    def test_active_segment_opens_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        class Counting(wal_module.AppendFile):
+            def __init__(self, path, **kw):
+                opened.append(Path(path).name)
+                super().__init__(path, **kw)
+
+        monkeypatch.setattr(wal_module, "AppendFile", Counting)
+        wal = WriteAheadLog(tmp_path / "wal", SHAPE, segment_bytes=10_000)
+        for i in range(5):
+            wal.append(np.array([i], dtype=np.uint64), np.array([1.0]))
+        assert opened == ["seg-000000.wal.open"]
+        wal.close()
+        wal.append(np.array([9], dtype=np.uint64), np.array([1.0]))
+        assert opened == ["seg-000000.wal.open"] * 2  # reopened, same file
+        assert wal.segment_count == 1
+        wal.close()
 
     def test_stranded_open_segment_sealed_on_replay(self, tmp_path):
         # A crash between "fill segment" and "rename to sealed" strands a
@@ -379,6 +433,106 @@ class TestStoreAppend:
             StoreOptions(wal_pack_interval=0)
         with pytest.raises(ValueError):
             StoreOptions(retain_generations=-1)
+
+
+def _open_fds_under(directory: Path) -> int:
+    """Descriptors of this process open on files under ``directory``."""
+    fds = Path("/proc/self/fd")
+    count = 0
+    for fd in fds.iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:  # closed while listing
+            continue
+        count += target.startswith(str(directory))
+    return count
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd"
+)
+
+
+class TestStoreLifecycle:
+    def test_pack_drains_without_sealing(self, tmp_path, rng):
+        store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR")
+        store.append(*chunk(rng, 40))
+        recorder = OpRecorder()
+        with inject(recorder):
+            store.pack_wal()
+        wal_ops = [
+            (e.op, e.path.name) for e in recorder.events
+            if e.path.name.startswith("seg-")
+        ]
+        assert wal_ops == [("unlink", "seg-000000.wal.open")]
+        assert store.wal_stats()["segments"] == 0
+        store.append(*chunk(rng, 5))  # a fresh active segment
+        assert [p.name for p in wal_path(tmp_path / "ds").iterdir()] == [
+            "seg-000000.wal.open"
+        ]
+        store.close()
+
+    def test_ledger_saved_at_close_not_per_pack(self, tmp_path, rng):
+        store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR")
+        c, v = chunk(rng, 40)
+        store.append(c, v)
+        store.pack_wal()
+        store.read_points(c)
+        store.append(c, v)
+        store.pack_wal()
+        ledger = tmp_path / "ds" / WORKLOAD_LEDGER_NAME
+        assert not ledger.exists()
+        assert len(store.workload_ledger) == 2  # recorded in memory
+        store.close()
+        doc = json.loads(ledger.read_text())
+        assert sorted(doc["fragments"]) == sorted(
+            f.path.name for f in store.fragments
+        )
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_snapshot_nnz_matches_store_after_append(self, tmp_path, sharded):
+        coords = np.array([[1, 2], [3, 4], [60, 61]], dtype=np.uint64)
+        if sharded:
+            store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=2)
+        else:
+            store = FragmentStore(tmp_path / "s", SHAPE, "LINEAR")
+        store.write(coords, np.ones(3))
+        store.append(coords, np.full(3, 2.0))
+        with store.snapshot() as snap:
+            assert store.nnz == snap.nnz == 3
+        store.close()
+
+    @needs_proc_fd
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_close_releases_file_descriptors(self, tmp_path, rng, sharded):
+        directory = tmp_path / "s"
+        assert _open_fds_under(tmp_path) == 0
+        if sharded:
+            store = ShardedStore(directory, SHAPE, "LINEAR", n_shards=2)
+        else:
+            store = FragmentStore(directory, SHAPE, "LINEAR")
+        store.write(*chunk(rng, 30))
+        store.append(*chunk(rng, 30))  # an unpacked tail
+        assert _open_fds_under(tmp_path) >= 1  # the active segments
+        store.close()
+        assert _open_fds_under(tmp_path) == 0
+        reopened = (
+            ShardedStore(directory, SHAPE, "LINEAR") if sharded
+            else FragmentStore(directory, SHAPE, "LINEAR")
+        )
+        assert reopened.wal_stats()["points"] == 30
+        reopened.close()
+
+    @needs_proc_fd
+    def test_fsck_repair_closes_the_replaced_log(self, tmp_path, rng):
+        store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR")
+        store.append(*chunk(rng, 10))
+        assert _open_fds_under(tmp_path) == 1
+        store.fsck(repair=True)  # replays the log into a new mirror
+        assert _open_fds_under(tmp_path) == 0
+        store.append(*chunk(rng, 10))
+        assert store.wal_stats()["points"] == 20
+        store.close()
 
 
 class TestFsckWal:

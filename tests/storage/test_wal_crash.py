@@ -251,3 +251,45 @@ class TestTargetedWindows:
         report = fsck(directory, repair=True)
         assert report.repaired or report.clean
         assert fsck(directory).clean
+
+
+class TestFailedAppend:
+    """An append that raises while the process lives on must leave the
+    log as it was: the acknowledged appends around it still replay."""
+
+    @staticmethod
+    def _fail_one_append(directory, rules):
+        store = FragmentStore(
+            directory, SHAPE, "LINEAR", options=StoreOptions(wal_fsync=True)
+        )
+        store.append(*part(0))
+        plan = FaultPlan(rules)
+        with inject(plan), pytest.raises(OSError):
+            store.append(*part(1))
+        assert plan.fired
+        store.append(*part(2))  # acknowledged and fsynced
+        store.close()
+        recovered = reopen(directory)
+        return recovered, [
+            bool(recovered.read_points(part(j)[0]).found.all())
+            for j in range(3)
+        ]
+
+    def test_torn_append_is_cut_back(self, tmp_path):
+        torn = FaultRule(op="write", pattern="seg-*", torn_bytes=37)
+        recovered, found = self._fail_one_append(tmp_path / "ds", [torn])
+        assert found == [True, False, True]
+        assert recovered.wal_stats()["torn_tails_repaired"] == 0
+        assert fsck(tmp_path / "ds").clean
+
+    def test_failed_cut_back_seals_the_segment(self, tmp_path):
+        rules = [
+            FaultRule(op="write", pattern="seg-*", torn_bytes=37),
+            FaultRule(op="truncate", pattern="seg-*"),
+        ]
+        recovered, found = self._fail_one_append(tmp_path / "ds", rules)
+        assert found == [True, False, True]
+        # The torn bytes ended the sealed segment; replay cut them off.
+        assert recovered.wal_stats()["torn_tails_repaired"] == 1
+        names = sorted(p.name for p in (tmp_path / "ds" / "wal").iterdir())
+        assert names == ["seg-000000.wal", "seg-000001.wal.open"]
