@@ -24,10 +24,17 @@ then times a skewed box workload on the mode-skewed 3D/4D shapes:
   ``box_speedup`` must be >= ``MIN_BOX_SPEEDUP`` standalone
   (``MIN_BOX_SPEEDUP_SMOKE`` in the tier-1 smoke).
 * **guardrails**: stored-point lookups and the sorted-run (TSP-style)
-  ingest itself (best of ``INGEST_ROUNDS`` alternating builds per
-  order) must stay within ``MAX_SIDE_REGRESSION`` of the
-  row-major baseline — the interleaved transform is a handful of
-  vectorized shift/mask gathers, not a new cost tier.
+  ingest itself (``INGEST_ROUNDS`` builds per order) must stay within
+  ``MAX_SIDE_REGRESSION`` of the row-major baseline — the interleaved
+  transform is a handful of vectorized shift/mask gathers, not a new
+  cost tier.
+
+Every ratio is the median over repeats of a *paired* ratio.  Within a
+read repeat the two orders run back to back (which goes first
+alternates), and each timed sample repeats its batch until it lasts at
+least ``SAMPLE_SECONDS``; the two builds of an ingest round interleave
+write by write.  A slow stretch of the machine then lands on both sides
+of a pair, and one stall moves one pair, which the median ignores.
 
 Both stores must return bit-identical box contents (asserted before any
 timing).  Runs standalone (``python benchmarks/bench_alto.py``) and in
@@ -36,7 +43,9 @@ the tier-1 suite (``tests/bench/test_alto.py``) at a laxer floor.
 
 from __future__ import annotations
 
+import math
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -58,9 +67,11 @@ MIN_BOX_SPEEDUP_SMOKE = 1.2
 MAX_SIDE_REGRESSION = 1.1
 #: Smoke-size guardrail (tiny batches, jitter-dominated).
 MAX_SIDE_REGRESSION_SMOKE = 1.5
-#: Each order's ingest time is the best of this many builds, the orders
-#: alternating, so one slow wall-clock sample cannot trip the guardrail.
-INGEST_ROUNDS = 3
+#: Builds per order; the ingest ratio is the median of the rounds' ratios.
+INGEST_ROUNDS = 5
+#: A timed read sample repeats its batch until it lasts this long, so a
+#: stall of a few milliseconds is a small part of any sample.
+SAMPLE_SECONDS = 0.05
 
 #: Mode-skewed shapes: one long leading mode, short late modes.
 SHAPES = {
@@ -88,41 +99,49 @@ def _unique_coords(shape: tuple[int, ...], n: int, rng) -> np.ndarray:
     return delinearize(addrs, shape)
 
 
-def build_store(
+def build_stores(
     directory: Path,
     shape: tuple[int, ...],
-    addr_order: str,
     coords: np.ndarray,
     values: np.ndarray,
     *,
     n_fragments: int,
-) -> tuple[FragmentStore, float]:
-    """Bulk-load ``coords`` as ``n_fragments`` equal sorted runs.
+) -> tuple[dict[str, FragmentStore], dict[str, float]]:
+    """Bulk-load ``coords`` into one store per order, each as
+    ``n_fragments`` equal sorted runs of its own address order.
 
     This reproduces what every durable path converges to: WAL packing,
     merge compaction and sharded re-banding all emit fragments that are
-    consecutive runs of the store's address order.  Returns the store
-    and the ingest wall time (the TSP-style guardrail metric).
+    consecutive runs of the store's address order.  The loads interleave
+    write by write (which order goes first alternates), so a slow
+    stretch of the machine lands on both.  Returns the stores and each
+    order's summed write time (the TSP-style guardrail metric).
     """
-    store = FragmentStore(
-        directory, shape, "COO-SORTED",
-        options=StoreOptions(addr_order=addr_order),
-    )
     from repro.core.linearize import linearize_order
 
-    order = np.argsort(
-        linearize_order(coords, shape, addr_order, validate=False),
-        kind="stable",
-    )
-    coords = coords[order]
-    values = values[order]
+    stores: dict[str, FragmentStore] = {}
+    runs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    seconds = dict.fromkeys(ORDERS, 0.0)
+    for order in ORDERS:
+        stores[order] = FragmentStore(
+            directory / order, shape, "COO-SORTED",
+            options=StoreOptions(addr_order=order),
+        )
+        perm = np.argsort(
+            linearize_order(coords, shape, order, validate=False),
+            kind="stable",
+        )
+        runs[order] = (coords[perm], values[perm])
     run = coords.shape[0] // n_fragments
-    t0 = time.perf_counter()
     for i in range(n_fragments):
         s = i * run
         e = coords.shape[0] if i == n_fragments - 1 else (i + 1) * run
-        store.write(coords[s:e], values[s:e])
-    return store, time.perf_counter() - t0
+        for order in ORDERS if i % 2 == 0 else ORDERS[::-1]:
+            part_coords, part_values = runs[order]
+            t0 = time.perf_counter()
+            stores[order].write(part_coords[s:e], part_values[s:e])
+            seconds[order] += time.perf_counter() - t0
+    return stores, seconds
 
 
 def _query_boxes(shape: tuple[int, ...], rng) -> list[Box]:
@@ -139,21 +158,31 @@ def _query_boxes(shape: tuple[int, ...], rng) -> list[Box]:
     return boxes
 
 
-def _best_of_alternating(stores, run, *, repeats: int) -> dict[str, float]:
-    """Each order's best wall time of ``run(store)`` over ``repeats``.
+def _paired_times(stores, run, *, repeats: int) -> dict[str, list[float]]:
+    """Each order's wall time of one ``run(store)``, per repeat.
 
     The orders alternate repeat by repeat, and which goes first swaps
     each repeat, so a slow stretch of the machine lands on both sides
-    instead of on every repeat of one.
+    of a pair.  Each sample runs the batch ``k`` times, ``k`` set by an
+    untimed first run so a sample lasts at least ``SAMPLE_SECONDS``.
     """
-    best = dict.fromkeys(stores, float("inf"))
     orders = list(stores)
+    t0 = time.perf_counter()
+    run(stores[orders[0]])
+    k = max(1, math.ceil(SAMPLE_SECONDS / max(time.perf_counter() - t0, 1e-6)))
+    times: dict[str, list[float]] = {order: [] for order in orders}
     for r in range(repeats):
         for order in orders if r % 2 == 0 else orders[::-1]:
             t0 = time.perf_counter()
-            run(stores[order])
-            best[order] = min(best[order], time.perf_counter() - t0)
-    return best
+            for _ in range(k):
+                run(stores[order])
+            times[order].append((time.perf_counter() - t0) / k)
+    return times
+
+
+def _paired_ratio(num: list[float], den: list[float]) -> float:
+    """The median of the per-repeat ratios ``num / den``."""
+    return statistics.median(a / max(b, 1e-12) for a, b in zip(num, den))
 
 
 def _tensor_key(tensor) -> list[tuple]:
@@ -172,11 +201,11 @@ def bench_alto(
     """Box/point/ingest comparison across ``SHAPES`` x ``ORDERS``.
 
     Returns per-shape ``visited_<order>_<shape>`` fragment counts (from
-    ``explain()`` over the box workload), ``box_<order>_<shape>`` /
-    ``point_<order>_<shape>`` / ``ingest_<order>_<shape>`` wall times,
+    ``explain()`` over the box workload), median ``box_<order>_<shape>``
+    / ``point_<order>_<shape>`` / ``ingest_<order>_<shape>`` wall times,
     and the headline aggregates ``prune_ratio`` / ``box_speedup`` /
-    ``point_ratio`` / ``ingest_ratio`` (worst case over shapes, so the
-    floors hold for every shape, not just on average).
+    ``point_ratio`` / ``ingest_ratio`` (paired medians, worst case over
+    shapes, so the floors hold for every shape, not just on average).
     """
     rng = np.random.default_rng(seed)
     tmp = Path(tempfile.mkdtemp(prefix="bench-alto-"))
@@ -197,19 +226,20 @@ def bench_alto(
                 replace=False,
             )
             queries = coords[pick]
-            stores = {}
-            ingest = dict.fromkeys(ORDERS, float("inf"))
+            ingest: dict[str, list[float]] = {order: [] for order in ORDERS}
             for _ in range(INGEST_ROUNDS):
+                directory = tmp / key
+                shutil.rmtree(directory, ignore_errors=True)
+                stores, seconds = build_stores(
+                    directory, shape, coords, values,
+                    n_fragments=n_fragments,
+                )
                 for order in ORDERS:
-                    directory = tmp / f"{key}-{order}"
-                    shutil.rmtree(directory, ignore_errors=True)
-                    stores[order], seconds = build_store(
-                        directory, shape, order, coords, values,
-                        n_fragments=n_fragments,
-                    )
-                    ingest[order] = min(ingest[order], seconds)
+                    ingest[order].append(seconds[order])
             for order in ORDERS:
-                result[f"ingest_{order}_{key}"] = ingest[order]
+                result[f"ingest_{order}_{key}"] = statistics.median(
+                    ingest[order]
+                )
             # Both layouts must answer identically before any timing.
             probe = boxes[0]
             assert _tensor_key(stores["row_major"].read_box(probe)) == \
@@ -223,31 +253,32 @@ def bench_alto(
                     for box in boxes
                 ))
                 result[f"visited_{order}_{key}"] = visited[order]
-            box_times = _best_of_alternating(
+            box_times = _paired_times(
                 stores, lambda store: [store.read_box(b) for b in boxes],
                 repeats=repeats,
             )
-            point_times = _best_of_alternating(
+            point_times = _paired_times(
                 stores, lambda store: store.read_points(queries),
                 repeats=repeats,
             )
             for order in ORDERS:
-                result[f"box_{order}_{key}"] = box_times[order]
-                result[f"point_{order}_{key}"] = point_times[order]
+                result[f"box_{order}_{key}"] = statistics.median(
+                    box_times[order]
+                )
+                result[f"point_{order}_{key}"] = statistics.median(
+                    point_times[order]
+                )
             prune_ratios.append(
                 visited["row_major"] / max(visited["alto"], 1.0)
             )
             box_speedups.append(
-                result[f"box_row_major_{key}"]
-                / max(result[f"box_alto_{key}"], 1e-12)
+                _paired_ratio(box_times["row_major"], box_times["alto"])
             )
             point_ratios.append(
-                result[f"point_alto_{key}"]
-                / max(result[f"point_row_major_{key}"], 1e-12)
+                _paired_ratio(point_times["alto"], point_times["row_major"])
             )
             ingest_ratios.append(
-                result[f"ingest_alto_{key}"]
-                / max(result[f"ingest_row_major_{key}"], 1e-12)
+                _paired_ratio(ingest["alto"], ingest["row_major"])
             )
         result["prune_ratio"] = min(prune_ratios)
         result["box_speedup"] = min(box_speedups)

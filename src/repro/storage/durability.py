@@ -8,17 +8,27 @@ rest.  This module implements the store's answer to each, once, at the
 substrate level — every organization inherits it:
 
 **Atomic commit protocol.**
-    All directory mutations go through :func:`write_bytes_atomic`: the blob
-    is written to ``<name>.tmp``, optionally fsync'd, then renamed over the
-    final path.  A crash at any byte offset leaves either the old file or a
-    ``*.tmp`` orphan — never a torn committed file.  The manifest carries a
-    monotonically increasing ``generation`` and a per-fragment CRC, so the
-    commit point of a fragment is its manifest entry, not its file.  With
+    Fragment files and checkpoints go through :func:`write_bytes_atomic`:
+    the blob is written to ``<name>.tmp``, optionally fsync'd, then renamed
+    over the final path.  A crash at any byte offset leaves either the old
+    file or a ``*.tmp`` orphan — never a torn committed file.  With
     ``fsync`` on, the directory is fsync'd after the rename as well: a
     rename lives in the directory, and until the directory reaches the
     disk a power loss can undo it.  Every JSON document the store commits
     (manifests, shard sidecars, the workload ledger) is encoded by
     :func:`encode_manifest`.
+
+**Manifest log.**
+    A store's manifest is ``manifest.json``, a *checkpoint* of the whole
+    state, plus ``manifest.log``, an append-only log of the commits made
+    since: one CRC-framed record per commit holding only what it changed.
+    The manifest carries a monotonically increasing ``generation`` and a
+    per-fragment CRC, so the commit point of a fragment is its manifest
+    entry, not its file; a commit is one :class:`AppendFile` append.
+    :func:`load_manifest` replays the log over the checkpoint for both the
+    store and :func:`fsck`.  Both logs — this one and the WAL's segments —
+    share one framing (:func:`frame_record`) and one scanner
+    (:func:`scan_records`).
 
 **Bounded retries.**
     :class:`RetryPolicy` wraps transient ``OSError`` s (but never checksum
@@ -60,6 +70,8 @@ from ..core.errors import ChecksumError, FragmentError, ManifestError
 from ..obs import counter_add
 
 MANIFEST_NAME = "manifest.json"
+#: The append-only log of commits made since ``manifest.json``.
+MANIFEST_LOG_NAME = "manifest.log"
 QUARANTINE_DIR = ".quarantine"
 TMP_SUFFIX = ".tmp"
 
@@ -188,11 +200,13 @@ def write_bytes_atomic(
 
 
 class AppendFile:
-    """A file held open for appends: the WAL's active segment.
+    """A file held open for appends: the WAL's active segment, and the
+    store's manifest log.
 
     Unlike :func:`write_bytes_atomic` there is no rename commit point — a
-    crash mid-append leaves a *torn tail*, which the WAL's record framing
-    (length prefix + body CRC) detects and truncates on replay.  The file
+    crash mid-append leaves a *torn tail*, which the record framing
+    (:func:`frame_record`) lets :func:`scan_records` detect and replay
+    truncate.  The file
     is opened once (created if absent) and every :meth:`write` goes
     straight to the descriptor, looping on short writes, so no byte waits
     in a user-space buffer once it returns.  Same fault-hook contract as
@@ -233,11 +247,16 @@ class AppendFile:
             view = view[os.write(self._fd, view):]
 
     def truncate(self, size: int) -> None:
-        """Cut the file back to ``size`` bytes (fault op: ``"truncate"``)."""
+        """Cut the file back to ``size`` bytes (fault op: ``"truncate"``),
+        followed by ``"fsync"`` when ``fsync`` is set."""
         hook = _fault_hook
         if hook is not None:
             hook.before("truncate", self.path)
         os.ftruncate(self._fd, size)
+        if self.fsync:
+            if hook is not None:
+                hook.before("fsync", self.path)
+            os.fsync(self._fd)
 
     def close(self) -> None:
         """Close the descriptor.  Idempotent."""
@@ -358,6 +377,219 @@ def quarantine_file(
         pass
     counter_add("store.fragments_quarantined")
     return target
+
+
+# ----------------------------------------------------------------------
+# Record logs (the WAL's segments and the manifest log)
+# ----------------------------------------------------------------------
+
+_U32 = struct.Struct("<I")
+
+
+def frame_record(body: bytes) -> bytes:
+    """One log record: ``u32 len(body) | body | u32 crc32(body)``."""
+    return b"".join([
+        _U32.pack(len(body)), body, _U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
+    ])
+
+
+@dataclass
+class RecordScan:
+    """Outcome of :func:`scan_records`.
+
+    ``status`` is ``"ok"`` (every byte is an intact record), ``"torn"``
+    (damage in the *final* record only: what a crashed append leaves;
+    ``valid_bytes`` is the intact prefix to truncate back to) or
+    ``"corrupt"`` (damage followed by more bytes, which no crashed append
+    explains).  ``records`` holds the intact records decoded, in order,
+    whatever the status.
+    """
+
+    records: list
+    valid_bytes: int
+    status: str
+    detail: str = ""
+
+
+def scan_records(
+    data: bytes, offset: int, decode: Callable[[bytes], Any], *, where: str
+) -> RecordScan:
+    """Scan the framed records of ``data`` from ``offset``, classifying
+    damage by where it is.
+
+    ``decode`` turns an intact body into a record and raises
+    ``ValueError`` / ``KeyError`` / ``TypeError`` when it cannot; such a
+    record counts as damaged, like a CRC mismatch.  ``where`` names the
+    file kind in the details (``"segment"``, ``"log"``).
+    """
+    records: list = []
+    size = len(data)
+    while offset < size:
+        if offset + 4 > size:
+            return RecordScan(
+                records, offset, "torn",
+                f"torn length prefix at end of {where}",
+            )
+        (blen,) = _U32.unpack_from(data, offset)
+        extent = 8 + blen
+        if offset + extent > size:
+            return RecordScan(
+                records, offset, "torn", f"record at {offset} overruns EOF"
+            )
+        body = data[offset + 4:offset + 4 + blen]
+        (crc,) = _U32.unpack_from(data, offset + 4 + blen)
+        reason = ""
+        if zlib.crc32(body) & 0xFFFFFFFF != crc:
+            reason = f"record CRC mismatch at {offset}"
+        else:
+            try:
+                records.append(decode(body))
+            except (ValueError, KeyError, TypeError) as exc:
+                reason = f"record at {offset} undecodable: {exc}"
+        if reason:
+            if offset + extent == size:
+                return RecordScan(records, offset, "torn", reason)
+            return RecordScan(
+                records, offset, "corrupt", f"{reason} (mid-{where})"
+            )
+        offset += extent
+    return RecordScan(records, size, "ok")
+
+
+def _decode_manifest_record(body: bytes) -> dict[str, Any]:
+    record = json.loads(body)
+    if not isinstance(record, dict):
+        raise ValueError("manifest record is not an object")
+    record["generation"] = int(record["generation"])
+    return record
+
+
+def apply_manifest_record(doc: dict[str, Any], record: dict[str, Any]) -> None:
+    """Apply one manifest-log record to a manifest document in place.
+
+    A record holds what its commit changed, applied in this order:
+    ``replace`` (``[old name, entry]`` pairs rewritten in place, keeping
+    list position — migration, re-ordering, zone backfill), ``retire``
+    (names moved from the live list to ``retired``, stamped with the
+    record's generation), ``drop`` (names removed from either list),
+    ``add`` (entries appended to the live list) and ``gc_horizon``.
+    Only a record that removes or replaces entries walks the lists.
+    Raises ``KeyError`` / ``ValueError`` / ``TypeError``, leaving ``doc``
+    untouched, when the record names a fragment the document does not
+    hold.
+    """
+    generation = record["generation"]
+    live = doc["fragments"]
+    retired = doc.get("retired", [])
+    retire = list(record.get("retire", ()))
+    drop = set(record.get("drop", ()))
+    gone = drop.union(retire)
+    add = list(record.get("add", ()))
+    horizon = record.get("gc_horizon")
+    horizon = doc.get("gc_horizon") if horizon is None else int(horizon)
+    if record.get("replace") or gone:
+        live = list(live)
+        out: dict[str, dict] = {}
+        position = {e["file"]: i for i, e in enumerate(live)}
+        for old, entry in record.get("replace", ()):
+            i = position[old]
+            out[old] = live[i]
+            live[i] = entry
+        if gone:
+            kept = []
+            for e in live:
+                if e["file"] in gone:
+                    out[e["file"]] = e
+                else:
+                    kept.append(e)
+            live = kept
+        if drop:
+            out.update((e["file"], e) for e in retired if e["file"] in drop)
+            retired = [e for e in retired if e["file"] not in drop]
+        missing = gone.difference(out)
+        if missing:
+            raise KeyError(f"unlisted fragment(s) {sorted(missing)}")
+        retired = retired + [
+            {**out[name], "retired": generation} for name in retire
+        ]
+        doc["fragments"] = live
+        if retired:
+            doc["retired"] = retired
+        else:
+            doc.pop("retired", None)
+    live.extend(add)
+    if horizon:
+        doc["gc_horizon"] = horizon
+    doc["generation"] = generation
+
+
+@dataclass
+class ManifestLoad:
+    """A store's committed manifest, as :func:`load_manifest` read it.
+
+    ``doc`` is the checkpoint with every applicable log record replayed
+    on it.  ``log_status`` is ``"absent"`` (no ``manifest.log``: a store
+    written before the log existed), ``"ok"``, ``"torn"`` (a damaged
+    final record, cut off by truncating to ``log_bytes``) or
+    ``"corrupt"`` (damage before the final record, or a record that does
+    not apply; ``doc`` then holds the state up to the last record that
+    did).
+    """
+
+    doc: dict[str, Any]
+    checkpoint_bytes: int
+    log_bytes: int = 0
+    log_status: str = "absent"
+    detail: str = ""
+    #: Records applied on top of the checkpoint.
+    applied: int = 0
+
+
+def load_manifest(directory: str | os.PathLike) -> ManifestLoad:
+    """Read a store's checkpoint and replay its manifest log on top.
+
+    Records at or below the checkpoint's generation are skipped (a crash
+    between a checkpoint's rename and the log truncate leaves them); every
+    other record must carry the next generation.  Raises
+    :class:`~repro.core.errors.ManifestError` when ``manifest.json`` is
+    missing or unreadable; damage in the log is reported, not raised.
+    """
+    directory = Path(directory)
+    path = directory / MANIFEST_NAME
+    try:
+        raw = path.read_bytes()
+        doc = json.loads(raw)
+        if not isinstance(doc.get("fragments"), list):
+            raise ValueError("no fragment list")
+    except (OSError, ValueError, AttributeError) as exc:
+        raise ManifestError(f"corrupt manifest {path}: {exc}") from exc
+    load = ManifestLoad(doc, len(raw))
+    try:
+        data = (directory / MANIFEST_LOG_NAME).read_bytes()
+    except FileNotFoundError:
+        return load
+    scan = scan_records(data, 0, _decode_manifest_record, where="log")
+    load.log_bytes, load.log_status, load.detail = (
+        scan.valid_bytes, scan.status, scan.detail
+    )
+    base = int(doc.get("generation", 0))
+    for record in scan.records:
+        generation = record["generation"]
+        if generation <= base:
+            continue
+        current = int(doc.get("generation", 0))
+        try:
+            if generation != current + 1:
+                raise ValueError(
+                    f"generation {generation} follows {current}"
+                )
+            apply_manifest_record(doc, record)
+        except (KeyError, ValueError, TypeError) as exc:
+            load.log_status = "corrupt"
+            load.detail = f"record of generation {generation}: {exc}"
+            break
+        load.applied += 1
+    return load
 
 
 # ----------------------------------------------------------------------
@@ -576,16 +808,22 @@ def fsck(
 ) -> FsckReport:
     """Verify a fragment store directory against its manifest.
 
-    Checks, for every manifest entry: the file exists, its size and
-    whole-file CRC match the manifest, its trailing CRC-32 verifies, and
-    its header parses.  Also reports fragment files *not* in the manifest
-    (``extra`` — e.g. a fragment committed right before a crash that
-    prevented the manifest update) and stale ``*.tmp`` files.
+    The manifest is the checkpoint with its log replayed
+    (:func:`load_manifest`), so fragments committed through the log are
+    listed, never orphans.  Checks, for every manifest entry: the file
+    exists, its size and whole-file CRC match the manifest, its trailing
+    CRC-32 verifies, and its header parses.  Also reports fragment files
+    *not* in the manifest (``extra`` — e.g. a fragment committed right
+    before a crash that prevented the manifest update), stale ``*.tmp``
+    files, and a damaged manifest log (kind ``manifest``: a torn final
+    record, or corruption before it).
 
     With ``repair=True``: temp files are deleted, unreadable fragments are
     moved to ``.quarantine/`` (never silently dropped), readable extras are
-    recovered into the manifest (appended in name order), and the manifest
-    is rewritten atomically with a bumped generation.
+    recovered into the manifest (appended in name order), the log's
+    commits are folded into ``manifest.json`` and the log emptied (a
+    corrupt log is quarantined instead), and the manifest is rewritten
+    atomically with a bumped generation.
 
     When the store has a write-ahead log (a ``wal/`` subdirectory), every
     segment is scanned too: torn tails are reported (and truncated back to
@@ -600,14 +838,18 @@ def fsck(
         raise ManifestError(f"not a store directory: {directory}")
     manifest_path = directory / MANIFEST_NAME
 
+    log_path = directory / MANIFEST_LOG_NAME
+
     generation = 0
     entries: list[dict[str, Any]] = []
     retired_entries: list[dict[str, Any]] = []
     manifest_meta: dict[str, Any] = {}
     report = FsckReport(directory=directory, generation=0, checked=0)
+    load: ManifestLoad | None = None
     if manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text())
+            load = load_manifest(directory)
+            manifest = load.doc
             entries = list(manifest.get("fragments", []))
             retired_entries = list(manifest.get("retired", []))
             generation = int(manifest.get("generation", 0))
@@ -619,7 +861,8 @@ def fsck(
                 )
                 if k in manifest
             }
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (ManifestError, ValueError, TypeError) as exc:
+            load = None
             report.issues.append(
                 FsckIssue("manifest", MANIFEST_NAME, f"unreadable: {exc}")
             )
@@ -627,6 +870,13 @@ def fsck(
         report.issues.append(
             FsckIssue("manifest", MANIFEST_NAME, "missing")
         )
+    if load is not None and load.log_status in ("torn", "corrupt"):
+        log_issue = FsckIssue("manifest", MANIFEST_LOG_NAME, load.detail)
+        if repair:
+            log_issue.repaired = (
+                "truncated" if load.log_status == "torn" else "quarantined"
+            )
+        report.issues.append(log_issue)
     report.generation = generation
 
     surviving: list[dict[str, Any]] = []
@@ -778,6 +1028,25 @@ def fsck(
             report.issues.append(issue)
 
     if repair:
+        if log_path.exists():
+            if load is not None and load.applied:
+                # Fold the log's commits into the checkpoint first: a
+                # crash from here on keeps them.
+                write_bytes_atomic(
+                    manifest_path, encode_manifest(load.doc), fsync=True
+                )
+            if load is not None and load.log_status == "corrupt":
+                quarantine_file(
+                    directory, log_path, reason=f"fsck: {load.detail}"
+                )
+            else:
+                # Emptied before the rebuilt manifest lands, so no record
+                # can replay onto it.
+                log = AppendFile(log_path, fsync=True)
+                try:
+                    log.truncate(0)
+                finally:
+                    log.close()
         rebuilt = dict(manifest_meta)
         rebuilt["generation"] = generation + 1
         rebuilt["fragments"] = surviving + recovered

@@ -15,11 +15,14 @@ This is the paper's block-local transform that removes LINEAR's address
 overflow risk (§II-B) and is what :mod:`repro.storage.blocks` builds on.
 
 Durability (see :mod:`repro.storage.durability` and ``docs/DURABILITY.md``):
-fragments and the manifest commit via the atomic ``*.tmp`` + rename
-protocol, the manifest carries a monotonic ``generation`` and per-fragment
-CRCs, stale temp files are cleaned on open, and the read side degrades
-gracefully under the ``on_corruption`` policy (``"raise"`` / ``"skip"`` /
-``"quarantine"``) with bounded retries for transient I/O errors.
+fragments commit via the atomic ``*.tmp`` + rename protocol; a manifest
+commit appends one CRC-framed record of what it changed to
+``manifest.log``, behind ``manifest.json``, a checkpoint rewritten the same
+atomic way when the log outgrows it.  The manifest carries a monotonic
+``generation`` and per-fragment CRCs, stale temp files are cleaned on
+open, and the read side degrades gracefully under the ``on_corruption``
+policy (``"raise"`` / ``"skip"`` / ``"quarantine"``) with bounded retries
+for transient I/O errors.
 
 Read pipeline (see :mod:`repro.storage.readpath` and ``docs/READ_PATH.md``):
 ``read_points`` / ``read_box`` take ``ReadOptions(parallel="thread")`` to
@@ -59,14 +62,13 @@ fragment a live snapshot pins.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
 import time
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -94,17 +96,24 @@ from ..obs import counter_add, observe, span
 from ..obs.workload import WorkloadLedger
 from ..readapi import ReadOutcome
 from .durability import (
+    MANIFEST_LOG_NAME as _MANIFEST_LOG,
+)
+from .durability import (
     MANIFEST_NAME as _MANIFEST,
 )
 from .durability import (
+    AppendFile,
     FsckReport,
     clean_temp_files,
     encode_manifest,
     file_crc,
+    frame_record,
     fsck as _fsck,
+    load_manifest,
     peek_manifest,
     quarantine_file,
     remove_file,
+    truncate_file,
     write_bytes_atomic,
 )
 from .fragment import (
@@ -143,6 +152,16 @@ from .wal import TailRun, WriteAheadLog, build_tail_run, merge_chunks, wal_path
 #: zone maps are backfilled lazily on the first planned read.
 MANIFEST_VERSION = 2
 
+#: The store-level keys of ``manifest.json``.  A commit that changes one
+#: checkpoints, so the checkpoint always holds the current settings.
+_SETTINGS = (
+    "version", "shape", "format", "relative_coords", "codec", "addr_order",
+)
+
+#: Bytes the manifest log may hold before a commit checkpoints, when the
+#: checkpoint itself is smaller.
+MANIFEST_LOG_FLOOR = 64 << 10
+
 _FRAG_RE = re.compile(r"frag-(\d+)\.bin$")
 
 #: Per-fragment workload ledger file, beside the manifest (advisory —
@@ -161,6 +180,18 @@ class WriteReceipt:
     build_seconds: float
     reorg_seconds: float
     write_seconds: float
+
+
+@dataclass
+class _Delta:
+    """What the next manifest commit changes: its log record's content."""
+
+    add: list[FragmentInfo] = field(default_factory=list)
+    #: ``(old file name, replacement)`` pairs, rewritten in place.
+    replace: list[tuple[str, FragmentInfo]] = field(default_factory=list)
+    #: Names moved to the ``retired`` list, and names removed outright.
+    retire: list[str] = field(default_factory=list)
+    drop: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -295,6 +326,17 @@ class FragmentStore:
         #: Corrupt fragments encountered (skipped or quarantined) so far.
         self.corrupt_fragments = 0
         self._generation = 0
+        # Manifest commit state (see _save_manifest): the change the next
+        # commit logs, the open manifest log and its intact length, the
+        # checkpoint's size and settings, the logged GC horizon, and
+        # whether the next commit must checkpoint instead of appending.
+        self._delta = _Delta()
+        self._mlog: AppendFile | None = None
+        self._mlog_bytes = 0
+        self._ckpt_bytes = 0
+        self._ckpt_settings: dict = {}
+        self._logged_horizon = 0
+        self._ckpt_due = True
         # WAL / snapshot / retention state.  The WAL itself is lazy: it
         # opens on the first append(), or here when a wal/ directory
         # already exists (crash recovery replays it before any read).
@@ -353,15 +395,25 @@ class FragmentStore:
         """Manifest generation: bumped by every committed manifest write."""
         return self._generation
 
+    def _manifest_log_path(self) -> Path:
+        return self.directory / _MANIFEST_LOG
+
     def _load_manifest(self) -> None:
         path = self._manifest_path()
         if not path.exists():
             self.rescan()
             return
-        try:
-            entries = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ManifestError(f"corrupt manifest {path}: {exc}") from exc
+        load = load_manifest(self.directory)
+        if load.log_status == "corrupt":
+            raise ManifestError(
+                f"corrupt manifest log {self._manifest_log_path()}: "
+                f"{load.detail}"
+            )
+        if load.log_status == "torn":
+            # A crashed append: cut it off before anything follows it.
+            truncate_file(self._manifest_log_path(), load.log_bytes)
+            counter_add("store.manifest.torn_tails")
+        entries = load.doc
         self._generation = int(entries.get("generation", 0))
         self._fragments = [
             self._parse_fragment_entry(e) for e in entries["fragments"]
@@ -374,6 +426,17 @@ class FragmentStore:
             for e in entries.get("retired", [])
         ]
         self._gc_horizon = int(entries.get("gc_horizon", 0))
+        self._close_manifest_log()
+        self._delta = _Delta()
+        self._mlog_bytes = load.log_bytes
+        self._ckpt_bytes = load.checkpoint_bytes
+        self._ckpt_settings = {
+            k: entries[k] for k in _SETTINGS if k in entries
+        }
+        self._logged_horizon = self._gc_horizon
+        # A store written before the log existed has none: its first
+        # commit checkpoints, which creates it.
+        self._ckpt_due = load.log_status == "absent"
         self._zone_backfill_done = False
         self._warn_on_orphans()
 
@@ -431,43 +494,49 @@ class FragmentStore:
             entry["addr_order"] = f.addr_order
         return entry
 
-    def _save_manifest(self) -> None:
+    def _settings(self) -> dict:
+        """The store-level keys of ``manifest.json``, in document order."""
+        settings = {
+            "version": MANIFEST_VERSION,
+            "shape": list(self.shape),
+            "format": self.format_name,
+            "relative_coords": self.relative_coords,
+            "codec": self.codec,
+        }
+        # Persisted only when it differs: row-major manifests stay
+        # byte-identical to the pre-ALTO schema.
+        if self.addr_order != DEFAULT_ADDRESS_ORDER:
+            settings["addr_order"] = self.addr_order
+        return settings
+
+    def _save_manifest(self, *, checkpoint: bool = False) -> None:
+        """Commit the pending change: the one commit entry point.
+
+        Bumps the generation, then appends one record holding only what
+        the commit changed (:attr:`_delta`) to ``manifest.log`` — the
+        commit point, one fsync with ``fsync`` on.  The commit is a
+        *checkpoint* instead (``manifest.json`` rewritten whole, then the
+        log emptied) when the caller asks for one, when a store-level
+        setting changed, after a failed commit, and when the log would
+        outgrow the checkpoint — which keeps a commit's cost amortized
+        O(1) in the number of fragments.
+        """
         with self._state_lock:
             self._generation += 1
-            # Stamp the birth generation of fragments committed by this
-            # very write: a fragment is visible at generation g iff
-            # born <= g < retired.
-            for f in self._fragments:
-                if f.born is None:
-                    f.born = self._generation
-            entries = {
-                "version": MANIFEST_VERSION,
-                "generation": self._generation,
-                "shape": list(self.shape),
-                "format": self.format_name,
-                "relative_coords": self.relative_coords,
-                "codec": self.codec,
-                "fragments": [
-                    self._fragment_entry(f) for f in self._fragments
-                ],
-            }
-            # Persisted only when it differs: row-major manifests stay
-            # byte-identical to the pre-ALTO schema.
-            if self.addr_order != DEFAULT_ADDRESS_ORDER:
-                entries["addr_order"] = self.addr_order
-            if self._retired:
-                entries["retired"] = [
-                    self._fragment_entry(f) for f in self._retired
-                ]
-            if self._gc_horizon:
-                entries["gc_horizon"] = self._gc_horizon
-            # The manifest is the commit point of every fragment; it always
-            # commits atomically, and fsync follows the store's setting.
-            write_bytes_atomic(
-                self._manifest_path(),
-                encode_manifest(entries),
-                fsync=self.fsync,
-            )
+            delta, self._delta = self._delta, _Delta()
+            settings = self._settings()
+            if checkpoint or self._ckpt_due or settings != self._ckpt_settings:
+                self._checkpoint_locked(settings)
+            else:
+                record = frame_record(encode_manifest(
+                    self._log_record(delta)
+                ))
+                if self._mlog_bytes + len(record) > max(
+                    self._ckpt_bytes, MANIFEST_LOG_FLOOR
+                ):
+                    self._checkpoint_locked(settings)
+                else:
+                    self._append_record_locked(record)
         # Every committed mutation (write / compact / rescan / quarantine)
         # bumps the generation, so invalidating here guarantees the cache
         # can never serve a pre-mutation decode.  The CRC memo has the
@@ -475,6 +544,103 @@ class FragmentStore:
         # bytes, never pre-mutation ones.
         self.cache.invalidate()
         self._crc_verified.clear()
+
+    def _log_record(self, delta: _Delta) -> dict:
+        """The log record of one commit: only what it changed."""
+        generation = self._generation
+        record: dict = {"generation": generation}
+        # Stamp the birth generation of fragments committed by this very
+        # write: a fragment is visible at generation g iff
+        # born <= g < retired.
+        for f in [*delta.add, *(f for _, f in delta.replace)]:
+            if f.born is None:
+                f.born = generation
+        if delta.add:
+            record["add"] = [self._fragment_entry(f) for f in delta.add]
+        if delta.replace:
+            record["replace"] = [
+                [old, self._fragment_entry(f)] for old, f in delta.replace
+            ]
+        if delta.retire:
+            record["retire"] = delta.retire
+        if delta.drop:
+            record["drop"] = delta.drop
+        if self._gc_horizon != self._logged_horizon:
+            record["gc_horizon"] = self._gc_horizon
+            self._logged_horizon = self._gc_horizon
+        return record
+
+    def _checkpoint_locked(self, settings: dict) -> None:
+        """Rewrite ``manifest.json`` with the whole state at the current
+        generation, then empty the log (state lock held).
+
+        A crash between the rename and the truncate leaves records at or
+        below the checkpoint's generation, which replay skips.  Until
+        the truncate succeeds, every commit checkpoints.
+        """
+        generation = self._generation
+        for f in self._fragments:
+            if f.born is None:
+                f.born = generation
+        doc = {"version": settings["version"], "generation": generation}
+        for key in ("shape", "format", "relative_coords", "codec"):
+            doc[key] = settings[key]
+        doc["fragments"] = [self._fragment_entry(f) for f in self._fragments]
+        if "addr_order" in settings:
+            doc["addr_order"] = settings["addr_order"]
+        if self._retired:
+            doc["retired"] = [self._fragment_entry(f) for f in self._retired]
+        if self._gc_horizon:
+            doc["gc_horizon"] = self._gc_horizon
+        data = encode_manifest(doc)
+        self._ckpt_due = True
+        log_path = self._manifest_log_path()
+        if self._mlog is None and not log_path.exists():
+            # The log's one creation: before the rename, whose directory
+            # fsync then makes both entries durable.
+            log_path.touch()
+        write_bytes_atomic(self._manifest_path(), data, fsync=self.fsync)
+        self._ckpt_bytes = len(data)
+        self._ckpt_settings = settings
+        self._logged_horizon = self._gc_horizon
+        self._truncate_log_locked()
+        self._ckpt_due = False
+
+    def _truncate_log_locked(self) -> None:
+        """Empty the manifest log.  Its length is asked of the file: a
+        rescan that replaces a lost checkpoint does not know it."""
+        path = self._manifest_log_path()
+        if path.exists() and path.stat().st_size:
+            log = self._mlog or AppendFile(path, fsync=self.fsync)
+            try:
+                log.truncate(0)
+            finally:
+                if log is not self._mlog:
+                    log.close()
+        self._mlog_bytes = 0
+
+    def _append_record_locked(self, record: bytes) -> None:
+        """Append one commit's record.  A failed append cuts the log back
+        to its intact length before raising; the next commit checkpoints
+        either way, since this commit's change stays in memory."""
+        if self._mlog is None:
+            self._mlog = AppendFile(self._manifest_log_path(), fsync=self.fsync)
+        log = self._mlog
+        try:
+            log.write(record)
+        except BaseException:
+            self._ckpt_due = True
+            try:
+                log.truncate(self._mlog_bytes)
+            except OSError:
+                pass
+            raise
+        self._mlog_bytes += len(record)
+
+    def _close_manifest_log(self) -> None:
+        if self._mlog is not None:
+            self._mlog.close()
+            self._mlog = None
 
     def _scan_next_seq(self) -> int:
         """First unused fragment sequence number (manifest ∪ disk).
@@ -553,7 +719,11 @@ class FragmentStore:
                 # Headers carry no zone maps; let the first planned read
                 # backfill them.
                 self._zone_backfill_done = False
-            self._save_manifest()
+                # Empty the log before the rebuilt checkpoint lands, so a
+                # log written against another checkpoint never replays
+                # onto this one.
+                self._truncate_log_locked()
+                self._save_manifest(checkpoint=True)
 
     # ------------------------------------------------------------------
     # WRITE (Algorithm 3)
@@ -751,6 +921,20 @@ class FragmentStore:
         A failed file write leaves only unlisted files behind (reported,
         and recoverable, by ``fsck``); nothing is committed.
         """
+        receipts = self._write_parts_locked(parts)
+        infos = [r.info for r in receipts]
+        with self._state_lock:
+            self._fragments.extend(infos)
+            self._delta.add.extend(infos)
+        self._save_manifest()
+        for info in infos:
+            self.workload_ledger.record_write(info.path.name)
+        return receipts
+
+    def _write_parts_locked(
+        self, parts: list[_PackedPart]
+    ) -> list[WriteReceipt]:
+        """Write packaged fragments' files in order; commits nothing."""
         receipts: list[WriteReceipt] = []
         for part in parts:
             t0 = time.perf_counter()
@@ -777,11 +961,6 @@ class FragmentStore:
                 reorg_seconds=part.reorg_seconds,
                 write_seconds=write_seconds,
             ))
-        with self._state_lock:
-            self._fragments.extend(r.info for r in receipts)
-        self._save_manifest()
-        for r in receipts:
-            self.workload_ledger.record_write(r.info.path.name)
         return receipts
 
     def write_tensor(self, tensor: SparseTensor) -> WriteReceipt:
@@ -940,7 +1119,8 @@ class FragmentStore:
 
     def close(self) -> None:
         """Stop the background packer (if any), close the WAL's open
-        segment file and persist the workload ledger.  Idempotent.
+        segment file, fold the manifest log into ``manifest.json`` and
+        persist the workload ledger.  Idempotent.
 
         Appended-but-unpacked points stay durable in the WAL; the next
         open replays them.  Stores are also context managers::
@@ -956,6 +1136,15 @@ class FragmentStore:
         with self._rw.write_locked():
             if self._wal is not None:
                 self._wal.close()
+            with self._state_lock:
+                if self._mlog_bytes:
+                    # Fold the log into the checkpoint.  A failure loses
+                    # nothing: the log still holds every commit.
+                    try:
+                        self._checkpoint_locked(self._settings())
+                    except OSError:
+                        pass
+                self._close_manifest_log()
         self._save_workload_ledger()
 
     def _save_workload_ledger(self) -> None:
@@ -1075,8 +1264,10 @@ class FragmentStore:
                 f.born = 0  # never committed with a birth stamp
             if self.options.retain_generations > 0 or f.path.name in pinned:
                 self._retired.append(f)
+                self._delta.retire.append(f.path.name)
             else:
                 doomed.append(f)
+                self._delta.drop.append(f.path.name)
         if doomed:
             # Generations before retire_gen reference deleted files and
             # can no longer be reconstructed.
@@ -1126,6 +1317,7 @@ class FragmentStore:
         info.seq = frag.effective_seq()
         with self._state_lock:
             self._fragments[index] = info
+            self._delta.replace.append((frag.path.name, info))
             doomed = self._retire_locked([frag])
         self._save_manifest()
         self._unlink(doomed)
@@ -1167,6 +1359,7 @@ class FragmentStore:
                     f for f in self._retired
                     if f.path.name not in doomed_names
                 ]
+                self._delta.drop.extend(f.path.name for f in doomed)
                 self._gc_horizon = max(
                     self._gc_horizon,
                     max(f.retired for f in doomed),
@@ -1242,6 +1435,7 @@ class FragmentStore:
                 frag.zone = ZoneMap.from_addresses(
                     run.addresses, assume_sorted=True
                 )
+                self._delta.replace.append((frag.path.name, frag))
                 done += 1
             if done:
                 counter_add("store.plan.zone_backfilled", done)
@@ -1362,7 +1556,10 @@ class FragmentStore:
             # missing fragment); de-listing it is still the right repair.
             pass
         with self._state_lock:
-            self._fragments = [f for f in self._fragments if f is not frag]
+            kept = [f for f in self._fragments if f is not frag]
+            if len(kept) < len(self._fragments):
+                self._delta.drop.append(frag.path.name)
+            self._fragments = kept
             self._save_manifest()
 
     def _load_payload(self, frag: FragmentInfo):
@@ -1786,7 +1983,7 @@ class FragmentStore:
                 )
             if strategy == "merge":
                 merged = merge_sorted_runs(parts, self.shape, addr_order=order)
-                receipt = self.write_canonical(
+                part = self._package(
                     merged.canonical,
                     merged.values,
                     bbox=self._union_bbox(merged_from),
@@ -1798,16 +1995,20 @@ class FragmentStore:
                 merged = SparseTensor(self.shape, coords, values).deduplicated(
                     keep="last"
                 )
-                receipt = self.write(merged.coords, merged.values)
+                part = self._package_coords(merged.coords, merged.values)
                 nnz = merged.nnz
-            # The merged fragment took the next unused sequence number, so
+            # The merged fragment takes the next unused sequence number, so
             # its name cannot collide; quarantined fragments are already
-            # off the list.
+            # off the list.  One commit lists it and retires the sources:
+            # a checkpoint, which leaves the log empty.  A crash before it
+            # leaves the merged file as an orphan.
+            [receipt] = self._write_parts_locked([part])
             with self._state_lock:
                 self._fragments = [receipt.info]
                 doomed = self._retire_locked(merged_from)
-            self._save_manifest()
+            self._save_manifest(checkpoint=True)
             self._unlink(doomed)
+            self.workload_ledger.record_write(receipt.info.path.name)
             sp.add_nnz(nnz)
         self.workload_ledger.merge_into(
             [f.path.name for f in merged_from], receipt.info.path.name
@@ -2112,6 +2313,10 @@ class FragmentStore:
         the in-memory fragment list is reloaded from the rebuilt manifest.
         """
         with self._rw.write_locked():
+            if repair:
+                # Repair may truncate or quarantine the manifest log.
+                with self._state_lock:
+                    self._close_manifest_log()
             report = _fsck(self.directory, repair=repair)
             if repair:
                 self._load_manifest()

@@ -79,6 +79,7 @@ from .durability import (
     read_bytes,
     remove_file,
     rename_file,
+    scan_records,
     truncate_file,
 )
 
@@ -182,7 +183,9 @@ def decode_header(data: bytes) -> tuple[dict[str, Any] | None, int, str]:
 
 
 def encode_record(addresses: np.ndarray, values: np.ndarray) -> bytes:
-    """Frame one appended chunk as a length-prefixed, CRC-protected record."""
+    """Frame one appended chunk as a length-prefixed, CRC-protected record
+    (:func:`~repro.storage.durability.frame_record`'s framing, with the
+    CRC streamed over the parts instead of a joined body)."""
     addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
     values = np.ascontiguousarray(values)
     if values.dtype.byteorder not in ("=", "|", "<"):
@@ -258,7 +261,12 @@ def scan_segment(
     *,
     expected_shape: tuple[int, ...] | None = None,
 ) -> SegmentScan:
-    """Scan one segment, classifying damage per the torn-tail taxonomy."""
+    """Scan one segment, classifying damage per the torn-tail taxonomy.
+
+    The records behind the header go through
+    :func:`~repro.storage.durability.scan_records`, the scanner the
+    manifest log shares.
+    """
     path = Path(path)
     data = read_bytes(path)
     header, offset, reason = decode_header(data)
@@ -274,43 +282,10 @@ def scan_segment(
             f"segment shape {header['shape']} != store shape "
             f"{tuple(expected_shape)}",
         )
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
-    size = len(data)
-    while offset < size:
-        if offset + 4 > size:
-            return SegmentScan(
-                path, header, chunks, offset, "torn",
-                "torn length prefix at end of segment",
-            )
-        (blen,) = _U32.unpack_from(data, offset)
-        extent = 8 + blen
-        if offset + extent > size:
-            return SegmentScan(
-                path, header, chunks, offset, "torn",
-                f"record at {offset} overruns EOF",
-            )
-        body = data[offset + 4:offset + 4 + blen]
-        (crc,) = _U32.unpack_from(data, offset + 4 + blen)
-        reason = ""
-        if zlib.crc32(body) & 0xFFFFFFFF != crc:
-            reason = f"record CRC mismatch at {offset}"
-        else:
-            try:
-                chunk = decode_record_body(body)
-            except (ValueError, KeyError, TypeError) as exc:
-                reason = f"record at {offset} undecodable: {exc}"
-            else:
-                chunks.append(chunk)
-        if reason:
-            if offset + extent == size:
-                # Damaged *final* record: a torn append, not corruption.
-                return SegmentScan(path, header, chunks, offset, "torn", reason)
-            return SegmentScan(
-                path, header, chunks, offset, "corrupt",
-                reason + " (mid-segment)",
-            )
-        offset += extent
-    return SegmentScan(path, header, chunks, size, "ok")
+    scan = scan_records(data, offset, decode_record_body, where="segment")
+    return SegmentScan(
+        path, header, scan.records, scan.valid_bytes, scan.status, scan.detail
+    )
 
 
 # ----------------------------------------------------------------------

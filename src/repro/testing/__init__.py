@@ -10,6 +10,7 @@ drills against their own deployments.
 """
 
 from .faults import (
+    CrashPlan,
     FaultEvent,
     FaultPlan,
     FaultRule,
@@ -28,6 +29,7 @@ from .generators import (
 )
 
 __all__ = [
+    "CrashPlan",
     "FaultEvent",
     "FaultPlan",
     "FaultRule",

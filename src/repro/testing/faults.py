@@ -2,7 +2,7 @@
 
 Every filesystem primitive in :mod:`repro.storage.durability` consults a
 process-global *fault hook* before touching the OS.  This module provides
-three hook implementations:
+these hook implementations:
 
 :class:`FaultPlan`
     A list of :class:`FaultRule` s matched in order against each I/O op.
@@ -11,11 +11,17 @@ three hook implementations:
     write at an exact byte offset.  Fully deterministic — the same program
     against the same plan fails at the same byte.
 
+:class:`CrashPlan`
+    A :class:`FaultPlan` after whose first fault every durable op fails:
+    the process is dead, so its own failure handling cannot reach the
+    disk.
+
 :class:`OpRecorder`
     Fails nothing; records every ``(op, path)`` the durability layer
     performs.  The crash-consistency suite first records a fault-free run
     to *enumerate* the injection points, then replays the workload once per
-    point with a plan that kills exactly that op.
+    point with a plan that kills exactly that op — a :class:`CrashPlan`,
+    which then fails every later durable op, as a dead process would.
 
 :class:`SeededFaults`
     Seeded intermittent failures: each matching op fails with probability
@@ -25,7 +31,7 @@ three hook implementations:
 Use :func:`inject` as a context manager; it installs the hook and always
 restores the previous one::
 
-    with inject(FaultPlan([FaultRule(op="rename", pattern="manifest*")])):
+    with inject(FaultPlan([FaultRule(op="write", pattern="manifest.log")])):
         store.write(coords, values)   # raises OSError at the manifest commit
 """
 
@@ -43,6 +49,8 @@ from ..storage import durability
 
 #: Ops the durability layer announces, in the vocabulary rules match on.
 OPS = ("write", "read", "rename", "fsync", "unlink", "truncate")
+#: The ops that change what is on disk.
+DURABLE_OPS = ("write", "rename", "fsync", "unlink", "truncate")
 
 
 @dataclass
@@ -149,6 +157,25 @@ class FaultPlan:
         return None
 
 
+class CrashPlan(FaultPlan):
+    """A :class:`FaultPlan` that models a crash: once a rule has fired the
+    process is dead, so every later durable op fails as well.
+
+    A plain :class:`FaultPlan` fails one op and lets the program handle
+    the error (cut back a torn append, seal a segment) — the in-process
+    failure model.  Here that handling cannot reach the disk either, so
+    the reopen sees what a killed process leaves.
+    """
+
+    def before(self, op: str, path: Path) -> None:
+        if self.fired and op in DURABLE_OPS:
+            raise OSError(
+                errno.EIO, f"injected fault on {op} (process crashed)",
+                str(path),
+            )
+        super().before(op, path)
+
+
 class OpRecorder:
     """A hook that fails nothing and logs every durability-layer op.
 
@@ -171,8 +198,10 @@ class OpRecorder:
 
 def plan_for_crash_point(
     events: list[FaultEvent], index: int, *, torn_bytes: int | None = None
-) -> FaultPlan:
-    """A plan that kills the ``index``-th recorded op of a replayed run.
+) -> CrashPlan:
+    """A plan that kills the ``index``-th recorded op of a replayed run,
+    and with it the process: every durable op after it fails too
+    (:class:`CrashPlan`).
 
     The replay must perform the same op sequence as the recorded run (the
     workload is deterministic; that is the point).  A file op is found
@@ -188,7 +217,7 @@ def plan_for_crash_point(
         1 for e in events[:index]
         if e.op == target.op and fnmatch.fnmatch(e.path.name, pattern)
     )
-    return FaultPlan([
+    return CrashPlan([
         FaultRule(
             op=target.op,
             pattern=pattern,

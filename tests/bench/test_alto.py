@@ -25,7 +25,7 @@ def _load_bench():
 def test_alto_box_speedup_smoke():
     bench = _load_bench()
     result = bench.bench_alto(
-        n_fragments=128, points_per_fragment=300, repeats=5,
+        n_fragments=128, points_per_fragment=300, repeats=7,
         shapes=("3d",),
     )
     bench.assert_alto_ok(

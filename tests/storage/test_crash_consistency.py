@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.storage import FragmentStore, StoreOptions, fsck
+from repro.storage.durability import load_manifest
 from repro.testing.faults import (
     FaultEvent,
     FaultPlan,
@@ -128,19 +129,19 @@ def crash_and_recover(tmp_path, events, index, torn_bytes=None,
 class TestInjectionPointEnumeration:
     def test_recorded_op_sequence_shape(self, tmp_path):
         events = record_injection_points(tmp_path)
-        # Open of an empty store commits one manifest (write + rename);
-        # each write commits a fragment then the manifest (4 ops).
-        assert len(events) == 2 + 4 * N_WRITES
+        # Open of an empty store checkpoints the manifest (write +
+        # rename); each write commits a fragment, then appends one record
+        # to the manifest log (3 ops).
+        assert len(events) == 2 + 3 * N_WRITES
         assert [e.op for e in events[:2]] == ["write", "rename"]
+        assert events[0].path.name == "manifest.json.tmp"
+        assert events[1].path.name == "manifest.json"
         for j in range(N_WRITES):
-            chunk = events[2 + 4 * j : 6 + 4 * j]
-            assert [e.op for e in chunk] == [
-                "write", "rename", "write", "rename"
-            ]
+            chunk = events[2 + 3 * j : 5 + 3 * j]
+            assert [e.op for e in chunk] == ["write", "rename", "write"]
             assert chunk[0].path.name == f"frag-{j:06d}.bin.tmp"
             assert chunk[1].path.name == f"frag-{j:06d}.bin"
-            assert chunk[2].path.name == "manifest.json.tmp"
-            assert chunk[3].path.name == "manifest.json"
+            assert chunk[2].path.name == "manifest.log"
 
     def test_fsync_ops_recorded_when_enabled(self, tmp_path):
         recorder = OpRecorder()
@@ -432,16 +433,17 @@ class TestManifestSchemaUpgrade:
 
     @staticmethod
     def _make_v1(directory):
-        """A committed 3-write store whose manifest predates zone maps."""
+        """A committed 3-write store whose manifest predates zone maps
+        (and so the manifest log: it has none)."""
         import json
 
         run_workload(directory)
-        path = directory / "manifest.json"
-        manifest = json.loads(path.read_text())
+        manifest = load_manifest(directory).doc
         manifest.pop("version", None)
         for entry in manifest["fragments"]:
             entry.pop("zone", None)
-        path.write_text(json.dumps(manifest))
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        (directory / "manifest.log").unlink()
 
     def test_backfill_commit_crash_keeps_v1_readable(self, tmp_path):
         import json
@@ -459,13 +461,13 @@ class TestManifestSchemaUpgrade:
         # The read itself succeeded off the in-memory maps...
         assert out.found.all()
         # ...the on-disk manifest is untouched v1 (atomic commit)...
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = load_manifest(directory).doc
         assert "version" not in manifest
         assert assert_consistent_prefix(reopen(directory)) == N_WRITES
         # ...and the next open's first read retries the upgrade.
         again = reopen(directory)
         assert again.read_points(part(1)[0]).found.all()
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = load_manifest(directory).doc
         assert manifest["version"] == 2
         assert all(e["zone"] for e in manifest["fragments"])
 
@@ -486,16 +488,16 @@ class TestManifestSchemaUpgrade:
         # Recovery: committed prefix intact; first read upgrades to v2.
         recovered = reopen(directory)
         assert assert_consistent_prefix(recovered) == N_WRITES
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = load_manifest(directory).doc
         assert manifest["version"] == 2
         assert all(e["zone"] for e in manifest["fragments"])
         # fsck recovers the orphaned 4th fragment without a zone map...
         report = fsck(directory, repair=True)
         assert [i for i in report.issues if i.repaired == "recovered"]
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = load_manifest(directory).doc
         assert any(e.get("zone") is None for e in manifest["fragments"])
         # ...and the next read re-backfills exactly that entry.
         final = reopen(directory)
         assert final.read_points(extra_coords).found.all()
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = load_manifest(directory).doc
         assert all(e["zone"] for e in manifest["fragments"])

@@ -20,6 +20,7 @@ from repro.storage.durability import (
     encode_manifest,
     file_crc,
     fragment_file_crc,
+    load_manifest,
     quarantine_file,
     write_bytes_atomic,
 )
@@ -94,12 +95,12 @@ class TestAtomicCommit:
         g1 = store.generation
         store.write(coords, values)
         assert store.generation > g1
-        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        manifest = load_manifest(tmp_path / "ds").doc
         assert manifest["generation"] == store.generation
 
     def test_manifest_records_fragment_crc(self, tmp_path):
         store, *_ = make_store(tmp_path / "ds")
-        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        manifest = load_manifest(tmp_path / "ds").doc
         entry = manifest["fragments"][0]
         data = (tmp_path / "ds" / entry["file"]).read_bytes()
         assert entry["crc"] == file_crc(data)
@@ -443,10 +444,13 @@ class TestFsck:
         store, coords, values = make_store(tmp_path / "ds")
         # Simulate a crash after the fragment rename but before the
         # manifest commit: put a valid fragment file outside the manifest.
-        manifest_path = tmp_path / "ds" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+        committed = {
+            path: path.read_bytes()
+            for path in (tmp_path / "ds").glob("manifest.*")
+        }
         store.write(coords, values + 5.0)
-        manifest_path.write_text(json.dumps(manifest))  # roll manifest back
+        for path, blob in committed.items():  # roll the manifest back
+            path.write_bytes(blob)
         with pytest.warns(UserWarning, match="not in the manifest"):
             reopened = FragmentStore(tmp_path / "ds", (32, 32), "LINEAR")
         assert len(reopened.fragments) == 1  # consistent committed prefix

@@ -107,8 +107,9 @@ class TestPlanForCrashPoint:
             write_bytes_atomic(target, b"a")  # first rename passes
             with pytest.raises(OSError):
                 write_bytes_atomic(target, b"b")  # second rename killed
-            write_bytes_atomic(target, b"c")  # rule exhausted
-        assert target.read_bytes() == b"c"
+            with pytest.raises(OSError):
+                write_bytes_atomic(target, b"c")  # the process is dead
+        assert target.read_bytes() == b"a"
 
     def test_torn_bytes_only_applies_to_writes(self, tmp_path):
         events = [

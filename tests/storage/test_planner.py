@@ -20,6 +20,7 @@ from repro.storage import (
     StoreOptions,
     ZoneMap,
 )
+from repro.storage.durability import load_manifest
 from repro.storage.sharded import ShardedStore
 
 
@@ -296,13 +297,14 @@ class TestStorePlanning:
 
 class TestBackfill:
     def _strip_zones(self, directory: Path) -> None:
-        """Rewrite the manifest as a pre-planner (v1) store would have."""
-        path = directory / "manifest.json"
-        manifest = json.loads(path.read_text())
+        """Rewrite the manifest as a pre-planner (v1) store would have:
+        one ``manifest.json`` without zone maps, and no manifest log."""
+        manifest = load_manifest(directory).doc
         manifest.pop("version", None)
         for entry in manifest["fragments"]:
             entry.pop("zone", None)
-        path.write_text(json.dumps(manifest))
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        (directory / "manifest.log").unlink()
 
     def test_v1_manifest_backfilled_and_persisted(self, tmp_path):
         store, bands = _band_store(tmp_path, n_fragments=4)
@@ -314,9 +316,7 @@ class TestBackfill:
         assert all(f.zone is not None for f in reopened.fragments)
         assert _counter("store.plan.zone_backfilled") == 4
         # Persisted: a third open sees v2 zones without re-backfilling.
-        manifest = json.loads(
-            (store.directory / "manifest.json").read_text()
-        )
+        manifest = load_manifest(store.directory).doc
         assert manifest["version"] == 2
         assert all(e["zone"] for e in manifest["fragments"])
         third = FragmentStore(tmp_path / "ds", store.shape, "LINEAR")

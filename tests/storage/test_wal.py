@@ -20,6 +20,7 @@ from repro.storage import (
     fsck,
 )
 from repro.storage import wal as wal_module
+from repro.storage.durability import load_manifest
 from repro.storage.store import WORKLOAD_LEDGER_NAME
 from repro.storage.wal import (
     TailRun,
@@ -694,9 +695,7 @@ class TestSnapshots:
         store.write(*chunk(rng, 20))
         deleted = store.gc(keep_generations=0)
         assert deleted == 2
-        manifest = json.loads(
-            (tmp_path / "ds" / "manifest.json").read_text()
-        )
+        manifest = load_manifest(tmp_path / "ds").doc
         assert manifest.get("gc_horizon", 0) > 0
         with pytest.raises(ValueError):
             store.gc(keep_generations=-1)

@@ -30,6 +30,10 @@ Currently recorded:
   under ``addr_order="alto"`` vs row-major: fragment-prune ratio,
   end-to-end box-read speedup (headline), and the point/ingest
   guardrail ratios.
+* ``manifest_commit`` (``benchmarks/bench_manifest_commit.py``) —
+  per-write and per-commit CPU at 100 and 1 000 fragments (headline:
+  the commit's paired ratio, a ceiling rather than a floor), the bytes a
+  write appends to the manifest log, and the reopen time.
 
 The speedup floors are asserted exactly as in the standalone runs, so a
 CI invocation fails loudly on a real regression — wire it as a
@@ -217,6 +221,17 @@ def run_alto_linearization(smoke: bool) -> dict:
     return {**result, "floor": floor}
 
 
+def run_manifest_commit(smoke: bool) -> dict:
+    bench = load_bench("bench_manifest_commit")
+    if smoke:
+        result = bench.bench_manifest_commit(n_fragments=300, window=30)
+    else:
+        result = bench.bench_manifest_commit()
+    bench.assert_records_flat(result)
+    bench.assert_cost_flat(result)
+    return {**result, "ceiling": bench.MAX_COST_RATIO}
+
+
 BENCHES = {
     "read_planner": run_read_planner,
     "parallel_read": run_parallel_read,
@@ -225,6 +240,7 @@ BENCHES = {
     "compression": run_compression,
     "format_migration": run_format_migration,
     "alto_linearization": run_alto_linearization,
+    "manifest_commit": run_manifest_commit,
 }
 
 #: Report-file overrides: ``BENCH_<record name>.json`` when the bench's
@@ -262,15 +278,16 @@ def main(argv: list[str]) -> int:
         headline = next(
             metrics[k] for k in
             ("point_speedup", "ingest_speedup", "speedup",
-             "size_reduction", "box_speedup")
+             "size_reduction", "box_speedup", "paired_commit_ratio")
             if k in metrics
         )
         try:
             shown = path.relative_to(REPO)
         except ValueError:  # --out-dir outside the repo
             shown = path
-        print(f"{name}: {headline:.2f}x (floor {metrics['floor']}x) "
-              f"-> {shown}")
+        bound = (f"floor {metrics['floor']}x" if "floor" in metrics
+                 else f"ceiling {metrics['ceiling']}x")
+        print(f"{name}: {headline:.2f}x ({bound}) -> {shown}")
     return 1 if failed else 0
 
 
