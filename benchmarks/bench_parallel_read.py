@@ -1,26 +1,24 @@
-"""Microbench: parallel read pipeline + decoded-fragment cache speedup.
+"""Microbench: decoded-fragment cache speedup on repeated reads.
 
 Algorithm 3's READ pays, per query and per overlapping fragment: one file
 read, one CRC verify, one decode, then the actual index lookup.  On a
 multi-fragment store the first three dwarf the fourth, and they are pure
 re-computation — the fragments are immutable between manifest generations.
-The ``repro.storage.readpath`` pipeline removes them with a bytes-bounded
-decoded-fragment LRU and fans per-fragment work over a shared thread pool
-(``parallel="thread"``).
+The ``repro.storage.readpath`` cache removes them: a bytes-bounded LRU of
+decoded fragments.
 
 This bench builds one >=16-fragment LINEAR store and times repeated
-point-query batches two ways:
+point-query batches two ways, both read inline:
 
 * **cold** — ``cache_bytes=0`` (the seed behavior): every read re-loads
   and re-decodes all fragments;
 * **warm** — a cache big enough for the working set, primed with one
-  read, queried with ``parallel="thread"``.
+  read.
 
 The PR-facing claim, asserted here and in the tier-1 smoke
 (``tests/bench/test_parallel_read.py``): warm reads are at least
-``MIN_SPEEDUP``x faster.  On a single-core host the win comes entirely
-from the cache (threads cannot add CPUs); with more cores the fan-out
-stacks on top.
+``MIN_SPEEDUP``x faster, from the cache alone.  (The name is kept so its
+record, ``BENCH_parallel_read.json``, stays one trajectory.)
 
 Runs standalone (``python benchmarks/bench_parallel_read.py``) and in the
 tier-1 suite (smoke asserts a laxer floor to absorb CI jitter).
@@ -36,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.storage import FragmentStore, ReadOptions, StoreOptions
+from repro.storage import FragmentStore, StoreOptions
 
 #: The PR-facing claim for the standalone run (warm/cold speedup floor).
 MIN_SPEEDUP = 2.0
@@ -65,12 +63,11 @@ def build_store(
     return queries, rng.permutation(queries.shape[0])
 
 
-def _time_reads(store: FragmentStore, queries, *, parallel, repeats) -> float:
+def _time_reads(store: FragmentStore, queries, *, repeats) -> float:
     best = float("inf")
-    options = ReadOptions(parallel=parallel)
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = store.read_points(queries, options=options)
+        out = store.read_points(queries)
         best = min(best, time.perf_counter() - t0)
         assert out.found.all()  # sanity: the bench reads stored points
     return best
@@ -79,7 +76,7 @@ def _time_reads(store: FragmentStore, queries, *, parallel, repeats) -> float:
 def bench_parallel_read(
     n_fragments: int = 16, points: int = 8_000, repeats: int = 5
 ) -> dict[str, float]:
-    """Cold (uncached, sequential) vs warm (cached, parallel) point reads.
+    """Cold (uncached) vs warm (cached) point reads.
 
     Returns ``{"cold": s, "warm": s, "speedup": cold/warm, "hit_rate": r,
     "fragments": n}``.  Both variants run the identical query batch against
@@ -101,13 +98,9 @@ def bench_parallel_read(
             tmp / "ds", SHAPE, "LINEAR",
             options=StoreOptions(cache_bytes=1 << 28),
         )
-        cold = _time_reads(
-            cold_store, queries, parallel="none", repeats=repeats
-        )
+        cold = _time_reads(cold_store, queries, repeats=repeats)
         warm_store.read_points(queries)  # prime the cache
-        warm = _time_reads(
-            warm_store, queries, parallel="thread", repeats=repeats
-        )
+        warm = _time_reads(warm_store, queries, repeats=repeats)
         stats = warm_store.cache.stats()
         lookups = stats["hits"] + stats["misses"]
         return {
@@ -129,7 +122,7 @@ def assert_speedup_ok(
     result: dict[str, float], min_speedup: float = MIN_SPEEDUP
 ) -> None:
     assert result["speedup"] >= min_speedup, (
-        f"warm parallel read not fast enough: cold={result['cold']:.4f}s "
+        f"warm cached read not fast enough: cold={result['cold']:.4f}s "
         f"warm={result['warm']:.4f}s speedup={result['speedup']:.2f}x "
         f"(floor {min_speedup}x, hit rate {result['hit_rate']:.2f})"
     )

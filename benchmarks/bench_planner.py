@@ -10,24 +10,23 @@ fragment whose address range/histogram provably contains none of the
 query addresses is skipped without touching its file.
 
 This bench builds one >=256-fragment LINEAR store of disjoint row bands
-and times two workloads over the plan-on/off x crc_mode eager/once
-matrix:
+and times two workloads with the planner on and off:
 
 * **scattered points** — stored points sampled from a few spread-out
   bands, shuffled.  Their collective bbox spans nearly all bands, so
   plan-off visits ~every fragment while zone maps keep the visit list
   near the true band count.  This is the PR-facing claim:
-  ``point_speedup`` (plan-on/eager vs plan-off/eager) must be at least
+  ``point_speedup`` (plan-on vs plan-off) must be at least
   ``MIN_SPEEDUP``x standalone, ``MIN_SPEEDUP_SMOKE``x in the tier-1
   smoke (``tests/bench/test_planner.py``).
 * **band box** — a small box inside one band.  Bbox pruning already
   handles this shape in the seed, so the planner's win is the O(log F)
   interval index and zone confirmation; reported, not asserted.
 
-``crc_mode="once"`` rows show whole-file CRC memoization stacking on
-top (repeats > 1, so later rounds hit the memo).  Every configuration
-reads the identical on-disk store and the bench asserts identical hit
-counts across all of them.
+Every load verifies its fragment's CRC in both configurations (the
+``*_eager`` names are kept so ``BENCH_read_planner.json`` stays one
+trajectory).  Both configurations read the identical on-disk store and
+the bench asserts identical hit counts.
 
 Runs standalone (``python benchmarks/bench_planner.py``) and in the
 tier-1 suite at a laxer floor to absorb CI jitter.
@@ -107,14 +106,13 @@ def _time_box(store: FragmentStore, box: Box, *, repeats: int) -> float:
 def bench_planner(
     n_fragments: int = 256, points: int = 256, repeats: int = 5
 ) -> dict[str, float]:
-    """Scattered point + band box reads over the planner config matrix.
+    """Scattered point + band box reads, planner off and on.
 
     Returns per-config best times (``point_<cfg>`` / ``box_<cfg>`` for
-    cfg in ``off_eager / off_once / on_eager / on_once``),
-    the headline ``point_speedup`` and ``box_speedup`` (eager plan-on
-    vs eager plan-off), and ``visited_on`` / ``visited_off`` fragment
-    counts from the plans themselves.  obs is disabled during timing
-    and restored afterwards.
+    cfg in ``off_eager / on_eager``), the headline ``point_speedup`` and
+    ``box_speedup`` (plan-on vs plan-off), and ``visited_on`` /
+    ``visited_off`` fragment counts from the plans themselves.  obs is
+    disabled during timing and restored afterwards.
     """
     tmp = Path(tempfile.mkdtemp(prefix="bench-planner-"))
     was_enabled = obs.is_enabled()
@@ -126,10 +124,8 @@ def bench_planner(
         band = SHAPE[0] // n_fragments
         box = Box((band * (n_fragments // 2), 0), (band, SHAPE[1] // 4))
         configs = {
-            "off_eager": StoreOptions(planner=False, crc_mode="eager"),
-            "off_once": StoreOptions(planner=False, crc_mode="once"),
-            "on_eager": StoreOptions(planner=True, crc_mode="eager"),
-            "on_once": StoreOptions(planner=True, crc_mode="once"),
+            "off_eager": StoreOptions(planner=False),
+            "on_eager": StoreOptions(planner=True),
         }
         result: dict[str, float] = {"fragments": float(n_fragments)}
         hit_counts = set()
@@ -192,10 +188,10 @@ if __name__ == "__main__":
     print(f"{int(r['fragments'])}-fragment LINEAR store, scattered points "
           f"from {QUERY_BANDS} bands "
           f"(visited {r['visited_on']:.0f}/{r['visited_off']:.0f} frags):")
-    for cfg in ("off_eager", "off_once", "on_eager", "on_once"):
+    for cfg in ("off_eager", "on_eager"):
         print(f"  {cfg:<10s} point={r['point_' + cfg] * 1e3:8.2f} ms  "
               f"box={r['box_' + cfg] * 1e3:8.2f} ms")
-    print(f"point speedup (on/eager vs off/eager): "
+    print(f"point speedup (on vs off): "
           f"{r['point_speedup']:.2f}x   "
           f"box speedup: {r['box_speedup']:.2f}x")
     assert_speedup_ok(r)

@@ -77,7 +77,6 @@ from .storage import (
     MigrationDecision,
     MigrationPolicy,
     ReadOptions,
-    RetryPolicy,
     ShardedStore,
     StoreOptions,
     StoreSnapshot,
@@ -146,7 +145,6 @@ __all__ = [
     "MigrationDecision",
     "MigrationPolicy",
     "ReadOptions",
-    "RetryPolicy",
     "ShardedStore",
     "StoreOptions",
     "StoreSnapshot",

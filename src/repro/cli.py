@@ -20,7 +20,6 @@
     round-trip — against an existing store or a synthetic demo — and print
     every recorded counter, gauge, and latency histogram, plus a
     decoded-fragment cache section (``--cache-bytes`` sets the budget,
-    ``--parallel thread`` fans the reads out over the read pool,
     ``--build`` adds a unified-build-pipeline section showing the
     canonical-intermediate counters, ``--shards`` adds the
     per-shard band table for a ``ShardedStore``, and ``--wal``
@@ -222,9 +221,6 @@ def _render_plan_section(
         f"  index rebuilds "
         f"{counters.get('store.plan.index_rebuilds', 0)}  "
         f"zone backfills {counters.get('store.plan.zone_backfilled', 0)}"
-    )
-    lines.append(
-        f"  crc memo hits {counters.get('store.plan.crc_memo_hits', 0)}"
     )
     if explain_summary:
         lines.append("  example plan (first fragment's bbox):")
@@ -483,7 +479,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     from . import obs
     from .core.boundary import Box
-    from .storage.options import ReadOptions, StoreOptions
+    from .storage.options import StoreOptions
     from .storage.sharded import ShardedStore
     from .storage.store import FragmentStore
 
@@ -495,7 +491,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         # The demo store writes through the adaptive cascade so the
         # compression section has per-codec data to show.
         store_options = store_options.replace(codec="cascade")
-    read_options = ReadOptions(parallel=args.parallel)
     cache = None
     plan_summary = None
     plan_addr_order = None
@@ -521,11 +516,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
             ).astype(np.uint64)
             for f in store.fragments
         ])
-        # Two rounds: the second demonstrates warm-cache hits (and the
-        # parallel pipeline when --parallel thread is given).
+        # Two rounds: the second demonstrates warm-cache hits.
         for _ in range(2):
-            store.read_points(queries, options=read_options)
-            store.read_box(store.fragments[0].bbox, options=read_options)
+            store.read_points(queries)
+            store.read_box(store.fragments[0].bbox)
         if args.plan:
             plan_summary = store.explain(store.fragments[0].bbox).summary()
             plan_addr_order = getattr(store, "addr_order", None)
@@ -568,20 +562,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
             store.write(low, rng.random(n))
             store.write(high, rng.random(n))
             for _ in range(2):
-                store.read_points(
-                    low[: max(1, n // 2)], options=read_options
-                )
-                store.read_box(
-                    Box((0, 0, 0), (16, 16, 16)), options=read_options
-                )
+                store.read_points(low[: max(1, n // 2)])
+                store.read_box(Box((0, 0, 0), (16, 16, 16)))
             if args.wal:
                 # Exercise the whole durable lifecycle so every
                 # store.wal.* counter has data: append -> read (tail
                 # merge) -> snapshot -> pack -> gc.
                 extra = rng.integers(0, 64, size=(n, 3)).astype(np.uint64)
                 store.append(extra, rng.random(n))
-                store.read_points(extra[: max(1, n // 2)],
-                                  options=read_options)
+                store.read_points(extra[: max(1, n // 2)])
                 with store.snapshot():
                     store.pack_wal()
                 store.gc()
@@ -603,8 +592,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 # now-canonical fragments take a direct kernel.
                 store.migrate_all("GCSR++")
                 store.migrate_all("COO-SORTED")
-                store.read_points(low[: max(1, n // 2)],
-                                  options=read_options)
+                store.read_points(low[: max(1, n // 2)])
                 migration_section = _render_migration_section(store)
         kind = "4-shard" if args.shards else "2-fragment"
         title = (f"repro observability — demo round-trip "
@@ -746,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decoded-fragment cache budget in bytes "
                         "(0 = cache off; reads run twice so a warm "
                         "second round shows up as hits)")
-    p.add_argument("--parallel", default="none", choices=["none", "thread"],
-                   help="read-side fan-out mode for the exercised reads")
     p.add_argument("--plan", action="store_true",
                    help="also print the read-side query-planner section "
                         "(store.plan.* counters + an example explain())")

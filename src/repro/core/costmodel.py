@@ -102,21 +102,6 @@ class OpCounter:
         self.memory_ops = 0
         self.phase_log.clear()
 
-    def absorb(self, other: "OpCounter") -> None:
-        """Fold another counter's tallies into this one.
-
-        The parallel read pipeline hands each worker its own counter
-        (``OpCounter`` is deliberately lock-free) and merges them here in
-        the coordinating thread, so op accounting stays exact under
-        ``parallel="thread"``.
-        """
-        self.transforms += other.transforms
-        self.comparisons += other.comparisons
-        self.sort_ops += other.sort_ops
-        self.pointer_lookups += other.pointer_lookups
-        self.memory_ops += other.memory_ops
-        self.phase_log.extend(other.phase_log)
-
 
 class NullCounter(OpCounter):
     """Counter that discards all charges (used when accounting is off).
@@ -139,9 +124,6 @@ class NullCounter(OpCounter):
         pass
 
     def charge_memory(self, count: int, *, note: str = "") -> None:  # noqa: D102
-        pass
-
-    def absorb(self, other: OpCounter) -> None:  # noqa: D102
         pass
 
 

@@ -39,10 +39,9 @@ class ManifestError(FragmentError):
 class FragmentIOError(FragmentError):
     """The operating system failed to read or write a fragment file.
 
-    Distinguished from corruption (:class:`ChecksumError`) because an
-    ``EIO``/``EAGAIN`` from a parallel filesystem may be *transient* — the
-    store's :class:`~repro.storage.durability.RetryPolicy` retries these but
-    never retries checksum or parse failures.
+    Distinguished from corruption (:class:`ChecksumError`): the bytes may
+    be fine, the read failed.  The store does not retry it; it raises at
+    once, and the ``on_corruption`` policy applies as for corruption.
     """
 
 

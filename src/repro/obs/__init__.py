@@ -3,7 +3,7 @@
 The paper's contribution is *measurement* (Table I op counts, Fig 3/4/5
 trajectories), but benchmarks only see what the harness times.  This
 subsystem gives the production paths — format encode/read, fragment
-write/read/compact, overlap pruning, the parallel packer, the adaptive
+write/read/compact, overlap pruning, batch writes, the adaptive
 advisor — first-class counters, gauges, and latency histograms, feeding the
 same workload statistics that drive format selection
 (:mod:`repro.analysis.advisor`).
@@ -28,8 +28,7 @@ records into.
 
 The durability layer (:mod:`repro.storage.durability`) reports through
 this registry too: ``store.corrupt_fragments`` (CRC failures seen by
-reads), ``store.fragments_quarantined``, ``store.io_retries`` (transient
-errors absorbed by the retry policy), ``store.tmp_cleaned`` (stale temp
+reads), ``store.fragments_quarantined``, ``store.tmp_cleaned`` (stale temp
 files removed at open), ``store.orphan_fragments`` (uncommitted fragments
 detected at open), ``store.rescan_skipped``, and ``store.fsck_runs``.
 
@@ -46,9 +45,8 @@ spatial interval index excluded before bbox tests ran),
 ``store.plan.fragments_pruned_zonemap`` (fragments whose zone map proved
 no query address can be present), ``store.plan.index_rebuilds`` (interval
 index rebuilt after a manifest generation bump),
-``store.plan.zone_backfilled`` (pre-v2 manifest entries given zone maps
-lazily), and ``store.plan.crc_memo_hits`` (whole-file CRC skipped under
-``crc_mode="once"``).  The bbox-level
+and ``store.plan.zone_backfilled`` (pre-v2 manifest entries given zone
+maps lazily).  The bbox-level
 ``store.fragments_pruned`` counter keeps its pre-planner meaning — only
 bounding-box rejections — so existing dashboards stay comparable.
 ``repro stats --store DIR --plan`` prints a planner section from these.

@@ -56,7 +56,7 @@ def _convert_fragment_direct(
     frag = source.fragments[index]
     if get_kernel(frag.format_name, dest.format_name) is None:
         return False
-    payload = load_fragment(frag.path)
+    payload = load_fragment(frag.path, crc=frag.crc)
     converted = direct_convert(payload_encoded(payload), dest.fmt)
     if converted is None:
         return False

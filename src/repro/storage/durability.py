@@ -1,9 +1,8 @@
-"""Durability subsystem: atomic commits, retries, quarantine, and fsck.
+"""Durability subsystem: atomic commits, checksums, quarantine, and fsck.
 
 The fragment substrate (Algorithm 3) is an append-only store on a parallel
-filesystem, and real parallel filesystems fail in exactly three ways the
-paper's benchmark never sees: processes die mid-write (torn files), the
-kernel returns transient ``EIO``/``EAGAIN`` under load, and bits rot at
+filesystem, and filesystems fail in ways the paper's benchmark never
+sees: processes die mid-write (torn files), reads fail, and bits rot at
 rest.  This module implements the store's answer to each, once, at the
 substrate level — every organization inherits it:
 
@@ -22,18 +21,20 @@ substrate level — every organization inherits it:
     A store's manifest is ``manifest.json``, a *checkpoint* of the whole
     state, plus ``manifest.log``, an append-only log of the commits made
     since: one CRC-framed record per commit holding only what it changed.
-    The manifest carries a monotonically increasing ``generation`` and a
-    per-fragment CRC, so the commit point of a fragment is its manifest
-    entry, not its file; a commit is one :class:`AppendFile` append.
+    The manifest carries a monotonically increasing ``generation`` and
+    each fragment's CRC (:func:`fragment_file_crc`), so the commit point
+    of a fragment is its manifest entry, not its file; a commit is one
+    :class:`AppendFile` append.
     :func:`load_manifest` replays the log over the checkpoint for both the
     store and :func:`fsck`.  Both logs — this one and the WAL's segments —
     share one framing (:func:`frame_record`) and one scanner
     (:func:`scan_records`).
 
-**Bounded retries.**
-    :class:`RetryPolicy` wraps transient ``OSError`` s (but never checksum
-    or parse failures) in bounded exponential backoff with an injectable
-    sleep, so tests and simulations can run it without wall-clock delay.
+**Checksums.**
+    Every fragment file ends with the CRC-32 of its body.  Every load
+    verifies it, and compares it with the CRC the manifest records, so a
+    torn or rotted file and an intact file that is not the listed
+    fragment both fail.  A failed read is not retried: it raises.
 
 **Quarantine.**
     Fragments that fail their CRC are moved to ``<store>/.quarantine/``
@@ -44,7 +45,8 @@ substrate level — every organization inherits it:
     :func:`fsck` verifies every fragment's header and CRC against the
     manifest, reports drift (missing / extra / corrupt / stale temp files),
     and with ``repair=True`` rebuilds the manifest, recovers readable
-    orphan fragments, and quarantines unreadable ones.
+    orphan fragments newer than every listed one, and quarantines
+    unreadable and superseded ones.
 
 All filesystem primitives here route through a process-global *fault hook*
 (:func:`set_fault_hook`) so :mod:`repro.testing.faults` can deterministically
@@ -58,15 +60,15 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import struct
-import time
 import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
-from ..core.errors import ChecksumError, FragmentError, ManifestError
+from ..core.errors import FragmentError, ManifestError
 from ..obs import counter_add
 
 MANIFEST_NAME = "manifest.json"
@@ -120,7 +122,7 @@ def _injected_os_error(op: str, path: Path) -> OSError:
 # ----------------------------------------------------------------------
 
 def read_bytes(path: str | os.PathLike) -> bytes:
-    """Read a whole file; the raw ``OSError`` propagates (retryable)."""
+    """Read a whole file; the raw ``OSError`` propagates."""
     hook = _fault_hook
     if hook is not None:
         hook.before("read", Path(path))
@@ -336,20 +338,39 @@ def file_crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def fragment_file_crc(blob: bytes) -> int:
-    """Whole-file CRC of a *well-formed* fragment blob in O(1).
+#: ``crc32(body || crc32(body))`` for every body: the CRC-32 residue.  It
+#: is what earlier versions recorded as every intact fragment's CRC (the
+#: CRC of the whole file), so a manifest entry holding it identifies no
+#: fragment.
+CRC32_RESIDUE = 0x2144DF1C
+
+#: A fragment file's name; the number is its file sequence number.
+FRAGMENT_NAME_RE = re.compile(r"frag-(\d+)\.bin$")
+
+
+def fragment_file_crc(blob) -> int:
+    """A fragment's CRC: the CRC-32 of its body, read in O(1).
 
     A fragment blob ends with the CRC-32 of everything before it
-    (:func:`repro.storage.serialization.pack_fragment`).  CRC-32 streams, so
-    ``crc(body + tail) == crc32(tail, initial=crc(body))`` — and ``crc(body)``
-    is exactly what the tail stores.  The write path uses this to record the
-    manifest's whole-file CRC without re-scanning multi-megabyte blobs;
-    :func:`fsck` always recomputes the full CRC independently.
+    (:func:`repro.storage.serialization.pack_fragment`), so the last four
+    bytes are the value.  The manifest records it per fragment, and every
+    load and :func:`fsck` compare a file's trailer against it: a file
+    whose body does not match its own trailer is corrupt, and a file
+    whose trailer is not the recorded value is another fragment.
     """
     if len(blob) < 4:
         return file_crc(blob)
-    (body_crc,) = struct.unpack("<I", blob[-4:])
-    return zlib.crc32(blob[-4:], body_crc) & 0xFFFFFFFF
+    (body_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
+    return body_crc
+
+
+def recorded_crc(value) -> int | None:
+    """The fragment CRC a manifest entry records, or ``None`` when it
+    records none (absent, or :data:`CRC32_RESIDUE`, which manifests
+    written before the body CRC hold for every fragment)."""
+    if value is None or int(value) == CRC32_RESIDUE:
+        return None
+    return int(value)
 
 
 def quarantine_file(
@@ -593,71 +614,6 @@ def load_manifest(directory: str | os.PathLike) -> ManifestLoad:
 
 
 # ----------------------------------------------------------------------
-# Retry policy
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with exponential backoff for transient I/O errors.
-
-    ``attempts`` counts *total* tries (1 = no retry).  Delays follow
-    ``base_delay * multiplier**i`` capped at ``max_delay``; ``sleep`` is
-    injectable so tests assert the schedule without waiting on the clock.
-    Corruption errors (:class:`~repro.core.errors.ChecksumError`, any
-    non-I/O :class:`~repro.core.errors.FragmentError`) are never retried —
-    a bad checksum does not heal on the second read.
-    """
-
-    attempts: int = 3
-    base_delay: float = 0.01
-    multiplier: float = 2.0
-    max_delay: float = 1.0
-    sleep: Callable[[float], None] = time.sleep
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-
-    def delays(self) -> list[float]:
-        """The backoff schedule between tries (``attempts - 1`` entries)."""
-        return [
-            min(self.max_delay, self.base_delay * self.multiplier**i)
-            for i in range(self.attempts - 1)
-        ]
-
-    @staticmethod
-    def is_transient(exc: BaseException) -> bool:
-        """Whether ``exc`` is worth retrying (raw I/O, not corruption)."""
-        from ..core.errors import FragmentIOError
-
-        if isinstance(exc, (ChecksumError, ManifestError)):
-            return False
-        if isinstance(exc, FragmentIOError):
-            return True
-        if isinstance(exc, FragmentError):
-            return False  # parse/structure failure: deterministic
-        return isinstance(exc, OSError)
-
-    def run(self, fn: Callable[[], Any], *, op: str = "io") -> Any:
-        """Call ``fn`` with retries; re-raises the last error when exhausted."""
-        last: BaseException | None = None
-        for i, delay in enumerate([*self.delays(), None]):
-            try:
-                return fn()
-            except Exception as exc:
-                if not self.is_transient(exc) or delay is None:
-                    raise
-                last = exc
-                counter_add("store.io_retries", op=op)
-                self.sleep(delay)
-        raise last  # pragma: no cover - unreachable
-
-
-#: Retry disabled: a single attempt, for callers that want fail-fast.
-NO_RETRY = RetryPolicy(attempts=1)
-
-
-# ----------------------------------------------------------------------
 # fsck
 # ----------------------------------------------------------------------
 
@@ -750,7 +706,9 @@ def _verify_fragment_file(
     """Full integrity check of one fragment file.
 
     Returns ``(header, None)`` when the file is sound, else
-    ``(None, reason)``.  The whole-file CRC covers the *compressed*
+    ``(None, reason)``.  ``expected_crc`` is the CRC the manifest records
+    (:func:`recorded_crc`); the file's trailer must equal it, and its
+    body must match the trailer.  The CRC covers the *compressed*
     bytes, so bit rot inside a compressed buffer is caught without
     decoding; compressed buffers are additionally decoded here so that a
     torn or mis-framed compressed section committed with a valid CRC
@@ -770,11 +728,11 @@ def _verify_fragment_file(
             f"manifest records {expected_nbytes}"
         )
     if expected_crc is not None:
-        actual = file_crc(data)
+        actual = fragment_file_crc(data)
         if actual != expected_crc:
             return None, (
-                f"file CRC mismatch: computed {actual:#010x}, "
-                f"manifest records {expected_crc:#010x}"
+                f"checksum mismatch: the file's CRC is {actual:#010x}, "
+                f"the manifest records {expected_crc:#010x}"
             )
     try:
         verify_crc(data)
@@ -794,6 +752,20 @@ def _verify_fragment_file(
     return header, None
 
 
+def _file_seq(name: str) -> int:
+    """A fragment file name's sequence number (-1 for other names)."""
+    m = FRAGMENT_NAME_RE.match(name)
+    return int(m.group(1)) if m else -1
+
+
+def _claimed_seq(name: str, header: dict[str, Any]) -> int:
+    """The sequence number a fragment file holds its points at: the one a
+    migration's rewrite took over (its header records it), else its file
+    name's."""
+    seq = (header.get("extra") or {}).get("seq")
+    return _file_seq(name) if seq is None else int(seq)
+
+
 def _tally_codecs(report: FsckReport, header: dict[str, Any]) -> None:
     """Fold one verified fragment's per-codec footprint into the report."""
     from .compression import codec_sizes
@@ -811,19 +783,25 @@ def fsck(
     The manifest is the checkpoint with its log replayed
     (:func:`load_manifest`), so fragments committed through the log are
     listed, never orphans.  Checks, for every manifest entry: the file
-    exists, its size and whole-file CRC match the manifest, its trailing
-    CRC-32 verifies, and its header parses.  Also reports fragment files
-    *not* in the manifest (``extra`` — e.g. a fragment committed right
-    before a crash that prevented the manifest update), stale ``*.tmp``
-    files, and a damaged manifest log (kind ``manifest``: a torn final
-    record, or corruption before it).
+    exists, its size and CRC match the manifest, its trailing CRC-32
+    verifies, and its header parses.  Also reports fragment files *not*
+    in the manifest (``extra`` — e.g. a fragment written right before a
+    crash that prevented the manifest update, or a superseded one whose
+    deletion failed), stale ``*.tmp`` files, and a damaged manifest log
+    (kind ``manifest``: a torn final record, or corruption before it).
 
     With ``repair=True``: temp files are deleted, unreadable fragments are
-    moved to ``.quarantine/`` (never silently dropped), readable extras are
-    recovered into the manifest (appended in name order), the log's
-    commits are folded into ``manifest.json`` and the log emptied (a
-    corrupt log is quarantined instead), and the manifest is rewritten
-    atomically with a bumped generation.
+    moved to ``.quarantine/`` (never silently dropped), the log's commits
+    are folded into ``manifest.json`` and the log emptied (a corrupt log
+    is quarantined instead), and the manifest is rewritten atomically
+    with a bumped generation.  A readable extra is recovered into the
+    manifest (appended in name order) only when its sequence number (the
+    file name's, or the one a migration's replacement took over, which
+    its header records) is above every listed and retired fragment's
+    file sequence number: a fragment that a committed one follows is
+    superseded (a compaction source, a replaced fragment, or a write
+    whose commit failed), and relisting it as the newest would bring its
+    stale values back.  Superseded extras are quarantined instead.
 
     When the store has a write-ahead log (a ``wal/`` subdirectory), every
     segment is scanned too: torn tails are reported (and truncated back to
@@ -892,7 +870,7 @@ def fsck(
             )
             continue
         header, reason = _verify_fragment_file(
-            path, entry.get("crc"), entry.get("nbytes")
+            path, recorded_crc(entry.get("crc")), entry.get("nbytes")
         )
         if reason is None:
             report.ok.append(name)
@@ -923,7 +901,7 @@ def fsck(
             report.issues.append(issue)
             continue
         header, reason = _verify_fragment_file(
-            path, entry.get("crc"), entry.get("nbytes")
+            path, recorded_crc(entry.get("crc")), entry.get("nbytes")
         )
         if reason is None:
             report.ok.append(name)
@@ -938,11 +916,20 @@ def fsck(
 
     # Fragment files on disk the manifest does not know about.
     recovered: list[dict[str, Any]] = []
+    newest = max(map(_file_seq, listed_names), default=-1)
     for path in sorted(directory.glob("frag-*.bin")):
         if path.name in listed_names:
             continue
         header, reason = _verify_fragment_file(path, None, None)
-        if reason is None:
+        if reason is None and _claimed_seq(path.name, header) <= newest:
+            issue = FsckIssue(
+                "extra", path.name,
+                f"superseded: older than listed frag-{newest:06d}.bin",
+            )
+            if repair:
+                quarantine_file(directory, path, reason="fsck: superseded")
+                issue.repaired = "quarantined"
+        elif reason is None:
             issue = FsckIssue(
                 "extra", path.name, "valid fragment missing from manifest"
             )
@@ -959,7 +946,7 @@ def fsck(
                     "bbox_origin": list(header.get("bbox_origin", [])),
                     "bbox_size": list(header.get("bbox_size", [])),
                     "nbytes": int(data_len),
-                    "crc": file_crc(read_bytes(path)),
+                    "crc": fragment_file_crc(read_bytes(path)),
                     "codecs": frag_codecs,
                     "raw_nbytes": frag_raw,
                 }

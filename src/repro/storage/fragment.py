@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.boundary import Box, extract_boundary
 from ..core.costmodel import NULL_COUNTER, OpCounter
-from ..core.errors import FragmentIOError
+from ..core.errors import ChecksumError, FragmentIOError
 from ..formats.base import (
     AddressProbeFormat,
     BoxHits,
@@ -71,10 +71,14 @@ def record_fragment_written(
 class FragmentInfo:
     """Cheap header-only view of a fragment (no index buffers decoded).
 
-    ``crc`` is the CRC-32 of the whole committed file, recorded in the
-    store manifest at commit time so ``repro fsck`` can verify fragments
-    without decoding them.  ``None`` for fragments whose manifest predates
-    the durability layer.
+    ``crc`` is the fragment's fingerprint: the CRC-32 of its body, which
+    is also the value of the file's 4-byte trailer (see
+    :func:`~repro.storage.durability.fragment_file_crc`).  It is recorded
+    in the store manifest at commit time, and every load and ``repro
+    fsck`` compare the file's trailer against it, so a file that is
+    intact but is not the fragment the manifest lists (swapped, or
+    restored from elsewhere) is caught.  ``None`` when the manifest
+    records no fingerprint.
 
     ``zone`` is the fragment's global linear-address zone map
     (:class:`~repro.storage.planner.ZoneMap`), recorded at write/compact
@@ -256,21 +260,30 @@ def read_fragment_header(path: str | os.PathLike) -> FragmentInfo:
 
 
 def load_fragment(
-    path: str | os.PathLike, *, check_crc: bool = True
+    path: str | os.PathLike, *, crc: int | None = None
 ) -> FragmentPayload:
-    """Load and decode a whole fragment file.
+    """Load, verify and decode a whole fragment file.
 
-    Raw I/O failures raise :class:`~repro.core.errors.FragmentIOError`
-    (retryable, see :class:`~repro.storage.durability.RetryPolicy`);
+    Raw I/O failures raise :class:`~repro.core.errors.FragmentIOError`;
     corruption raises :class:`~repro.core.errors.ChecksumError` or another
-    non-retryable :class:`~repro.core.errors.FragmentError`.
+    :class:`~repro.core.errors.FragmentError`.  The file's trailing CRC
+    is always verified against its body; ``crc``, the fingerprint the
+    manifest records (:attr:`FragmentInfo.crc`), is compared against the
+    trailer too, so an intact file that is not the listed fragment
+    raises :class:`~repro.core.errors.ChecksumError`.
     """
     try:
         data = read_bytes(path)
     except OSError as exc:
         raise FragmentIOError(f"cannot read fragment {path}: {exc}") from exc
     counter_add("fragment.bytes_read", len(data))
-    return unpack_fragment(data, check_crc=check_crc)
+    held = fragment_file_crc(data)
+    if crc is not None and held != crc:
+        raise ChecksumError(
+            f"fragment checksum mismatch: {path} holds CRC {held:#010x}, "
+            f"the manifest records {crc:#010x}"
+        )
+    return unpack_fragment(data)
 
 
 def payload_encoded(payload: FragmentPayload) -> EncodedTensor:

@@ -1,9 +1,8 @@
 """Consolidated store and read options.
 
-The storage layer grew one keyword knob per PR — ``relative_coords``,
-``fsync``, ``codec``, ``on_corruption``, ``retry``, ``cache_bytes``,
-``planner``, ``crc_mode`` on constructors and ``faithful``,
-``parallel``, ``max_workers`` on every read — and by PR 5 each store
+The storage layer grew one keyword knob per change — ``relative_coords``,
+``fsync``, ``codec``, ``on_corruption``, ``cache_bytes``, ``planner``
+on constructors and ``faithful`` on every read — until each store
 class repeated the full list.  This module consolidates the
 sprawl into two frozen dataclasses:
 
@@ -22,31 +21,24 @@ validate their fields eagerly, so a typo'd policy fails at construction
 rather than on the first degraded read.  Use :func:`dataclasses.replace`
 (re-exported here as each class's :meth:`replace`) to derive variants::
 
-    opts = StoreOptions(cache_bytes=64 << 20, crc_mode="once")
+    opts = StoreOptions(cache_bytes=64 << 20, codec="cascade")
     store = FragmentStore(path, shape, "LINEAR", options=opts)
     uncached = opts.replace(cache_bytes=0)
 
 ``options=`` is the only way to pass these settings;
-``docs/API_GUIDE.md`` §3 lists the bare keywords it replaced.
+``docs/API_GUIDE.md`` §3 lists the bare keywords it replaced and the
+settings since removed (``retry``, ``crc_mode``, ``wal_pack_interval``,
+``parallel``, ``max_workers``), which now raise ``TypeError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .durability import RetryPolicy
+from typing import Any
 
 #: Read-side corruption policies (``StoreOptions.on_corruption``).
 CORRUPTION_POLICIES = ("raise", "skip", "quarantine")
-
-#: Whole-file CRC verification policies (``StoreOptions.crc_mode``).
-#: ``"eager"`` re-hashes on every cache-miss load; ``"once"`` memoizes a
-#: successful verification per (fragment, generation) and skips the
-#: re-hash on later loads of the same committed bytes.
-CRC_MODES = ("eager", "once")
 
 #: Workload-adaptive format-migration policies (``StoreOptions.migrate``).
 #: ``"off"`` never re-formats committed fragments; ``"compact"`` runs the
@@ -88,27 +80,21 @@ class StoreOptions:
         stores.
     on_corruption:
         Read-side policy for fragments failing their checksum:
-        ``"raise"`` / ``"skip"`` / ``"quarantine"``.
-    retry:
-        :class:`~repro.storage.durability.RetryPolicy` for transient
-        I/O errors (``None`` = fail fast).
+        ``"raise"`` / ``"skip"`` / ``"quarantine"``.  Every load of a
+        fragment file verifies its CRC; a failed read is not retried.
     cache_bytes:
         Decoded-fragment LRU budget in bytes (0 = cache off).
     planner:
         Route reads through the query planner (interval index + zone
         maps); ``False`` restores the seed's linear bbox scan.
-    crc_mode:
-        Whole-file CRC policy, one of :data:`CRC_MODES`.
     wal_segment_bytes:
         WAL segment size: the active segment is sealed (and becomes
         packable) once its file crosses this many bytes.
     wal_fsync:
         fsync every WAL append (``True``: an acknowledged ``append``
-        survives any crash).  ``None`` follows ``fsync``.
-    wal_pack_interval:
-        Seconds between background packer sweeps draining sealed WAL
-        segments into fragments; ``None`` disables the thread (call
-        ``store.pack_wal()`` explicitly).
+        survives any crash).  ``None`` follows ``fsync``.  Appended
+        points stay in the WAL until ``store.pack_wal()`` (or a
+        ``write``) packs them.
     retain_generations:
         How many superseded manifest generations of fragments compaction
         and packing keep on disk for ``store.snapshot(generation)``
@@ -141,13 +127,10 @@ class StoreOptions:
     fsync: bool = False
     codec: str | None = None
     on_corruption: str = "raise"
-    retry: "RetryPolicy | None" = None
     cache_bytes: int = 0
     planner: bool = True
-    crc_mode: str = "eager"
     wal_segment_bytes: int = 4 << 20
     wal_fsync: bool | None = None
-    wal_pack_interval: float | None = None
     retain_generations: int = 0
     migrate: str = "off"
     addr_order: str | None = None
@@ -158,16 +141,10 @@ class StoreOptions:
                 f"on_corruption must be one of {CORRUPTION_POLICIES}, "
                 f"got {self.on_corruption!r}"
             )
-        if self.crc_mode not in CRC_MODES:
-            raise ValueError(
-                f"crc_mode must be one of {CRC_MODES}, got {self.crc_mode!r}"
-            )
         if int(self.cache_bytes) < 0:
             raise ValueError("cache_bytes must be >= 0")
         if int(self.wal_segment_bytes) < 1:
             raise ValueError("wal_segment_bytes must be >= 1")
-        if self.wal_pack_interval is not None and self.wal_pack_interval <= 0:
-            raise ValueError("wal_pack_interval must be None or > 0")
         if int(self.retain_generations) < 0:
             raise ValueError("retain_generations must be >= 0")
         if self.migrate not in MIGRATE_POLICIES:
@@ -198,21 +175,11 @@ class ReadOptions:
     faithful:
         Use the paper's faithful (reference) read kernels where the
         organization distinguishes them; box reads are always structural.
-    parallel:
-        Per-fragment fan-out mode: ``"none"`` (inline) or ``"thread"``
-        (the shared bounded read pool).
-    max_workers:
-        Bound on this call's fan-out (``None`` = the pool's default).
+        A read runs its fragments inline, one after another, as
+        Algorithm 3's READ does.
     """
 
     faithful: bool = False
-    parallel: str = "none"
-    max_workers: int | None = None
-
-    def __post_init__(self) -> None:
-        from .readpath import validate_parallel
-
-        validate_parallel(self.parallel)
 
     def replace(self, **changes: Any) -> "ReadOptions":
         """A copy with ``changes`` applied (:func:`dataclasses.replace`)."""

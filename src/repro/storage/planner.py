@@ -46,9 +46,7 @@ Planner decisions are observable (see :mod:`repro.obs`):
 ``store.plan.index_rebuilds``
     fragment-index rebuilds (one per generation actually queried),
 ``store.plan.zone_backfilled``
-    zone maps lazily computed for pre-zone-map manifests,
-``store.plan.crc_memo_hits``
-    whole-file CRC checks skipped by ``crc_mode="once"`` memoization.
+    zone maps lazily computed for pre-zone-map manifests.
 
 ``FragmentStore.explain(query)`` returns the :class:`QueryPlan` a read
 would use without executing it; ``repro stats --plan`` renders the

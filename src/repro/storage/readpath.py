@@ -1,9 +1,9 @@
-"""Concurrent READ pipeline: decoded-fragment cache + bounded fan-out.
+"""READ pipeline pieces: decoded-fragment cache, RW lock, box merge, and
+the shared thread pool.
 
-Algorithm 3's READ is embarrassingly parallel across fragments — each
-overlapping fragment is loaded, decoded, and queried independently, and
-only the final address-sorted merge is sequential.  This module supplies
-the pieces the store layer composes into that pipeline:
+Algorithm 3's READ is one sequential loop: load each fragment the plan
+keeps, run its organization's READ, merge the results by address.  The
+store runs that loop inline; this module supplies the pieces around it:
 
 :class:`FragmentCache`
     A bytes-bounded, thread-safe LRU of *decoded* fragment payloads.  The
@@ -17,14 +17,6 @@ the pieces the store layer composes into that pipeline:
     (``store.cache.hits`` / ``.misses`` / ``.evictions`` /
     ``store.cache.bytes``).
 
-:func:`map_fragments_ordered`
-    Fan a per-fragment task out over the shared bounded
-    :class:`~concurrent.futures.ThreadPoolExecutor` and return results in
-    *input order* with per-item exceptions captured, so the caller can
-    apply the store's ``on_corruption`` policy fragment-by-fragment exactly
-    as the sequential loop does.  NumPy releases the GIL for the heavy
-    decode kernels, so thread-level parallelism is real parallelism here.
-
 :class:`RWLock`
     A reader-writer lock (concurrent readers, exclusive reentrant writers)
     that makes one store safe under mixed concurrent
@@ -33,19 +25,21 @@ the pieces the store layer composes into that pipeline:
     delete fragment files out from under an in-flight read.
 
 :func:`merge_box_hits`
-    The one sequential step of a box read: every fragment's hits, the WAL
-    tail's last, merged newest-wins by row-major address in one sort.
+    The merge step of a box read: every fragment's hits, the WAL tail's
+    last, merged newest-wins by row-major address in one sort.
+
+:func:`map_fragments_ordered`
+    Fan a task out over the shared bounded
+    :class:`~concurrent.futures.ThreadPoolExecutor` and return results in
+    *input order* with per-item exceptions captured.  ``write_many``
+    packages its parts this way; NumPy releases the GIL for the heavy
+    build kernels, so thread-level parallelism is real parallelism there.
 
 Fragment *selection* happens before any of this: the store builds one
 :class:`~repro.storage.planner.QueryPlan` per query (spatial index +
 zone-map pruning, see :mod:`repro.storage.planner` and
-``docs/QUERY_PLANNER.md``), and the same plan's fragment list feeds both
-the sequential loop and the parallel fan-out — so the two execution modes
-always visit identical fragment sets and merge identical results.
-
-See ``docs/READ_PATH.md`` for the full pipeline description and guidance
-on when ``parallel="thread"`` helps (fragment count × per-fragment decode
-cost).
+``docs/QUERY_PLANNER.md``).  See ``docs/READ_PATH.md`` for the full
+pipeline description.
 """
 
 from __future__ import annotations
@@ -64,10 +58,7 @@ from ..core.tensor import SparseTensor
 from ..formats.base import BoxHits
 from ..obs import counter_add, gauge_set
 
-#: Read-side parallelism modes (``ReadOptions(parallel=...)``).
-PARALLEL_MODES = ("none", "thread")
-
-#: Upper bound on the shared read pool (per process).
+#: Upper bound on the shared thread pool (per process).
 MAX_READ_WORKERS = min(32, 4 * (os.cpu_count() or 1))
 
 #: Fixed per-entry bookkeeping estimate (dict slots, header, bbox tuples).
@@ -80,21 +71,12 @@ _pool_lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
 
 
-def validate_parallel(parallel: str) -> str:
-    """Validate a ``parallel=`` argument (shared by every read entry point)."""
-    if parallel not in PARALLEL_MODES:
-        raise ValueError(
-            f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
-        )
-    return parallel
-
-
 def get_read_executor() -> ThreadPoolExecutor:
-    """The process-wide read pool (created lazily, bounded, shared).
+    """The process-wide thread pool (created lazily, bounded, shared).
 
     One bounded pool serves every store in the process so concurrent
-    queries against many stores cannot multiply thread counts — the same
-    discipline a server would apply to its I/O pool.
+    batch writes against many stores cannot multiply thread counts — the
+    same discipline a server would apply to its I/O pool.
     """
     global _pool
     with _pool_lock:
@@ -124,9 +106,9 @@ def map_fragments_ordered(
     """Run ``task`` over ``items`` on the shared pool; ordered results.
 
     Returns one ``(result, exception)`` pair per item, in input order —
-    exceptions are captured, never raised, so the caller can apply its
-    corruption policy in deterministic fragment order (identical to the
-    sequential loop).  ``max_workers`` bounds *this call's* in-flight tasks
+    exceptions are captured, never raised, so the caller handles failures
+    in deterministic input order (identical to the sequential loop).
+    ``max_workers`` bounds *this call's* in-flight tasks
     with a sliding submission window over the shared pool; ``None`` uses
     the pool's own bound.
     """
@@ -411,11 +393,9 @@ class _Held:
 __all__ = [
     "FragmentCache",
     "MAX_READ_WORKERS",
-    "PARALLEL_MODES",
     "RWLock",
     "get_read_executor",
     "map_fragments_ordered",
     "payload_nbytes",
     "shutdown_read_executor",
-    "validate_parallel",
 ]

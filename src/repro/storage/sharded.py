@@ -883,8 +883,9 @@ class ShardedStore:
         """
         with self._rw.write_locked():
             if repair:
-                # Repair may rewrite any child's files: stop the children
-                # (packers, open WAL segments) first, reopen them lazily.
+                # Repair may rewrite any child's files: close the children
+                # (open WAL segments, manifest logs) first, reopen them
+                # lazily.
                 with self._state_lock:
                     children = list(self._children.values())
                     self._children.clear()
@@ -957,7 +958,7 @@ class ShardedStore:
         return deleted
 
     def close(self) -> None:
-        """Close every opened child (stops background packers).  Idempotent."""
+        """Close every opened child.  Idempotent."""
         with self._state_lock:
             children = list(self._children.values())
         for child in children:

@@ -19,17 +19,17 @@ fragments commit via the atomic ``*.tmp`` + rename protocol; a manifest
 commit appends one CRC-framed record of what it changed to
 ``manifest.log``, behind ``manifest.json``, a checkpoint rewritten the same
 atomic way when the log outgrows it.  The manifest carries a monotonic
-``generation`` and per-fragment CRCs, stale temp files are cleaned on
+``generation`` and each fragment's CRC, stale temp files are cleaned on
 open, and the read side degrades gracefully under the ``on_corruption``
-policy (``"raise"`` / ``"skip"`` / ``"quarantine"``) with bounded retries
-for transient I/O errors.
+policy (``"raise"`` / ``"skip"`` / ``"quarantine"``).  Every load of a
+fragment file verifies its CRC, and a failed read raises at once.  A
+commit that fails leaves the store as it was: the in-memory manifest is
+reloaded from disk and the files the commit wrote are deleted.
 
 Read pipeline (see :mod:`repro.storage.readpath` and ``docs/READ_PATH.md``):
-``read_points`` / ``read_box`` take ``ReadOptions(parallel="thread")`` to
-fan the per-fragment load + decode + query out over a shared bounded
-thread pool (merge order and corruption semantics identical to the
-sequential path), and ``StoreOptions.cache_bytes`` enables a
-bytes-bounded LRU of decoded fragments that is invalidated on every
+``read_points`` / ``read_box`` run Algorithm 3's READ inline, one
+planned fragment after another, and ``StoreOptions.cache_bytes`` enables
+a bytes-bounded LRU of decoded fragments that is invalidated on every
 manifest generation change.  One store is safe under mixed concurrent
 read/write/compact traffic: mutations take the store's writer lock,
 reads share the reader side.
@@ -37,12 +37,9 @@ reads share the reader side.
 Query planning (see :mod:`repro.storage.planner` and
 ``docs/QUERY_PLANNER.md``): every read first builds a :class:`QueryPlan`
 — interval-index bbox pruning plus zone-map linear-address pruning over
-the manifest metadata — and only the plan's survivors are loaded.  The
-plan is computed once per query and shared by the sequential and parallel
-fan-outs.  ``StoreOptions(planner=False)`` restores the seed's linear
-``bbox`` scan (results are byte-identical either way), and
-``crc_mode="once"`` memoizes the whole-file CRC per (fragment,
-generation) so repeated reads skip the re-hash.
+the manifest metadata — and only the plan's survivors are loaded.
+``StoreOptions(planner=False)`` restores the seed's linear ``bbox`` scan
+(results are byte-identical either way).
 ``FragmentStore.explain(query)`` returns the plan a read would use
 without executing it.
 
@@ -51,8 +48,9 @@ Streaming ingest (see :mod:`repro.storage.wal` and
 canonical build and fsyncs framed chunks into a per-store write-ahead
 log; reads overlay the unpacked WAL *tail* over the packed fragments
 (newest-wins, bit-identical to a synchronous ``write``), and
-:meth:`FragmentStore.pack_wal` — or the background packer enabled by
-``StoreOptions.wal_pack_interval`` — drains the log into real fragments.
+:meth:`FragmentStore.pack_wal` drains the log into real fragments.  A
+``write`` packs a non-empty log first, so the tail never overlays a
+newer write.
 :meth:`FragmentStore.snapshot` pins a read-only view to a manifest
 generation while writers race; superseded fragments are retained for
 ``StoreOptions.retain_generations`` generations (``"retired"`` manifest
@@ -63,7 +61,6 @@ fragment a live snapshot pins.
 from __future__ import annotations
 
 import os
-import re
 import threading
 import time
 import warnings
@@ -102,16 +99,18 @@ from .durability import (
     MANIFEST_NAME as _MANIFEST,
 )
 from .durability import (
+    FRAGMENT_NAME_RE,
     AppendFile,
     FsckReport,
     clean_temp_files,
     encode_manifest,
-    file_crc,
+    fragment_file_crc,
     frame_record,
     fsck as _fsck,
     load_manifest,
     peek_manifest,
     quarantine_file,
+    recorded_crc,
     remove_file,
     truncate_file,
     write_bytes_atomic,
@@ -127,7 +126,6 @@ from .fragment import (
 )
 from .options import (
     CORRUPTION_POLICIES,
-    CRC_MODES,
     ReadOptions,
     StoreOptions,
 )
@@ -161,8 +159,6 @@ _SETTINGS = (
 #: Bytes the manifest log may hold before a commit checkpoints, when the
 #: checkpoint itself is smaller.
 MANIFEST_LOG_FLOOR = 64 << 10
-
-_FRAG_RE = re.compile(r"frag-(\d+)\.bin$")
 
 #: Per-fragment workload ledger file, beside the manifest (advisory —
 #: drives the migration policy, never consulted by reads).
@@ -224,28 +220,24 @@ class FragmentStore:
     value passed as ``options=``.
 
     ``on_corruption`` controls what the read side does with a fragment that
-    fails its checksum (or is unreadable after retries): ``"raise"`` (the
-    default) propagates the error, ``"skip"`` serves the query from the
-    surviving fragments, ``"quarantine"`` additionally moves the bad file
-    to ``<store>/.quarantine/`` and drops it from the manifest.  Skipped
-    and quarantined fragments are counted in :attr:`corrupt_fragments` and
+    fails its checksum (or cannot be read): ``"raise"`` (the default)
+    propagates the error, ``"skip"`` serves the query from the surviving
+    fragments, ``"quarantine"`` additionally moves the bad file to
+    ``<store>/.quarantine/`` and drops it from the manifest.  Skipped and
+    quarantined fragments are counted in :attr:`corrupt_fragments` and
     the ``store.corrupt_fragments`` counter of :mod:`repro.obs` — degraded
-    reads are observable, never silent.  ``retry`` wraps transient
-    ``OSError`` s in bounded backoff (default: no retries).
+    reads are observable, never silent.
 
     ``cache_bytes`` (default 0 = off) bounds the decoded-fragment LRU
     (:attr:`cache`, see :class:`~repro.storage.readpath.FragmentCache`)
     that serves repeated reads without touching disk; it is invalidated on
-    every committed mutation.  ``read_points`` / ``read_box`` take
-    ``ReadOptions(parallel="thread", max_workers=...)`` to fan the
-    per-fragment work out over the shared read pool.
+    every committed mutation.
 
     ``planner`` (default on) routes every read through the query planner
     (interval-index + zone-map pruning, see
     :mod:`repro.storage.planner`); ``planner=False`` restores the seed's
-    linear bbox scan.  ``crc_mode`` picks the whole-file CRC policy
-    (:data:`CRC_MODES`).  Both only change *how* fragments are selected
-    and loaded — query results are identical.
+    linear bbox scan.  It only changes *how* fragments are selected —
+    query results are identical.
     """
 
     def __init__(
@@ -303,15 +295,10 @@ class FragmentStore:
             addr_order=opts.addr_order or self.addr_order,
         )
         self.on_corruption = opts.on_corruption
-        self.retry = opts.retry
         self.use_planner = bool(opts.planner)
-        self.crc_mode = opts.crc_mode
         self._linearizable = fits_index_dtype(self.shape)
         #: Per-store planner state (cached interval index per generation).
         self._planner = QueryPlanner()
-        # Fragments whose whole-file CRC verified at the current
-        # generation (crc_mode="once"); cleared on every manifest commit.
-        self._crc_verified: set[str] = set()
         # One lazy zone-map backfill attempt per manifest load — corrupt
         # fragments must not be re-probed on every read.
         self._zone_backfill_done = False
@@ -349,7 +336,11 @@ class FragmentStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         clean_temp_files(self.directory)
         self._fragments: list[FragmentInfo] = []
-        self._load_manifest()
+        if self._manifest_path().exists():
+            self._load_manifest()
+            self._warn_on_orphans()
+        else:
+            self.rescan()
         self._next_seq = self._scan_next_seq()
         #: Observed per-fragment workload (advisory; feeds the migration
         #: policy).  Loaded best-effort: a damaged ledger resets to empty.
@@ -359,15 +350,6 @@ class FragmentStore:
         if self._linearizable and wal_path(self.directory).is_dir():
             with self._rw.write_locked():
                 self._ensure_wal_locked()
-        self._packer_stop = threading.Event()
-        self._packer_thread: threading.Thread | None = None
-        if opts.wal_pack_interval:
-            self._packer_thread = threading.Thread(
-                target=self._packer_loop,
-                name=f"wal-packer:{self.directory.name}",
-                daemon=True,
-            )
-            self._packer_thread.start()
 
     # ------------------------------------------------------------------
     # Manifest
@@ -399,10 +381,6 @@ class FragmentStore:
         return self.directory / _MANIFEST_LOG
 
     def _load_manifest(self) -> None:
-        path = self._manifest_path()
-        if not path.exists():
-            self.rescan()
-            return
         load = load_manifest(self.directory)
         if load.log_status == "corrupt":
             raise ManifestError(
@@ -438,7 +416,6 @@ class FragmentStore:
         # commit checkpoints, which creates it.
         self._ckpt_due = load.log_status == "absent"
         self._zone_backfill_done = False
-        self._warn_on_orphans()
 
     def _parse_fragment_entry(self, e: dict) -> FragmentInfo:
         return FragmentInfo(
@@ -448,7 +425,7 @@ class FragmentStore:
             nnz=int(e["nnz"]),
             bbox=Box(tuple(e["bbox_origin"]), tuple(e["bbox_size"])),
             nbytes=int(e["nbytes"]),
-            crc=e.get("crc"),
+            crc=recorded_crc(e.get("crc")),
             # Absent in version-1 manifests (and for fsck-recovered
             # entries): loads as None, backfilled lazily.
             zone=ZoneMap.from_json(e.get("zone")),
@@ -509,7 +486,12 @@ class FragmentStore:
             settings["addr_order"] = self.addr_order
         return settings
 
-    def _save_manifest(self, *, checkpoint: bool = False) -> None:
+    def _save_manifest(
+        self,
+        *,
+        checkpoint: bool = False,
+        written: Sequence[FragmentInfo] = (),
+    ) -> None:
         """Commit the pending change: the one commit entry point.
 
         Bumps the generation, then appends one record holding only what
@@ -520,30 +502,51 @@ class FragmentStore:
         setting changed, after a failed commit, and when the log would
         outgrow the checkpoint — which keeps a commit's cost amortized
         O(1) in the number of fragments.
+
+        A commit that raises leaves the store as the disk holds it: the
+        in-memory manifest is reloaded, so the failed change can never
+        become durable with a later commit, and the fragment files in
+        ``written`` that the reloaded manifest does not list are deleted.
         """
         with self._state_lock:
             self._generation += 1
             delta, self._delta = self._delta, _Delta()
             settings = self._settings()
-            if checkpoint or self._ckpt_due or settings != self._ckpt_settings:
-                self._checkpoint_locked(settings)
-            else:
-                record = frame_record(encode_manifest(
-                    self._log_record(delta)
-                ))
-                if self._mlog_bytes + len(record) > max(
-                    self._ckpt_bytes, MANIFEST_LOG_FLOOR
+            try:
+                if (
+                    checkpoint or self._ckpt_due
+                    or settings != self._ckpt_settings
                 ):
                     self._checkpoint_locked(settings)
                 else:
-                    self._append_record_locked(record)
+                    record = frame_record(encode_manifest(
+                        self._log_record(delta)
+                    ))
+                    if self._mlog_bytes + len(record) > max(
+                        self._ckpt_bytes, MANIFEST_LOG_FLOOR
+                    ):
+                        self._checkpoint_locked(settings)
+                    else:
+                        self._append_record_locked(record)
+            except BaseException:
+                self._rollback_locked(written)
+                raise
         # Every committed mutation (write / compact / rescan / quarantine)
         # bumps the generation, so invalidating here guarantees the cache
-        # can never serve a pre-mutation decode.  The CRC memo has the
-        # same lifetime: a hit must attest to the *current* committed
-        # bytes, never pre-mutation ones.
+        # can never serve a pre-mutation decode.
         self.cache.invalidate()
-        self._crc_verified.clear()
+
+    def _rollback_locked(self, written: Sequence[FragmentInfo]) -> None:
+        """Return to the committed manifest after a commit raised (state
+        lock held): reload it, then delete the files only the failed
+        commit listed.  The next commit checkpoints, since the log may
+        end in records the reload skipped."""
+        if self._manifest_path().exists():
+            self._load_manifest()
+            listed = {f.path.name for f in self._fragments}
+            listed.update(f.path.name for f in self._retired)
+            self._unlink([f for f in written if f.path.name not in listed])
+        self._ckpt_due = True
 
     def _log_record(self, delta: _Delta) -> dict:
         """The log record of one commit: only what it changed."""
@@ -621,15 +624,14 @@ class FragmentStore:
 
     def _append_record_locked(self, record: bytes) -> None:
         """Append one commit's record.  A failed append cuts the log back
-        to its intact length before raising; the next commit checkpoints
-        either way, since this commit's change stays in memory."""
+        to its intact length before raising, so the reload that follows
+        (:meth:`_rollback_locked`) finds the commit absent."""
         if self._mlog is None:
             self._mlog = AppendFile(self._manifest_log_path(), fsync=self.fsync)
         log = self._mlog
         try:
             log.write(record)
         except BaseException:
-            self._ckpt_due = True
             try:
                 log.truncate(self._mlog_bytes)
             except OSError:
@@ -654,7 +656,7 @@ class FragmentStore:
         names.update(f.path.name for f in self._retired)
         names.update(p.name for p in self.directory.glob("frag-*.bin"))
         for name in names:
-            m = _FRAG_RE.match(name)
+            m = FRAGMENT_NAME_RE.match(name)
             if m:
                 used = max(used, int(m.group(1)))
         return used + 1
@@ -708,7 +710,7 @@ class FragmentStore:
                     )
                     continue
                 try:
-                    info.crc = file_crc(path.read_bytes())
+                    info.crc = fragment_file_crc(path.read_bytes())
                 except OSError:
                     info.crc = None
                 fragments.append(info)
@@ -738,10 +740,14 @@ class FragmentStore:
 
         The three timed phases are exactly Table III's rows: *Build* (the
         organization's BUILD), *Reorg.* (value reorganization by ``map``),
-        and *Write* (serialization + file write).
+        and *Write* (serialization + file write).  Points appended before
+        and not yet packed are older than this write, so they are packed
+        first (:meth:`_pack_wal_locked`).
         """
         with self._rw.write_locked():
-            return self._commit_locked([self._package_coords(coords, values)])[0]
+            part = self._package_coords(coords, values)
+            self._pack_wal_locked()
+            return self._commit_locked([part])[0]
 
     def write_canonical(
         self,
@@ -760,12 +766,14 @@ class FragmentStore:
         merge compaction path passes the union of the source fragments'
         boxes — skip re-deriving it from materialized coordinates.
 
-        :meth:`compact`, :meth:`pack_wal` and
-        :func:`~repro.storage.convert.convert_store` write through here;
-        it runs the same packaging step and commit as :meth:`write`.
+        :func:`~repro.storage.convert.convert_store` and the sharded
+        router write through here; it packs the WAL and runs the same
+        packaging step and commit as :meth:`write`.
         """
         with self._rw.write_locked():
-            return self._commit_locked([self._package(canon, values, bbox=bbox)])[0]
+            part = self._package(canon, values, bbox=bbox)
+            self._pack_wal_locked()
+            return self._commit_locked([part])[0]
 
     def write_many(
         self,
@@ -783,7 +791,8 @@ class FragmentStore:
         most ``max_workers`` (default: the CPU count) at a time; NumPy
         releases the GIL in the heavy kernels.  The files are then
         written in part order, so they are byte-identical to a loop of
-        :meth:`write`.
+        :meth:`write`; an unpacked WAL tail is packed first, as
+        :meth:`write` does.
 
         A part that fails to package raises
         :class:`~repro.core.errors.WorkerError` carrying its
@@ -791,6 +800,7 @@ class FragmentStore:
         """
         with self._rw.write_locked():
             packed = self._package_parts(parts, max_workers)
+            self._pack_wal_locked()
             return [r.info for r in self._commit_locked(packed)]
 
     def _package_parts(
@@ -865,7 +875,7 @@ class FragmentStore:
         fmt = self._format_for(canon, values)
         if canon.addr_order != self.addr_order:
             # Callers that pre-built their canonical in another order
-            # (the WAL packer merges row-major, convert_store feeds the
+            # (a WAL pack merges row-major, convert_store feeds the
             # source store's order) re-linearize into the store's active
             # space here — the one shared sort then happens in it.
             canon = canon.with_order(self.addr_order)
@@ -918,15 +928,15 @@ class FragmentStore:
         """Write packaged fragments in order, then commit them with one
         manifest write (writer lock held).
 
-        A failed file write leaves only unlisted files behind (reported,
-        and recoverable, by ``fsck``); nothing is committed.
+        When a file write or the commit fails, the files already written
+        are deleted and nothing is committed.
         """
         receipts = self._write_parts_locked(parts)
         infos = [r.info for r in receipts]
         with self._state_lock:
             self._fragments.extend(infos)
             self._delta.add.extend(infos)
-        self._save_manifest()
+        self._save_manifest(written=infos)
         for info in infos:
             self.workload_ledger.record_write(info.path.name)
         return receipts
@@ -934,18 +944,23 @@ class FragmentStore:
     def _write_parts_locked(
         self, parts: list[_PackedPart]
     ) -> list[WriteReceipt]:
-        """Write packaged fragments' files in order; commits nothing."""
+        """Write packaged fragments' files in order; commits nothing.  A
+        failed write deletes the files written before it."""
         receipts: list[WriteReceipt] = []
         for part in parts:
             t0 = time.perf_counter()
-            info = write_fragment(
-                self._next_fragment_path(),
-                part.encoded,
-                bbox=part.bbox,
-                extra=part.extra,
-                fsync=self.fsync,
-                codec=self.codec,
-            )
+            try:
+                info = write_fragment(
+                    self._next_fragment_path(),
+                    part.encoded,
+                    bbox=part.bbox,
+                    extra=part.extra,
+                    fsync=self.fsync,
+                    codec=self.codec,
+                )
+            except BaseException:
+                self._unlink([r.info for r in receipts])
+                raise
             write_seconds = time.perf_counter() - t0
             info.zone = part.zone
             observe(
@@ -1006,9 +1021,8 @@ class FragmentStore:
         query after ``append`` is bit-identical to one after ``write``
         of the same points.  Returns the number of points appended.
 
-        Call :meth:`pack_wal` (or enable the background packer via
-        ``StoreOptions.wal_pack_interval``) to drain the log into real
-        fragments.
+        Call :meth:`pack_wal` to drain the log into real fragments; the
+        next :meth:`write` also packs it, ahead of its own points.
         """
         coords = as_index_array(coords)
         values = np.asarray(values)
@@ -1061,15 +1075,15 @@ class FragmentStore:
 
         Merges every logged chunk, the active segment's included, through
         the canonical intermediate (newest-wins — the packed fragment
-        reads bit-identically to the tail it replaces) and commits it via
-        :meth:`write_canonical` (so :class:`~repro.storage.adaptive.
-        AdaptiveStore` still picks the fragment's format).  Commit order
-        is manifest-then-delete: the fragment's manifest entry lands
-        before any segment file is unlinked, so a crash in the window
-        leaves duplicate points that the read merge already absorbs.
-        The writer lock keeps appends out until every segment is gone,
-        so the active segment needs no seal first.  Returns ``None`` when
-        the WAL holds no points.
+        reads bit-identically to the tail it replaces) and commits it
+        through the shared packaging step (so :class:`~repro.storage.
+        adaptive.AdaptiveStore` still picks the fragment's format).
+        Commit order is manifest-then-delete: the fragment's manifest
+        entry lands before any segment file is unlinked, so a crash in
+        the window leaves duplicate points that the read merge already
+        absorbs.  The writer lock keeps appends out until every segment
+        is gone, so the active segment needs no seal first.  Returns
+        ``None`` when the WAL holds no points.
         """
         with self._rw.write_locked():
             receipt = self._pack_wal_locked()
@@ -1077,12 +1091,22 @@ class FragmentStore:
             return receipt
 
     def _pack_wal_locked(self) -> WriteReceipt | None:
+        """:meth:`pack_wal` under the writer lock.
+
+        The unpacked tail overlays every fragment on reads, so every
+        write calls this first: a fragment committed while the tail holds
+        points would read under them.  The pack commits and deletes its
+        segments before the write commits, so a crash at any point
+        leaves the tail below the write.
+        """
         wal = self._wal
         if wal is None or wal.total_points == 0:
             return None
         with span("store.wal.pack", format=self.format_name) as sp:
             merged = merge_chunks(list(wal.iter_chunks()), self.shape)
-            receipt = self.write_canonical(merged.canonical, merged.values)
+            [receipt] = self._commit_locked(
+                [self._package(merged.canonical, merged.values)]
+            )
             # The fragment is committed; from here on every crash leaves
             # only over-coverage (points both packed and still in the
             # log), which newest-wins reads absorb and the next pack
@@ -1093,18 +1117,6 @@ class FragmentStore:
             sp.add_nnz(merged.canonical.n)
         counter_add("store.wal.pack_runs")
         return receipt
-
-    def _packer_loop(self) -> None:  # pragma: no cover - timing-dependent
-        """Background packer: periodic pack_wal until close()."""
-        interval = self.options.wal_pack_interval
-        while not self._packer_stop.wait(interval):
-            try:
-                self.pack_wal()
-            except Exception:
-                # A failed sweep (transient I/O, racing close) must not
-                # kill the thread; the next interval retries, and
-                # explicit pack_wal() calls surface errors to callers.
-                continue
 
     def wal_stats(self) -> dict[str, int]:
         """Live WAL footprint: segments, bytes, unpacked points."""
@@ -1118,9 +1130,8 @@ class FragmentStore:
             return wal.stats()
 
     def close(self) -> None:
-        """Stop the background packer (if any), close the WAL's open
-        segment file, fold the manifest log into ``manifest.json`` and
-        persist the workload ledger.  Idempotent.
+        """Close the WAL's open segment file, fold the manifest log into
+        ``manifest.json`` and persist the workload ledger.  Idempotent.
 
         Appended-but-unpacked points stay durable in the WAL; the next
         open replays them.  Stores are also context managers::
@@ -1128,11 +1139,6 @@ class FragmentStore:
             with FragmentStore(path, shape, "LINEAR", options=opts) as s:
                 s.append(coords, values)
         """
-        thread = self._packer_thread
-        if thread is not None:
-            self._packer_stop.set()
-            thread.join(timeout=30.0)
-            self._packer_thread = None
         with self._rw.write_locked():
             if self._wal is not None:
                 self._wal.close()
@@ -1303,23 +1309,26 @@ class FragmentStore:
         manifest commit is the single switch point and ``frag`` is
         retired after it (retention rules apply), so a crash anywhere
         leaves the store reading either the old or the new fragment,
-        never a mix and never a loss.
+        never a mix and never a loss.  The file's header carries the
+        pinned ``seq`` too, so ``fsck`` knows an unlisted replacement is
+        no newer than ``frag`` and never relists it above later writes.
         """
+        seq = frag.effective_seq()
         info = write_fragment(
             self._next_fragment_path(),
             encoded,
             bbox=frag.bbox,
-            extra=extra,
+            extra={**extra, "seq": seq},
             fsync=self.fsync,
             codec=self.codec,
         )
         info.zone = zone
-        info.seq = frag.effective_seq()
+        info.seq = seq
         with self._state_lock:
             self._fragments[index] = info
             self._delta.replace.append((frag.path.name, info))
             doomed = self._retire_locked([frag])
-        self._save_manifest()
+        self._save_manifest(written=[info])
         self._unlink(doomed)
         self.workload_ledger.carry_over(frag.path.name, info.path.name)
         return info
@@ -1384,9 +1393,7 @@ class FragmentStore:
         stage prunes each fragment in its own ``addr_order`` space, so
         mixed-order stores stay correct.  The returned plan's fragment
         list is materialized (corruption handling may shrink
-        ``self._fragments`` while the caller iterates) and shared
-        verbatim by the sequential and parallel fan-outs, so both visit
-        exactly the same fragments in the same order.
+        ``self._fragments`` while the caller iterates).
         """
         if self.use_planner and not self._zone_backfill_done:
             self.backfill_zone_maps()
@@ -1426,7 +1433,7 @@ class FragmentStore:
                 if not fits_addr_order(self.shape, frag.addr_order):
                     continue
                 try:
-                    payload = load_fragment(frag.path)
+                    payload = load_fragment(frag.path, crc=frag.crc)
                     run = self._fragment_sorted_run(
                         frag, payload, order=frag.addr_order
                     )
@@ -1442,13 +1449,15 @@ class FragmentStore:
                 try:
                     # Commit the schema upgrade (safe under a held reader:
                     # same precedent as the quarantine path).  A failed
-                    # commit keeps the in-memory maps — reads still
-                    # benefit; the next open retries the persist.
+                    # commit reloads the manifest without the maps: reads
+                    # stay correct, unpruned; the next open retries.
                     self._save_manifest()
                 except OSError:
+                    self._zone_backfill_done = True
                     warnings.warn(
                         f"store {self.directory}: zone-map backfill could "
-                        "not be persisted; maps remain in-memory only",
+                        "not be persisted; reads go unpruned until the "
+                        "next open",
                         stacklevel=3,
                     )
         return done
@@ -1563,42 +1572,23 @@ class FragmentStore:
             self._save_manifest()
 
     def _load_payload(self, frag: FragmentInfo):
-        """Load one fragment through the cache + retry policy (raising).
+        """Load one fragment through the cache (raising).
 
         The decoded-fragment cache is consulted first; on a miss the file
-        is read (transient ``OSError`` s retried per :attr:`retry`) and the
-        decoded payload inserted.  Corruption (checksum/parse failures)
-        raises :class:`~repro.core.errors.FragmentError` — the *caller*
-        applies the ``on_corruption`` policy, so the sequential loop and
-        the parallel coordinator share one policy implementation.
-
-        Every load verifies the whole-file CRC, except that
-        ``crc_mode="once"`` skips the re-hash when this fragment already
-        verified at the current generation (the memo is cleared on every
-        manifest commit alongside the cache, so a hit can never attest
-        stale bytes).
+        is read, its CRC verified against the manifest's (a failed read
+        raises :class:`~repro.core.errors.FragmentIOError` at once) and
+        the decoded payload inserted.  Corruption (checksum/parse
+        failures) raises :class:`~repro.core.errors.FragmentError` — the
+        *caller* applies the ``on_corruption`` policy.
         """
         payload = self.cache.get(frag.path.name)
         if payload is not None:
             return payload
-        memo = self.crc_mode == "once"
-        check_crc = not (memo and frag.path.name in self._crc_verified)
-        if not check_crc:
-            counter_add("store.plan.crc_memo_hits")
-
-        def attempt():
-            return load_fragment(frag.path, check_crc=check_crc)
-
         t0 = time.perf_counter()
-        if self.retry is not None:
-            payload = self.retry.run(attempt, op="fragment.load")
-        else:
-            payload = attempt()
+        payload = load_fragment(frag.path, crc=frag.crc)
         self.workload_ledger.record_load(
             frag.path.name, time.perf_counter() - t0
         )
-        if memo:
-            self._crc_verified.add(frag.path.name)
         self.cache.put(frag.path.name, payload)
         return payload
 
@@ -1621,12 +1611,10 @@ class FragmentStore:
         )
 
     def _load_fragment_guarded(self, frag: FragmentInfo):
-        """Load one fragment under the store's retry + corruption policy.
+        """Load one fragment under the store's corruption policy.
 
         Returns the payload, or ``None`` when the fragment was skipped or
-        quarantined (policy ``"skip"`` / ``"quarantine"``).  Transient
-        ``OSError`` s retry per :attr:`retry`; checksum and parse failures
-        never retry.
+        quarantined (policy ``"skip"`` / ``"quarantine"``).
         """
         try:
             return self._load_payload(frag)
@@ -1642,48 +1630,26 @@ class FragmentStore:
         frags: list[FragmentInfo],
         task: Callable[[FragmentInfo], object],
         *,
-        parallel: str,
-        max_workers: int | None,
         on_corruption: str | None = None,
     ) -> list[tuple[FragmentInfo, object]]:
-        """Run one read task per fragment; corruption policy applied in order.
+        """Run one read task per fragment, inline and in plan order.
 
-        Sequentially (``parallel="none"``) each task runs — and its
-        corruption is handled — as soon as it is reached, exactly the
-        pre-pipeline loop.  With ``parallel="thread"`` all tasks fan out
-        over the shared read pool and the results are *merged in fragment
-        order*, with the policy applied in that same order, so the outcome
-        (raise / skip / quarantine, counters, warnings) is identical to
-        the sequential path.  Skipped fragments yield ``None`` results.
-        ``on_corruption`` overrides the store's policy (snapshots raise).
+        A corrupt fragment is handled (or raises) the moment it is
+        reached, before any later fragment is touched; skipped fragments
+        yield ``None`` results.  ``on_corruption`` overrides the store's
+        policy (snapshots raise).
         """
         policy = on_corruption or self.on_corruption
         out: list[tuple[FragmentInfo, object]] = []
-        if parallel != "thread" or len(frags) <= 1:
-            # Inline: a corrupt fragment is handled (or raises) the moment
-            # it is reached, before any later fragment is touched.
-            for frag in frags:
-                try:
-                    out.append((frag, task(frag)))
-                except FragmentError as exc:
-                    if policy == "raise":
-                        self._note_corruption(frag, exc, will_raise=True)
-                        raise
-                    self._note_corruption(frag, exc)
-                    out.append((frag, None))
-            return out
-        results = map_fragments_ordered(frags, task, max_workers=max_workers)
-        for frag, (result, exc) in zip(frags, results):
-            if exc is None:
-                out.append((frag, result))
-                continue
-            if not isinstance(exc, FragmentError):
-                raise exc
-            if policy == "raise":
-                self._note_corruption(frag, exc, will_raise=True)
-                raise exc
-            self._note_corruption(frag, exc)
-            out.append((frag, None))
+        for frag in frags:
+            try:
+                out.append((frag, task(frag)))
+            except FragmentError as exc:
+                if policy == "raise":
+                    self._note_corruption(frag, exc, will_raise=True)
+                    raise
+                self._note_corruption(frag, exc)
+                out.append((frag, None))
         return out
 
     def read_points(
@@ -1701,11 +1667,7 @@ class FragmentStore:
         are not-found.
 
         Tuning arrives as one :class:`~repro.storage.options.ReadOptions`
-        value.  ``parallel="thread"`` fans the per-fragment load + decode +
-        query out over the shared read pool (``max_workers`` bounds this
-        call's fan-out); the merge stays in fragment order, so results —
-        including newest-wins duplicate handling and the ``on_corruption``
-        behavior — are identical to the sequential path.
+        value.
         """
         keys = QueryKeys.for_points(self.shape, query_coords)
         return self._read_point_keys(keys, options or ReadOptions())
@@ -1756,7 +1718,6 @@ class FragmentStore:
         q = query.shape[0]
         found = np.zeros(q, dtype=bool)
         out_values: np.ndarray | None = None
-        use_threads = ropts.parallel == "thread"
         ops = OpCounter() if ops is None else ops
 
         def point_task(frag: FragmentInfo):
@@ -1783,27 +1744,18 @@ class FragmentStore:
             sub = query[rows]
             if relative:
                 sub = self._to_local(frag, sub)
-            # Worker threads charge a private counter, folded into the
-            # caller's counter at merge time (OpCounter is lock-free).
-            fops = OpCounter() if use_threads else ops
             res, vals = query_fragment(
-                payload, sub, faithful=ropts.faithful, counter=fops,
+                payload, sub, faithful=ropts.faithful, counter=ops,
                 addresses=addresses,
             )
-            return rows, res, vals, fops
+            return rows, res, vals
 
-        # Key every order up front, so fanned-out tasks only read memos.
-        for order in {frag.addr_order for frag in plan.fragments}:
-            keys.keys(order)
         for frag, result in self._run_fragment_tasks(
-            plan.fragments, point_task, parallel=ropts.parallel,
-            max_workers=ropts.max_workers, on_corruption=on_corruption,
+            plan.fragments, point_task, on_corruption=on_corruption,
         ):
             if result is None:
                 continue
-            rows, res, vals, fops = result
-            if use_threads:
-                ops.absorb(fops)
+            rows, res, vals = result
             if out_values is None:
                 out_values = np.zeros(q, dtype=vals.dtype)
             hit = rows[res.found]
@@ -1842,7 +1794,7 @@ class FragmentStore:
         )
 
     def _record_pruning(self, plan: QueryPlan) -> None:
-        """Account one READ fan-out's pruning, stage by stage.
+        """Account one READ's pruning, stage by stage.
 
         ``store.fragments_pruned`` keeps its pre-planner meaning — bbox
         overlap prunes only — so dashboards built on it read unchanged;
@@ -1867,7 +1819,7 @@ class FragmentStore:
     def decode_fragment(self, index: int) -> SparseTensor:
         """Reconstruct one fragment's full point set (global coordinates)."""
         frag = self.fragments[index]
-        payload = load_fragment(frag.path)
+        payload = load_fragment(frag.path, crc=frag.crc)
         return self._payload_to_tensor(frag, payload)
 
     def fragment_canonical(
@@ -1890,7 +1842,7 @@ class FragmentStore:
                 tensor.values,
             )
         frag = self.fragments[index]
-        payload = load_fragment(frag.path)
+        payload = load_fragment(frag.path, crc=frag.crc)
         order = self._merge_order()
         run = self._fragment_sorted_run(frag, payload, order=order)
         canon = CanonicalCoords.from_addresses(
@@ -1944,8 +1896,8 @@ class FragmentStore:
             raise FragmentError("nothing to compact: store has no fragments")
         if len(self._fragments) == 1:
             # Already fully compacted.  Bumping the manifest generation
-            # here would needlessly invalidate the fragment cache, the CRC
-            # memo, and the planner's interval-index cache.
+            # here would needlessly invalidate the fragment cache and the
+            # planner's interval-index cache.
             frag = self._fragments[0]
             counter_add("store.compact_noop", 1)
             return WriteReceipt(
@@ -2006,7 +1958,7 @@ class FragmentStore:
             with self._state_lock:
                 self._fragments = [receipt.info]
                 doomed = self._retire_locked(merged_from)
-            self._save_manifest(checkpoint=True)
+            self._save_manifest(checkpoint=True, written=[receipt.info])
             self._unlink(doomed)
             self.workload_ledger.record_write(receipt.info.path.name)
             sp.add_nnz(nnz)
@@ -2322,7 +2274,6 @@ class FragmentStore:
                 self._load_manifest()
                 self._next_seq = self._scan_next_seq()
                 self.cache.invalidate()
-                self._crc_verified.clear()
                 # fsck may have truncated or quarantined WAL segments;
                 # drop the in-memory mirror and re-replay from disk.
                 with self._state_lock:
@@ -2349,8 +2300,7 @@ class FragmentStore:
         (blocked datasets) are merged in lexicographic coordinate order
         instead — same point set, overflow-safe ordering.  Box reads are
         always structural, so ``ReadOptions.faithful`` has no effect
-        here.  ``parallel="thread"`` fans the per-fragment load + probe
-        out over the shared read pool; the merge is unchanged.
+        here.
         """
         keys = QueryKeys(self.shape, box=box)
         return merge_box_hits(
@@ -2394,17 +2344,12 @@ class FragmentStore:
         last, for :func:`~repro.storage.readpath.merge_box_hits`.
         """
         box = keys.box
-        # Decomposed up front, so fanned-out tasks only read.
-        intervals = {
-            order: keys.intervals(order)
-            for order in {frag.addr_order for frag in plan.fragments}
-        }
 
         def box_task(frag: FragmentInfo):
             payload = self._load_payload(frag)
             if not payload.extra.get("relative"):
                 hits = query_fragment_box(
-                    payload, box, intervals[frag.addr_order]
+                    payload, box, keys.intervals(frag.addr_order)
                 )
             else:
                 inter = box.intersection(frag.bbox)
@@ -2421,8 +2366,7 @@ class FragmentStore:
 
         parts = []
         for frag, result in self._run_fragment_tasks(
-            plan.fragments, box_task, parallel=ropts.parallel,
-            max_workers=ropts.max_workers, on_corruption=on_corruption,
+            plan.fragments, box_task, on_corruption=on_corruption,
         ):
             if result is None:
                 continue
@@ -2452,8 +2396,8 @@ class StoreSnapshot:
     releases it as a backstop.
 
     Point reads run the store's executor over the pinned list, so they
-    plan, prune and fan out exactly like store reads.  Reads share the
-    parent's decoded-fragment cache and retry policy but always *raise*
+    plan, prune and load exactly like store reads.  Reads share the
+    parent's decoded-fragment cache but always *raise*
     on corruption — a snapshot never quarantines or de-lists anything
     (it owns no manifest).
     """
@@ -2516,7 +2460,7 @@ class StoreSnapshot:
         options: ReadOptions | None = None,
     ) -> ReadOutcome:
         """Point queries against the pinned view — the store's executor,
-        so the same semantics, planner pruning and fan-out as
+        so the same semantics and planner pruning as
         :meth:`FragmentStore.read_points`."""
         return self._read_point_keys(
             QueryKeys.for_points(self._store.shape, query_coords),
@@ -2545,7 +2489,7 @@ class StoreSnapshot:
         options: ReadOptions | None = None,
     ) -> SparseTensor:
         """Box reads against the pinned view — the store's executor, so
-        the same semantics, planner pruning and fan-out as
+        the same semantics and planner pruning as
         :meth:`FragmentStore.read_box`."""
         keys = QueryKeys(self._store.shape, box=box)
         return merge_box_hits(

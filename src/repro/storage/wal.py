@@ -374,7 +374,7 @@ class WriteAheadLog:
             self._segments.append(seg)
             counter_add("store.wal.records_replayed", len(scan.chunks))
         # A crashed seal can strand a full .open segment behind a newer
-        # one; seal every non-final open segment so the packer sees them.
+        # one; seal every non-final open segment so a pack sees them.
         for seg in self._segments[:-1]:
             if not seg.sealed:
                 self._seal(seg)
@@ -582,8 +582,8 @@ def merge_chunks(
     compactor's selection (:func:`~repro.build.merge.newest_wins`): one
     stable sort, and duplicate addresses resolve to the newest append's
     latest occurrence — the exact semantics a synchronous ``write`` of
-    the same points has.  The packer hands the result straight to
-    ``write_canonical``; the read overlay collapses it further via
+    the same points has.  ``pack_wal`` packages the result as one
+    fragment; the read overlay collapses it further via
     :func:`build_tail_run`.  Returns ``None`` when no chunk holds a
     point.
     """

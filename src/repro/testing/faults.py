@@ -26,7 +26,7 @@ these hook implementations:
 :class:`SeededFaults`
     Seeded intermittent failures: each matching op fails with probability
     ``p`` drawn from ``random.Random(seed)`` — deterministic across runs,
-    chaotic within one.  For soak-testing the retry policy.
+    chaotic within one.  For soak-testing the read and corruption paths.
 
 Use :func:`inject` as a context manager; it installs the hook and always
 restores the previous one::

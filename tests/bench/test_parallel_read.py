@@ -1,4 +1,4 @@
-"""Tier-1 smoke hook for the parallel-read/cache microbench (assert-only).
+"""Tier-1 smoke hook for the decoded-fragment cache microbench (assert-only).
 
 Imports ``benchmarks/bench_parallel_read.py`` by path (the benchmarks
 directory is not a package) and asserts the warm-cache read speedup at a

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,26 @@ def packed_sort_calls(monkeypatch):
 
     monkeypatch.setattr(sorting, "_packed_argsort", spy)
     return calls
+
+
+def read_as(caller: str, read, *, threads: int = 2):
+    """``read()`` issued the way ``caller`` names: ``"none"`` runs it
+    inline; ``"thread"`` runs it on ``threads`` threads at once, asserts
+    that they all saw the same result, and returns it.
+
+    A store reads inline; concurrent callers are how its reads overlap,
+    sharing its reader lock, decoded-fragment cache and planner state.
+    """
+    if caller == "none":
+        return read()
+    with ThreadPoolExecutor(threads) as pool:
+        first, *others = [
+            f.result() for f in [pool.submit(read) for _ in range(threads)]
+        ]
+    for other in others:
+        for name in ("found", "values", "coords"):
+            if hasattr(first, name):
+                np.testing.assert_array_equal(
+                    getattr(first, name), getattr(other, name)
+                )
+    return first

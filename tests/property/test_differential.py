@@ -37,7 +37,8 @@ from repro.build import encode_all
 from repro.core import Box, SparseTensor
 from repro.core.linearize import DEFAULT_ADDRESS_ORDER
 from repro.formats import PAPER_FORMATS, get_format
-from repro.storage import FragmentStore, ReadOptions, StoreOptions
+from repro.core import ChecksumError
+from repro.storage import FragmentStore, StoreOptions
 from repro.storage.planner import MAX_INTERVALS
 from repro.testing import (
     VALUE_DTYPES,
@@ -47,6 +48,8 @@ from repro.testing import (
     random_queries,
     random_sparse_tensor,
 )
+
+from ..conftest import read_as
 
 #: Everything the differential harness sweeps: the paper's five formats
 #: plus the HiCOO extension (ISSUE scope).
@@ -150,14 +153,14 @@ def store_boxes(rng, shape):
     ]
 
 
-def read_box_capped(view, box, ropts, cap):
+def read_box_capped(view, box, cap):
     """``view.read_box`` with the row-major interval cap lowered to
     ``cap`` (``None``: the default cap)."""
     if cap is None:
-        return view.read_box(box, options=ropts)
+        return view.read_box(box)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(MAX_INTERVALS, DEFAULT_ADDRESS_ORDER, cap)
-        return view.read_box(box, options=ropts)
+        return view.read_box(box)
 
 
 def assert_points_match(outcome, tensor, queries, label):
@@ -337,7 +340,8 @@ class TestBuildPipelineDifferential:
 
 
 class TestStoreDifferential:
-    """Multi-fragment stores vs the oracle, sequential and parallel alike.
+    """Multi-fragment stores vs the oracle, read inline and by two
+    concurrent callers alike.
 
     The oracle for a store is the newest-wins overlay of every tensor
     written, in write order — exactly the duplicate semantics the raw-case
@@ -376,21 +380,21 @@ class TestStoreDifferential:
         return store, overlay, rng
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("parallel", ["none", "thread"])
-    def test_store_matches_oracle(self, tmp_path, seed, parallel):
+    @pytest.mark.parametrize("caller", ["none", "thread"])
+    def test_store_matches_oracle(self, tmp_path, seed, caller):
         fmt_name = PAPER_FORMATS[seed % len(PAPER_FORMATS)]
         store, overlay, rng = self.build_store(
             tmp_path, seed, fmt_name, options=StoreOptions(cache_bytes=1 << 20)
         )
         queries = store_queries(rng, overlay)
-        out = store.read_points(queries, options=ReadOptions(parallel=parallel))
+        out = read_as(caller, lambda: store.read_points(queries))
         assert_points_match(
-            out, overlay, queries, f"{fmt_name}/seed={seed}/{parallel}"
+            out, overlay, queries, f"{fmt_name}/seed={seed}/{caller}"
         )
         box = random_box(rng, overlay.shape)
         assert_box_match(
-            store.read_box(box, options=ReadOptions(parallel=parallel)),
-            overlay, box, f"{fmt_name}/seed={seed}/{parallel}",
+            read_as(caller, lambda: store.read_box(box)),
+            overlay, box, f"{fmt_name}/seed={seed}/{caller}",
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -401,9 +405,7 @@ class TestStoreDifferential:
         )
         queries = store_queries(rng, overlay)
         cold = store.read_points(queries)
-        warm = store.read_points(
-            queries, options=ReadOptions(parallel="thread")
-        )
+        warm = store.read_points(queries)
         np.testing.assert_array_equal(cold.found, warm.found)
         np.testing.assert_array_equal(cold.values, warm.values)
         assert store.cache.hits > 0 or store.cache.misses == 0
@@ -616,7 +618,8 @@ class TestPlannerDifferential:
     Every store above already runs plan-on (the default); this class
     pins the other direction: plan-on vs plan-off (the seed's linear
     bbox scan), stale pre-zone-map manifests, degenerate fragments, and
-    the memoized-CRC load variant all return byte-identical outcomes.
+    repeat reads (each re-verifying every CRC) all return byte-identical
+    outcomes.
     ``ReadOutcome.fragments_visited`` is deliberately *not* compared —
     visiting fewer fragments is the planner's entire point.
     """
@@ -625,44 +628,42 @@ class TestPlannerDifferential:
 
     @staticmethod
     def _assert_same_reads(store_a, store_b, overlay, rng, label):
-        """Both stores, and a snapshot of each, read identically under
-        the same ``ReadOptions``; point and box reads also match the
-        oracle (boxes: :func:`store_boxes`)."""
+        """Both stores, and a snapshot of each, read identically; point
+        and box reads also match the oracle (boxes:
+        :func:`store_boxes`)."""
         queries = store_queries(rng, overlay)
         boxes = store_boxes(rng, overlay.shape)
-        for parallel in ("none", "thread"):
-            ropts = ReadOptions(parallel=parallel)
-            a = store_a.read_points(queries, options=ropts)
-            assert_points_match(a, overlay, queries, f"{label}/{parallel}")
-            tas = []
-            for kind, box, cap in boxes:
-                ta = read_box_capped(store_a, box, ropts, cap)
-                assert_box_match(ta, overlay, box, f"{label}/{parallel}/{kind}")
-                tas.append(ta)
-            for tag, view in (
-                ("b", store_b),
-                ("snapshot-a", store_a.snapshot()),
-                ("snapshot-b", store_b.snapshot()),
-            ):
-                where = f"{label}/{parallel}/{tag}"
-                b = view.read_points(queries, options=ropts)
+        a = store_a.read_points(queries)
+        assert_points_match(a, overlay, queries, label)
+        tas = []
+        for kind, box, cap in boxes:
+            ta = read_box_capped(store_a, box, cap)
+            assert_box_match(ta, overlay, box, f"{label}/{kind}")
+            tas.append(ta)
+        for tag, view in (
+            ("b", store_b),
+            ("snapshot-a", store_a.snapshot()),
+            ("snapshot-b", store_b.snapshot()),
+        ):
+            where = f"{label}/{tag}"
+            b = view.read_points(queries)
+            np.testing.assert_array_equal(
+                a.found, b.found, err_msg=f"{where}: found"
+            )
+            np.testing.assert_array_equal(
+                a.values, b.values, err_msg=f"{where}: values"
+            )
+            assert a.points_matched == b.points_matched, where
+            for (kind, box, cap), ta in zip(boxes, tas):
+                tb = read_box_capped(view, box, cap)
                 np.testing.assert_array_equal(
-                    a.found, b.found, err_msg=f"{where}: found"
+                    ta.coords, tb.coords, err_msg=f"{where}/{kind}: box"
                 )
                 np.testing.assert_array_equal(
-                    a.values, b.values, err_msg=f"{where}: values"
+                    ta.values, tb.values, err_msg=f"{where}/{kind}: box"
                 )
-                assert a.points_matched == b.points_matched, where
-                for (kind, box, cap), ta in zip(boxes, tas):
-                    tb = read_box_capped(view, box, ropts, cap)
-                    np.testing.assert_array_equal(
-                        ta.coords, tb.coords, err_msg=f"{where}/{kind}: box"
-                    )
-                    np.testing.assert_array_equal(
-                        ta.values, tb.values, err_msg=f"{where}/{kind}: box"
-                    )
-                if view is not store_b:
-                    view.close()
+            if view is not store_b:
+                view.close()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_plan_on_off_byte_identical(self, tmp_path, seed):
@@ -733,20 +734,26 @@ class TestPlannerDifferential:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_crc_once_and_lazy_agree_with_eager(self, tmp_path, seed):
+        """Repeat reads agree and re-verify every CRC: bytes that rot
+        after a fragment first loaded cleanly fail the next load (the
+        ``crc_mode="once"`` memo skipped that re-check)."""
         fmt_name = DIFF_FORMATS[seed % len(DIFF_FORMATS)]
-        eager, overlay, rng = TestStoreDifferential.build_store(
+        first, overlay, rng = TestStoreDifferential.build_store(
             tmp_path, seed, fmt_name
         )
-        tuned = FragmentStore(
-            eager.directory, overlay.shape, fmt_name,
-            options=StoreOptions(crc_mode="once"),
-        )
-        # Read twice so the second round exercises the CRC memo.
+        second = FragmentStore(first.directory, overlay.shape, fmt_name)
         for _ in range(2):
             self._assert_same_reads(
-                eager, tuned, overlay, rng,
-                f"{fmt_name}/seed={seed}/crc-once",
+                first, second, overlay, rng, f"{fmt_name}/seed={seed}"
             )
+        path = first.fragments[-1].path
+        blob = bytearray(path.read_bytes())
+        blob[-12] ^= 0xFF  # inside the value buffer: the header still parses
+        path.write_bytes(bytes(blob))
+        everything = Box((0,) * len(overlay.shape), overlay.shape)
+        for store in (first, second):
+            with pytest.raises(ChecksumError):
+                store.read_box(everything)
 
 
 class TestAddressOrderDifferential:
@@ -844,9 +851,7 @@ class TestAddressOrderDifferential:
             )
             with reread.snapshot() as snap:
                 assert_points_match(
-                    snap.read_points(
-                        queries, options=ReadOptions(parallel="thread")
-                    ),
+                    snap.read_points(queries),
                     overlay, queries, f"{label}/plan={plan}/snapshot",
                 )
         mixed.set_addr_order("alto")

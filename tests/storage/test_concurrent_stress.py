@@ -28,7 +28,7 @@ import pytest
 
 from repro import obs
 from repro.core import Box
-from repro.storage import FragmentStore, ReadOptions, StoreOptions
+from repro.storage import FragmentStore, StoreOptions
 
 SHAPE = (48, 48)
 SIDE = SHAPE[1]
@@ -66,18 +66,14 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions,
 
     def reader(seed):
         rng = np.random.default_rng(seed)
-        modes = ("none", "thread")
         try:
-            for i in range(iterations):
-                parallel = modes[i % 2]
+            for _ in range(iterations):
                 n = int(rng.integers(1, 40))
                 queries = np.column_stack([
                     rng.integers(0, SHAPE[0], size=n, dtype=np.uint64),
                     rng.integers(0, SHAPE[1], size=n, dtype=np.uint64),
                 ])
-                out = store.read_points(
-                    queries, options=ReadOptions(parallel=parallel)
-                )
+                out = store.read_points(queries)
                 got = out.values
                 want = value_of(queries[out.found])
                 check(
@@ -91,9 +87,7 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions,
                 )
                 r0 = int(rng.integers(0, SHAPE[0]))
                 box = Box((r0, 0), (min(6, SHAPE[0] - r0), SHAPE[1]))
-                tensor = store.read_box(
-                    box, options=ReadOptions(parallel=parallel)
-                )
+                tensor = store.read_box(box)
                 check(
                     np.array_equal(tensor.values, value_of(tensor.coords)),
                     "torn box read",
@@ -155,9 +149,7 @@ def run_stress(tmp_path, *, n_readers, iterations, cache_bytes, compactions,
     with rows_lock:
         rows = sorted(written_rows)
     all_coords = np.vstack([row_block(r) for r in rows])
-    out = store.read_points(
-        all_coords, options=ReadOptions(parallel="thread")
-    )
+    out = store.read_points(all_coords)
     assert out.found.all()
     np.testing.assert_array_equal(out.values, value_of(all_coords))
     full = store.read_box(Box((0, 0), SHAPE))

@@ -1,4 +1,4 @@
-"""Durability layer: atomic commits, retry policy, quarantine, fsck."""
+"""Durability layer: atomic commits, checksums, quarantine, fsck."""
 
 import json
 
@@ -14,8 +14,7 @@ from repro.core import (
 )
 from repro.storage import FragmentStore, ShardedStore, StoreOptions, fsck
 from repro.storage.durability import (
-    NO_RETRY,
-    RetryPolicy,
+    CRC32_RESIDUE,
     clean_temp_files,
     encode_manifest,
     file_crc,
@@ -25,10 +24,10 @@ from repro.storage.durability import (
     write_bytes_atomic,
 )
 from repro.testing.faults import (
+    CrashPlan,
     FaultPlan,
     FaultRule,
     OpRecorder,
-    SeededFaults,
     inject,
 )
 
@@ -103,9 +102,14 @@ class TestAtomicCommit:
         manifest = load_manifest(tmp_path / "ds").doc
         entry = manifest["fragments"][0]
         data = (tmp_path / "ds" / entry["file"]).read_bytes()
-        assert entry["crc"] == file_crc(data)
+        # The body's CRC, which the file's trailer holds — not the CRC of
+        # the whole file, which is the same residue for every fragment.
+        assert entry["crc"] == file_crc(data[:-4]) == fragment_file_crc(data)
+        assert file_crc(data) == CRC32_RESIDUE != entry["crc"]
 
     def test_fragment_file_crc_matches_full_crc(self):
+        """The O(1) trailer read equals the CRC computed over the whole
+        body."""
         from repro.storage import pack_fragment
 
         blob = pack_fragment(
@@ -113,7 +117,7 @@ class TestAtomicCommit:
             {"addresses": np.array([1, 2], dtype=np.uint64)},
             np.array([0.5, 1.5]),
         )
-        assert fragment_file_crc(blob) == file_crc(blob)
+        assert fragment_file_crc(blob) == file_crc(blob[:-4])
 
     def test_corrupt_manifest_raises_manifest_error(self, tmp_path):
         make_store(tmp_path / "ds")
@@ -240,66 +244,22 @@ class TestManifestEncoding:
 
 
 class TestRetryPolicy:
-    def test_schedule_bounded_and_capped(self):
-        policy = RetryPolicy(
-            attempts=4, base_delay=0.1, multiplier=10.0, max_delay=1.0,
-        )
-        assert policy.delays() == [0.1, 1.0, 1.0]
-        assert NO_RETRY.delays() == []
+    """There is no retry policy: a read fails on its first attempt."""
 
-    def test_transient_error_retried_then_succeeds(self):
-        sleeps = []
-        policy = RetryPolicy(attempts=3, base_delay=0.5, sleep=sleeps.append)
-        calls = {"n": 0}
+    def test_exhausted_retries_reraise(self, tmp_path):
+        store, coords, _ = make_store(tmp_path / "ds")
+        plan = FaultPlan([FaultRule(op="read", pattern="frag-*", times=None)])
+        with inject(plan), pytest.raises(FragmentIOError):
+            store.read_points(coords)
+        assert len(plan.fired) == 1  # one attempt, no retry
 
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise OSError(5, "transient")
-            return "ok"
-
-        assert policy.run(flaky) == "ok"
-        assert sleeps == [0.5, 1.0]
-
-    def test_exhausted_retries_reraise(self):
-        policy = RetryPolicy(attempts=2, sleep=lambda s: None)
-
-        def always_fails():
-            raise FragmentIOError("disk is sad")
-
-        with pytest.raises(FragmentIOError):
-            policy.run(always_fails)
-
-    def test_checksum_error_never_retried(self):
-        policy = RetryPolicy(attempts=5, sleep=lambda s: None)
-        calls = {"n": 0}
-
-        def corrupt():
-            calls["n"] += 1
-            raise ChecksumError("bad crc")
-
-        with pytest.raises(ChecksumError):
-            policy.run(corrupt)
-        assert calls["n"] == 1
-
-    def test_invalid_attempts_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-
-    def test_store_retry_absorbs_intermittent_reads(self, tmp_path):
-        store, coords, values = make_store(
-            tmp_path / "ds",
-            options=StoreOptions(
-                retry=RetryPolicy(attempts=10, sleep=lambda s: None)
-            ),
-        )
-        faults = SeededFaults(seed=3, p=0.5, ops=("read",), pattern="frag-*")
-        with inject(faults):
-            for _ in range(4):
-                out = store.read_points(coords)
-                assert out.found.all()
-                assert np.allclose(out.values, values)
-        assert faults.fired  # the flaky reads actually happened
+    def test_checksum_error_never_retried(self, tmp_path):
+        store, coords, _ = make_store(tmp_path / "ds")
+        corrupt_file(store.fragments[0].path)
+        recorder = OpRecorder()
+        with inject(recorder), pytest.raises(ChecksumError):
+            store.read_points(coords)
+        assert [e.op for e in recorder.events] == ["read"]
 
 
 class TestCorruptionPolicies:
@@ -492,6 +452,93 @@ class TestFsck:
         assert payload["checked"] == 1
 
 
+class TestStaleDataStaysGone:
+    """Superseded or foreign fragment bytes never come back as live data."""
+
+    CELL = np.array([[3, 4]], dtype=np.uint64)
+
+    def _two_writes(self, directory):
+        store = FragmentStore(directory, (8, 8), "LINEAR")
+        store.write(self.CELL, np.array([1.0]))
+        store.write(self.CELL, np.array([2.0]))
+        return store
+
+    def _read(self, directory):
+        out = FragmentStore(directory, (8, 8), "LINEAR").read_points(self.CELL)
+        return out.values.tolist()
+
+    def test_fsck_does_not_relist_a_superseded_compaction_source(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ds"
+        store = self._two_writes(directory)
+        # The source's unlink fails after the compaction committed.
+        unlink = FaultRule(op="unlink", pattern="frag-000000.bin")
+        with inject(FaultPlan([unlink])):
+            store.compact()
+        store.close()
+        report = fsck(directory, repair=True)
+        [issue] = report.issues_of("extra")
+        assert issue.name == "frag-000000.bin"
+        assert "superseded" in issue.detail
+        assert issue.repaired == "quarantined"
+        assert self._read(directory) == [2.0]
+        assert fsck(directory).clean
+
+    def test_fsck_does_not_relist_a_migration_cut_before_its_commit(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ds"
+        store = self._two_writes(directory)
+        # Crash between the replacement's file and the manifest commit.
+        crash = CrashPlan([FaultRule(op="write", pattern="manifest.*")])
+        with inject(crash), pytest.raises(OSError):
+            store.migrate_fragment(0, "COO")
+        assert (directory / "frag-000002.bin").exists()
+        report = fsck(directory, repair=True)
+        [issue] = report.issues_of("extra")
+        assert issue.name == "frag-000002.bin"
+        assert "superseded" in issue.detail
+        assert self._read(directory) == [2.0]
+
+    def test_fsck_recovers_an_orphan_newer_than_every_listed(self, tmp_path):
+        directory = tmp_path / "ds"
+        store = self._two_writes(directory)
+        crash = CrashPlan([FaultRule(op="write", pattern="manifest.*")])
+        with inject(crash), pytest.raises(OSError):
+            store.write(self.CELL, np.array([3.0]))
+        report = fsck(directory, repair=True)
+        [issue] = report.issues_of("extra")
+        assert issue.repaired == "recovered"
+        assert self._read(directory) == [3.0]
+
+    def test_swapped_fragment_files_fail_their_crc(self, tmp_path):
+        directory = tmp_path / "ds"
+        self._two_writes(directory).close()
+        a, b = directory / "frag-000000.bin", directory / "frag-000001.bin"
+        blob_a, blob_b = a.read_bytes(), b.read_bytes()
+        assert len(blob_a) == len(blob_b)  # both intact, same size
+        a.write_bytes(blob_b)
+        b.write_bytes(blob_a)
+        report = fsck(directory)
+        assert {i.name for i in report.issues_of("corrupt")} == {a.name, b.name}
+        with pytest.raises(ChecksumError):
+            FragmentStore(directory, (8, 8), "LINEAR").read_points(self.CELL)
+
+    def test_residue_crc_of_old_manifests_reads_as_none(self, tmp_path):
+        directory = tmp_path / "ds"
+        self._two_writes(directory).close()
+        manifest = directory / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for entry in doc["fragments"]:
+            entry["crc"] = CRC32_RESIDUE  # what earlier versions recorded
+        manifest.write_text(json.dumps(doc))
+        store = FragmentStore(directory, (8, 8), "LINEAR")
+        assert [f.crc for f in store.fragments] == [None, None]
+        assert store.read_points(self.CELL).values.tolist() == [2.0]
+        assert fsck(directory).clean
+
+
 class TestRescanRobustness:
     def test_rescan_skips_truncated_fragment(self, tmp_path):
         store, coords, values = make_store(tmp_path / "ds")
@@ -518,7 +565,7 @@ class TestRescanRobustness:
         (tmp_path / "ds" / "manifest.json").unlink()
         reopened = FragmentStore(tmp_path / "ds", (32, 32), "LINEAR")
         frag = reopened.fragments[0]
-        assert frag.crc == file_crc(frag.path.read_bytes())
+        assert frag.crc == fragment_file_crc(frag.path.read_bytes())
 
 
 class TestQuarantineHelper:

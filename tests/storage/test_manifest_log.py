@@ -78,7 +78,8 @@ class Workload:
 
     The oracle is newest-wins with the store's layering: fragments in
     commit order, then the unpacked WAL tail over all of them (a pack
-    commits the tail as the newest fragment).
+    commits the tail as the newest fragment).  A write packs the tail
+    first, so it lands above it; that pack is its own commit.
     """
 
     FORMATS = ("LINEAR", "COO-SORTED", "GCSR++")
@@ -98,13 +99,19 @@ class Workload:
             before = log_size(self.store.directory)
             spied(*args, **kwargs)
             after = log_size(self.store.directory)
+            post = state_of(self.store)
+            self.last = None
             if after > before:  # a record; a checkpoint empties the log
                 copy = root / f"commit-{len(self.cases)}"
                 shutil.copytree(self.store.directory, copy)
-                self.cases.append({
+                self.last = {
                     "at_commit": copy, "start": before, "end": after,
-                    "pre": self.pre, "post": state_of(self.store),
-                })
+                    "pre": self.pre, "post": post,
+                }
+                self.cases.append(self.last)
+            # A step's next commit starts from this one; the reads are
+            # the step's until it ends (a write's pack changes none).
+            self.pre = (post, self.pre[1])
 
         self.store._save_manifest = spy
 
@@ -129,7 +136,14 @@ class Workload:
             "pack", "compact", "migrate", "gc", "snapshot", "release",
         ])
         self.pre = (state_of(store), self.oracle)
+        self.last = None
         n_cases = len(self.cases)
+        commits = 1
+        if op in ("write", "write_many") and self.tail:
+            # The write packs the tail first, in a commit of its own.
+            commits = 2
+            self.packed.update(self.tail)
+            self.tail.clear()
         if op == "write":
             coords, values = self.points()
             store.write(coords, values)
@@ -158,10 +172,11 @@ class Workload:
             self.snapshots.append(store.snapshot())
         elif op == "release" and self.snapshots:
             self.snapshots.pop(int(self.rng.integers(len(self.snapshots)))).close()
-        # One commit per mutation, so the op's end is its commit's state.
-        assert len(self.cases) - n_cases <= 1
-        if len(self.cases) > n_cases:
-            case = self.cases[-1]
+        # One commit per mutation (two for a write that packs first), so
+        # the op's end is its last commit's state.
+        assert len(self.cases) - n_cases <= commits
+        if self.last is not None:  # the step's last commit was a record
+            case = self.last
             case["oracle"] = self.oracle
             after_op = self.root / f"after-{n_cases}"
             shutil.copytree(store.directory, after_op)
@@ -182,6 +197,8 @@ def check_case(case, root, k):
         assert_reads(store, pre_oracle)
         # Only the uncommitted op's own files are unlisted.
         assert {i.kind for i in fsck(directory).issues} <= {"extra"}
+    if "after_op" not in case:  # a write's pack, not the step's end
+        return
     store = reopen(case["after_op"])
     assert state_of(store) == case["post"]
     assert_reads(store, case["oracle"])
@@ -337,16 +354,68 @@ class TestCheckpoints:
         store = reopen(tmp_path / "ds")
         store.write(np.array([[0, 0]], dtype=np.uint64), np.ones(1))
         intact = log_size(tmp_path / "ds")
+        committed = state_of(store)
+        failed = np.array([[1, 1]], dtype=np.uint64)
         torn = FaultRule(op="write", pattern=MANIFEST_LOG_NAME, torn_bytes=37)
         with inject(FaultPlan([torn])), pytest.raises(OSError):
-            store.write(np.array([[1, 1]], dtype=np.uint64), np.ones(1))
+            store.write(failed, np.ones(1))
         assert log_size(tmp_path / "ds") == intact
-        # The failed commit's change is still in memory: the next commit
-        # checkpoints it instead of logging around the gap.
+        # The failed commit is undone: the store holds the committed
+        # manifest again and the fragment it wrote is gone, so no later
+        # commit can make it durable.
+        assert state_of(store) == committed
+        assert sorted(p.name for p in (tmp_path / "ds").glob("frag-*")) == [
+            "frag-000000.bin"
+        ]
+        # The next commit checkpoints rather than log after the cut.
         store.write(np.array([[2, 2]], dtype=np.uint64), np.ones(1))
         assert log_size(tmp_path / "ds") == 0
         assert state_of(reopen(tmp_path / "ds")) == state_of(store)
+        for view in (store, reopen(tmp_path / "ds")):
+            assert not view.read_points(failed).found.any()
         assert fsck(tmp_path / "ds").clean
+
+
+class TestFailedCommits:
+    """A commit that raised is undone: no later commit makes it durable."""
+
+    CELL = np.array([[3, 4]], dtype=np.uint64)
+
+    @pytest.mark.parametrize("fault", [
+        FaultRule(op="write", pattern=MANIFEST_LOG_NAME),
+        FaultRule(op="rename", pattern=MANIFEST_NAME),
+    ], ids=["append", "checkpoint"])
+    def test_a_failed_commit_never_becomes_durable(self, tmp_path, fault):
+        directory = tmp_path / "ds"
+        store = reopen(directory)
+        store.write(self.CELL, np.array([1.0]))
+        store.write(np.array([[0, 0]], dtype=np.uint64), np.ones(1))
+        if fault.op == "rename":
+            store._ckpt_due = True  # make the next commit a checkpoint
+        with inject(FaultPlan([fault])), pytest.raises(OSError):
+            store.write(self.CELL, np.array([2.0]))
+        assert store.read_points(self.CELL).values.tolist() == [1.0]
+        store.write(np.array([[1, 1]], dtype=np.uint64), np.ones(1))
+        store.close()
+        assert reopen(directory).read_points(self.CELL).values.tolist() == [1.0]
+        assert fsck(directory).clean
+
+    def test_a_failed_compaction_keeps_its_sources(self, tmp_path):
+        directory = tmp_path / "ds"
+        store = reopen(directory)
+        store.write(self.CELL, np.array([1.0]))
+        store.write(self.CELL, np.array([2.0]))
+        live = state_of(store)
+        fault = FaultRule(op="rename", pattern=MANIFEST_NAME)
+        with inject(FaultPlan([fault])), pytest.raises(OSError):
+            store.compact()
+        assert state_of(store) == live
+        assert sorted(p.name for p in directory.glob("frag-*")) == [
+            "frag-000000.bin", "frag-000001.bin",
+        ]
+        store.write(np.array([[1, 1]], dtype=np.uint64), np.ones(1))
+        assert reopen(directory).read_points(self.CELL).values.tolist() == [2.0]
+        assert fsck(directory).clean
 
 
 class TestStaleLogs:

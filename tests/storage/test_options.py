@@ -28,14 +28,17 @@ class TestStoreOptions:
         assert opts.fsync is False
         assert opts.codec is None
         assert opts.on_corruption == "raise"
-        assert opts.retry is None
         assert opts.cache_bytes == 0
         assert opts.planner is True
-        assert opts.crc_mode == "eager"
+        assert len(dataclasses.fields(StoreOptions)) == 11
 
     def test_removed_fields_rejected(self):
-        with pytest.raises(TypeError):
-            StoreOptions(lazy_load=True)
+        for removed in (
+            {"lazy_load": True}, {"retry": None}, {"crc_mode": "once"},
+            {"wal_pack_interval": 0.05},
+        ):
+            with pytest.raises(TypeError):
+                StoreOptions(**removed)
 
     def test_frozen(self):
         opts = StoreOptions()
@@ -52,8 +55,6 @@ class TestStoreOptions:
         with pytest.raises(ValueError):
             StoreOptions(on_corruption="explode")
         with pytest.raises(ValueError):
-            StoreOptions(crc_mode="never")
-        with pytest.raises(ValueError):
             StoreOptions(cache_bytes=-1)
 
     def test_bad_codec_rejected_by_store(self, tmp_path):
@@ -66,20 +67,25 @@ class TestReadOptions:
     def test_defaults(self):
         ropts = ReadOptions()
         assert ropts.faithful is False
-        assert ropts.parallel == "none"
-        assert ropts.max_workers is None
+        assert [f.name for f in dataclasses.fields(ReadOptions)] == [
+            "faithful"
+        ]
 
     def test_removed_fields_rejected(self):
-        # Every load verifies its CRC; crc_mode="once" is the only skip.
-        with pytest.raises(TypeError):
-            ReadOptions(check_crc=False)
+        # Every load verifies its CRC, and every read runs inline.
+        for removed in (
+            {"check_crc": False}, {"parallel": "none"}, {"max_workers": 2},
+        ):
+            with pytest.raises(TypeError):
+                ReadOptions(**removed)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ReadOptions().faithful = True
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # No fan-out mode is left to validate: the field is unknown.
+        with pytest.raises(TypeError):
             ReadOptions(parallel="fibers")
 
 
@@ -88,10 +94,10 @@ class TestStoresAcceptOptions:
         rng = np.random.default_rng(0)
         store = FragmentStore(
             tmp_path / "s", SHAPE, "LINEAR",
-            options=StoreOptions(cache_bytes=1 << 20, crc_mode="once"),
+            options=StoreOptions(cache_bytes=1 << 20, planner=False),
         )
         assert store.options.cache_bytes == 1 << 20
-        assert store.crc_mode == "once"
+        assert store.use_planner is False
         coords = make_coords(rng)
         store.write(coords, np.ones(len(coords)))
         out = store.read_points(coords[:8], options=ReadOptions(faithful=True))
@@ -120,8 +126,8 @@ class TestStoresAcceptOptions:
 
     def test_sharded_store(self, tmp_path):
         store = ShardedStore(tmp_path / "sh", SHAPE, "LINEAR", n_shards=2,
-                             options=StoreOptions(crc_mode="once"))
-        assert store.options.crc_mode == "once"
+                             options=StoreOptions(cache_bytes=1 << 20))
+        assert store.options.cache_bytes == 1 << 20
 
     def test_sharded_rejects_relative_coords(self, tmp_path):
         with pytest.raises(Exception):

@@ -1,10 +1,11 @@
-"""Read pipeline: fragment cache, ordered fan-out, RW lock, fault parity.
+"""Read pipeline: fragment cache, ordered pool map, RW lock, fault parity.
 
-The parallel read path must be *indistinguishable* from the sequential one
-in everything but wall-clock: same merge order, same ``on_corruption``
-outcomes, same retry absorption, same counters.  These tests pin that
-contract, plus the unit behavior of the pieces
-(:class:`~repro.storage.readpath.FragmentCache`,
+A store reads inline, one planned fragment after another; reads that
+overlap come from concurrent callers.  Reads issued from caller threads
+must be *indistinguishable* from inline ones in everything but
+wall-clock: same results, same ``on_corruption`` outcomes, same
+counters.  These tests pin that contract, plus the unit behavior of the
+pieces (:class:`~repro.storage.readpath.FragmentCache`,
 :func:`~repro.storage.readpath.map_fragments_ordered`,
 :class:`~repro.storage.readpath.RWLock`).
 """
@@ -13,24 +14,25 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import ChecksumError
+from repro.core.errors import FragmentIOError
 from repro.storage import FragmentStore, ReadOptions, StoreOptions
-from repro.storage.durability import RetryPolicy
 from repro.storage.readpath import (
     MAX_READ_WORKERS,
-    PARALLEL_MODES,
     FragmentCache,
     RWLock,
     map_fragments_ordered,
     payload_nbytes,
-    validate_parallel,
 )
 from repro.testing.faults import FaultPlan, FaultRule, inject
+
+from ..conftest import read_as
 
 
 def make_store(path, *, n_fragments=4, points_per_fragment=12, options=None):
@@ -64,18 +66,18 @@ def corrupt_file(path, offset=-12):
 
 
 class TestValidateParallel:
-    def test_modes(self):
-        for mode in PARALLEL_MODES:
-            assert validate_parallel(mode) == mode
+    """Reads have no fan-out setting left: ``parallel`` and
+    ``max_workers`` are rejected wherever they are passed."""
 
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="parallel"):
-            validate_parallel("process")
+        for removed in ({"parallel": "thread"}, {"max_workers": 2}):
+            with pytest.raises(TypeError):
+                ReadOptions(**removed)
 
     def test_store_rejects_unknown(self, tmp_path):
         store, coords, _ = make_store(tmp_path / "ds", n_fragments=1)
-        with pytest.raises(ValueError, match="parallel"):
-            store.read_points(coords, options=ReadOptions(parallel="fork"))
+        with pytest.raises(TypeError):
+            store.read_points(coords, parallel="thread")
 
     def test_worker_bound_positive(self):
         assert MAX_READ_WORKERS >= 1
@@ -270,17 +272,21 @@ class TestRWLock:
 
 
 class TestParallelMatchesSequential:
+    """Reads issued by concurrent callers equal the inline read."""
+
     @pytest.mark.parametrize("max_workers", [None, 1, 2])
     def test_read_points_identical(self, tmp_path, max_workers):
-        store, coords, values = make_store(tmp_path / "ds", n_fragments=6)
-        seq = store.read_points(coords)
-        par = store.read_points(
-            coords,
-            options=ReadOptions(parallel="thread", max_workers=max_workers),
+        store, coords, values = make_store(
+            tmp_path / "ds", n_fragments=6,
+            options=StoreOptions(cache_bytes=1 << 20),
         )
-        np.testing.assert_array_equal(seq.found, par.found)
-        np.testing.assert_array_equal(seq.values, par.values)
-        assert seq.fragments_visited == par.fragments_visited
+        seq = store.read_points(coords)
+        with ThreadPoolExecutor(max_workers) as pool:
+            outs = list(pool.map(lambda _: store.read_points(coords), range(4)))
+        for par in outs:
+            np.testing.assert_array_equal(seq.found, par.found)
+            np.testing.assert_array_equal(seq.values, par.values)
+            assert seq.fragments_visited == par.fragments_visited
 
     def test_read_box_identical(self, tmp_path):
         from repro.core import Box
@@ -288,41 +294,58 @@ class TestParallelMatchesSequential:
         store, *_ = make_store(tmp_path / "ds", n_fragments=6)
         box = Box((0, 0), (20, 64))
         seq = store.read_box(box)
-        par = store.read_box(box, options=ReadOptions(parallel="thread"))
-        np.testing.assert_array_equal(seq.coords, par.coords)
-        np.testing.assert_array_equal(seq.values, par.values)
+        with ThreadPoolExecutor(2) as pool:
+            outs = list(pool.map(lambda _: store.read_box(box), range(4)))
+        for par in outs:
+            np.testing.assert_array_equal(seq.coords, par.coords)
+            np.testing.assert_array_equal(seq.values, par.values)
 
     def test_parallel_op_accounting_matches(self, tmp_path):
-        """Per-worker counters absorbed into the span equal sequential's."""
+        """Each read charges its own span's counter: reads on two
+        threads at once charge exactly twice one inline read."""
         from repro import obs
 
         store, coords, _ = make_store(tmp_path / "ds", n_fragments=4)
+        faithful = ReadOptions(faithful=True)
 
-        def total_ops(parallel):
+        def total_ops(reads):
             obs.enable()
             obs.reset()
-            store.read_points(coords, options=ReadOptions(parallel=parallel))
+            reads()
             snap = obs.snapshot()
             return {
                 m["name"]: m["value"] for m in snap["counters"]
-                if m["name"].startswith("ops.")
+                if ".ops." in m["name"]
             }
 
-        assert total_ops("none") == total_ops("thread")
+        def two_threads():
+            with ThreadPoolExecutor(2) as pool:
+                for _ in pool.map(
+                    lambda _: store.read_points(coords, options=faithful),
+                    range(2),
+                ):
+                    pass
+
+        inline = total_ops(
+            lambda: store.read_points(coords, options=faithful)
+        )
+        assert inline and all(v > 0 for v in inline.values())
+        assert total_ops(two_threads) == {k: 2 * v for k, v in inline.items()}
 
 
 class TestCorruptionPolicyParity:
-    """skip / quarantine / raise behave identically under parallel."""
+    """skip / quarantine / raise behave the same for a read issued from
+    a worker thread as inline (one caller, so the counts stay exact)."""
 
-    @pytest.mark.parametrize("parallel", ["none", "thread"])
-    def test_skip_parity(self, tmp_path, parallel):
+    @pytest.mark.parametrize("caller", ["none", "thread"])
+    def test_skip_parity(self, tmp_path, caller):
         store, coords, values = make_store(
-            tmp_path / f"ds-{parallel}",
+            tmp_path / f"ds-{caller}",
             options=StoreOptions(on_corruption="skip"),
         )
         corrupt_file(store.fragments[1].path)
         with pytest.warns(UserWarning, match="skip"):
-            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
+            out = read_as(caller, lambda: store.read_points(coords), threads=1)
         # Fragment 1's points vanish; everything else survives.
         expected = np.ones(len(coords), dtype=bool)
         expected[12:24] = False
@@ -331,16 +354,16 @@ class TestCorruptionPolicyParity:
         assert store.corrupt_fragments == 1
         assert len(store.fragments) == 4  # skip never de-lists
 
-    @pytest.mark.parametrize("parallel", ["none", "thread"])
-    def test_quarantine_parity(self, tmp_path, parallel):
+    @pytest.mark.parametrize("caller", ["none", "thread"])
+    def test_quarantine_parity(self, tmp_path, caller):
         store, coords, _ = make_store(
-            tmp_path / f"ds-{parallel}",
+            tmp_path / f"ds-{caller}",
             options=StoreOptions(on_corruption="quarantine"),
         )
         bad = store.fragments[2].path
         corrupt_file(bad)
         with pytest.warns(UserWarning, match="quarantine"):
-            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
+            out = read_as(caller, lambda: store.read_points(coords), threads=1)
         assert int(out.found.sum()) == 36
         assert not bad.exists()
         assert (bad.parent / ".quarantine" / bad.name).exists()
@@ -349,57 +372,39 @@ class TestCorruptionPolicyParity:
         reopened = FragmentStore(bad.parent, (64, 64), "LINEAR")
         assert len(reopened.fragments) == 3
 
-    @pytest.mark.parametrize("parallel", ["none", "thread"])
-    def test_raise_parity(self, tmp_path, parallel):
-        store, coords, _ = make_store(tmp_path / f"ds-{parallel}")
+    @pytest.mark.parametrize("caller", ["none", "thread"])
+    def test_raise_parity(self, tmp_path, caller):
+        store, coords, _ = make_store(tmp_path / f"ds-{caller}")
         corrupt_file(store.fragments[0].path)
         with pytest.raises(ChecksumError):
-            store.read_points(coords, options=ReadOptions(parallel=parallel))
+            read_as(caller, lambda: store.read_points(coords), threads=1)
         assert len(store.fragments) == 4  # raise never mutates the store
 
-    @pytest.mark.parametrize("parallel", ["none", "thread"])
-    def test_corrupt_fragment_never_cached(self, tmp_path, parallel):
+    @pytest.mark.parametrize("caller", ["none", "thread"])
+    def test_corrupt_fragment_never_cached(self, tmp_path, caller):
         store, coords, _ = make_store(
-            tmp_path / f"ds-{parallel}",
+            tmp_path / f"ds-{caller}",
             options=StoreOptions(on_corruption="skip", cache_bytes=1 << 20),
         )
         corrupt_file(store.fragments[0].path)
         for _ in range(2):  # second read must re-detect, not hit a cache
             with pytest.warns(UserWarning):
-                store.read_points(coords, options=ReadOptions(parallel=parallel))
+                read_as(caller, lambda: store.read_points(coords), threads=1)
         assert store.corrupt_fragments == 2
 
 
 class TestRetryParity:
-    @pytest.mark.parametrize("parallel", ["none", "thread"])
-    def test_transient_read_error_absorbed(self, tmp_path, parallel):
-        """One injected EIO per fragment read is retried transparently."""
-        store, coords, values = make_store(
-            tmp_path / f"ds-{parallel}",
-            options=StoreOptions(
-                retry=RetryPolicy(attempts=3, sleep=lambda _t: None)
-            ),
-        )
-        plan = FaultPlan(
-            [FaultRule(op="read", pattern="frag-*.bin", times=2)]
-        )
-        with inject(plan):
-            out = store.read_points(coords, options=ReadOptions(parallel=parallel))
+    def test_exhausted_retries_surface(self, tmp_path):
+        """Nothing retries a failed read: the first read fault surfaces
+        as :class:`FragmentIOError`, and the store reads fine after."""
+        store, coords, values = make_store(tmp_path / "ds")
+        plan = FaultPlan([FaultRule(op="read", pattern="frag-*.bin", times=1)])
+        with inject(plan), pytest.raises(FragmentIOError):
+            store.read_points(coords)
+        assert plan.fired
+        out = store.read_points(coords)
         assert out.found.all()
         np.testing.assert_array_equal(out.values, values)
-
-    def test_exhausted_retries_surface(self, tmp_path):
-        store, coords, _ = make_store(
-            tmp_path / "ds",
-            options=StoreOptions(
-                retry=RetryPolicy(attempts=2, sleep=lambda _t: None)
-            ),
-        )
-        plan = FaultPlan(
-            [FaultRule(op="read", pattern="frag-*.bin", times=None)]
-        )
-        with inject(plan), pytest.raises(Exception):
-            store.read_points(coords, options=ReadOptions(parallel="thread"))
 
 
 class TestCacheLifecycle:
@@ -436,7 +441,7 @@ class TestCacheLifecycle:
             [FaultRule(op="read", pattern="frag-*.bin", times=None)]
         )
         with inject(plan):
-            out = store.read_points(coords, options=ReadOptions(parallel="thread"))
+            out = store.read_points(coords)
         assert out.found.all()
         assert store.cache.misses == misses_after_cold
         assert store.cache.hits >= 3

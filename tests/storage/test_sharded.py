@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Box, ReadOptions, SparseTensor, StoreOptions, available_formats
+from repro import Box, SparseTensor, StoreOptions, available_formats
 from repro.core.errors import ManifestError, ShapeError
 from repro.storage import (
     FragmentStore,
@@ -21,6 +21,9 @@ from repro.storage import (
     is_sharded_dir,
 )
 from repro.storage.sharded import SHARD_MANIFEST_NAME, SHARD_RANGE_NAME
+
+from ..conftest import read_as
+from .test_wal import _open_fds_under, needs_proc_fd
 
 SHAPE = (24, 24, 24)
 
@@ -367,12 +370,13 @@ class TestDifferentialReads:
         assert_reads_identical(reopened, single)
 
     def test_identical_with_parallel_reads(self, tmp_path):
+        """Two concurrent callers read what a single store reads."""
         sharded, single = build_pair(tmp_path)
         rng = np.random.default_rng(11)
         q = np.column_stack(
             [rng.integers(0, m, size=100) for m in SHAPE]
         ).astype(np.uint64)
-        a = sharded.read_points(q, options=ReadOptions(parallel="thread"))
+        a = read_as("thread", lambda: sharded.read_points(q))
         b = single.read_points(q)
         assert np.array_equal(a.found, b.found)
         assert np.array_equal(a.values, b.values)
@@ -482,24 +486,37 @@ class TestSplitMerge:
 
 
 class TestRebandingLifecycle:
-    def test_split_merge_and_fsck_leave_no_packer_threads(self, tmp_path):
+    @needs_proc_fd
+    def test_split_merge_and_fsck_leave_no_packer_threads(
+        self, tmp_path, monkeypatch
+    ):
+        """``split``, ``merge`` and ``fsck`` close the children they drop:
+        after ``close()`` no descriptor stays open under the store and no
+        thread it started is left."""
+        opened = []  # keeps every child alive, so an unclosed one shows
+        init = FragmentStore.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            opened.append(self)
+
+        monkeypatch.setattr(FragmentStore, "__init__", tracked)
         before = set(threading.enumerate())
-        store = ShardedStore(
-            tmp_path / "s", (16, 16), "LINEAR", n_shards=2,
-            options=StoreOptions(wal_pack_interval=0.05),
-        )
+        store = ShardedStore(tmp_path / "s", (16, 16), "LINEAR", n_shards=2)
         coords = np.array([[1, 1], [2, 2], [3, 3], [9, 9]], dtype=np.uint64)
         store.write(coords, np.arange(4.0))
+        store.write(coords, np.arange(4.0) + 1)  # opens the manifest logs
+        store.append(coords[:2], np.ones(2))     # opens WAL segments
+        assert _open_fds_under(tmp_path) >= 2
         store.split(0)
         store.merge(0)
         store.read_points(coords)  # opens every band's child
+        store.append(coords, np.ones(4))
         store.fsck(repair=True)    # drops (and must close) the children
         store.close()
-        leaked = [
-            t.name for t in set(threading.enumerate()) - before
-            if t.name.startswith("wal-packer:")
-        ]
-        assert leaked == []
+        assert len(opened) > 2
+        assert _open_fds_under(tmp_path) == 0
+        assert set(threading.enumerate()) - before == set()
 
     @pytest.mark.parametrize("op", ["split", "merge"])
     def test_unpacked_tail_moves_with_the_band(self, tmp_path, op):

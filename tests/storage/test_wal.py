@@ -3,7 +3,7 @@
 import json
 import os
 import struct
-import time
+import threading
 import zlib
 from pathlib import Path
 
@@ -387,18 +387,19 @@ class TestStoreAppend:
             sharded.pack_wal()
 
     def test_background_packer(self, tmp_path, rng):
+        """There is none: appended points stay in the WAL until
+        ``pack_wal`` packs them, and the store starts no thread."""
+        with pytest.raises(TypeError):
+            StoreOptions(wal_pack_interval=0.05)
+        before = set(threading.enumerate())
         c, v = chunk(rng, 30)
-        store = FragmentStore(
-            tmp_path / "ds", SHAPE, "LINEAR",
-            options=StoreOptions(wal_pack_interval=0.05),
-        )
+        store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR")
         try:
             store.append(c, v)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if store.wal_stats()["points"] == 0:
-                    break
-                time.sleep(0.02)
+            assert store.wal_stats()["points"] == 30
+            assert store.fragments == ()
+            assert set(threading.enumerate()) == before
+            store.pack_wal()
             assert store.wal_stats()["points"] == 0
             assert len(store.fragments) == 1
         finally:
@@ -430,10 +431,58 @@ class TestStoreAppend:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             StoreOptions(wal_segment_bytes=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # no background packer to time
             StoreOptions(wal_pack_interval=0)
         with pytest.raises(ValueError):
             StoreOptions(retain_generations=-1)
+
+
+class TestWriteAfterAppend:
+    """A write is newer than the appends before it, on every write path:
+    it packs the unpacked tail first, so the tail never overlays it."""
+
+    @pytest.mark.parametrize(
+        "kind", ["write", "write_many", "write_canonical", "adaptive",
+                 "sharded"],
+    )
+    def test_write_after_append_reads_the_write(self, tmp_path, kind):
+        from repro.build import CanonicalCoords
+
+        cell = np.array([[3, 4]], dtype=np.uint64)
+        directory = tmp_path / "s"
+        if kind == "sharded":
+            store = ShardedStore(directory, SHAPE, "LINEAR", n_shards=2)
+        elif kind == "adaptive":
+            store = AdaptiveStore(directory, SHAPE)
+        else:
+            store = FragmentStore(directory, SHAPE, "LINEAR")
+        store.append(cell, np.array([1.0]))
+        newer = np.array([2.0])
+        if kind == "write_many":
+            store.write_many([(cell, newer)])
+        elif kind == "write_canonical":
+            store.write_canonical(CanonicalCoords.from_coords(cell, SHAPE), newer)
+        else:
+            store.write(cell, newer)
+        assert store.wal_stats()["points"] == 0  # packed first
+        for _ in range(2):  # before and after an explicit pack
+            assert store.read_points(cell).values.tolist() == [2.0]
+            assert store.read_box(Box((0, 0), SHAPE)).values.tolist() == [2.0]
+            store.pack_wal()
+        store.close()
+        if kind == "sharded":
+            reopened = ShardedStore(directory, SHAPE, "LINEAR")
+        else:
+            reopened = FragmentStore(directory, SHAPE, "LINEAR")
+        assert reopened.read_points(cell).values.tolist() == [2.0]
+        reopened.close()
+
+    def test_a_write_that_fails_to_package_packs_nothing(self, tmp_path):
+        store = FragmentStore(tmp_path / "s", SHAPE, "LINEAR")
+        store.append(np.array([[1, 1]], dtype=np.uint64), np.ones(1))
+        with pytest.raises(ShapeError):
+            store.write(np.zeros((1, 3), dtype=np.uint64), np.ones(1))
+        assert store.wal_stats()["points"] == 1 and store.fragments == ()
 
 
 def _open_fds_under(directory: Path) -> int:

@@ -47,7 +47,7 @@ EXPECTED_PUBLIC_API = sorted([
     "fold_to_scipy", "from_scipy", "to_scipy",
     "AdaptiveStore", "StreamingWriter", "convert_store",
     "BlockedDataset", "FragmentCache", "FragmentStore",
-    "FsckReport", "RetryPolicy", "fsck",
+    "FsckReport", "fsck",
     "ReadOptions", "ShardedStore", "StoreOptions", "StoreSnapshot",
     "MigrationDecision", "MigrationPolicy",
     "direct_convert", "register_kernel", "registered_pairs",

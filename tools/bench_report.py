@@ -10,10 +10,10 @@ history is a dataset rather than folklore.
 
 Currently recorded:
 
-* ``read_planner`` (``benchmarks/bench_planner.py``) — plan-on/off x
-  crc_mode point/box times and the headline speedups;
+* ``read_planner`` (``benchmarks/bench_planner.py``) — plan-on/off
+  point/box times and the headline speedups;
 * ``parallel_read`` (``benchmarks/bench_parallel_read.py``) — cold vs
-  warm-cache read times;
+  warm-cache read times (the cache alone; both read inline);
 * ``sharded_store`` (``benchmarks/bench_sharded.py``) — hot-region
   reads and parallel compaction across shard counts;
 * ``wal_ingest`` (``benchmarks/bench_wal_ingest.py``) — small-chunk
