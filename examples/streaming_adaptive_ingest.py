@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Streaming ingest into an adaptive store, then compaction.
+"""Streaming ingest in an organization the advisor picked, then compaction.
 
-Puts three of the library's storage-layer features together in the shape of
-a real acquisition pipeline:
+Puts the library's storage-layer features together in the shape of a real
+acquisition pipeline:
 
-1. :class:`~repro.storage.streaming.StreamingWriter` batches a producer's
-   appends into fragments,
-2. :class:`~repro.storage.adaptive.AdaptiveStore` picks each fragment's
-   organization from its measured sparsity (the paper's §VI future work),
+1. :func:`~repro.patterns.stats.characterize` measures the first burst's
+   sparsity and :func:`~repro.analysis.advisor.recommend` ranks the
+   organizations for it (the paper's Table IV scoring; §VI leaves the
+   automatic choice to future work, so here it is one explicit call),
+2. :class:`~repro.storage.streaming.StreamingWriter` batches the
+   producer's appends into fragments of a plain
+   :class:`~repro.storage.store.FragmentStore` in that organization,
 3. :meth:`~repro.storage.store.FragmentStore.compact` folds the fragment
    backlog into one for fast steady-state reads, and
-4. :func:`~repro.storage.convert.convert_store` migrates the whole dataset
-   to a different organization after the fact.
+4. :func:`~repro.storage.convert.convert_store` re-encodes the whole
+   dataset in a different organization after the fact.
 
 Run:  python examples/streaming_adaptive_ingest.py
 """
@@ -23,37 +26,45 @@ from pathlib import Path
 import numpy as np
 
 from repro import Box
-from repro.analysis import BALANCED
-from repro.patterns import GSPPattern, TSPPattern
-from repro.storage import AdaptiveStore, StreamingWriter, convert_store
+from repro.analysis import BALANCED, recommend
+from repro.patterns import GSPPattern, TSPPattern, characterize
+from repro.storage import FragmentStore, StreamingWriter, convert_store
 
 SHAPE = (128, 128, 128)
 
 
-def event_stream(rng):
+def bursts(rng):
     """Alternate clustered bursts (banded) and diffuse background events."""
     for burst in range(6):
         if burst % 2 == 0:
-            tensor = TSPPattern(SHAPE, band_width=1).generate(rng)
+            yield TSPPattern(SHAPE, band_width=1).generate(rng)
         else:
-            tensor = GSPPattern(SHAPE, threshold=0.999).generate(rng)
-        # The producer emits in small chunks, as a DAQ would.
-        for lo in range(0, tensor.nnz, 500):
-            yield tensor.coords[lo : lo + 500], tensor.values[lo : lo + 500]
+            yield GSPPattern(SHAPE, threshold=0.999).generate(rng)
+
+
+def chunks(tensor):
+    """The producer emits in small chunks, as a DAQ would."""
+    for lo in range(0, tensor.nnz, 500):
+        yield tensor.coords[lo : lo + 500], tensor.values[lo : lo + 500]
 
 
 def main() -> None:
     rng = np.random.default_rng(99)
     root = Path(tempfile.mkdtemp(prefix="ingest-"))
     try:
-        store = AdaptiveStore(root / "live", SHAPE, workload=BALANCED)
+        stream = bursts(rng)
+        first = next(stream)
+        rec = recommend(characterize(first), BALANCED)
+        print(f"first burst: {first.nnz:,} points; advisor ranking "
+              f"{' < '.join(rec.order())}")
+
+        store = FragmentStore(root / "live", SHAPE, rec.best)
         with StreamingWriter(store, pack_points=20_000) as writer:
-            for coords, values in event_stream(rng):
-                writer.append(coords, values)
+            for tensor in (first, *stream):
+                for coords, values in chunks(tensor):
+                    writer.append(coords, values)
         print(f"ingested {writer.points_written:,} points as "
-              f"{writer.fragments_written} fragments")
-        print(f"organizations chosen per fragment: "
-              f"{store.format_histogram()}")
+              f"{writer.fragments_written} {store.format_name} fragments")
 
         probe = Box((32, 32, 32), (16, 16, 16))
         before = store.read_box(probe)

@@ -19,7 +19,7 @@ Quickstart
 >>> bool(out.found[0]), bool(out.found[1])
 (True, False)
 
-Every queryable object — in-memory encodings, fragment stores, adaptive
+Every queryable object — in-memory encodings, fragment stores, sharded
 stores, blocked datasets — shares this ``read_points``/``read_box`` API
 (:mod:`repro.readapi`), and the hot paths feed an always-on metrics layer
 (:mod:`repro.obs`; see ``repro stats`` and ``obs.snapshot()``).
@@ -69,23 +69,17 @@ from .patterns import (
 from .interop import fold_to_scipy, from_scipy, to_scipy
 from .io import load_dataset, read_matrix_market, read_tns, write_matrix_market, write_tns
 from .storage import (
-    AdaptiveStore,
     BlockedDataset,
     FragmentCache,
     FragmentStore,
     FsckReport,
-    MigrationDecision,
-    MigrationPolicy,
     ReadOptions,
     ShardedStore,
     StoreOptions,
     StoreSnapshot,
     StreamingWriter,
     convert_store,
-    direct_convert,
     fsck,
-    register_kernel,
-    registered_pairs,
 )
 
 __version__ = "1.0.0"
@@ -135,22 +129,16 @@ __all__ = [
     "fold_to_scipy",
     "from_scipy",
     "to_scipy",
-    "AdaptiveStore",
     "StreamingWriter",
     "convert_store",
     "BlockedDataset",
     "FragmentCache",
     "FragmentStore",
     "FsckReport",
-    "MigrationDecision",
-    "MigrationPolicy",
     "ReadOptions",
     "ShardedStore",
     "StoreOptions",
     "StoreSnapshot",
-    "direct_convert",
     "fsck",
-    "register_kernel",
-    "registered_pairs",
     "__version__",
 ]

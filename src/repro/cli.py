@@ -24,14 +24,7 @@
     canonical-intermediate counters, ``--shards`` adds the
     per-shard band table for a ``ShardedStore``, and ``--wal``
     exercises the durable append path and prints the write-ahead-log
-    section — ``store.wal.*`` counters plus the live log footprint;
-    ``--migration`` prints the format-migration section: direct-kernel
-    counters plus the per-fragment workload ledger).
-``migrate``
-    Re-format a store's fragments in place — ``--to FORMAT`` for an
-    explicit target, or (default) a policy-driven sweep scoring each
-    fragment's observed workload from ``workload.json`` (``--dry-run``
-    prints the decisions without migrating).
+    section — ``store.wal.*`` counters plus the live log footprint).
 ``fsck``
     Verify a store: every fragment's header and CRC checked against the
     manifest, drift reported (missing/extra/corrupt/stale temp files),
@@ -293,101 +286,6 @@ def _render_wal_section(store) -> str:
     return "\n".join(lines)
 
 
-def _render_migration_section(store) -> str:
-    """The ``repro stats --migration`` section: ledger + kernel counters."""
-    from . import obs
-    from .bench.report import render_table
-
-    counters: dict[str, float] = {}
-    for c in obs.snapshot()["counters"]:
-        counters[c["name"]] = counters.get(c["name"], 0) + c["value"]
-    lines = ["format migration (direct kernels + workload ledger)"]
-    lines.append(
-        f"  conversions  direct {int(counters.get('migrate.direct', 0))}  "
-        f"fallback {int(counters.get('migrate.fallback', 0))}"
-    )
-    lines.append(
-        f"  fragments    migrated "
-        f"{int(counters.get('store.migrate.fragments', 0))}  "
-        f"no-op {int(counters.get('store.migrate.noop', 0))}"
-    )
-    ledger = getattr(store, "workload_ledger", None)
-    if ledger is None:
-        lines.append("  (sharded store: per-fragment ledgers live per shard)")
-        return "\n".join(lines)
-    entries = ledger.snapshot()
-    if not entries:
-        lines.append("  workload ledger empty (no reads observed yet)")
-        return "\n".join(lines)
-    fmt_by_name = {f.path.name: f.format_name for f in store.fragments}
-    rows = [
-        [name, fmt_by_name.get(name, "retired"), w.point_reads, w.box_reads,
-         f"{w.selectivity:.1%}", w.writes, f"{w.load_seconds * 1e3:.1f}ms"]
-        for name, w in sorted(entries.items())
-    ]
-    table = render_table(
-        ["fragment", "format", "pt-reads", "box-reads", "selectivity",
-         "writes", "load"],
-        rows,
-        title="workload ledger (persisted as workload.json)",
-        formatters={2: str, 3: str, 5: str},
-    )
-    lines.append("")
-    lines.append(table)
-    return "\n".join(lines)
-
-
-def cmd_migrate(args: argparse.Namespace) -> int:
-    from .analysis.advisor import ANALYTICAL, ARCHIVAL, BALANCED
-    from .storage.migrate import MigrationPolicy, plan_migrations
-    from .storage.options import StoreOptions
-    from .storage.sharded import ShardedStore
-
-    store, _ = _open_stats_store(args, StoreOptions())
-    if not store.fragments:
-        print(f"store {args.store} has no fragments", file=sys.stderr)
-        return 1
-
-    if args.to:
-        targets = [
-            (i, f.format_name) for i, f in enumerate(store.fragments)
-            if f.format_name != args.to
-        ]
-        if args.dry_run:
-            for i, current in targets:
-                print(f"  fragment {i}: {current} -> {args.to}")
-            print(f"would migrate {len(targets)} fragment(s) to {args.to}")
-            return 0
-        infos = store.migrate_all(args.to)
-        print(f"migrated {len(infos)} fragment(s) to {args.to} "
-              f"({len(store.fragments) - len(infos)} already there)")
-        return 0
-
-    if isinstance(store, ShardedStore):
-        print("policy-driven migration needs a flat store's workload "
-              "ledger; pass --to FORMAT for sharded stores",
-              file=sys.stderr)
-        return 1
-    workload = {"balanced": BALANCED, "archival": ARCHIVAL,
-                "analytical": ANALYTICAL}[args.workload]
-    policy = MigrationPolicy(
-        min_reads=args.min_reads, hysteresis=args.hysteresis
-    )
-    decisions = plan_migrations(store, workload=workload, policy=policy)
-    for d in decisions:
-        verdict = (f"-> {d.target_format}" if d.migrate
-                   else f"keep ({d.reason})")
-        print(f"  fragment {d.index}: {d.current_format} {verdict}")
-    winners = [d for d in decisions if d.migrate]
-    if args.dry_run:
-        print(f"would migrate {len(winners)} of {len(decisions)} fragment(s)")
-        return 0
-    for d in winners:
-        store.migrate_fragment(d.index, d.target_format)
-    print(f"migrated {len(winners)} of {len(decisions)} fragment(s)")
-    return 0
-
-
 def _render_compression_section(store) -> str:
     """The ``repro stats --compression`` section: bytes-on-disk per codec."""
     from . import obs
@@ -498,7 +396,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     wal_section = None
     compression_section = None
     compression_stats = None
-    migration_section = None
 
     if args.store:
         store, cache = _open_stats_store(args, store_options)
@@ -537,8 +434,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if args.compression:
             compression_section = _render_compression_section(store)
             compression_stats = store.compression_stats()
-        if args.migration:
-            migration_section = _render_migration_section(store)
         title = f"repro observability — store {args.store}"
     else:
         # Self-contained demo: two disjoint fragments, so the read shows
@@ -586,14 +481,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             if args.compression:
                 compression_section = _render_compression_section(store)
                 compression_stats = store.compression_stats()
-            if args.migration:
-                # Two hops so both migrate.* paths have data: the
-                # unsorted demo payloads rebuild canonically, then the
-                # now-canonical fragments take a direct kernel.
-                store.migrate_all("GCSR++")
-                store.migrate_all("COO-SORTED")
-                store.read_points(low[: max(1, n // 2)])
-                migration_section = _render_migration_section(store)
         kind = "4-shard" if args.shards else "2-fragment"
         title = (f"repro observability — demo round-trip "
                  f"({args.format}, {kind}, {n} points per write)")
@@ -640,9 +527,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if compression_section is not None:
             print()
             print(compression_section)
-        if migration_section is not None:
-            print()
-            print(migration_section)
         if args.plan:
             print()
             print(_render_plan_section(plan_summary, plan_addr_order))
@@ -748,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compression", action="store_true",
                    help="report bytes-on-disk per codec chain (and, for "
                         "the demo store, write through the cascade)")
-    p.add_argument("--migration", action="store_true",
-                   help="print a format-migration section (direct-kernel "
-                        "counters plus the per-fragment workload ledger)")
     p.add_argument("--wal", action="store_true",
                    help="also print the write-ahead-log section "
                         "(store.wal.* counters + live log footprint); "
@@ -759,24 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the metrics snapshot as JSON")
     p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("migrate",
-                       help="re-format store fragments in place")
-    p.add_argument("store", help="store directory (flat or sharded)")
-    p.add_argument("--to", default=None, metavar="FORMAT",
-                   help="explicit target organization; omit for a "
-                        "policy-driven sweep from the workload ledger")
-    p.add_argument("-w", "--workload", default="balanced",
-                   choices=["balanced", "archival", "analytical"],
-                   help="base workload the ledger observations specialize")
-    p.add_argument("--min-reads", type=int, default=4,
-                   help="observed reads required before migrating (default 4)")
-    p.add_argument("--hysteresis", type=float, default=0.1,
-                   help="relative cost margin the winner must clear "
-                        "(default 0.1)")
-    p.add_argument("--dry-run", action="store_true",
-                   help="print decisions without migrating")
-    p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser("fsck",
                        help="verify/repair a store (sharded auto-detected)")

@@ -453,15 +453,11 @@ class EncodedTensor:
     def convert(self, fmt) -> "EncodedTensor":
         """Re-encode this payload in another organization.
 
-        Dispatches through the direct-conversion kernel registry first
-        (:mod:`repro.storage.migrate`): hot pairs transcribe
-        payload→payload with vectorized ops and zero re-sorting,
-        producing byte-identical output to the canonical path below.
-
-        The canonical fallback goes payload -> canonical -> payload:
-        the source format emits its points as a sorted linear-address
-        run (:meth:`SparseFormat.extract_addresses`), the target builds
-        from that :class:`~repro.build.canonical.CanonicalCoords` — no
+        Every pair of organizations takes the one canonical path,
+        payload -> canonical -> payload: the source format emits its
+        points as a sorted linear-address run
+        (:meth:`SparseFormat.extract_addresses`), the target builds from
+        that :class:`~repro.build.canonical.CanonicalCoords` — no
         :class:`SparseTensor` is materialized, the sort is never repaid
         (the run is already ordered), and address-only targets (LINEAR)
         never even delinearize.  Points come back in canonical (linear
@@ -472,13 +468,9 @@ class EncodedTensor:
         from ..build.canonical import CanonicalCoords
         from ..core.dtypes import fits_index_dtype
         from ..core.linearize import fits_addr_order
-        from ..storage.migrate import direct_convert
         from .registry import resolve_format
 
         fmt = resolve_format(fmt)
-        direct = direct_convert(self, fmt)
-        if direct is not None:
-            return direct
         # Preserve the source payload's address order when the target can
         # carry it (order-free targets accept any canonical order).
         addr_order = meta_addr_order(self.meta)

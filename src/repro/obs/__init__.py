@@ -3,10 +3,8 @@
 The paper's contribution is *measurement* (Table I op counts, Fig 3/4/5
 trajectories), but benchmarks only see what the harness times.  This
 subsystem gives the production paths — format encode/read, fragment
-write/read/compact, overlap pruning, batch writes, the adaptive
-advisor — first-class counters, gauges, and latency histograms, feeding the
-same workload statistics that drive format selection
-(:mod:`repro.analysis.advisor`).
+write/read/compact, overlap pruning, batch writes — first-class
+counters, gauges, and latency histograms.
 
 Quick tour::
 
@@ -62,17 +60,11 @@ files removed by :meth:`~repro.storage.store.FragmentStore.gc`), and
 the ``store.wal.bytes`` gauge (live log footprint).  ``repro stats
 --wal`` prints a WAL section from these plus ``store.wal_stats()``.
 
-Format migration (:mod:`repro.storage.migrate`) records
-``migrate.direct`` / ``migrate.fallback`` (conversions served by a
-direct payload→payload kernel vs the canonical rebuild, labelled
-``src``/``dst``), ``store.migrate.fragments`` (fragments re-formatted
-in place), and ``store.migrate.noop`` (migrations skipped because the
-fragment already had the target format).  The *workload ledger*
-(:mod:`repro.obs.workload`) is this layer's per-fragment counterpart:
-per-fragment read/write counts, point-vs-box mix, query selectivity and
-load time, persisted beside the store manifest as ``workload.json`` and
-consumed by the online migration policy.  ``repro stats --store DIR
---migration`` prints both.
+Explicit format migration (:meth:`~repro.storage.store.FragmentStore.
+migrate_fragment`) records ``store.migrate.fragments`` (fragments
+re-formatted in place, labelled ``src``/``dst``) and
+``store.migrate.noop`` (migrations skipped because the fragment already
+had the target format).
 """
 
 from .metrics import (
@@ -95,12 +87,8 @@ from .metrics import (
     to_json,
 )
 from .spans import NULL_SPAN, Span, span
-from .workload import LEDGER_VERSION, FragmentWorkload, WorkloadLedger
 
 __all__ = [
-    "LEDGER_VERSION",
-    "FragmentWorkload",
-    "WorkloadLedger",
     "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",

@@ -2,8 +2,7 @@
 
 Every queryable object in the library — an in-memory
 :class:`~repro.formats.base.EncodedTensor`, an on-disk
-:class:`~repro.storage.store.FragmentStore` (and its
-:class:`~repro.storage.adaptive.AdaptiveStore` subclass), and a
+:class:`~repro.storage.store.FragmentStore`, and a
 :class:`~repro.storage.blocks.BlockedDataset` — answers queries through the
 same two methods:
 
@@ -21,8 +20,7 @@ StoreSnapshot`, :class:`~repro.storage.sharded.ShardedSnapshot` — see
 is equally agnostic to whether it reads the live store or a snapshot.
 
 The storage-backed implementations (:class:`~repro.storage.store.
-FragmentStore`, :class:`~repro.storage.adaptive.AdaptiveStore`,
-:class:`~repro.storage.blocks.BlockedDataset`,
+FragmentStore`, :class:`~repro.storage.blocks.BlockedDataset`,
 :class:`~repro.storage.sharded.ShardedStore` and both snapshot views)
 additionally share one keyword-only *tuning surface* on both methods —
 a single ``options=``\\ :class:`~repro.storage.options.ReadOptions`

@@ -14,8 +14,7 @@ substrate level — every organization inherits it:
     ``fsync`` on, the directory is fsync'd after the rename as well: a
     rename lives in the directory, and until the directory reaches the
     disk a power loss can undo it.  Every JSON document the store commits
-    (manifests, shard sidecars, the workload ledger) is encoded by
-    :func:`encode_manifest`.
+    (manifests and shard sidecars) is encoded by :func:`encode_manifest`.
 
 **Manifest log.**
     A store's manifest is ``manifest.json``, a *checkpoint* of the whole
@@ -794,14 +793,16 @@ def fsck(
     moved to ``.quarantine/`` (never silently dropped), the log's commits
     are folded into ``manifest.json`` and the log emptied (a corrupt log
     is quarantined instead), and the manifest is rewritten atomically
-    with a bumped generation.  A readable extra is recovered into the
-    manifest (appended in name order) only when its sequence number (the
+    with a bumped generation.  A readable extra's sequence number is the
     file name's, or the one a migration's replacement took over, which
-    its header records) is above every listed and retired fragment's
-    file sequence number: a fragment that a committed one follows is
-    superseded (a compaction source, a replaced fragment, or a write
-    whose commit failed), and relisting it as the newest would bring its
-    stale values back.  Superseded extras are quarantined instead.
+    its header records (and its recovered entry keeps as ``seq``).
+    Recovered extras are appended in (sequence number, file name) order,
+    so a replacement lands in its original's slot, and only when that
+    number is above every listed and retired fragment's file sequence
+    number: a fragment that a committed one follows is superseded (a
+    compaction source, a replaced fragment, or a write whose commit
+    failed), and relisting it as the newest would bring its stale values
+    back.  Superseded extras are quarantined instead.
 
     When the store has a write-ahead log (a ``wal/`` subdirectory), every
     segment is scanned too: torn tails are reported (and truncated back to
@@ -914,14 +915,16 @@ def fsck(
                 issue.repaired = "quarantined"
             report.issues.append(issue)
 
-    # Fragment files on disk the manifest does not know about.
-    recovered: list[dict[str, Any]] = []
+    # Fragment files on disk the manifest does not know about, recovered
+    # as ``(sequence number, file name, entry)``.
+    recovered: list[tuple[int, str, dict[str, Any]]] = []
     newest = max(map(_file_seq, listed_names), default=-1)
     for path in sorted(directory.glob("frag-*.bin")):
         if path.name in listed_names:
             continue
         header, reason = _verify_fragment_file(path, None, None)
-        if reason is None and _claimed_seq(path.name, header) <= newest:
+        claimed = None if reason else _claimed_seq(path.name, header)
+        if claimed is not None and claimed <= newest:
             issue = FsckIssue(
                 "extra", path.name,
                 f"superseded: older than listed frag-{newest:06d}.bin",
@@ -929,7 +932,7 @@ def fsck(
             if repair:
                 quarantine_file(directory, path, reason="fsck: superseded")
                 issue.repaired = "quarantined"
-        elif reason is None:
+        elif claimed is not None:
             issue = FsckIssue(
                 "extra", path.name, "valid fragment missing from manifest"
             )
@@ -960,7 +963,9 @@ def fsck(
                 )
                 if addr_order:
                     entry["addr_order"] = str(addr_order)
-                recovered.append(entry)
+                if claimed != _file_seq(path.name):
+                    entry["seq"] = claimed
+                recovered.append((claimed, path.name, entry))
                 issue.repaired = "recovered"
         else:
             issue = FsckIssue(
@@ -1036,7 +1041,9 @@ def fsck(
                     log.close()
         rebuilt = dict(manifest_meta)
         rebuilt["generation"] = generation + 1
-        rebuilt["fragments"] = surviving + recovered
+        rebuilt["fragments"] = surviving + [
+            entry for _, _, entry in sorted(recovered, key=lambda r: r[:2])
+        ]
         if surviving_retired:
             rebuilt["retired"] = surviving_retired
         write_bytes_atomic(

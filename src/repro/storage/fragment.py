@@ -28,6 +28,7 @@ from ..formats.base import (
 from ..formats.registry import get_format
 from ..obs import counter_add, gauge_set, get_registry, is_enabled, span
 from .durability import (
+    _file_seq,
     fragment_file_crc,
     read_bytes,
     write_bytes_atomic,
@@ -137,10 +138,7 @@ class FragmentInfo:
         """The logical write sequence (explicit ``seq`` or the file name's)."""
         if self.seq is not None:
             return int(self.seq)
-        import re
-
-        m = re.search(r"frag-(\d+)", self.path.name)
-        return int(m.group(1)) if m else 0
+        return _file_seq(self.path.name)
 
     @classmethod
     def from_header(cls, path: Path, header: dict[str, Any]) -> "FragmentInfo":
@@ -157,6 +155,8 @@ class FragmentInfo:
             or meta.get("addr_order")
             or "row_major"
         )
+        # A rewrite's header records the slot it took over.
+        seq = extra.get("seq")
         return cls(
             path=path,
             format_name=header["format"],
@@ -166,6 +166,7 @@ class FragmentInfo:
             nbytes=path.stat().st_size if path.exists() else 0,
             codecs=codecs,
             raw_nbytes=raw_nbytes,
+            seq=None if seq is None else int(seq),
             addr_order=addr_order,
         )
 
@@ -287,9 +288,8 @@ def load_fragment(
 
 
 def payload_encoded(payload: FragmentPayload) -> EncodedTensor:
-    """A loaded fragment as the :class:`EncodedTensor` the conversion
-    kernels take — the source of every format and address-order
-    rewrite."""
+    """A loaded fragment as an :class:`EncodedTensor` — the source of
+    every format and address-order rewrite."""
     return EncodedTensor(
         fmt=get_format(payload.format_name),
         shape=tuple(int(m) for m in payload.shape),

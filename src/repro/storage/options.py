@@ -8,8 +8,7 @@ sprawl into two frozen dataclasses:
 
 :class:`StoreOptions`
     Construction-time tuning shared by :class:`~repro.storage.store.
-    FragmentStore`, :class:`~repro.storage.adaptive.AdaptiveStore`,
-    :class:`~repro.storage.blocks.BlockedDataset` and
+    FragmentStore`, :class:`~repro.storage.blocks.BlockedDataset` and
     :class:`~repro.storage.sharded.ShardedStore`, passed as one
     ``options=`` keyword.
 :class:`ReadOptions`
@@ -28,7 +27,8 @@ rather than on the first degraded read.  Use :func:`dataclasses.replace`
 ``options=`` is the only way to pass these settings;
 ``docs/API_GUIDE.md`` §3 lists the bare keywords it replaced and the
 settings since removed (``retry``, ``crc_mode``, ``wal_pack_interval``,
-``parallel``, ``max_workers``), which now raise ``TypeError``.
+``parallel``, ``max_workers``, ``migrate``), which now raise
+``TypeError``; ``addr_order="auto"`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -37,24 +37,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
+from ..core.linearize import ADDRESS_ORDERS
+
 #: Read-side corruption policies (``StoreOptions.on_corruption``).
 CORRUPTION_POLICIES = ("raise", "skip", "quarantine")
 
-#: Workload-adaptive format-migration policies (``StoreOptions.migrate``).
-#: ``"off"`` never re-formats committed fragments; ``"compact"`` runs the
-#: migration sweep after ``compact()`` / ``pack_wal()``; ``"auto"``
-#: additionally sweeps opportunistically after reads.  Honored by
-#: :class:`~repro.storage.adaptive.AdaptiveStore` (plain stores accept
-#: the option but only migrate when asked explicitly).
-MIGRATE_POLICIES = ("off", "compact", "auto")
-
-#: Address-order settings (``StoreOptions.addr_order``).  ``"row_major"``
-#: and ``"alto"`` pin the store's linearization order; ``"auto"`` starts
-#: from the persisted (or row-major) order and lets the workload ledger
-#: re-order box-heavy stores during ``compact()`` / ``pack_wal()``.
-#: ``None`` adopts the order recorded in an existing manifest and
-#: defaults to ``"row_major"`` for fresh stores.
-ADDR_ORDER_SETTINGS = ("row_major", "alto", "auto")
 
 
 @dataclass(frozen=True)
@@ -101,25 +88,14 @@ class StoreOptions:
         time-travel; ``0`` deletes superseded fragments immediately
         (unless a live snapshot pins them).  ``store.gc()`` trims the
         retained set back to this depth.
-    migrate:
-        Workload-adaptive format migration, one of
-        :data:`MIGRATE_POLICIES` (``"off"`` / ``"compact"`` /
-        ``"auto"``).  With ``"compact"``, :class:`~repro.storage.
-        adaptive.AdaptiveStore` re-scores every fragment against its
-        observed workload after ``compact()`` / ``pack_wal()`` and
-        re-formats the winners through the direct-conversion kernels;
-        ``"auto"`` additionally sweeps opportunistically after reads.
-        See ``docs/FORMAT_MIGRATION.md``.
     addr_order:
-        Linearization order of the store's address space, one of
-        :data:`ADDR_ORDER_SETTINGS` (``"row_major"`` / ``"alto"`` /
-        ``"auto"``) or ``None`` (adopt the manifest's persisted order;
+        Linearization order of the store's address space, ``"row_major"``
+        or ``"alto"``, or ``None`` (adopt the manifest's persisted order;
         ``"row_major"`` for fresh stores — bit-identical to the
         pre-ALTO layout).  ``"alto"`` interleaves the coordinate bits
         adaptively per shape so every mode stays locality-preserving
-        (box reads prune fragments in all dimensions); ``"auto"``
-        re-orders box-heavy stores from the workload ledger during
-        ``compact()`` / ``pack_wal()``.  See
+        (box reads prune fragments in all dimensions).  The order changes
+        only when asked: ``store.set_addr_order``.  See
         ``docs/ADDRESS_ORDERS.md``.
     """
 
@@ -132,7 +108,6 @@ class StoreOptions:
     wal_segment_bytes: int = 4 << 20
     wal_fsync: bool | None = None
     retain_generations: int = 0
-    migrate: str = "off"
     addr_order: str | None = None
 
     def __post_init__(self) -> None:
@@ -147,17 +122,12 @@ class StoreOptions:
             raise ValueError("wal_segment_bytes must be >= 1")
         if int(self.retain_generations) < 0:
             raise ValueError("retain_generations must be >= 0")
-        if self.migrate not in MIGRATE_POLICIES:
-            raise ValueError(
-                f"migrate must be one of {MIGRATE_POLICIES}, "
-                f"got {self.migrate!r}"
-            )
         if (
             self.addr_order is not None
-            and self.addr_order not in ADDR_ORDER_SETTINGS
+            and self.addr_order not in ADDRESS_ORDERS
         ):
             raise ValueError(
-                f"addr_order must be None or one of {ADDR_ORDER_SETTINGS}, "
+                f"addr_order must be None or one of {ADDRESS_ORDERS}, "
                 f"got {self.addr_order!r}"
             )
 

@@ -216,11 +216,11 @@ class ShardedStore:
         # Bands are cut in the active order's address space, fixed for
         # the store's lifetime: the band table IS a partition of that
         # space, so changing the order would invalidate every cut.
-        # ``None``/``"auto"`` adopt the committed order (row-major for
-        # new and legacy stores); an explicit order is honored on
-        # creation and must match the manifest on reopen.
+        # ``None`` adopts the committed order (row-major for new and
+        # legacy stores); an explicit order is honored on creation and
+        # must match the manifest on reopen.
         committed = persisted.get("addr_order") or DEFAULT_ADDRESS_ORDER
-        if opts.addr_order in (None, "auto"):
+        if opts.addr_order is None:
             resolved_order = committed
         else:
             resolved_order = validate_addr_order(opts.addr_order)
@@ -383,12 +383,9 @@ class ShardedStore:
         self._save_parent_manifest()
 
     def _child_options(self) -> StoreOptions:
-        """Child-store options pinned to the parent's address order.
-
-        Children never resolve the order themselves (``"auto"`` would
-        let a child drift from the band space), so every fragment and
-        zone map in every shard lives in the parent's order.
-        """
+        """Child-store options pinned to the parent's address order, so
+        every fragment and zone map in every shard lives in the band
+        space."""
         if self.options.addr_order == self.addr_order:
             return self.options
         return self.options.replace(addr_order=self.addr_order)
@@ -684,9 +681,8 @@ class ShardedStore:
         """Re-format every fragment of every shard to ``format_name``.
 
         Delegates to each child's
-        :meth:`~repro.storage.store.FragmentStore.migrate_all` (direct
-        payload→payload kernels when registered, canonical fallback
-        otherwise).  Like :meth:`compact`, each child commits
+        :meth:`~repro.storage.store.FragmentStore.migrate_all`.  Like
+        :meth:`compact`, each child commits
         independently — a crash mid-sweep leaves a mixed-format store
         that reads bit-identically.
         """

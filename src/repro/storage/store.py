@@ -90,7 +90,6 @@ from ..core.tensor import SparseTensor
 from ..formats.base import EncodedTensor, SparseFormat, meta_addr_order
 from ..formats.registry import get_format, resolve_format
 from ..obs import counter_add, observe, span
-from ..obs.workload import WorkloadLedger
 from ..readapi import ReadOutcome
 from .durability import (
     MANIFEST_LOG_NAME as _MANIFEST_LOG,
@@ -159,10 +158,6 @@ _SETTINGS = (
 #: Bytes the manifest log may hold before a commit checkpoints, when the
 #: checkpoint itself is smaller.
 MANIFEST_LOG_FLOOR = 64 << 10
-
-#: Per-fragment workload ledger file, beside the manifest (advisory —
-#: drives the migration policy, never consulted by reads).
-WORKLOAD_LEDGER_NAME = "workload.json"
 
 
 @dataclass
@@ -265,12 +260,10 @@ class FragmentStore:
         if resolved_codec is None:
             resolved_codec = persisted.get("codec") or "raw"
         self.codec = validate_codec(resolved_codec)
-        # The address order resolves like the codec: ``None`` (and the
-        # workload-driven ``"auto"`` policy) adopts the order persisted
-        # in an existing manifest; fresh stores default to row-major —
-        # bit-identical to the pre-ALTO layout.
-        self._addr_auto = opts.addr_order == "auto"
-        if opts.addr_order in (None, "auto"):
+        # The address order resolves like the codec: ``None`` adopts the
+        # order persisted in an existing manifest; fresh stores default
+        # to row-major — bit-identical to the pre-ALTO layout.
+        if opts.addr_order is None:
             resolved_order = (
                 persisted.get("addr_order") or DEFAULT_ADDRESS_ORDER
             )
@@ -342,11 +335,6 @@ class FragmentStore:
         else:
             self.rescan()
         self._next_seq = self._scan_next_seq()
-        #: Observed per-fragment workload (advisory; feeds the migration
-        #: policy).  Loaded best-effort: a damaged ledger resets to empty.
-        self.workload_ledger = WorkloadLedger.load(
-            self.directory / WORKLOAD_LEDGER_NAME
-        )
         if self._linearizable and wal_path(self.directory).is_dir():
             with self._rw.write_locked():
                 self._ensure_wal_locked()
@@ -687,12 +675,16 @@ class FragmentStore:
     def rescan(self) -> None:
         """Rebuild the manifest from fragment file headers on disk.
 
-        Recovery path for a lost or damaged manifest.  Stale ``*.tmp``
-        files are ignored (and cleaned), and unreadable or truncated
-        fragments are *skipped with a warning* instead of aborting the
-        rebuild — one torn trailing fragment must not take down the whole
-        store.  Skipped files are counted in ``store.rescan_skipped``; run
-        ``repro fsck --repair`` to quarantine them properly.
+        Recovery path for a lost or damaged manifest.  Fragments are
+        listed in (sequence number, file name) order: the number is the
+        file name's, or, for a migration's replacement, the slot its
+        header records, so newest-wins reads keep the order the lost
+        manifest had.  Stale ``*.tmp`` files are ignored (and cleaned),
+        and unreadable or truncated fragments are *skipped with a
+        warning* instead of aborting the rebuild — one torn trailing
+        fragment must not take down the whole store.  Skipped files are
+        counted in ``store.rescan_skipped``; run ``repro fsck --repair``
+        to quarantine them properly.
         """
         with self._rw.write_locked():
             clean_temp_files(self.directory)
@@ -716,6 +708,7 @@ class FragmentStore:
                 fragments.append(info)
             if skipped:
                 counter_add("store.rescan_skipped", skipped)
+            fragments.sort(key=lambda f: (f.effective_seq(), f.path.name))
             with self._state_lock:
                 self._fragments = fragments
                 # Headers carry no zone maps; let the first planned read
@@ -841,17 +834,6 @@ class FragmentStore:
         )
         return self._package(canon, values)
 
-    def _format_for(
-        self, canon: CanonicalCoords, values: np.ndarray
-    ) -> SparseFormat:
-        """The organization one fragment is built in: the store's own.
-
-        :class:`~repro.storage.adaptive.AdaptiveStore` overrides this
-        with its advisor pick.  It runs inside the packaging step, which
-        may be on a pool thread, so it must take no store lock.
-        """
-        return self.fmt
-
     def _package(
         self,
         canon: CanonicalCoords,
@@ -862,8 +844,8 @@ class FragmentStore:
         """Algorithm 3 WRITE up to the file: the one packaging step.
 
         Store-order canonical, bounding box, relative rebase, BUILD in
-        the :meth:`_format_for` organization, value reorg by ``map``,
-        zone map.  Takes no store lock (see :meth:`write_many`).
+        the store's organization, value reorg by ``map``, zone map.
+        Takes no store lock (see :meth:`write_many`).
         """
         values = np.asarray(values)
         if canon.shape != self.shape:
@@ -872,7 +854,7 @@ class FragmentStore:
             )
         if values.shape[0] != canon.n:
             raise ShapeError("values must align with coords")
-        fmt = self._format_for(canon, values)
+        fmt = self.fmt
         if canon.addr_order != self.addr_order:
             # Callers that pre-built their canonical in another order
             # (a WAL pack merges row-major, convert_store feeds the
@@ -937,8 +919,6 @@ class FragmentStore:
             self._fragments.extend(infos)
             self._delta.add.extend(infos)
         self._save_manifest(written=infos)
-        for info in infos:
-            self.workload_ledger.record_write(info.path.name)
         return receipts
 
     def _write_parts_locked(
@@ -1076,19 +1056,16 @@ class FragmentStore:
         Merges every logged chunk, the active segment's included, through
         the canonical intermediate (newest-wins — the packed fragment
         reads bit-identically to the tail it replaces) and commits it
-        through the shared packaging step (so :class:`~repro.storage.
-        adaptive.AdaptiveStore` still picks the fragment's format).
-        Commit order is manifest-then-delete: the fragment's manifest
-        entry lands before any segment file is unlinked, so a crash in
-        the window leaves duplicate points that the read merge already
-        absorbs.  The writer lock keeps appends out until every segment
-        is gone, so the active segment needs no seal first.  Returns
-        ``None`` when the WAL holds no points.
+        through the shared packaging step.  Commit order is
+        manifest-then-delete: the fragment's manifest entry lands before
+        any segment file is unlinked, so a crash in the window leaves
+        duplicate points that the read merge already absorbs.  The
+        writer lock keeps appends out until every segment is gone, so
+        the active segment needs no seal first.  Returns ``None`` when
+        the WAL holds no points.
         """
         with self._rw.write_locked():
-            receipt = self._pack_wal_locked()
-            self._maybe_migrate_addr_order_locked()
-            return receipt
+            return self._pack_wal_locked()
 
     def _pack_wal_locked(self) -> WriteReceipt | None:
         """:meth:`pack_wal` under the writer lock.
@@ -1130,8 +1107,8 @@ class FragmentStore:
             return wal.stats()
 
     def close(self) -> None:
-        """Close the WAL's open segment file, fold the manifest log into
-        ``manifest.json`` and persist the workload ledger.  Idempotent.
+        """Close the WAL's open segment file and fold the manifest log
+        into ``manifest.json``.  Idempotent.
 
         Appended-but-unpacked points stay durable in the WAL; the next
         open replays them.  Stores are also context managers::
@@ -1151,28 +1128,6 @@ class FragmentStore:
                     except OSError:
                         pass
                 self._close_manifest_log()
-        self._save_workload_ledger()
-
-    def _save_workload_ledger(self) -> None:
-        """Persist the workload ledger beside the manifest (best-effort).
-
-        Called at compact, migrate and close — never per read or per
-        pack.  The ledger is advisory: a crash loses the observations
-        since the last save, and an I/O failure here is swallowed —
-        losing observations must not fail the operation that triggered
-        the save.
-        """
-        ledger = self.workload_ledger
-        if not ledger.dirty:
-            return
-        with self._state_lock:
-            keep = {f.path.name for f in self._fragments}
-            keep.update(f.path.name for f in self._retired)
-        ledger.prune(keep)
-        try:
-            ledger.save(self.directory / WORKLOAD_LEDGER_NAME)
-        except OSError:  # pragma: no cover - advisory persistence
-            pass
 
     def __enter__(self) -> "FragmentStore":
         return self
@@ -1330,7 +1285,6 @@ class FragmentStore:
             doomed = self._retire_locked([frag])
         self._save_manifest(written=[info])
         self._unlink(doomed)
-        self.workload_ledger.carry_over(frag.path.name, info.path.name)
         return info
 
     def gc(self, *, keep_generations: int | None = None) -> int:
@@ -1584,11 +1538,7 @@ class FragmentStore:
         payload = self.cache.get(frag.path.name)
         if payload is not None:
             return payload
-        t0 = time.perf_counter()
         payload = load_fragment(frag.path, crc=frag.crc)
-        self.workload_ledger.record_load(
-            frag.path.name, time.perf_counter() - t0
-        )
         self.cache.put(frag.path.name, payload)
         return payload
 
@@ -1685,8 +1635,7 @@ class FragmentStore:
                 plan = self._plan_read(keys.bbox(), "points", keys=keys)
                 outcome = self._execute_points(
                     keys, plan, self._wal_tail(), ropts,
-                    on_corruption=self.on_corruption,
-                    ledger=self.workload_ledger, ops=sp.ops,
+                    on_corruption=self.on_corruption, ops=sp.ops,
                 )
                 sp.add_nnz(outcome.points_matched)
         self._record_pruning(plan)
@@ -1702,7 +1651,6 @@ class FragmentStore:
         ropts: ReadOptions,
         *,
         on_corruption: str,
-        ledger: WorkloadLedger | None = None,
         ops: OpCounter | None = None,
     ) -> ReadOutcome:
         """Run one planned point READ — the executor behind every store
@@ -1750,7 +1698,7 @@ class FragmentStore:
             )
             return rows, res, vals
 
-        for frag, result in self._run_fragment_tasks(
+        for _, result in self._run_fragment_tasks(
             plan.fragments, point_task, on_corruption=on_corruption,
         ):
             if result is None:
@@ -1761,10 +1709,6 @@ class FragmentStore:
             hit = rows[res.found]
             found[hit] = True
             out_values[hit] = vals
-            if ledger is not None:
-                ledger.record_point_read(
-                    frag.path.name, queried=rows.size, matched=hit.size
-                )
         # WAL tail overlay: the unpacked tail is newer than every
         # committed fragment, so its hits overwrite — exactly as if the
         # tail were one final appended fragment.  It lives in row-major
@@ -1887,9 +1831,7 @@ class FragmentStore:
                 f"strategy must be 'merge' or 'decode', got {strategy!r}"
             )
         with self._rw.write_locked():
-            receipt = self._compact_locked(strategy)
-            self._maybe_migrate_addr_order_locked()
-            return receipt
+            return self._compact_locked(strategy)
 
     def _compact_locked(self, strategy: str = "merge") -> WriteReceipt:
         if not self._fragments:
@@ -1960,13 +1902,8 @@ class FragmentStore:
                 doomed = self._retire_locked(merged_from)
             self._save_manifest(checkpoint=True, written=[receipt.info])
             self._unlink(doomed)
-            self.workload_ledger.record_write(receipt.info.path.name)
             sp.add_nnz(nnz)
-        self.workload_ledger.merge_into(
-            [f.path.name for f in merged_from], receipt.info.path.name
-        )
         counter_add("store.fragments_compacted", n_before)
-        self._save_workload_ledger()
         return receipt
 
     def _merge_order(self) -> str:
@@ -2059,14 +1996,13 @@ class FragmentStore:
         organization).
 
         Loads the fragment's payload and converts it through
-        :meth:`~repro.formats.base.EncodedTensor.convert` — which
-        dispatches to a registered direct kernel when the pair has one
-        (:mod:`repro.storage.migrate`) and falls back to the canonical
-        path otherwise — then commits the replacement under a fresh file
-        name.  The bounding box and zone map carry over unchanged (the
-        point set is identical; they describe the data, not the layout)
-        and the replacement pins the old fragment's logical ``seq``, so
-        the newest-wins shadowing order — including for generation
+        :meth:`~repro.formats.base.EncodedTensor.convert` (the canonical
+        path: extract a sorted address run, rebuild in the target), then
+        commits the replacement under a fresh file name.  The bounding
+        box and zone map carry over unchanged (the point set is
+        identical; they describe the data, not the layout) and the
+        replacement pins the old fragment's logical ``seq``, so the
+        newest-wins shadowing order — including for generation
         snapshots — is preserved.
 
         Crash safety follows the store's standard protocol: the new file
@@ -2108,7 +2044,6 @@ class FragmentStore:
         counter_add(
             "store.migrate.fragments", src=frag.format_name, dst=fmt.name
         )
-        self._save_workload_ledger()
         return info
 
     def migrate_all(
@@ -2136,13 +2071,13 @@ class FragmentStore:
         """Re-linearize the store into ``addr_order``.
 
         Every live fragment whose tag differs is rewritten: order-bearing
-        payloads (LINEAR, COO-SORTED) re-linearize through the registered
-        address kernels (:mod:`repro.storage.migrate`), order-independent
-        payloads keep their bytes, and the zone map is *rebuilt* in the
-        new space either way.  Each fragment commits independently under
-        the standard crash protocol (new file → manifest switch → retire
-        old), so a crash mid-way leaves a mixed-order store that reads
-        bit-identically; the store-level ``addr_order`` key commits last.
+        payloads (LINEAR, COO-SORTED) are rebuilt from their points
+        extracted in the new order, order-independent payloads keep their
+        bytes, and the zone map is *rebuilt* in the new space either way.
+        Each fragment commits independently under the standard crash
+        protocol (new file → manifest switch → retire old), so a crash
+        mid-way leaves a mixed-order store that reads bit-identically;
+        the store-level ``addr_order`` key commits last.
         Returns the number of fragments rewritten.
         """
         validate_addr_order(addr_order)
@@ -2170,9 +2105,7 @@ class FragmentStore:
                 changed += 1
         if self.addr_order != addr_order:
             self.addr_order = addr_order
-            self.options = self.options.replace(
-                addr_order="auto" if self._addr_auto else addr_order
-            )
+            self.options = self.options.replace(addr_order=addr_order)
             # Commit the store-level order switch (also re-tags any
             # fragment entries updated above a second time — harmless).
             self._save_manifest()
@@ -2189,8 +2122,6 @@ class FragmentStore:
         Commits through :meth:`_replace_fragment_locked`, as format
         migration does.
         """
-        from .migrate import convert_addr_order
-
         with self._state_lock:
             frag = self._fragments[index]
         payload = self._load_fragment_guarded(frag)
@@ -2200,7 +2131,7 @@ class FragmentStore:
             "store.addr_order.migrate",
             src=frag.addr_order, dst=addr_order,
         ) as sp:
-            converted = convert_addr_order(payload_encoded(payload), addr_order)
+            converted = self._relinearize(payload_encoded(payload), addr_order)
             extra = dict(payload.extra)
             if addr_order == DEFAULT_ADDRESS_ORDER:
                 extra.pop("addr_order", None)
@@ -2227,36 +2158,31 @@ class FragmentStore:
         )
         return info
 
-    def _maybe_migrate_addr_order_locked(self) -> None:
-        """Workload-driven order switch (``StoreOptions.addr_order="auto"``).
+    @staticmethod
+    def _relinearize(
+        encoded: EncodedTensor, addr_order: str
+    ) -> EncodedTensor:
+        """Re-express a payload in another address order.
 
-        Consulted after ``compact()`` / ``pack_wal()`` — the moments the
-        store is already rewriting fragments, so a switch is cheapest.
-        The decision comes from the aggregate read mix in the workload
-        ledger (:func:`repro.storage.migrate.decide_addr_order`):
-        box-heavy ledgers flip to ALTO, point-heavy ledgers revert, with
-        hysteresis so an oscillating mix never thrashes.
+        Order-independent payloads (COO, CSF, HiCOO, GCSR++/GCSC++) do
+        not depend on the canonical sort's address space and pass through
+        untouched; order-bearing ones (LINEAR, COO-SORTED) extract their
+        points as a sorted run in ``addr_order`` and rebuild from it.
         """
-        if not self._addr_auto:
-            return
-        from .migrate import MigrationPolicy, decide_addr_order
-
-        box_reads = 0
-        point_reads = 0
-        for load in self.workload_ledger.snapshot().values():
-            box_reads += load.box_reads
-            point_reads += load.point_reads
-        target = decide_addr_order(
-            self.addr_order, box_reads, point_reads, MigrationPolicy()
-        )
-        if target is None or target == self.addr_order:
-            return
+        fmt = encoded.fmt
         if (
-            target != DEFAULT_ADDRESS_ORDER
-            and not fits_addr_order(self.shape, target)
+            fmt.payload_orders is None
+            or meta_addr_order(encoded.meta) == addr_order
         ):
-            return
-        self._set_addr_order_locked(target)
+            return encoded
+        addresses, order = fmt.extract_addresses(
+            encoded.payload, encoded.meta, encoded.shape, order=addr_order
+        )
+        canon = CanonicalCoords.from_addresses(
+            addresses, encoded.shape, is_sorted=True, addr_order=addr_order
+        )
+        values = encoded.values if order is None else encoded.values[order]
+        return fmt.encode_canonical(canon, values)
 
     def fsck(self, *, repair: bool = False) -> FsckReport:
         """Verify (and with ``repair=True`` restore) store integrity.
@@ -2316,7 +2242,6 @@ class FragmentStore:
                 parts = self._execute_box(
                     keys, plan, self._wal_tail(), ropts,
                     on_corruption=self.on_corruption,
-                    ledger=self.workload_ledger,
                 )
                 sp.add_nnz(sum(hits.positions.size for hits, _ in parts))
         self._record_pruning(plan)
@@ -2330,7 +2255,6 @@ class FragmentStore:
         ropts: ReadOptions,
         *,
         on_corruption: str,
-        ledger: WorkloadLedger | None = None,
     ) -> list:
         """Run one planned box READ up to its merge — the executor behind
         every store, snapshot and shard-band box read
@@ -2364,17 +2288,12 @@ class FragmentStore:
                 hits.coords = self._to_global(frag, hits.coords)
             return hits, payload.values[hits.positions]
 
-        parts = []
-        for frag, result in self._run_fragment_tasks(
-            plan.fragments, box_task, on_corruption=on_corruption,
-        ):
-            if result is None:
-                continue
-            parts.append(result)
-            if ledger is not None:
-                ledger.record_box_read(
-                    frag.path.name, matched=int(result[1].shape[0])
-                )
+        parts = [
+            result for _, result in self._run_fragment_tasks(
+                plan.fragments, box_task, on_corruption=on_corruption,
+            )
+            if result is not None
+        ]
         # The unpacked tail is newer than every fragment: it merges last.
         if tail is not None and tail.n:
             hits = tail.box_hits(keys.intervals(DEFAULT_ADDRESS_ORDER), box)

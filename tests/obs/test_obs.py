@@ -224,18 +224,16 @@ class TestInstrumentation:
         ).value
         assert ops > 0  # Table-I op accounting shares the span report path
 
-    def test_adaptive_decisions_counted(self, tmp_path):
-        from repro import AdaptiveStore
+    def test_migration_counted(self, tmp_path):
+        from repro import FragmentStore
 
-        rng = np.random.default_rng(5)
-        store = AdaptiveStore(tmp_path / "a", (32, 32))
-        coords = np.column_stack([
-            rng.integers(0, 32, size=300, dtype=np.uint64) for _ in range(2)
-        ])
-        store.write(coords, rng.random(300))
-        snap = obs.snapshot()
-        decisions = [
-            c for c in snap["counters"] if c["name"] == "adaptive.decisions"
-        ]
-        assert sum(c["value"] for c in decisions) == 1
-        assert decisions[0]["labels"]["format"] == store.choices[0]
+        store = FragmentStore(tmp_path / "m", (32, 32), "LINEAR")
+        coords = np.array([[1, 2], [3, 4]], dtype=np.uint64)
+        store.write(coords, np.ones(2))
+        assert store.migrate_fragment(0, "LINEAR") is None
+        store.migrate_fragment(0, "CSF")
+        reg = obs.get_registry()
+        assert reg.counter("store.migrate.noop", format="LINEAR").value == 1
+        assert reg.counter(
+            "store.migrate.fragments", src="LINEAR", dst="CSF"
+        ).value == 1

@@ -4,8 +4,7 @@ The serialization/compat side is pinned by the differential suite
 (``tests/property/test_differential.py::TestAddressOrderDifferential``)
 and the crash suite; this file covers the lifecycle contracts:
 option resolution and adoption on reopen, the ``set_addr_order``
-migration, the workload-driven ``addr_order="auto"`` policy, plan
-explainability, the codec-advisor diagnostics, and the sharded store's
+migration, plan explainability, the codec-advisor diagnostics, and the sharded store's
 order-pinned banding.
 """
 
@@ -17,7 +16,6 @@ from repro.core.errors import ManifestError, ShapeError
 from repro.core.tensor import SparseTensor
 from repro.storage import FragmentStore, StoreOptions
 from repro.storage.compression import advise_buffer
-from repro.storage.migrate import MigrationPolicy, decide_addr_order
 from repro.storage.sharded import ShardedStore
 from repro.testing import oracle_read_box
 
@@ -51,11 +49,8 @@ class TestOptionResolution:
             options=StoreOptions(addr_order="alto"),
         )
         store.write(coords, values)
-        for opts in (StoreOptions(), StoreOptions(addr_order="auto")):
-            reopened = FragmentStore(
-                tmp_path / "ds", SHAPE, "COO-SORTED", options=opts
-            )
-            assert reopened.addr_order == "alto"
+        reopened = FragmentStore(tmp_path / "ds", SHAPE, "COO-SORTED")
+        assert reopened.addr_order == "alto"
 
     def test_overflowing_shape_rejected_for_alto(self, tmp_path):
         wide = (1 << 22, 1 << 22, 1 << 22)  # 66 interleaved bits
@@ -97,43 +92,6 @@ class TestSetAddrOrder:
         store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR")
         store.write(coords, values)
         assert store.set_addr_order("row_major") == 0
-
-
-class TestAutoPolicy:
-    def test_decide_addr_order_thresholds(self):
-        policy = MigrationPolicy()
-        # Cold ledgers never move.
-        assert decide_addr_order("row_major", 7, 0, policy) is None
-        # Box-heavy ledgers pull to ALTO.
-        assert decide_addr_order("row_major", 8, 2, policy) == "alto"
-        assert decide_addr_order("alto", 8, 2, policy) is None
-        # Reverting needs the full hysteresis gap, not a near-tie.
-        assert decide_addr_order("alto", 4, 6, policy) is None
-        assert decide_addr_order("alto", 1, 9, policy) == "row_major"
-        assert decide_addr_order("row_major", 1, 9, policy) is None
-
-    def test_box_heavy_workload_triggers_migration(self, tmp_path):
-        coords, values = sample(seed=3)
-        store = FragmentStore(
-            tmp_path / "ds", SHAPE, "COO-SORTED",
-            options=StoreOptions(addr_order="auto"),
-        )
-        store.write(coords[:100], values[:100])
-        store.write(coords[100:], values[100:])
-        assert store.addr_order == "row_major"
-        box = Box((0, 0, 0), (16, 8, 4))
-        for _ in range(12):
-            store.read_box(box)
-        # The verdict lands at the next maintenance point, not mid-read.
-        store.compact()
-        assert store.addr_order == "alto"
-        assert all(f.addr_order == "alto" for f in store.fragments)
-        # A reopen with the same policy keeps the migrated order.
-        reopened = FragmentStore(
-            tmp_path / "ds", SHAPE, "COO-SORTED",
-            options=StoreOptions(addr_order="auto"),
-        )
-        assert reopened.addr_order == "alto"
 
 
 class TestExplain:

@@ -9,7 +9,7 @@ from repro import obs
 from repro.core import SparseTensor
 from repro.core.errors import FragmentError
 from repro.formats import available_formats
-from repro.storage import AdaptiveStore, FragmentStore, StoreOptions
+from repro.storage import FragmentStore, StoreOptions
 
 
 def counter_total(name: str) -> int:
@@ -238,23 +238,22 @@ class TestCodecPreservedOnCompact:
         assert out.found.all()
         np.testing.assert_array_equal(out.values, tensor_2d.values)
 
-    def test_mixed_format_adaptive_store_compacts(self, tmp_path, rng,
-                                                  metered):
-        """An adaptive store whose fragments use different formats must
-        merge-compact without decoding and re-pick the format."""
+    def test_mixed_format_store_compacts(self, tmp_path, rng, metered):
+        """A store whose fragments were migrated to different formats
+        must merge-compact without decoding, into the store's format."""
         shape = (30, 30, 30)
-        store = AdaptiveStore(tmp_path / "ds", shape,
+        store = FragmentStore(tmp_path / "ds", shape, "LINEAR",
                               options=StoreOptions(codec="zlib"))
         overlay = write_chunks(store, rng, n_chunks=4, n=200)
-        formats_before = {f.format_name for f in store.fragments}
+        for i, fmt in enumerate(("CSF", "GCSR++", "COO"), start=1):
+            store.migrate_fragment(i, fmt)
+        assert len({f.format_name for f in store.fragments}) == 4
         obs.reset()
         store.compact(strategy="merge")
         assert counter_total("store.full_tensor_decodes") == 0
         assert len(store.fragments) == 1
         assert store.codec == "zlib"
-        assert store.fragments[0].format_name in (
-            formats_before | set(available_formats())
-        )
+        assert store.fragments[0].format_name == "LINEAR"
         out = store.read_points(overlay.coords)
         assert out.found.all()
         np.testing.assert_array_equal(out.values, overlay.values)

@@ -1,14 +1,10 @@
-"""Unit tests for store conversion and the adaptive store."""
+"""Unit tests for store conversion (``convert_store``)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import ANALYTICAL, ARCHIVAL
-from repro.core import Box
 from repro.core.errors import FragmentError
-from repro.patterns import GSPPattern, TSPPattern
 from repro.storage import FragmentStore
-from repro.storage.adaptive import AdaptiveStore
 from repro.storage.convert import convert_store
 
 
@@ -63,67 +59,3 @@ class TestConvertStore:
         src.write_tensor(tensor_4d)
         dest = convert_store(src, tmp_path / "dst", "LINEAR")
         assert dest.total_file_nbytes < src.total_file_nbytes
-
-
-class TestAdaptiveStore:
-    def test_reads_work_across_mixed_formats(self, tmp_path):
-        shape = (96, 96, 96)
-        store = AdaptiveStore(tmp_path / "ds", shape, workload=ANALYTICAL)
-        clustered = TSPPattern(shape, band_width=1).generate(1)
-        uniform = GSPPattern(shape, threshold=0.995).generate(2)
-        store.write_tensor(clustered)
-        store.write_tensor(uniform)
-        assert len(store.choices) == 2
-        out = store.read_points(clustered.coords)
-        assert out.found.all()
-        out = store.read_points(uniform.coords)
-        assert out.found.all()
-        box = Box((0, 0, 0), (48, 96, 96))
-        got = store.read_box(box)
-        # The two patterns can collide on coordinates; the store dedups
-        # newest-wins, so the expectation is the merged union.
-        from repro.core import SparseTensor
-
-        merged = SparseTensor(
-            shape,
-            np.vstack([clustered.coords, uniform.coords]),
-            np.concatenate([clustered.values, uniform.values]),
-        ).deduplicated(keep="last")
-        assert got.same_points(merged.select_box(box).sorted_by_linear())
-
-    def test_never_picks_coo(self, tmp_path):
-        shape = (64, 64, 64)
-        store = AdaptiveStore(tmp_path / "ds", shape)
-        for seed in range(3):
-            store.write_tensor(GSPPattern(shape, threshold=0.99).generate(seed))
-        assert "COO" not in store.format_histogram()
-
-    def test_workload_changes_choices(self, tmp_path):
-        shape = (64, 64, 64)
-        tensor = GSPPattern(shape, threshold=0.99).generate(7)
-        archival = AdaptiveStore(tmp_path / "a", shape, workload=ARCHIVAL)
-        analytical = AdaptiveStore(tmp_path / "b", shape,
-                                   workload=ANALYTICAL)
-        archival.write_tensor(tensor)
-        analytical.write_tensor(tensor)
-        assert archival.choices[0] == "LINEAR"
-        assert analytical.choices[0] in ("CSF", "GCSR++", "GCSC++")
-
-    def test_candidate_restriction(self, tmp_path):
-        shape = (32, 32)
-        store = AdaptiveStore(
-            tmp_path / "ds", shape, candidates=("LINEAR", "COO")
-        )
-        store.write_tensor(GSPPattern(shape, threshold=0.9).generate(1))
-        assert store.choices[0] in ("LINEAR", "COO")
-
-    def test_manifest_reload_keeps_fragment_formats(self, tmp_path):
-        shape = (64, 64, 64)
-        store = AdaptiveStore(tmp_path / "ds", shape, workload=ANALYTICAL)
-        tensor = GSPPattern(shape, threshold=0.99).generate(3)
-        store.write_tensor(tensor)
-        picked = store.choices[0]
-        reloaded = FragmentStore(tmp_path / "ds", shape, "LINEAR")
-        assert reloaded.fragments[0].format_name == picked
-        out = reloaded.read_points(tensor.coords)
-        assert out.found.all()

@@ -186,27 +186,22 @@ class TestDirectoryFsync:
 
 class TestManifestEncoding:
     def test_documents_are_compact(self, tmp_path):
-        store, coords, _ = make_store(tmp_path / "ds")
-        store.read_points(coords)
+        store, _, _ = make_store(tmp_path / "ds")
         store.close()
-        for name in ("manifest.json", "workload.json"):
-            blob = (tmp_path / "ds" / name).read_bytes()
-            assert b"\n" not in blob and b'": ' in blob
-            assert blob == encode_manifest(json.loads(blob))
+        blob = (tmp_path / "ds" / "manifest.json").read_bytes()
+        assert b"\n" not in blob and b'": ' in blob
+        assert blob == encode_manifest(json.loads(blob))
 
     def test_indented_documents_open_and_read_unchanged(self, tmp_path):
-        """Every store written before the compact encoding has indented
-        manifests and ledgers; they open, read and update unchanged."""
+        """Every store written before the compact encoding has an
+        indented manifest; it opens, reads and updates unchanged."""
         directory = tmp_path / "ds"
         store, coords, values = make_store(directory)
         store.write(coords[:5], values[:5] + 1.0)
-        store.read_points(coords)
         store.close()
-        ledger = json.loads((directory / "workload.json").read_text())
-        for name in ("manifest.json", "workload.json"):
-            path = directory / name
-            doc = json.loads(path.read_text())
-            path.write_text(json.dumps(doc, indent=1) + "\n")
+        path = directory / "manifest.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(doc, indent=1) + "\n")
 
         reopened = FragmentStore(directory, (32, 32), "LINEAR")
         assert len(reopened.fragments) == 2
@@ -215,8 +210,6 @@ class TestManifestEncoding:
         expected = values.copy()
         expected[:5] += 1.0
         np.testing.assert_array_equal(out.values, expected)
-        for name, entry in ledger["fragments"].items():
-            assert reopened.workload_ledger.get(name).writes == entry["writes"]
         reopened.compact()
         reopened.close()
         assert b"\n" not in (directory / "manifest.json").read_bytes()
@@ -499,6 +492,36 @@ class TestStaleDataStaysGone:
         [issue] = report.issues_of("extra")
         assert issue.name == "frag-000002.bin"
         assert "superseded" in issue.detail
+        assert self._read(directory) == [2.0]
+
+    @pytest.mark.parametrize("rebuild", ["rescan", "fsck"])
+    def test_lost_manifest_keeps_a_migrated_fragment_in_its_slot(
+        self, tmp_path, rebuild
+    ):
+        """A migration's replacement takes a higher file number but holds
+        the older write's points: a rebuild without the manifest orders
+        it by the slot its header records, not by its file name."""
+        directory = tmp_path / "ds"
+        store = self._two_writes(directory)
+        store.migrate_fragment(0, "COO")
+        store.close()
+        (directory / "manifest.json").unlink()
+        (directory / "manifest.log").unlink()
+        if rebuild == "fsck":
+            report = fsck(directory, repair=True)
+            assert len(report.issues_of("extra")) == 2
+            entries = load_manifest(directory).doc["fragments"]
+            assert [(e["file"], e.get("seq")) for e in entries] == [
+                ("frag-000002.bin", 0), ("frag-000001.bin", None),
+            ]
+        # Without a manifest the constructor runs rescan().
+        reopened = FragmentStore(directory, (8, 8), "LINEAR")
+        assert [f.path.name for f in reopened.fragments] == [
+            "frag-000002.bin", "frag-000001.bin",
+        ]
+        assert reopened.fragments[0].seq == 0
+        assert reopened.read_points(self.CELL).values.tolist() == [2.0]
+        reopened.close()
         assert self._read(directory) == [2.0]
 
     def test_fsck_recovers_an_orphan_newer_than_every_listed(self, tmp_path):

@@ -1,42 +1,40 @@
-"""Workload-adaptive format migration: kernels, policy, ledger, stores.
+"""Format migration: one conversion path, explicit store rewrites.
 
-The heart of the suite is :class:`TestMigrationDifferential`: every
-registered direct-conversion kernel must produce **byte-identical**
-payloads to the canonical (extract_addresses → CanonicalCoords → build)
-path, and every store-level migration must read **bit-identically**
+Every conversion runs through :meth:`~repro.formats.base.EncodedTensor.
+convert`'s canonical path (extract_addresses → CanonicalCoords →
+build).  :class:`TestConvertRoundTrip` checks it over every ordered pair
+of registered organizations; :class:`TestMigrationDifferential` checks
+that every explicit store-level migration reads **bit-identically**
 before and after — across codecs, planner settings, and store kinds
 (including :class:`~repro.storage.sharded.ShardedStore`).
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from repro.analysis.advisor import ARCHIVAL, BALANCED
 from repro.build.canonical import CanonicalCoords
 from repro.core import Box, SparseTensor
-from repro.formats.registry import get_format, resolve_format
-from repro.obs.workload import FragmentWorkload, WorkloadLedger
+from repro.formats import available_formats
+from repro.formats.base import meta_addr_order
+from repro.formats.registry import get_format
 from repro.storage import (
-    AdaptiveStore,
     FragmentStore,
-    MigrationPolicy,
     ShardedStore,
     StoreOptions,
     convert_store,
-    direct_convert,
-    get_kernel,
-    registered_pairs,
+    fsck,
 )
-from repro.storage.store import WORKLOAD_LEDGER_NAME
 
-#: Shapes whose CSF dimension permutation is identity (ascending extents)
-#: so every registered kernel — CSF pairs included — actually fires.
 SHAPE_3D = (48, 64, 96)
 SHAPE_2D = (96, 128)
 
-HOT_PAIRS = registered_pairs()
+#: Mixed extents, so CSF's dimension permutation is not the identity.
+ROUND_TRIP_SHAPE = (40, 96, 64)
+
+PAIRS = list(itertools.product(available_formats(), repeat=2))
 
 
 def make_tensor(shape, n, seed=7) -> SparseTensor:
@@ -48,90 +46,68 @@ def make_tensor(shape, n, seed=7) -> SparseTensor:
     return SparseTensor(shape, coords, rng.standard_normal(n))
 
 
-def canonical_convert(enc, fmt):
-    """The registry-free reference: payload → canonical run → payload."""
-    fmt = resolve_format(fmt)
-    addresses, order = enc.fmt.extract_addresses(
-        enc.payload, enc.meta, enc.shape
-    )
-    canon = CanonicalCoords.from_addresses(
-        addresses, enc.shape, is_sorted=True
-    )
-    values = enc.values if order is None else enc.values[order]
-    return fmt.encode_canonical(canon, values)
+def round_trip_source(kind: str) -> SparseTensor:
+    """The input of one round trip: ``many`` (duplicates included, the
+    later write newest), ``single``, ``empty``, or ``alto`` (``many``
+    encoded in ALTO order)."""
+    if kind == "empty":
+        return SparseTensor.empty(ROUND_TRIP_SHAPE)
+    if kind == "single":
+        return SparseTensor(
+            ROUND_TRIP_SHAPE, np.array([[3, 90, 17]], dtype=np.uint64),
+            np.array([2.5]),
+        )
+    rng = np.random.default_rng(7)
+    coords = np.column_stack([
+        rng.integers(0, m, 600, dtype=np.uint64) for m in ROUND_TRIP_SHAPE
+    ])
+    coords = np.vstack([coords, coords[:150]])
+    return SparseTensor(ROUND_TRIP_SHAPE, coords, rng.standard_normal(750))
 
 
-def assert_encoded_identical(got, want):
-    """Payload buffers, dtypes, meta, and value alignment all match."""
-    assert got.fmt.name == want.fmt.name
-    assert got.nnz == want.nnz
-    assert set(got.payload) == set(want.payload)
-    for key in want.payload:
-        g, w = np.asarray(got.payload[key]), np.asarray(want.payload[key])
-        assert g.dtype == w.dtype, f"{key}: {g.dtype} != {w.dtype}"
-        assert g.shape == w.shape, f"{key}: {g.shape} != {w.shape}"
-        assert np.array_equal(g, w), f"buffer {key} differs"
-    assert json.dumps(got.meta, sort_keys=True, default=str) == json.dumps(
-        want.meta, sort_keys=True, default=str
-    )
-    assert np.array_equal(got.values, want.values)
+def lex_sorted(tensor: SparseTensor) -> tuple[np.ndarray, np.ndarray]:
+    order = np.lexsort(tensor.coords.T[::-1])
+    return tensor.coords[order], tensor.values[order]
+
+
+class TestConvertRoundTrip:
+    """``EncodedTensor.convert`` over every ordered pair of organizations."""
+
+    @pytest.mark.parametrize("kind", ["many", "single", "empty", "alto"])
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
+    def test_decodes_to_newest_wins(self, pair, kind):
+        src_name, dst_name = pair
+        tensor = round_trip_source(kind)
+        order = "alto" if kind == "alto" else "row_major"
+        src_fmt = get_format(src_name)
+        enc = src_fmt.encode_canonical(
+            CanonicalCoords.from_coords(
+                tensor.coords, tensor.shape, addr_order=order
+            ),
+            tensor.values,
+        )
+        out = enc.convert(dst_name)
+        assert out.fmt.name == dst_name
+        assert out.nnz == tensor.nnz  # duplicates are kept, not dropped
+        if out.fmt.payload_orders is not None and (
+            src_fmt.payload_orders is not None
+        ):
+            # An order-bearing source's order carries over.
+            assert meta_addr_order(out.meta) == order
+        want = tensor.deduplicated(keep="last")
+        got = out.decode().deduplicated(keep="last")
+        want_coords, want_values = lex_sorted(want)
+        got_coords, got_values = lex_sorted(got)
+        assert np.array_equal(got_coords, want_coords)
+        assert np.array_equal(got_values, want_values)
+        if want.nnz:
+            read = out.read_points(want.coords)
+            assert read.found.all()
+            assert np.array_equal(read.values, want.values)
 
 
 class TestMigrationDifferential:
-    """Kernels vs canonical, byte for byte; stores bit-identical."""
-
-    @pytest.mark.parametrize("pair", HOT_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
-    @pytest.mark.parametrize("shape", [SHAPE_2D, SHAPE_3D], ids=["2d", "3d"])
-    def test_kernel_matches_canonical(self, pair, shape):
-        src_name, dst_name = pair
-        tensor = make_tensor(shape, 2500)
-        enc = get_format(src_name).encode(tensor)
-        want = canonical_convert(enc, dst_name)
-        got = direct_convert(enc, dst_name)
-        assert got is not None, f"kernel {pair} refused an eligible payload"
-        assert_encoded_identical(got, want)
-        # The public entry point must take the same path.
-        assert_encoded_identical(enc.convert(dst_name), want)
-
-    @pytest.mark.parametrize("pair", HOT_PAIRS, ids=lambda p: f"{p[0]}->{p[1]}")
-    def test_kernel_small_and_single_point(self, pair):
-        src_name, dst_name = pair
-        for n in (1, 17):
-            enc = get_format(src_name).encode(make_tensor(SHAPE_3D, n, seed=n))
-            want = canonical_convert(enc, dst_name)
-            got = direct_convert(enc, dst_name)
-            assert got is not None
-            assert_encoded_identical(got, want)
-
-    def test_unregistered_pair_falls_back_correctly(self):
-        assert get_kernel("GCSR++", "CSF") is None
-        tensor = make_tensor(SHAPE_3D, 1200)
-        enc = get_format("GCSR++").encode(tensor)
-        assert direct_convert(enc, "CSF") is None
-        out = enc.convert("CSF").decode()
-        assert np.array_equal(out.coords, tensor.coords)
-        assert np.array_equal(out.values, tensor.values)
-
-    def test_csf_non_identity_perm_falls_back(self):
-        # Descending extents → CSF sorts dimensions into a non-identity
-        # permutation; the CSF kernels must refuse and the canonical
-        # fallback must still convert correctly.
-        shape = (96, 64, 48)
-        tensor = make_tensor(shape, 1000)
-        enc = get_format("CSF").encode(tensor)
-        assert list(enc.meta["dim_perm"]) != sorted(enc.meta["dim_perm"]) or (
-            direct_convert(enc, "LINEAR") is not None
-        )
-        out = enc.convert("LINEAR").decode()
-        assert np.array_equal(out.coords, tensor.coords)
-        assert np.array_equal(out.values, tensor.values)
-
-    def test_empty_payload_falls_back_to_exact_empty(self):
-        empty = SparseTensor.empty(SHAPE_3D)
-        for src_name, dst_name in HOT_PAIRS:
-            enc = get_format(src_name).encode(empty)
-            want = canonical_convert(enc, dst_name)
-            assert_encoded_identical(enc.convert(dst_name), want)
+    """Stores read bit-identically before and after a migration."""
 
     @pytest.mark.parametrize("codec", ["raw", "cascade"])
     @pytest.mark.parametrize("planner", [True, False], ids=["plan", "noplan"])
@@ -266,218 +242,52 @@ class TestConvertStoreWalTail:
         assert np.array_equal(out.values, [99.0, 2.0])
 
 
-class TestWorkloadLedger:
-    def test_record_and_roundtrip(self, tmp_path):
-        ledger = WorkloadLedger()
-        ledger.record_point_read("a.bin", queried=10, matched=4)
-        ledger.record_box_read("a.bin", matched=25)
-        ledger.record_load("a.bin", 0.25)
-        ledger.record_write("b.bin")
-        assert ledger.dirty
-        path = tmp_path / "workload.json"
-        ledger.save(path)
-        assert not ledger.dirty
-        loaded = WorkloadLedger.load(path)
-        a = loaded.get("a.bin")
-        assert a.point_reads == 1 and a.box_reads == 1
-        assert a.points_queried == 10 and a.points_matched == 4
-        assert a.selectivity == pytest.approx(0.4)
-        assert a.reads == 2
-        assert a.load_seconds == pytest.approx(0.25)
-        assert loaded.get("b.bin").writes == 1
+class TestParentDirectories:
+    """Directories written before the migration loop was removed — a
+    ``workload.json`` ledger beside the manifest, fragments in several
+    organizations, retained generations — open as plain stores."""
 
-    def test_damaged_file_loads_empty(self, tmp_path):
-        path = tmp_path / "workload.json"
-        path.write_text("{ not json")
-        assert len(WorkloadLedger.load(path)) == 0
-        assert len(WorkloadLedger.load(tmp_path / "absent.json")) == 0
-
-    def test_merge_into_and_carry_over(self):
-        ledger = WorkloadLedger()
-        ledger.record_point_read("a.bin", queried=5, matched=5)
-        ledger.record_point_read("b.bin", queried=3, matched=1)
-        ledger.merge_into(["a.bin", "b.bin"], "merged.bin")
-        m = ledger.get("merged.bin")
-        assert m.point_reads == 2 and m.points_queried == 8
-        assert ledger.get("a.bin") is None
-        ledger.carry_over("merged.bin", "migrated.bin")
-        mig = ledger.get("migrated.bin")
-        assert mig.point_reads == 2 and mig.writes == 1
-        assert ledger.get("merged.bin") is None
-
-    def test_store_persists_ledger_at_durable_points(self, tmp_path):
-        tensor = make_tensor(SHAPE_2D, 600)
-        store = FragmentStore(tmp_path, SHAPE_2D, "COO-SORTED")
-        store.write_tensor(tensor)
-        store.read_points(tensor.coords[:50])
+    def test_opens_unchanged(self, tmp_path):
+        directory = tmp_path / "ds"
+        opts = StoreOptions(retain_generations=1)
+        tensor = make_tensor(SHAPE_3D, 1500, seed=5)
+        store = FragmentStore(directory, SHAPE_3D, "LINEAR", options=opts)
+        for part in np.array_split(np.arange(tensor.nnz), 3):
+            store.write(tensor.coords[part], tensor.values[part])
+        store.write(tensor.coords[:40], tensor.values[:40] + 1.0)
+        store.migrate_fragment(1, "CSF")
+        store.migrate_fragment(2, "GCSR++")
+        assert {f.format_name for f in store.fragments} == {
+            "LINEAR", "CSF", "GCSR++",
+        }
+        assert store._retired  # the migrated-away fragments are retained
+        box = Box((4, 8, 16), (30, 40, 60))
+        before_pts = store.read_points(tensor.coords)
+        before_box = store.read_box(box)
         store.close()
-        path = tmp_path / WORKLOAD_LEDGER_NAME
-        assert path.exists()
-        doc = json.loads(path.read_text())
-        (name, entry), = doc["fragments"].items()
-        assert entry["point_reads"] == 1
-        assert entry["points_queried"] == 50
-        # Reopen resumes the same history.
-        reopened = FragmentStore(tmp_path, SHAPE_2D, "COO-SORTED")
-        assert reopened.workload_ledger.get(name).point_reads == 1
+        # The v1 ledger schema, as the migration loop saved it.
+        ledger = {"version": 1, "fragments": {
+            f.path.name: {
+                "point_reads": 12, "box_reads": 3, "points_queried": 600,
+                "points_matched": 240, "load_seconds": 0.0125, "writes": 1,
+            } for f in store.fragments
+        }}
+        ledger_path = directory / "workload.json"
+        ledger_path.write_text(json.dumps(ledger, indent=1))
+        ledger_bytes = ledger_path.read_bytes()
 
-    def test_migration_carries_history_to_replacement(self, tmp_path):
-        tensor = make_tensor(SHAPE_2D, 600)
-        store = FragmentStore(tmp_path, SHAPE_2D, "COO-SORTED")
-        store.write_tensor(tensor)
-        for _ in range(3):
-            store.read_points(tensor.coords[:20])
-        old_name = store.fragments[0].path.name
-        info = store.migrate_fragment(0, "LINEAR")
-        assert info.path.name != old_name
-        carried = store.workload_ledger.get(info.path.name)
-        assert carried.point_reads == 3
-        assert store.workload_ledger.get(old_name) is None
-
-
-class TestMigrationPolicy:
-    def _recommendation(self, tensor, workload):
-        from repro.patterns.stats import characterize
-        from repro.storage.migrate import score_fragment
-
-        return score_fragment(characterize(tensor), workload)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MigrationPolicy(min_reads=-1)
-        with pytest.raises(ValueError):
-            MigrationPolicy(hysteresis=1.0)
-        with pytest.raises(ValueError):
-            MigrationPolicy(max_fragment_nnz=-5)
-
-    def test_cold_fragment_keeps_format(self):
-        from repro.storage.migrate import decide
-
-        rec = self._recommendation(make_tensor(SHAPE_3D, 500), BALANCED)
-        d = decide(0, "LINEAR", rec, FragmentWorkload(),
-                   MigrationPolicy(min_reads=4))
-        assert not d.migrate and "cold" in d.reason
-
-    def test_hysteresis_blocks_marginal_wins(self):
-        from repro.storage.migrate import decide
-
-        rec = self._recommendation(make_tensor(SHAPE_3D, 500), BALANCED)
-        stats = FragmentWorkload(point_reads=10, points_queried=100,
-                                 points_matched=100)
-        worst = rec.ranked[-1]
-        assert worst.combined > rec.ranked[0].combined
-        second_best = worst.format_name
-        eager = decide(0, second_best, rec, stats,
-                       MigrationPolicy(min_reads=1, hysteresis=0.0,
-                                       direct_only=False))
-        blocked = decide(0, second_best, rec, stats,
-                         MigrationPolicy(min_reads=1, hysteresis=0.99,
-                                         direct_only=False))
-        assert eager.migrate
-        assert not blocked.migrate and "hysteresis" in blocked.reason
-
-    def test_direct_only_restricts_targets(self):
-        from repro.storage.migrate import decide
-
-        rec = self._recommendation(make_tensor(SHAPE_3D, 500), BALANCED)
-        stats = FragmentWorkload(point_reads=10)
-        d = decide(0, "GCSR++", rec, stats,
-                   MigrationPolicy(min_reads=1, hysteresis=0.0,
-                                   direct_only=True))
-        if d.migrate:
-            assert get_kernel("GCSR++", d.target_format) is not None
-
-    def test_max_fragment_nnz_gate(self, tmp_path):
-        tensor = make_tensor(SHAPE_2D, 600)
-        store = AdaptiveStore(
-            tmp_path, SHAPE_2D,
-            policy=MigrationPolicy(min_reads=1, max_fragment_nnz=10),
-        )
-        store.write_tensor(tensor)
-        store.read_points(tensor.coords[:10])
-        (d,) = store.plan_migrations()
-        assert not d.migrate and "max_fragment_nnz" in d.reason
-
-
-class TestAdaptiveMigration:
-    def _shifted_store(self, directory, migrate="off"):
-        """ARCHIVAL picks LINEAR at write time; heavy selective point
-        reads shift the observed workload until GCSR++ wins."""
-        tensor = make_tensor((64, 64, 64), 3000, seed=3)
-        store = AdaptiveStore(
-            directory, tensor.shape,
-            workload=ARCHIVAL,
-            policy=MigrationPolicy(min_reads=2, hysteresis=0.0),
-            options=StoreOptions(migrate=migrate),
-        )
-        half = tensor.nnz // 2
-        store.write(tensor.coords[:half], tensor.values[:half])
-        store.write(tensor.coords[half:], tensor.values[half:])
-        assert store.format_histogram() == {"LINEAR": 2}
-        rng = np.random.default_rng(5)
-        for _ in range(8):
-            idx = rng.choice(tensor.nnz, size=50, replace=False)
-            store.read_points(tensor.coords[idx])
-        return store, tensor
-
-    def test_explicit_sweep_migrates_after_shift(self, tmp_path):
-        store, tensor = self._shifted_store(tmp_path)
-        before = store.read_points(tensor.coords)
-        decisions = store.migrate_fragments()
-        assert any(d.migrate for d in decisions)
-        assert store.format_histogram() == {"GCSR++": 2}
-        after = store.read_points(tensor.coords)
-        assert after.found.all()
-        assert np.array_equal(before.values, after.values)
-        # Converged: a second sweep plans nothing.
-        assert not any(d.migrate for d in store.plan_migrations())
-
-    def test_compact_policy_triggers_sweep(self, tmp_path):
-        store, tensor = self._shifted_store(tmp_path, migrate="compact")
-        before = store.read_points(tensor.coords)
-        store.compact()
-        assert store.format_histogram() == {"GCSR++": 1}
-        after = store.read_points(tensor.coords)
-        assert after.found.all()
-        assert np.array_equal(before.values, after.values)
-
-    def test_off_policy_never_migrates(self, tmp_path):
-        store, tensor = self._shifted_store(tmp_path, migrate="off")
-        store.compact()
-        assert set(store.format_histogram()) == {"LINEAR"}
-
-    def test_auto_policy_sweeps_after_reads(self, tmp_path):
-        from repro.storage.adaptive import AUTO_MIGRATE_READ_INTERVAL
-
-        store, tensor = self._shifted_store(tmp_path, migrate="auto")
-        for _ in range(AUTO_MIGRATE_READ_INTERVAL):
-            store.read_points(tensor.coords[:5])
-        assert store.format_histogram() == {"GCSR++": 2}
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            StoreOptions(migrate="sometimes")
-
-    def test_format_histogram_counts_live_manifest(self, tmp_path):
-        tensor = make_tensor(SHAPE_2D, 600)
-        store = AdaptiveStore(
-            tmp_path, SHAPE_2D,
-            options=StoreOptions(retain_generations=2),
-        )
-        half = tensor.nnz // 2
-        store.write(tensor.coords[:half], tensor.values[:half])
-        store.write(tensor.coords[half:], tensor.values[half:])
-        assert sum(store.format_histogram().values()) == 2
-        store.compact()
-        live = store.format_histogram()
-        assert sum(live.values()) == 1, (
-            "histogram must reflect the live manifest, not the decision log"
-        )
-        both = store.format_histogram(include_retired=True)
-        assert sum(both.values()) == 3  # 1 live + 2 retained
-        # Survives a reopen (the in-session choices log does not).
-        reopened = AdaptiveStore(
-            tmp_path, SHAPE_2D,
-            options=StoreOptions(retain_generations=2),
-        )
-        assert reopened.format_histogram() == live
+        reopened = FragmentStore(directory, SHAPE_3D, "LINEAR", options=opts)
+        assert type(reopened) is FragmentStore
+        after_pts = reopened.read_points(tensor.coords)
+        assert np.array_equal(after_pts.found, before_pts.found)
+        assert np.array_equal(after_pts.values, before_pts.values)
+        after_box = reopened.read_box(box)
+        assert np.array_equal(after_box.coords, before_box.coords)
+        assert np.array_equal(after_box.values, before_box.values)
+        report = fsck(directory)
+        assert report.clean, report.summary()
+        reopened.compact()
+        reopened.close()
+        assert fsck(directory).clean
+        # Never read, never rewritten, never removed.
+        assert ledger_path.read_bytes() == ledger_bytes

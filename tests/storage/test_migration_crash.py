@@ -99,9 +99,7 @@ def crash_and_recover(tmp_path, events, index, torn_bytes=None):
     directory = tmp_path / f"crash-{index}-{torn_bytes}"
     plan = plan_for_crash_point(events, index, torn_bytes=torn_bytes)
     with inject(plan):
-        # The workload dies at the injected op — except when the victim
-        # is the advisory workload ledger, whose persistence failure is
-        # swallowed by design (observations are not data).
+        # The workload dies at the injected op.
         try:
             run_workload(directory)
         except OSError:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    AdaptiveStore,
     BlockedDataset,
     FragmentStore,
     ReadOptions,
@@ -30,15 +29,22 @@ class TestStoreOptions:
         assert opts.on_corruption == "raise"
         assert opts.cache_bytes == 0
         assert opts.planner is True
-        assert len(dataclasses.fields(StoreOptions)) == 11
+        assert len(dataclasses.fields(StoreOptions)) == 10
 
     def test_removed_fields_rejected(self):
         for removed in (
             {"lazy_load": True}, {"retry": None}, {"crc_mode": "once"},
-            {"wal_pack_interval": 0.05},
+            {"wal_pack_interval": 0.05}, {"migrate": "off"},
         ):
             with pytest.raises(TypeError):
                 StoreOptions(**removed)
+
+    def test_auto_addr_order_rejected(self):
+        # The order changes only through set_addr_order.
+        with pytest.raises(ValueError, match="'row_major', 'alto'"):
+            StoreOptions(addr_order="auto")
+        for order in (None, "row_major", "alto"):
+            assert StoreOptions(addr_order=order).addr_order == order
 
     def test_frozen(self):
         opts = StoreOptions()
@@ -111,11 +117,6 @@ class TestStoresAcceptOptions:
         # codec=None on reopen adopts the manifest codec.
         reopened = FragmentStore(tmp_path / "s", SHAPE, "COO")
         assert reopened.codec == "zlib"
-
-    def test_adaptive_store(self, tmp_path):
-        store = AdaptiveStore(tmp_path / "a", SHAPE,
-                              options=StoreOptions(fsync=False))
-        assert store.options.fsync is False
 
     def test_blocked_dataset(self, tmp_path):
         ds = BlockedDataset(tmp_path / "b", SHAPE, (8, 8, 8), "COO",

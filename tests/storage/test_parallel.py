@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ShapeError, WorkerError
-from repro.storage import AdaptiveStore, FragmentStore, StoreOptions
+from repro.storage import FragmentStore, StoreOptions
 
 
 def split_parts(tensor, k):
@@ -31,14 +31,12 @@ STORE_KINDS = {
     "cascade": lambda d: FragmentStore(
         d, SHAPE, "LINEAR", options=StoreOptions(codec="cascade")
     ),
-    # The advisor picks GCSR++, GCSR++ and CSF for mixed_parts().
-    "adaptive": lambda d: AdaptiveStore(d, SHAPE),
 }
 
 
 def mixed_parts():
     """A dense block, scattered points (duplicates likely), and a shifted
-    partial block: parts the adaptive store packs in different formats."""
+    partial block."""
     rng = np.random.default_rng(0)
     block = np.indices((6, 6, 6)).reshape(3, -1).T.astype(np.uint64)
     scattered = np.column_stack([
@@ -96,8 +94,6 @@ class TestWriteMany:
             assert b.addr_order == a.addr_order == batch.addr_order
             assert b.zone.to_json() == a.zone.to_json()
             assert (b.bbox, b.crc, b.codecs) == (a.bbox, a.crc, a.codecs)
-        if kind == "adaptive":
-            assert {f.format_name for f in infos} == {"GCSR++", "CSF"}
         reopened = STORE_KINDS[kind](tmp_path / "batch")
         for c, v in parts:
             out = reopened.read_points(c)
@@ -173,9 +169,9 @@ class TestWriteMany:
         assert isinstance(ei.value.__cause__, ShapeError)
 
     def test_concurrent_parts_lose_no_update(self, tmp_path):
-        """Pool threads share the adaptive decision log and the metrics
-        registry; with more workers than cores and a short switch
-        interval, no part's record may be lost."""
+        """Pool threads share the metrics registry; with more workers
+        than cores and a short switch interval, no part's record may be
+        lost."""
         import sys
 
         from repro import obs
@@ -187,7 +183,7 @@ class TestWriteMany:
             ]), rng.random(200))
             for _ in range(24)
         ]
-        store = AdaptiveStore(tmp_path / "ds", SHAPE)
+        store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR")
         was_enabled, interval = obs.is_enabled(), sys.getswitchinterval()
         obs.enable()
         obs.reset()
@@ -198,13 +194,12 @@ class TestWriteMany:
             sys.setswitchinterval(interval)
             if not was_enabled:
                 obs.disable()
-        assert len(infos) == len(store.choices) == 24
+        assert len(infos) == 24
         calls = sum(
             c["value"] for c in obs.snapshot()["counters"]
             if c["name"] == "store.write.calls"
         )
         assert calls == 24
-        assert sorted(store.choices) == sorted(f.format_name for f in infos)
 
     def test_executor_keyword_rejected(self, tmp_path, tensor_2d):
         store = FragmentStore(tmp_path / "ds", tensor_2d.shape, "COO")

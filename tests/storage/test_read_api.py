@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    AdaptiveStore,
     BlockedDataset,
     Box,
     FragmentStore,
@@ -39,11 +38,9 @@ def _readables(tmp_path, tensor):
     enc = get_format("LINEAR").encode(tensor)
     store = FragmentStore(tmp_path / "store", tensor.shape, "LINEAR")
     store.write_tensor(tensor)
-    ada = AdaptiveStore(tmp_path / "ada", tensor.shape)
-    ada.write(tensor.coords, tensor.values)
     blocked = BlockedDataset(tmp_path / "blk", tensor.shape, (8, 8, 8), "LINEAR")
     blocked.write_tensor(tensor)
-    return {"encoded": enc, "store": store, "adaptive": ada, "blocked": blocked}
+    return {"encoded": enc, "store": store, "blocked": blocked}
 
 
 class TestUnifiedProtocol:
@@ -105,12 +102,6 @@ class TestFormatArguments:
         )
         assert blocked.store.format_name == "COO"
 
-        ada = AdaptiveStore(
-            tmp_path / "a", tensor.shape,
-            candidates=(get_format("LINEAR"), "coo"),
-        )
-        assert ada.candidates == ("LINEAR", "COO")
-
     def test_convert_store_accepts_instance(self, tmp_path, tensor):
         from repro import convert_store
 
@@ -129,8 +120,6 @@ class TestFormatArguments:
     def test_tuning_parameters_are_keyword_only(self, tmp_path):
         with pytest.raises(TypeError):
             FragmentStore(tmp_path / "s", (4, 4), "LINEAR", True)
-        with pytest.raises(TypeError):
-            AdaptiveStore(tmp_path / "a", (4, 4), None)
         from repro import StreamingWriter
 
         store = FragmentStore(tmp_path / "ok", (4, 4), "LINEAR")

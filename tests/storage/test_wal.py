@@ -13,7 +13,6 @@ import pytest
 from repro.core import ShapeError
 from repro.core.boundary import Box
 from repro.storage import (
-    AdaptiveStore,
     FragmentStore,
     ShardedStore,
     StoreOptions,
@@ -21,7 +20,6 @@ from repro.storage import (
 )
 from repro.storage import wal as wal_module
 from repro.storage.durability import load_manifest
-from repro.storage.store import WORKLOAD_LEDGER_NAME
 from repro.storage.wal import (
     TailRun,
     WriteAheadLog,
@@ -290,15 +288,6 @@ class TestStoreAppend:
         # Idempotent: nothing left to pack.
         assert store.pack_wal() is None
 
-    def test_pack_via_adaptive_store_picks_format(self, tmp_path, rng):
-        c, v = chunk(rng, 200)
-        store = AdaptiveStore(tmp_path / "ds", SHAPE)
-        store.append(c, v)
-        receipt = store.pack_wal()
-        assert receipt is not None
-        assert store.choices  # the advisor ran on the packed part
-        assert store.read_points(c).found.all()
-
     @pytest.mark.parametrize("fmt_name", ["LINEAR", "GCSR++"])
     def test_large_chunks_match_newest_wins_oracle(self, tmp_path, fmt_name,
                                                    packed_sort_calls):
@@ -442,8 +431,7 @@ class TestWriteAfterAppend:
     it packs the unpacked tail first, so the tail never overlays it."""
 
     @pytest.mark.parametrize(
-        "kind", ["write", "write_many", "write_canonical", "adaptive",
-                 "sharded"],
+        "kind", ["write", "write_many", "write_canonical", "sharded"],
     )
     def test_write_after_append_reads_the_write(self, tmp_path, kind):
         from repro.build import CanonicalCoords
@@ -452,8 +440,6 @@ class TestWriteAfterAppend:
         directory = tmp_path / "s"
         if kind == "sharded":
             store = ShardedStore(directory, SHAPE, "LINEAR", n_shards=2)
-        elif kind == "adaptive":
-            store = AdaptiveStore(directory, SHAPE)
         else:
             store = FragmentStore(directory, SHAPE, "LINEAR")
         store.append(cell, np.array([1.0]))
@@ -521,23 +507,6 @@ class TestStoreLifecycle:
             "seg-000000.wal.open"
         ]
         store.close()
-
-    def test_ledger_saved_at_close_not_per_pack(self, tmp_path, rng):
-        store = FragmentStore(tmp_path / "ds", SHAPE, "LINEAR")
-        c, v = chunk(rng, 40)
-        store.append(c, v)
-        store.pack_wal()
-        store.read_points(c)
-        store.append(c, v)
-        store.pack_wal()
-        ledger = tmp_path / "ds" / WORKLOAD_LEDGER_NAME
-        assert not ledger.exists()
-        assert len(store.workload_ledger) == 2  # recorded in memory
-        store.close()
-        doc = json.loads(ledger.read_text())
-        assert sorted(doc["fragments"]) == sorted(
-            f.path.name for f in store.fragments
-        )
 
     @pytest.mark.parametrize("sharded", [False, True])
     def test_snapshot_nnz_matches_store_after_append(self, tmp_path, sharded):

@@ -61,6 +61,20 @@ class TestAdvise:
             main(["advise", "x.npz", "-w", "chaotic"])
 
 
+class TestRemovedCommands:
+    """The migration loop's commands are gone; argparse rejects them."""
+
+    def test_migrate_is_an_argparse_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["migrate", str(tmp_path), "--to", "COO"])
+        assert exc.value.code == 2
+
+    def test_stats_migration_is_an_argparse_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--migration"])
+        assert exc.value.code == 2
+
+
 class TestExperiment:
     def test_runs_table2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")

@@ -45,12 +45,10 @@ EXPECTED_PUBLIC_API = sorted([
     "load_dataset", "read_matrix_market", "read_tns",
     "write_matrix_market", "write_tns",
     "fold_to_scipy", "from_scipy", "to_scipy",
-    "AdaptiveStore", "StreamingWriter", "convert_store",
+    "StreamingWriter", "convert_store",
     "BlockedDataset", "FragmentCache", "FragmentStore",
     "FsckReport", "fsck",
     "ReadOptions", "ShardedStore", "StoreOptions", "StoreSnapshot",
-    "MigrationDecision", "MigrationPolicy",
-    "direct_convert", "register_kernel", "registered_pairs",
     "__version__",
 ])
 
@@ -60,8 +58,6 @@ EXPECTED_OBS_API = sorted([
     "NULL_SPAN", "Span", "counter_add", "disable", "enable",
     "enabled_from_env", "gauge_set", "get_registry", "is_enabled", "observe",
     "render_table", "reset", "snapshot", "span", "to_json",
-    # Workload ledger (per-fragment observations driving format migration).
-    "LEDGER_VERSION", "FragmentWorkload", "WorkloadLedger",
 ])
 
 
@@ -117,7 +113,7 @@ class TestStoreReadTuningSurface:
         assert STORE_READ_TUNING == ("options",)
 
     @pytest.mark.parametrize("cls_name", [
-        "FragmentStore", "AdaptiveStore", "BlockedDataset", "ShardedStore",
+        "FragmentStore", "BlockedDataset", "ShardedStore",
         "StoreSnapshot", "ShardedSnapshot",
     ])
     @pytest.mark.parametrize("method", ["read_points", "read_box"])
@@ -138,8 +134,7 @@ class TestStoreReadTuningSurface:
         ), f"{cls_name}.{method} takes **kwargs"
 
     def test_stores_are_readable(self):
-        for cls_name in ("FragmentStore", "AdaptiveStore", "BlockedDataset",
-                         "ShardedStore"):
+        for cls_name in ("FragmentStore", "BlockedDataset", "ShardedStore"):
             cls = getattr(repro, cls_name)
             assert issubclass(cls, repro.Readable) or all(
                 hasattr(cls, m) for m in ("read_points", "read_box")
@@ -147,8 +142,7 @@ class TestStoreReadTuningSurface:
 
     def test_stores_accept_options_objects(self):
         """Constructors take ``options=StoreOptions`` (the consolidated API)."""
-        for cls_name in ("FragmentStore", "AdaptiveStore", "BlockedDataset",
-                         "ShardedStore"):
+        for cls_name in ("FragmentStore", "BlockedDataset", "ShardedStore"):
             sig = inspect.signature(getattr(repro, cls_name).__init__)
             param = sig.parameters.get("options")
             assert param is not None, f"{cls_name} lacks options="
@@ -157,8 +151,7 @@ class TestStoreReadTuningSurface:
     def test_constructors_take_no_option_keywords(self):
         """``options=`` is the only spelling of a StoreOptions field."""
         fields = {f.name for f in dataclasses.fields(repro.StoreOptions)}
-        for cls_name in ("FragmentStore", "AdaptiveStore", "BlockedDataset",
-                         "ShardedStore"):
+        for cls_name in ("FragmentStore", "BlockedDataset", "ShardedStore"):
             sig = inspect.signature(getattr(repro, cls_name).__init__)
             keyword_only = {
                 name for name, param in sig.parameters.items()

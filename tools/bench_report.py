@@ -21,10 +21,6 @@ Currently recorded:
 * ``compression`` (``benchmarks/bench_compression_cascade.py``) —
   cascaded codec bytes-on-disk vs read time across TSP/GSP/MSP
   patterns; headline is the sorted-TSP address-buffer reduction.
-* ``format_migration`` (``benchmarks/bench_migration.py``) — direct
-  payload→payload conversion kernels vs the canonical path across every
-  registered pair (headline: the minimum speedup over the hot pairs),
-  plus the adaptive workload-shift loop.
 * ``alto_linearization`` (``benchmarks/bench_alto.py``, recorded as
   ``BENCH_alto.json``) — skewed box workloads on sorted-run stores
   under ``addr_order="alto"`` vs row-major: fragment-prune ratio,
@@ -180,30 +176,6 @@ def run_compression(smoke: bool) -> dict:
     return {**result, "floor": floor}
 
 
-def run_format_migration(smoke: bool) -> dict:
-    bench = load_bench("bench_migration")
-    if smoke:
-        result = bench.bench_direct_kernels(
-            n_points=150_000, shape=(256, 256, 256), reps=5
-        )
-        floor = bench.MIN_SPEEDUP_SMOKE
-        shift = bench.bench_adaptive_shift(
-            n_points=30_000, shape=(64, 64, 64)
-        )
-    else:
-        result = bench.bench_direct_kernels()
-        floor = bench.MIN_SPEEDUP
-        shift = bench.bench_adaptive_shift()
-    bench.assert_speedup_ok(result, floor)
-    bench.assert_adaptive_ok(shift)
-    return {
-        **result,
-        "adaptive_migrated": shift["migrated"],
-        "adaptive_sweep_seconds": shift["sweep_seconds"],
-        "floor": floor,
-    }
-
-
 def run_alto_linearization(smoke: bool) -> dict:
     bench = load_bench("bench_alto")
     if smoke:
@@ -238,7 +210,6 @@ BENCHES = {
     "sharded_store": run_sharded_store,
     "wal_ingest": run_wal_ingest,
     "compression": run_compression,
-    "format_migration": run_format_migration,
     "alto_linearization": run_alto_linearization,
     "manifest_commit": run_manifest_commit,
 }
