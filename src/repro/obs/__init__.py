@@ -28,7 +28,7 @@ The durability layer (:mod:`repro.storage.durability`) reports through
 this registry too: ``store.corrupt_fragments`` (CRC failures seen by
 reads), ``store.fragments_quarantined``, ``store.tmp_cleaned`` (stale temp
 files removed at open), ``store.orphan_fragments`` (uncommitted fragments
-detected at open), ``store.rescan_skipped``, and ``store.fsck_runs``.
+detected at open), and ``store.fsck_runs``.
 
 The read pipeline (:mod:`repro.storage.readpath`) records the
 decoded-fragment cache: ``store.cache.hits`` / ``store.cache.misses`` /

@@ -44,8 +44,10 @@ substrate level — every organization inherits it:
     :func:`fsck` verifies every fragment's header and CRC against the
     manifest, reports drift (missing / extra / corrupt / stale temp files),
     and with ``repair=True`` rebuilds the manifest, recovers readable
-    orphan fragments newer than every listed one, and quarantines
-    unreadable and superseded ones.
+    orphan fragments, and quarantines unreadable and superseded ones
+    and parts of unfinished commits.  The fragment files are
+    authoritative: a store opened without ``manifest.json`` rebuilds it
+    this way.
 
 All filesystem primitives here route through a process-global *fault hook*
 (:func:`set_fault_hook`) so :mod:`repro.testing.faults` can deterministically
@@ -701,35 +703,35 @@ class FsckReport:
 
 def _verify_fragment_file(
     path: Path, expected_crc: int | None, expected_nbytes: int | None
-) -> tuple[dict[str, Any] | None, str | None]:
+) -> tuple[dict[str, Any] | None, bytes, str | None]:
     """Full integrity check of one fragment file.
 
-    Returns ``(header, None)`` when the file is sound, else
-    ``(None, reason)``.  ``expected_crc`` is the CRC the manifest records
-    (:func:`recorded_crc`); the file's trailer must equal it, and its
-    body must match the trailer.  The CRC covers the *compressed*
-    bytes, so bit rot inside a compressed buffer is caught without
-    decoding; compressed buffers are additionally decoded here so that a
-    torn or mis-framed compressed section committed with a valid CRC
-    (e.g. a fault-injected torn write that happened to survive framing)
-    is still reported — and quarantined under ``--repair`` — instead of
-    failing at read time.
+    Returns ``(header, data, None)`` when the file is sound, ``data``
+    being the bytes read, else ``(None, b"", reason)``.  ``expected_crc``
+    is the CRC the manifest records (:func:`recorded_crc`); the file's
+    trailer must equal it, and its body must match the trailer.  The CRC
+    covers the *compressed* bytes, so bit rot inside a compressed buffer
+    is caught without decoding; compressed buffers are additionally
+    decoded here so that a torn or mis-framed compressed section
+    committed with a valid CRC (e.g. a fault-injected torn write that
+    happened to survive framing) is still reported — and quarantined
+    under ``--repair`` — instead of failing at read time.
     """
     from .serialization import unpack_fragment, unpack_header, verify_crc
 
     try:
         data = read_bytes(path)
     except OSError as exc:
-        return None, f"unreadable: {exc}"
+        return None, b"", f"unreadable: {exc}"
     if expected_nbytes is not None and len(data) != expected_nbytes:
-        return None, (
+        return None, b"", (
             f"size mismatch: file has {len(data)} bytes, "
             f"manifest records {expected_nbytes}"
         )
     if expected_crc is not None:
         actual = fragment_file_crc(data)
         if actual != expected_crc:
-            return None, (
+            return None, b"", (
                 f"checksum mismatch: the file's CRC is {actual:#010x}, "
                 f"the manifest records {expected_crc:#010x}"
             )
@@ -737,7 +739,7 @@ def _verify_fragment_file(
         verify_crc(data)
         header, _ = unpack_header(data)
     except FragmentError as exc:
-        return None, str(exc)
+        return None, b"", str(exc)
     # Raw buffers are fully covered by the CRC + size checks above;
     # compressed chains get one decode pass to prove they invert.
     tags = {e.get("codec", "raw") for e in header.get("buffers", [])}
@@ -747,8 +749,8 @@ def _verify_fragment_file(
             unpack_fragment(data, check_crc=False)
         except FragmentError as exc:
             chains = ",".join(sorted(tags - {"raw"}))
-            return None, f"compressed buffer ({chains}) undecodable: {exc}"
-    return header, None
+            return None, b"", f"compressed buffer ({chains}) undecodable: {exc}"
+    return header, data, None
 
 
 def _file_seq(name: str) -> int:
@@ -757,12 +759,54 @@ def _file_seq(name: str) -> int:
     return int(m.group(1)) if m else -1
 
 
-def _claimed_seq(name: str, header: dict[str, Any]) -> int:
-    """The sequence number a fragment file holds its points at: the one a
-    migration's rewrite took over (its header records it), else its file
-    name's."""
-    seq = (header.get("extra") or {}).get("seq")
-    return _file_seq(name) if seq is None else int(seq)
+def _rebuild_rule(
+    unlisted: list[tuple[Any, dict[str, Any]]], newest_listed: int
+) -> dict[str, str]:
+    """The rebuild rule: the readable fragment files the manifest does
+    not list that a rebuild must not list either, each with why.
+
+    ``unlisted`` pairs each file's view with its header's ``extra``;
+    ``newest_listed`` is the highest file number the manifest lists
+    (live or retired), -1 without a manifest.  A file is superseded when
+
+    1. its claimed sequence number is at or below ``newest_listed``: a
+       committed fragment follows it (a compaction source, a replaced
+       fragment, a write whose commit failed);
+    2. it claims a lower number than the newest compaction output among
+       the rest (``"compacted"``), which holds every fragment before it;
+    3. a newer file (a higher file number) claims the same number: that
+       file is a replacement, and this one its original;
+
+    and it is uncommitted when 4. it names its commit's last file
+    (``"commit_end"``) and the file claiming that number carries another
+    mark or none: the commit never wrote it.  Every other file is live.
+    """
+    out: dict[str, str] = {}
+    rest = []  # (claimed sequence number, file number, name, extra)
+    for info, extra in unlisted:
+        seq, name = info.effective_seq(), info.path.name
+        if seq <= newest_listed:
+            out[name] = (
+                f"superseded: older than listed frag-{newest_listed:06d}.bin"
+            )
+        else:
+            rest.append((seq, _file_seq(name), name, extra))
+    top_seq, _, top, _ = max(
+        (r for r in rest if r[3].get("compacted")), default=(-1, -1, "", {})
+    )
+    newest_of_seq = {seq: (name, x) for seq, _, name, x in sorted(rest)}
+    for seq, _, name, extra in rest:
+        end = extra.get("commit_end")
+        if seq < top_seq:
+            out[name] = f"superseded: older than compaction output {top}"
+        elif newest_of_seq[seq][0] != name:
+            out[name] = f"superseded: replaced by {newest_of_seq[seq][0]}"
+        elif newest_of_seq.get(end, ("", {}))[1].get("commit_end") != end:
+            out[name] = (
+                "uncommitted: its commit never wrote its last file "
+                f"frag-{end:06d}.bin"
+            )
+    return out
 
 
 def _tally_codecs(report: FsckReport, header: dict[str, Any]) -> None:
@@ -793,16 +837,11 @@ def fsck(
     moved to ``.quarantine/`` (never silently dropped), the log's commits
     are folded into ``manifest.json`` and the log emptied (a corrupt log
     is quarantined instead), and the manifest is rewritten atomically
-    with a bumped generation.  A readable extra's sequence number is the
-    file name's, or the one a migration's replacement took over, which
-    its header records (and its recovered entry keeps as ``seq``).
-    Recovered extras are appended in (sequence number, file name) order,
-    so a replacement lands in its original's slot, and only when that
-    number is above every listed and retired fragment's file sequence
-    number: a fragment that a committed one follows is superseded (a
-    compaction source, a replaced fragment, or a write whose commit
-    failed), and relisting it as the newest would bring its stale values
-    back.  Superseded extras are quarantined instead.
+    with a bumped generation.  A readable extra is recovered, as its
+    header describes it, unless :func:`_rebuild_rule` quarantines it;
+    recovered extras are appended in (sequence number, file name) order.
+    Without a manifest every fragment file is an extra, so the rebuild
+    lists exactly the fragments a newest-wins read needs.
 
     When the store has a write-ahead log (a ``wal/`` subdirectory), every
     segment is scanned too: torn tails are reported (and truncated back to
@@ -858,122 +897,80 @@ def fsck(
         report.issues.append(log_issue)
     report.generation = generation
 
+    # Listed and retired entries are authoritative.  Retired fragments
+    # are still readable through pinned snapshots, so they get the same
+    # integrity check; a broken one only costs the retained history,
+    # never live data.
     surviving: list[dict[str, Any]] = []
-    listed_names = set()
-    for entry in entries:
-        name = str(entry.get("file", "?"))
-        listed_names.add(name)
-        path = directory / name
-        report.checked += 1
-        if not path.exists():
-            report.issues.append(
-                FsckIssue("missing", name, "listed in manifest, no file")
-            )
-            continue
-        header, reason = _verify_fragment_file(
-            path, recorded_crc(entry.get("crc")), entry.get("nbytes")
-        )
-        if reason is None:
-            report.ok.append(name)
-            surviving.append(dict(entry))
-            _tally_codecs(report, header)
-        else:
-            issue = FsckIssue("corrupt", name, reason)
-            if repair:
-                quarantine_file(directory, path, reason=f"fsck: {reason}")
-                issue.repaired = "quarantined"
-            report.issues.append(issue)
-
-    # Retired fragments are still readable through pinned snapshots, so
-    # they get the same integrity check; a broken one only costs the
-    # retained history, never live data.
     surviving_retired: list[dict[str, Any]] = []
-    for entry in retired_entries:
-        name = str(entry.get("file", "?"))
-        listed_names.add(name)
-        path = directory / name
-        report.checked += 1
-        if not path.exists():
-            issue = FsckIssue(
-                "retired", name, "retired in manifest, no file"
+    listed_names = set()
+    for retired, listed, kept in (
+        (False, entries, surviving), (True, retired_entries, surviving_retired)
+    ):
+        for entry in listed:
+            name = str(entry.get("file", "?"))
+            listed_names.add(name)
+            path = directory / name
+            report.checked += 1
+            if not path.exists():
+                report.issues.append(
+                    FsckIssue(
+                        "retired", name, "retired in manifest, no file",
+                        "dropped" if repair else "",
+                    ) if retired else
+                    FsckIssue("missing", name, "listed in manifest, no file")
+                )
+                continue
+            header, _, reason = _verify_fragment_file(
+                path, recorded_crc(entry.get("crc")), entry.get("nbytes")
             )
-            if repair:
-                issue.repaired = "dropped"
-            report.issues.append(issue)
-            continue
-        header, reason = _verify_fragment_file(
-            path, recorded_crc(entry.get("crc")), entry.get("nbytes")
-        )
-        if reason is None:
-            report.ok.append(name)
-            surviving_retired.append(dict(entry))
-            _tally_codecs(report, header)
-        else:
-            issue = FsckIssue("retired", name, reason)
+            if reason is None:
+                report.ok.append(name)
+                kept.append(dict(entry))
+                _tally_codecs(report, header)
+                continue
+            issue = FsckIssue("retired" if retired else "corrupt", name, reason)
             if repair:
                 quarantine_file(directory, path, reason=f"fsck: {reason}")
                 issue.repaired = "quarantined"
             report.issues.append(issue)
 
-    # Fragment files on disk the manifest does not know about, recovered
-    # as ``(sequence number, file name, entry)``.
-    recovered: list[tuple[int, str, dict[str, Any]]] = []
-    newest = max(map(_file_seq, listed_names), default=-1)
+    # Fragment files on disk the manifest does not know about: the
+    # readable ones are recovered unless the rebuild rule supersedes them.
+    from .fragment import FragmentInfo
+
+    unlisted: list[tuple[FragmentInfo, dict[str, Any]]] = []
     for path in sorted(directory.glob("frag-*.bin")):
         if path.name in listed_names:
             continue
-        header, reason = _verify_fragment_file(path, None, None)
-        claimed = None if reason else _claimed_seq(path.name, header)
-        if claimed is not None and claimed <= newest:
-            issue = FsckIssue(
-                "extra", path.name,
-                f"superseded: older than listed frag-{newest:06d}.bin",
-            )
-            if repair:
-                quarantine_file(directory, path, reason="fsck: superseded")
-                issue.repaired = "quarantined"
-        elif claimed is not None:
-            issue = FsckIssue(
-                "extra", path.name, "valid fragment missing from manifest"
-            )
-            if repair:
-                from .compression import codec_sizes
-
-                data_len = path.stat().st_size
-                frag_codecs, frag_raw = codec_sizes(header)
-                entry = {
-                    "file": path.name,
-                    "format": header["format"],
-                    "shape": list(header["shape"]),
-                    "nnz": int(header["nnz"]),
-                    "bbox_origin": list(header.get("bbox_origin", [])),
-                    "bbox_size": list(header.get("bbox_size", [])),
-                    "nbytes": int(data_len),
-                    "crc": fragment_file_crc(read_bytes(path)),
-                    "codecs": frag_codecs,
-                    "raw_nbytes": frag_raw,
-                }
-                # Fragment headers are self-describing about their
-                # linearization order (written only when non-default),
-                # so a recovered orphan keeps its ``addr_order`` tag and
-                # mixed-order stores stay prunable after repair.
-                addr_order = (
-                    (header.get("extra") or {}).get("addr_order")
-                    or (header.get("meta") or {}).get("addr_order")
-                )
-                if addr_order:
-                    entry["addr_order"] = str(addr_order)
-                if claimed != _file_seq(path.name):
-                    entry["seq"] = claimed
-                recovered.append((claimed, path.name, entry))
-                issue.repaired = "recovered"
-        else:
-            issue = FsckIssue(
-                "extra", path.name, f"unlisted and unreadable: {reason}"
-            )
-            if repair:
-                quarantine_file(directory, path, reason=f"fsck: {reason}")
-                issue.repaired = "quarantined"
+        header, data, reason = _verify_fragment_file(path, None, None)
+        if reason is None:
+            info = FragmentInfo.from_header(path, header, data)
+            unlisted.append((info, header.get("extra") or {}))
+            continue
+        issue = FsckIssue(
+            "extra", path.name, f"unlisted and unreadable: {reason}"
+        )
+        if repair:
+            quarantine_file(directory, path, reason=f"fsck: {reason}")
+            issue.repaired = "quarantined"
+        report.issues.append(issue)
+    stale = _rebuild_rule(
+        unlisted, max(map(_file_seq, listed_names), default=-1)
+    )
+    recovered: list[FragmentInfo] = []
+    for info, _ in unlisted:
+        detail = stale.get(info.path.name)
+        issue = FsckIssue(
+            "extra", info.path.name,
+            detail or "valid fragment missing from manifest",
+        )
+        if repair and detail:
+            quarantine_file(directory, info.path, reason=f"fsck: {detail}")
+            issue.repaired = "quarantined"
+        elif repair:
+            recovered.append(info)
+            issue.repaired = "recovered"
         report.issues.append(issue)
 
     for tmp in sorted(directory.glob(f"*{TMP_SUFFIX}")):
@@ -1041,9 +1038,8 @@ def fsck(
                     log.close()
         rebuilt = dict(manifest_meta)
         rebuilt["generation"] = generation + 1
-        rebuilt["fragments"] = surviving + [
-            entry for _, _, entry in sorted(recovered, key=lambda r: r[:2])
-        ]
+        recovered.sort(key=lambda f: (f.effective_seq(), f.path.name))
+        rebuilt["fragments"] = surviving + [f.to_entry() for f in recovered]
         if surviving_retired:
             rebuilt["retired"] = surviving_retired
         write_bytes_atomic(

@@ -12,13 +12,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from ..core.boundary import Box, extract_boundary
 from ..core.costmodel import NULL_COUNTER, OpCounter
 from ..core.errors import ChecksumError, FragmentIOError
+from ..core.linearize import DEFAULT_ADDRESS_ORDER, AddressIntervals
 from ..formats.base import (
     AddressProbeFormat,
     BoxHits,
@@ -31,13 +32,12 @@ from .durability import (
     _file_seq,
     fragment_file_crc,
     read_bytes,
+    recorded_crc,
     write_bytes_atomic,
 )
 
-if TYPE_CHECKING:  # annotation only — planner imports nothing from here
-    from ..core.linearize import AddressIntervals
-    from .planner import ZoneMap
 from .compression import codec_sizes
+from .planner import ZoneMap
 from .serialization import (
     FragmentPayload,
     pack_fragment,
@@ -105,11 +105,16 @@ class FragmentInfo:
     retention/GC deletes them (see ``docs/WAL_SNAPSHOTS.md``).
 
     ``seq`` is the fragment's *logical* write sequence, used to order
-    fragments for newest-wins reads.  ``None`` (every manifest before
-    format migration existed) means "use the number in the file name";
-    format migration writes the replacement under a fresh file name but
-    pins ``seq`` to the replaced fragment's slot, so the re-formatted
-    points keep their original position in the shadowing order.
+    fragments for newest-wins reads.  ``None`` means "use the number in
+    the file name"; a rewrite (format or address-order migration) takes
+    a fresh file name but pins ``seq`` to the replaced fragment's slot,
+    in its header's ``extra`` too, so its points keep their position in
+    the shadowing order when the manifest is rebuilt from the files.
+    Two more header marks serve that rebuild
+    (:func:`~repro.storage.durability._rebuild_rule`): a compaction
+    output's ``extra`` carries ``"compacted": true`` (it holds every
+    fragment before it), and each file of a multi-file commit names the
+    commit's last file (``"commit_end"``).
 
     ``addr_order`` names the linearization order the fragment's zone map
     (and any order-bearing payload) is expressed in — ``"row_major"``
@@ -141,7 +146,14 @@ class FragmentInfo:
         return _file_seq(self.path.name)
 
     @classmethod
-    def from_header(cls, path: Path, header: dict[str, Any]) -> "FragmentInfo":
+    def from_header(
+        cls, path: Path, header: dict[str, Any], data: bytes | None = None
+    ) -> "FragmentInfo":
+        """The view of the fragment file at ``path`` from its header: the
+        one builder behind :func:`write_fragment`, the header reader and
+        fsck's recovery.  ``data``, the whole file when the caller holds
+        it, gives the size and the CRC; without it the size is asked of
+        the file and the CRC is unknown."""
         origin = tuple(int(v) for v in header.get("bbox_origin", []))
         size = tuple(int(v) for v in header.get("bbox_size", []))
         if not origin and header["shape"]:
@@ -153,7 +165,7 @@ class FragmentInfo:
         addr_order = str(
             extra.get("addr_order")
             or meta.get("addr_order")
-            or "row_major"
+            or DEFAULT_ADDRESS_ORDER
         )
         # A rewrite's header records the slot it took over.
         seq = extra.get("seq")
@@ -163,11 +175,59 @@ class FragmentInfo:
             shape=tuple(int(m) for m in header["shape"]),
             nnz=int(header["nnz"]),
             bbox=Box(origin, size),
-            nbytes=path.stat().st_size if path.exists() else 0,
+            nbytes=path.stat().st_size if data is None else len(data),
+            crc=None if data is None else fragment_file_crc(data),
             codecs=codecs,
             raw_nbytes=raw_nbytes,
             seq=None if seq is None else int(seq),
             addr_order=addr_order,
+        )
+
+    def to_entry(self) -> dict[str, Any]:
+        """The fragment's manifest entry: the one writer of the schema."""
+        entry = {
+            "file": self.path.name,
+            "format": self.format_name,
+            "shape": list(self.shape),
+            "nnz": self.nnz,
+            "bbox_origin": list(self.bbox.origin),
+            "bbox_size": list(self.bbox.size),
+            "nbytes": self.nbytes,
+            "crc": self.crc,
+            "zone": self.zone.to_json() if self.zone else None,
+            "born": self.born,
+        }
+        if self.retired is not None:
+            entry["retired"] = self.retired
+        if self.codecs is not None:
+            entry["codecs"] = self.codecs
+            entry["raw_nbytes"] = self.raw_nbytes
+        if self.seq is not None:
+            entry["seq"] = self.seq
+        if self.addr_order != DEFAULT_ADDRESS_ORDER:
+            entry["addr_order"] = self.addr_order
+        return entry
+
+    @classmethod
+    def from_entry(cls, directory: Path, e: dict[str, Any]) -> "FragmentInfo":
+        """Parse a manifest entry (:meth:`to_entry`) of a fragment in
+        ``directory``.  Keys older manifests lack load as the defaults;
+        zone maps and codec sizes are backfilled on demand."""
+        return cls(
+            path=directory / e["file"],
+            format_name=e["format"],
+            shape=tuple(e["shape"]),
+            nnz=int(e["nnz"]),
+            bbox=Box(tuple(e["bbox_origin"]), tuple(e["bbox_size"])),
+            nbytes=int(e["nbytes"]),
+            crc=recorded_crc(e.get("crc")),
+            zone=ZoneMap.from_json(e.get("zone")),
+            born=int(e.get("born") or 0),
+            retired=int(e["retired"]) if e.get("retired") is not None else None,
+            codecs=e.get("codecs"),
+            raw_nbytes=e.get("raw_nbytes"),
+            seq=int(e["seq"]) if e.get("seq") is not None else None,
+            addr_order=str(e.get("addr_order") or DEFAULT_ADDRESS_ORDER),
         )
 
 
@@ -227,24 +287,7 @@ def write_fragment(
         sp.add_nnz(encoded.nnz)
         sp.add_bytes_out(len(blob))
     record_fragment_written(encoded.fmt.name, encoded.nbytes, len(blob))
-    codecs, raw_nbytes = codec_sizes(unpack_header(blob)[0])
-    addr_order = str(
-        (extra or {}).get("addr_order")
-        or encoded.meta.get("addr_order")
-        or "row_major"
-    )
-    return FragmentInfo(
-        path=path,
-        format_name=encoded.fmt.name,
-        shape=encoded.shape,
-        nnz=encoded.nnz,
-        bbox=bbox,
-        nbytes=len(blob),
-        crc=fragment_file_crc(blob),
-        codecs=codecs,
-        raw_nbytes=raw_nbytes,
-        addr_order=addr_order,
-    )
+    return FragmentInfo.from_header(path, unpack_header(blob)[0], blob)
 
 
 def read_fragment_header(path: str | os.PathLike) -> FragmentInfo:

@@ -11,7 +11,7 @@ store runs that loop inline; this module supplies the pieces around it:
     every query; under read-heavy traffic (the ROADMAP's north star) the
     decode cost dominates, and a warm cache turns it into a dictionary
     lookup.  The cache is invalidated wholesale on every manifest
-    generation change (``write`` / ``compact`` / ``rescan`` / quarantine),
+    generation change (``write`` / ``compact`` / ``fsck`` / quarantine),
     so a hit can never serve pre-compaction data.  Hits, misses,
     evictions, and resident bytes are mirrored into :mod:`repro.obs`
     (``store.cache.hits`` / ``.misses`` / ``.evictions`` /
@@ -207,7 +207,7 @@ class FragmentCache:
 
     Invalidation is wholesale (:meth:`invalidate`) and hooked to the store
     manifest's generation counter: any committed mutation — ``write``,
-    ``compact``, ``rescan``, a quarantine during a degraded read — clears
+    ``compact``, ``fsck``, a quarantine during a degraded read — clears
     the cache, so stale post-compaction hits are impossible.  Cumulative
     counters survive invalidation; resident bytes reset.
     """

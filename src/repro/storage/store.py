@@ -98,18 +98,16 @@ from .durability import (
     MANIFEST_NAME as _MANIFEST,
 )
 from .durability import (
-    FRAGMENT_NAME_RE,
     AppendFile,
     FsckReport,
+    _file_seq,
     clean_temp_files,
     encode_manifest,
-    fragment_file_crc,
     frame_record,
     fsck as _fsck,
     load_manifest,
     peek_manifest,
     quarantine_file,
-    recorded_crc,
     remove_file,
     truncate_file,
     write_bytes_atomic,
@@ -332,8 +330,13 @@ class FragmentStore:
         if self._manifest_path().exists():
             self._load_manifest()
             self._warn_on_orphans()
+        elif any(self.directory.glob("frag-*.bin")):
+            self._rebuild_manifest()
         else:
-            self.rescan()
+            # A fresh directory.  A log left without its checkpoint is
+            # emptied first, so it never replays onto this one.
+            self._truncate_log_locked()
+            self._save_manifest(checkpoint=True)
         self._next_seq = self._scan_next_seq()
         if self._linearizable and wal_path(self.directory).is_dir():
             with self._rw.write_locked():
@@ -382,13 +385,14 @@ class FragmentStore:
         entries = load.doc
         self._generation = int(entries.get("generation", 0))
         self._fragments = [
-            self._parse_fragment_entry(e) for e in entries["fragments"]
+            FragmentInfo.from_entry(self.directory, e)
+            for e in entries["fragments"]
         ]
         # Superseded-but-retained fragments (snapshot time travel) plus
         # the oldest generation still reconstructable.  Both keys are
         # optional: pre-snapshot manifests simply have no history.
         self._retired = [
-            self._parse_fragment_entry(e)
+            FragmentInfo.from_entry(self.directory, e)
             for e in entries.get("retired", [])
         ]
         self._gc_horizon = int(entries.get("gc_horizon", 0))
@@ -404,60 +408,6 @@ class FragmentStore:
         # commit checkpoints, which creates it.
         self._ckpt_due = load.log_status == "absent"
         self._zone_backfill_done = False
-
-    def _parse_fragment_entry(self, e: dict) -> FragmentInfo:
-        return FragmentInfo(
-            path=self.directory / e["file"],
-            format_name=e["format"],
-            shape=tuple(e["shape"]),
-            nnz=int(e["nnz"]),
-            bbox=Box(tuple(e["bbox_origin"]), tuple(e["bbox_size"])),
-            nbytes=int(e["nbytes"]),
-            crc=recorded_crc(e.get("crc")),
-            # Absent in version-1 manifests (and for fsck-recovered
-            # entries): loads as None, backfilled lazily.
-            zone=ZoneMap.from_json(e.get("zone")),
-            # Pre-snapshot manifests carry no lifetime bounds: such a
-            # fragment has existed "since forever" and is never retired.
-            born=int(e.get("born", 0)),
-            retired=int(e["retired"]) if e.get("retired") is not None else None,
-            # Absent in pre-cascade manifests; backfilled on demand from
-            # the fragment header (compression_stats).
-            codecs=e.get("codecs"),
-            raw_nbytes=e.get("raw_nbytes"),
-            # Absent unless migration rewrote the fragment in place:
-            # the shadowing order falls back to the file-name number.
-            seq=int(e["seq"]) if e.get("seq") is not None else None,
-            # Absent for every fragment written row-major (including all
-            # pre-ALTO manifests): the tag is only persisted when it
-            # differs from the default.
-            addr_order=str(e.get("addr_order") or DEFAULT_ADDRESS_ORDER),
-        )
-
-    @staticmethod
-    def _fragment_entry(f: FragmentInfo) -> dict:
-        entry = {
-            "file": f.path.name,
-            "format": f.format_name,
-            "shape": list(f.shape),
-            "nnz": f.nnz,
-            "bbox_origin": list(f.bbox.origin),
-            "bbox_size": list(f.bbox.size),
-            "nbytes": f.nbytes,
-            "crc": f.crc,
-            "zone": f.zone.to_json() if f.zone else None,
-            "born": f.born,
-        }
-        if f.retired is not None:
-            entry["retired"] = f.retired
-        if f.codecs is not None:
-            entry["codecs"] = f.codecs
-            entry["raw_nbytes"] = f.raw_nbytes
-        if f.seq is not None:
-            entry["seq"] = f.seq
-        if f.addr_order != DEFAULT_ADDRESS_ORDER:
-            entry["addr_order"] = f.addr_order
-        return entry
 
     def _settings(self) -> dict:
         """The store-level keys of ``manifest.json``, in document order."""
@@ -519,7 +469,7 @@ class FragmentStore:
             except BaseException:
                 self._rollback_locked(written)
                 raise
-        # Every committed mutation (write / compact / rescan / quarantine)
+        # Every committed mutation (write / compact / repair / quarantine)
         # bumps the generation, so invalidating here guarantees the cache
         # can never serve a pre-mutation decode.
         self.cache.invalidate()
@@ -547,10 +497,10 @@ class FragmentStore:
             if f.born is None:
                 f.born = generation
         if delta.add:
-            record["add"] = [self._fragment_entry(f) for f in delta.add]
+            record["add"] = [f.to_entry() for f in delta.add]
         if delta.replace:
             record["replace"] = [
-                [old, self._fragment_entry(f)] for old, f in delta.replace
+                [old, f.to_entry()] for old, f in delta.replace
             ]
         if delta.retire:
             record["retire"] = delta.retire
@@ -576,11 +526,11 @@ class FragmentStore:
         doc = {"version": settings["version"], "generation": generation}
         for key in ("shape", "format", "relative_coords", "codec"):
             doc[key] = settings[key]
-        doc["fragments"] = [self._fragment_entry(f) for f in self._fragments]
+        doc["fragments"] = [f.to_entry() for f in self._fragments]
         if "addr_order" in settings:
             doc["addr_order"] = settings["addr_order"]
         if self._retired:
-            doc["retired"] = [self._fragment_entry(f) for f in self._retired]
+            doc["retired"] = [f.to_entry() for f in self._retired]
         if self._gc_horizon:
             doc["gc_horizon"] = self._gc_horizon
         data = encode_manifest(doc)
@@ -599,7 +549,7 @@ class FragmentStore:
 
     def _truncate_log_locked(self) -> None:
         """Empty the manifest log.  Its length is asked of the file: a
-        rescan that replaces a lost checkpoint does not know it."""
+        fresh checkpoint that replaces a lost one does not know it."""
         path = self._manifest_log_path()
         if path.exists() and path.stat().st_size:
             log = self._mlog or AppendFile(path, fsync=self.fsync)
@@ -639,20 +589,33 @@ class FragmentStore:
         crash (file renamed, manifest not yet updated) is never overwritten
         — ``repro fsck --repair`` can still recover it.
         """
-        used = -1
         names = {f.path.name for f in self._fragments}
         names.update(f.path.name for f in self._retired)
         names.update(p.name for p in self.directory.glob("frag-*.bin"))
-        for name in names:
-            m = FRAGMENT_NAME_RE.match(name)
-            if m:
-                used = max(used, int(m.group(1)))
-        return used + 1
+        return max(map(_file_seq, names), default=-1) + 1
 
     def _next_fragment_path(self) -> Path:
         path = self.directory / f"frag-{self._next_seq:06d}.bin"
         self._next_seq += 1
         return path
+
+    def _rebuild_manifest(self) -> None:
+        """Open fragment files without ``manifest.json``: :meth:`fsck`
+        rebuilds it from them, then a checkpoint records this store's
+        settings, which a rebuilt manifest cannot know."""
+        report = self.fsck(repair=True)
+        quarantined = [
+            f"{i.name} ({i.detail})"
+            for i in report.issues if i.repaired == "quarantined"
+        ]
+        if quarantined:
+            warnings.warn(
+                f"store {self.directory} had no manifest.json; rebuilt it "
+                f"from its fragment files and quarantined "
+                f"{len(quarantined)} of them: {'; '.join(quarantined)}",
+                stacklevel=3,
+            )
+        self._save_manifest(checkpoint=True)
 
     def _warn_on_orphans(self) -> None:
         """Surface fragment files the manifest does not list (uncommitted)."""
@@ -671,54 +634,6 @@ class FragmentStore:
                 "run `repro fsck --repair` to recover or quarantine them",
                 stacklevel=2,
             )
-
-    def rescan(self) -> None:
-        """Rebuild the manifest from fragment file headers on disk.
-
-        Recovery path for a lost or damaged manifest.  Fragments are
-        listed in (sequence number, file name) order: the number is the
-        file name's, or, for a migration's replacement, the slot its
-        header records, so newest-wins reads keep the order the lost
-        manifest had.  Stale ``*.tmp`` files are ignored (and cleaned),
-        and unreadable or truncated fragments are *skipped with a
-        warning* instead of aborting the rebuild — one torn trailing
-        fragment must not take down the whole store.  Skipped files are
-        counted in ``store.rescan_skipped``; run ``repro fsck --repair``
-        to quarantine them properly.
-        """
-        with self._rw.write_locked():
-            clean_temp_files(self.directory)
-            fragments: list[FragmentInfo] = []
-            skipped = 0
-            for path in sorted(self.directory.glob("frag-*.bin")):
-                try:
-                    info = read_fragment_header(path)
-                except FragmentError as exc:
-                    skipped += 1
-                    warnings.warn(
-                        f"rescan: skipping unreadable fragment "
-                        f"{path.name}: {exc}",
-                        stacklevel=2,
-                    )
-                    continue
-                try:
-                    info.crc = fragment_file_crc(path.read_bytes())
-                except OSError:
-                    info.crc = None
-                fragments.append(info)
-            if skipped:
-                counter_add("store.rescan_skipped", skipped)
-            fragments.sort(key=lambda f: (f.effective_seq(), f.path.name))
-            with self._state_lock:
-                self._fragments = fragments
-                # Headers carry no zone maps; let the first planned read
-                # backfill them.
-                self._zone_backfill_done = False
-                # Empty the log before the rebuilt checkpoint lands, so a
-                # log written against another checkpoint never replays
-                # onto this one.
-                self._truncate_log_locked()
-                self._save_manifest(checkpoint=True)
 
     # ------------------------------------------------------------------
     # WRITE (Algorithm 3)
@@ -783,9 +698,9 @@ class FragmentStore:
         pool (:func:`~repro.storage.readpath.map_fragments_ordered`), at
         most ``max_workers`` (default: the CPU count) at a time; NumPy
         releases the GIL in the heavy kernels.  The files are then
-        written in part order, so they are byte-identical to a loop of
-        :meth:`write`; an unpacked WAL tail is packed first, as
-        :meth:`write` does.
+        written in part order, as a loop of :meth:`write` writes them but
+        for the commit's last file number in each header; an unpacked WAL
+        tail is packed first, as :meth:`write` does.
 
         A part that fails to package raises
         :class:`~repro.core.errors.WorkerError` carrying its
@@ -926,6 +841,11 @@ class FragmentStore:
     ) -> list[WriteReceipt]:
         """Write packaged fragments' files in order; commits nothing.  A
         failed write deletes the files written before it."""
+        if len(parts) > 1:
+            # Each file of a multi-file commit names the commit's last
+            # one, so a rebuild never lists a commit that did not finish.
+            for part in parts:
+                part.extra["commit_end"] = self._next_seq + len(parts) - 1
         receipts: list[WriteReceipt] = []
         for part in parts:
             t0 = time.perf_counter()
@@ -1278,7 +1198,6 @@ class FragmentStore:
             codec=self.codec,
         )
         info.zone = zone
-        info.seq = seq
         with self._state_lock:
             self._fragments[index] = info
             self._delta.replace.append((frag.path.name, info))
@@ -1891,6 +1810,9 @@ class FragmentStore:
                 )
                 part = self._package_coords(merged.coords, merged.values)
                 nnz = merged.nnz
+            # The output holds every fragment before it: its header says
+            # so, for a rebuild without the manifest.
+            part.extra["compacted"] = True
             # The merged fragment takes the next unused sequence number, so
             # its name cannot collide; quarantined fragments are already
             # off the list.  One commit lists it and retires the sources:

@@ -157,8 +157,11 @@ class TestThreadSafety:
 
     def test_write_many_records_what_write_records(self, tmp_path):
         """Pool threads record into the shared registry: write_many leaves
-        the counts a loop of write leaves, part for part."""
+        the counts a loop of write leaves, part for part.  The one
+        difference is the ``commit_end`` marker in each batch file's
+        header, and the byte counters grow by exactly its bytes."""
         from repro import FragmentStore
+        from repro.storage.serialization import unpack_header
 
         rng = np.random.default_rng(7)
         shape = (64, 64)
@@ -180,8 +183,26 @@ class TestThreadSafety:
                 {key(h): h["count"] for h in snap["histograms"]},
             )
 
+        def header_nbytes(name):
+            return [
+                unpack_header(path.read_bytes())[1]
+                for path in sorted((tmp_path / name).glob("frag-*.bin"))
+            ]
+
         loop = recorded("loop", lambda s: [s.write(c, v) for c, v in parts])
         batch = recorded("batch", lambda s: s.write_many(parts, max_workers=4))
+        inline = recorded(
+            "inline", lambda s: s.write_many(parts, max_workers=0)
+        )
+        assert batch == inline
+        marker = sum(header_nbytes("batch")) - sum(header_nbytes("loop"))
+        assert 0 < marker <= 24 * len(parts)
+        for key in (
+            ("fragment.bytes_written", '{"format": "LINEAR"}'),
+            ("fragment.file_nbytes", "{}"),
+            ("fragment.write.bytes_out", '{"format": "LINEAR"}'),
+        ):
+            assert batch[0].pop(key) - loop[0].pop(key) == marker
         assert batch == loop
         counters, histograms = batch
         assert counters[("store.write.calls", '{"format": "LINEAR"}')] == 8

@@ -1,6 +1,8 @@
 """Durability layer: atomic commits, checksums, quarantine, fsck."""
 
 import json
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -494,7 +496,7 @@ class TestStaleDataStaysGone:
         assert "superseded" in issue.detail
         assert self._read(directory) == [2.0]
 
-    @pytest.mark.parametrize("rebuild", ["rescan", "fsck"])
+    @pytest.mark.parametrize("rebuild", ["reopen", "fsck"])
     def test_lost_manifest_keeps_a_migrated_fragment_in_its_slot(
         self, tmp_path, rebuild
     ):
@@ -514,7 +516,7 @@ class TestStaleDataStaysGone:
             assert [(e["file"], e.get("seq")) for e in entries] == [
                 ("frag-000002.bin", 0), ("frag-000001.bin", None),
             ]
-        # Without a manifest the constructor runs rescan().
+        # Without a manifest the constructor rebuilds it (fsck --repair).
         reopened = FragmentStore(directory, (8, 8), "LINEAR")
         assert [f.path.name for f in reopened.fragments] == [
             "frag-000002.bin", "frag-000001.bin",
@@ -523,6 +525,174 @@ class TestStaleDataStaysGone:
         assert reopened.read_points(self.CELL).values.tolist() == [2.0]
         reopened.close()
         assert self._read(directory) == [2.0]
+
+    def _compacted_under_retention(self, directory):
+        """Two cells written as 1.0, then as 2.0, then compacted with
+        retention on: 1 live fragment, 2 retired ones, nnz 2."""
+        store = FragmentStore(
+            directory, (8, 8), "LINEAR",
+            options=StoreOptions(retain_generations=2),
+        )
+        cells = np.array([[3, 4], [5, 6]], dtype=np.uint64)
+        store.write(cells, np.array([1.0, 1.0]))
+        store.write(cells, np.array([2.0, 2.0]))
+        store.compact()
+        assert [f.path.name for f in store.fragments] == ["frag-000002.bin"]
+        store.close()
+        return cells
+
+    @pytest.mark.parametrize("rebuild", ["reopen", "fsck"])
+    def test_lost_manifest_lists_only_the_live_fragments(
+        self, tmp_path, rebuild
+    ):
+        """A rebuild without the manifest once relisted the retained
+        compaction sources as live: 3 fragments and nnz 6, where the
+        store had 1 and 2.  They are superseded, so they go to
+        quarantine."""
+        directory = tmp_path / "ds"
+        cells = self._compacted_under_retention(directory)
+        (directory / "manifest.json").unlink()
+        (directory / "manifest.log").unlink()
+        if rebuild == "fsck":
+            report = fsck(directory, repair=True)
+            assert {
+                i.name: i.repaired for i in report.issues_of("extra")
+            } == {
+                "frag-000000.bin": "quarantined",
+                "frag-000001.bin": "quarantined",
+                "frag-000002.bin": "recovered",
+            }
+            store = FragmentStore(directory, (8, 8), "LINEAR")
+        else:
+            with pytest.warns(UserWarning, match="quarantined 2 of them"):
+                store = FragmentStore(directory, (8, 8), "LINEAR")
+        assert [f.path.name for f in store.fragments] == ["frag-000002.bin"]
+        assert store.nnz == 2
+        assert store.read_points(cells).values.tolist() == [2.0, 2.0]
+        quarantine = directory / ".quarantine"
+        for name in ("frag-000000.bin", "frag-000001.bin"):
+            assert (quarantine / name).exists()
+            reason = (quarantine / f"{name}.reason").read_text()
+            assert "superseded: older than compaction output " \
+                "frag-000002.bin" in reason
+        store.close()
+        assert fsck(directory).clean
+
+    def test_lost_manifest_after_a_compaction_chain_keeps_the_live_set(
+        self, tmp_path
+    ):
+        """Compact, write, migrate the compacted fragment, write, compact
+        again, all under retention: after every step, a rebuild without
+        the manifest lists the live fragments the store listed."""
+        directory = tmp_path / "ds"
+        store = FragmentStore(
+            directory, (8, 8), "LINEAR",
+            options=StoreOptions(retain_generations=2),
+        )
+        other = np.array([[1, 1]], dtype=np.uint64)
+        cells = np.vstack([self.CELL, other])
+        store.write(self.CELL, np.array([1.0]))
+        store.write(self.CELL, np.array([2.0]))
+        steps = [
+            store.compact,
+            lambda: store.write(other, np.array([3.0])),
+            lambda: store.migrate_fragment(0, "COO"),
+            lambda: store.write(self.CELL, np.array([4.0])),
+            store.compact,
+        ]
+        for i, step in enumerate(steps):
+            step()
+            copy = tmp_path / f"lost-{i}"
+            shutil.copytree(directory, copy)
+            (copy / "manifest.json").unlink()
+            (copy / "manifest.log").unlink()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                rebuilt = FragmentStore(copy, (8, 8), "LINEAR")
+            assert [f.path.name for f in rebuilt.fragments] == [
+                f.path.name for f in store.fragments
+            ], f"after step {i}"
+            want = store.read_points(cells)
+            got = rebuilt.read_points(cells)
+            assert got.found.tolist() == want.found.tolist()
+            assert got.values.tolist() == want.values.tolist()
+            rebuilt.close()
+        assert [f.path.name for f in store.fragments] == ["frag-000006.bin"]
+
+    def test_gc_after_a_repair_keeps_the_live_files(self, tmp_path):
+        """The explicit rebuild reloads the store from what it wrote, so
+        the retained sources stay retired and GC deletes only them."""
+        directory = tmp_path / "ds"
+        cells = self._compacted_under_retention(directory)
+        store = FragmentStore(
+            directory, (8, 8), "LINEAR",
+            options=StoreOptions(retain_generations=2),
+        )
+        assert store.fsck(repair=True).clean
+        assert store.gc(keep_generations=0) == 2
+        assert [f.path.name for f in store.fragments] == ["frag-000002.bin"]
+        assert store.read_points(cells).values.tolist() == [2.0, 2.0]
+        assert fsck(directory).clean
+
+    @pytest.mark.parametrize("then", ["fsck", "write, lose the manifest"])
+    @pytest.mark.parametrize("crash_at", ["frag-000002.bin.tmp", "manifest.*"])
+    def test_fsck_recovers_a_write_many_whole_or_not_at_all(
+        self, tmp_path, crash_at, then
+    ):
+        """A crash inside one ``write_many`` commit: fsck once recovered
+        the files that had reached the disk, so part of the batch became
+        durable.  Each file names the commit's last file; without it the
+        batch is uncommitted.  A store reopened without fsck reuses that
+        file name for its next write, which must not finish the batch
+        when the manifest is lost later."""
+        directory = tmp_path / "ds"
+        store = FragmentStore(directory, (8, 8), "LINEAR")
+        other = np.array([[1, 1]], dtype=np.uint64)
+        parts = [
+            (self.CELL, np.array([1.0])),
+            (other, np.array([2.0])),
+            (self.CELL, np.array([3.0])),
+        ]
+        crash = CrashPlan([FaultRule(op="write", pattern=crash_at)])
+        with inject(crash), pytest.raises(OSError):
+            store.write_many(parts, max_workers=0)
+        if then == "fsck":
+            extras = fsck(directory, repair=True).issues_of("extra")
+            cell = 3.0
+        else:
+            with pytest.warns(UserWarning, match="not in the manifest"):
+                later = FragmentStore(directory, (8, 8), "LINEAR")
+            later.write(self.CELL, np.array([4.0]))
+            later.close()
+            (directory / "manifest.json").unlink()
+            (directory / "manifest.log").unlink()
+            *extras, written = fsck(directory, repair=True).issues_of("extra")
+            assert written.repaired == "recovered"
+            cell = 4.0
+        reopened = FragmentStore(directory, (8, 8), "LINEAR")
+        out = reopened.read_points(np.vstack([self.CELL, other]))
+        if crash_at == "manifest.*":  # every file on disk: all recovered
+            assert [i.repaired for i in extras] == ["recovered"] * 3
+            assert out.values.tolist() == [cell, 2.0]
+        else:
+            assert [(i.name, i.repaired) for i in extras] == [
+                ("frag-000000.bin", "quarantined"),
+                ("frag-000001.bin", "quarantined"),
+            ]
+            assert all(
+                i.detail == "uncommitted: its commit never wrote its last "
+                "file frag-000002.bin" for i in extras
+            )
+            if then == "fsck":
+                assert reopened.fragments == ()
+                assert not out.found.any()
+            else:  # only the later write is live
+                assert [f.path.name for f in reopened.fragments] == [
+                    "frag-000002.bin",
+                ]
+                assert out.found.tolist() == [True, False]
+                assert out.values[0] == cell
+        assert fsck(directory).clean
 
     def test_fsck_recovers_an_orphan_newer_than_every_listed(self, tmp_path):
         directory = tmp_path / "ds"
@@ -563,23 +733,29 @@ class TestStaleDataStaysGone:
 
 
 class TestRescanRobustness:
-    def test_rescan_skips_truncated_fragment(self, tmp_path):
+    """A rebuild from the fragment files (an open without
+    ``manifest.json``, or ``store.fsck(repair=True)``) survives torn and
+    temporary files."""
+
+    def test_rebuild_quarantines_truncated_fragment(self, tmp_path):
         store, coords, values = make_store(tmp_path / "ds")
         store.write(coords, values)
         # Truncate the second fragment inside its header.
         frag = store.fragments[1].path
         frag.write_bytes(frag.read_bytes()[:6])
         (tmp_path / "ds" / "manifest.json").unlink()
-        with pytest.warns(UserWarning, match="skipping unreadable"):
+        with pytest.warns(UserWarning, match="quarantined 1 of them: "
+                          "frag-000001.bin .unlisted and unreadable"):
             reopened = FragmentStore(tmp_path / "ds", (32, 32), "LINEAR")
         assert len(reopened.fragments) == 1
+        assert (tmp_path / "ds" / ".quarantine" / frag.name).exists()
         out = reopened.read_points(coords)
         assert out.found.all()
 
     def test_rescan_ignores_tmp_files(self, tmp_path):
         store, *_ = make_store(tmp_path / "ds")
         (tmp_path / "ds" / "frag-000001.bin.tmp").write_bytes(b"torn")
-        store.rescan()
+        store.fsck(repair=True)
         assert len(store.fragments) == 1
         assert not (tmp_path / "ds" / "frag-000001.bin.tmp").exists()
 

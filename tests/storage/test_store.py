@@ -157,7 +157,9 @@ class TestRelativeCoords:
 
 
 class TestRescanRobustness:
-    """rescan() must survive torn/partial files (durability satellite)."""
+    """A rebuild from the fragment files (an open without
+    ``manifest.json``, or ``store.fsck(repair=True)``) must survive
+    torn/partial files (durability satellite)."""
 
     def seeded_store(self, tmp_path, tensor_3d):
         store = FragmentStore(tmp_path / "ds", tensor_3d.shape, "LINEAR")
@@ -169,27 +171,31 @@ class TestRescanRobustness:
     def test_rescan_skips_tmp_files(self, tmp_path, tensor_3d):
         store = self.seeded_store(tmp_path, tensor_3d)
         (tmp_path / "ds" / "frag-000007.bin.tmp").write_bytes(b"\0" * 64)
-        store.rescan()
+        store.fsck(repair=True)
         assert len(store.fragments) == 2
         assert not (tmp_path / "ds" / "frag-000007.bin.tmp").exists()
 
-    def test_rescan_warns_and_skips_truncated_fragment(self, tmp_path,
-                                                       tensor_3d):
+    def test_rebuild_warns_and_quarantines_truncated_fragment(
+        self, tmp_path, tensor_3d
+    ):
         import warnings as _warnings
 
         store = self.seeded_store(tmp_path, tensor_3d)
         torn = store.fragments[1].path
         torn.write_bytes(torn.read_bytes()[:5])  # inside the magic/header
-        with pytest.warns(UserWarning, match="skipping unreadable"):
-            store.rescan()
-        assert len(store.fragments) == 1
+        store.close()
+        (tmp_path / "ds" / "manifest.json").unlink()
+        with pytest.warns(UserWarning, match=f"quarantined 1 .*{torn.name}"):
+            rebuilt = FragmentStore(tmp_path / "ds", tensor_3d.shape, "LINEAR")
+        assert len(rebuilt.fragments) == 1
+        assert (tmp_path / "ds" / ".quarantine" / torn.name).exists()
         half = tensor_3d.nnz // 2
-        out = store.read_points(tensor_3d.coords[:half])
+        out = rebuilt.read_points(tensor_3d.coords[:half])
         assert out.found.all()
-        # The rebuilt manifest loads cleanly (torn file is still reported
-        # as an orphan until fsck --repair deals with it).
+        # The rebuilt manifest loads cleanly, and the torn file is gone
+        # from the directory, so no orphan is left to warn about.
         with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", UserWarning)
+            _warnings.simplefilter("error", UserWarning)
             reloaded = FragmentStore(
                 tmp_path / "ds", tensor_3d.shape, "LINEAR"
             )
