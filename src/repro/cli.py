@@ -22,15 +22,14 @@
     decoded-fragment cache section (``--cache-bytes`` sets the budget,
     ``--build`` adds a unified-build-pipeline section showing the
     canonical-intermediate counters, ``--shards`` adds the
-    per-shard band table for a ``ShardedStore``, and ``--wal``
+    band table of a ``ShardedStore``, and ``--wal``
     exercises the durable append path and prints the write-ahead-log
     section — ``store.wal.*`` counters plus the live log footprint).
 ``fsck``
     Verify a store: every fragment's header and CRC checked against the
     manifest, drift reported (missing/extra/corrupt/stale temp files),
     write-ahead-log segments scanned (count and valid bytes reported);
-    sharded directories are auto-detected and get the parent+children
-    walk; ``--repair`` rebuilds manifests, recovers readable uncommitted
+    ``--repair`` rebuilds the manifest, recovers readable uncommitted
     fragments, quarantines unreadable ones, and truncates torn WAL
     tails back to the last intact record.
 """
@@ -105,7 +104,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         )
         receipts = store.write_tensor(tensor)
         print(f"wrote {len(receipts)} band fragments across "
-              f"{len(store.shards)} shards: "
+              f"{len(store.shards)} bands: "
               f"file={sum(r.file_nbytes for r in receipts):,} B "
               f"(build {sum(r.build_seconds for r in receipts) * 1000:.1f} ms)")
         return 0
@@ -120,13 +119,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    import json
-
     from .bench.report import format_bytes, render_table
-    from .storage.store import FragmentStore
 
-    manifest = json.loads((Path(args.store) / "manifest.json").read_text())
-    store = FragmentStore(args.store, manifest["shape"], manifest["format"])
+    if _legacy_layout(args.store):
+        return 1
+    store = _open_store(args.store)
     rows = [
         [f.path.name, f.format_name, f.nnz,
          str(f.bbox.origin), str(f.bbox.size), format_bytes(f.nbytes)]
@@ -330,7 +327,7 @@ def _render_compression_section(store) -> str:
 
 
 def _render_shards_section(store) -> str:
-    """The ``repro stats --shards`` section: per-band summary rows."""
+    """The ``repro stats --shards`` section: the band table, per band."""
     from .bench.report import format_bytes, render_table
 
     rows = [
@@ -339,36 +336,40 @@ def _render_shards_section(store) -> str:
         for r in store.stats()
     ]
     return render_table(
-        ["shard", "address band", "nnz", "fragments", "bytes", "gen"],
+        ["band", "address band", "nnz", "fragments", "bytes", "gen"],
         rows,
-        title=(f"shards (parent generation {store.generation}, "
+        title=(f"bands (generation {store.generation}, "
                f"{store.nnz:,} points)"),
         formatters={2: str, 3: str, 4: str, 5: str},
     )
 
 
-def _open_stats_store(args, options):
-    """Open ``args.store`` as the right store kind for ``repro stats``.
+def _legacy_layout(directory: str) -> bool:
+    """Whether ``directory`` holds the legacy sharded layout, which only
+    a ``ShardedStore`` opens (converting it); says so on stderr."""
+    from .storage.durability import LEGACY_SHARDS_NAME
 
-    Returns ``(store, cache)`` — ``cache`` is ``None`` for sharded
-    stores, whose decoded-fragment caches live per child.
-    """
+    if not (Path(directory) / LEGACY_SHARDS_NAME).exists():
+        return False
+    print(f"{directory} holds the legacy sharded layout "
+          f"({LEGACY_SHARDS_NAME} over shard-NNNN/ stores); opening it "
+          "with ShardedStore converts it into one banded store",
+          file=sys.stderr)
+    return True
+
+
+def _open_store(directory: str, options=None):
+    """Open a store from its ``manifest.json``: a banded manifest opens
+    as a ``ShardedStore``."""
     import json
 
-    from .storage.sharded import ShardedStore, is_sharded_dir
+    from .storage.sharded import ShardedStore
     from .storage.store import FragmentStore
 
-    if is_sharded_dir(args.store):
-        doc = json.loads((Path(args.store) / "shards.json").read_text())
-        store = ShardedStore(
-            args.store, doc["shape"], doc["format"], options=options
-        )
-        return store, None
-    manifest = json.loads((Path(args.store) / "manifest.json").read_text())
-    store = FragmentStore(
-        args.store, manifest["shape"], manifest["format"], options=options
-    )
-    return store, store.cache
+    manifest = json.loads((Path(directory) / "manifest.json").read_text())
+    cls = ShardedStore if manifest.get("bands") else FragmentStore
+    return cls(directory, manifest["shape"], manifest["format"],
+               options=options)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -398,7 +399,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     compression_stats = None
 
     if args.store:
-        store, cache = _open_stats_store(args, store_options)
+        if _legacy_layout(args.store):
+            return 1
+        store = _open_store(args.store, store_options)
+        cache = store.cache
         if not store.fragments:
             print(f"store {args.store} has no fragments", file=sys.stderr)
             return 1
@@ -439,7 +443,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         # Self-contained demo: two disjoint fragments, so the read shows
         # bbox overlap pruning alongside byte and latency metrics.  With
         # --shards the demo store is a 4-band ShardedStore instead, so
-        # the per-shard table and store.shard.* counters have data.
+        # the band table and store.shard.* counters have data.
         shape = (64, 64, 64)
         n = max(16, args.points)
         with tempfile.TemporaryDirectory() as tmp:
@@ -470,7 +474,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     store.pack_wal()
                 store.gc()
                 wal_section = _render_wal_section(store)
-            cache = None if args.shards else store.cache
+            cache = store.cache
             if args.plan:
                 plan_summary = store.explain(
                     Box((0, 0, 0), (16, 16, 16))
@@ -481,7 +485,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             if args.compression:
                 compression_section = _render_compression_section(store)
                 compression_stats = store.compression_stats()
-        kind = "4-shard" if args.shards else "2-fragment"
+        kind = "4-band" if args.shards else "2-fragment"
         title = (f"repro observability — demo round-trip "
                  f"({args.format}, {kind}, {n} points per write)")
 
@@ -540,14 +544,10 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     import json
 
     from .storage.durability import fsck
-    from .storage.sharded import fsck_sharded, is_sharded_dir
 
-    # A sharded directory (parent manifest or any range.json breadcrumb)
-    # gets the parent+children walk; anything else the flat-store check.
-    if is_sharded_dir(args.store):
-        report = fsck_sharded(args.store, repair=args.repair)
-    else:
-        report = fsck(args.store, repair=args.repair)
+    if _legacy_layout(args.store):
+        return 1
+    report = fsck(args.store, repair=args.repair)
     if args.json:
         print(json.dumps(report.as_dict(), indent=1))
     else:
@@ -626,9 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(encode_all + merge compaction) and print the "
                         "build.canonical.* counter section")
     p.add_argument("--shards", action="store_true",
-                   help="also print the per-shard band table; with "
-                        "--store the directory must be a ShardedStore, "
-                        "without it the demo store is built 4-way sharded")
+                   help="also print the band table; with --store the "
+                        "directory must be a ShardedStore, without it the "
+                        "demo store is built with 4 bands")
     p.add_argument("--compression", action="store_true",
                    help="report bytes-on-disk per codec chain (and, for "
                         "the demo store, write through the cascade)")
@@ -641,13 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the metrics snapshot as JSON")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("fsck",
-                       help="verify/repair a store (sharded auto-detected)")
-    p.add_argument("store", help="store directory (flat or sharded)")
+    p = sub.add_parser("fsck", help="verify/repair a store")
+    p.add_argument("store", help="store directory")
     p.add_argument("--repair", action="store_true",
-                   help="rebuild manifests; recover readable orphans, "
-                        "quarantine unreadable fragments (sharded: also "
-                        "rebuild the parent from range.json sidecars)")
+                   help="rebuild the manifest; recover readable orphans, "
+                        "quarantine unreadable fragments")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
     p.set_defaults(func=cmd_fsck)

@@ -134,6 +134,12 @@ class SparseFormat(abc.ABC):
     #: and ``extract_addresses`` can re-express in any order on output.
     payload_orders: ClassVar[tuple[str, ...] | None] = None
 
+    #: Whether the organization needs the shape's linear addresses (to
+    #: build, to probe or both), so a store shape whose cell count
+    #: overflows uint64 needs ``relative_coords``.  CSF indexes by
+    #: coordinate alone.
+    linear_addresses: ClassVar[bool] = True
+
     # -- build ---------------------------------------------------------
 
     @abc.abstractmethod

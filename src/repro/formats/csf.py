@@ -80,6 +80,7 @@ class CSFFormat(SparseFormat):
 
     name = "CSF"
     reorders_values = True
+    linear_addresses = False
 
     def __init__(self, dim_order: str = "ascending"):
         if dim_order not in ("ascending", "descending", "natural"):

@@ -15,13 +15,13 @@ same two methods:
 Code written against :class:`Readable` works unchanged whether the data
 lives in memory, in one fragment directory, or sharded over blocks.
 Generation-pinned store views (:class:`~repro.storage.store.
-StoreSnapshot`, :class:`~repro.storage.sharded.ShardedSnapshot` — see
-``docs/WAL_SNAPSHOTS.md``) answer the same two methods, so query code
-is equally agnostic to whether it reads the live store or a snapshot.
+StoreSnapshot` — see ``docs/WAL_SNAPSHOTS.md``) answer the same two
+methods, so query code is equally agnostic to whether it reads the live
+store or a snapshot.
 
 The storage-backed implementations (:class:`~repro.storage.store.
 FragmentStore`, :class:`~repro.storage.blocks.BlockedDataset`,
-:class:`~repro.storage.sharded.ShardedStore` and both snapshot views)
+:class:`~repro.storage.sharded.ShardedStore` and the snapshot view)
 additionally share one keyword-only *tuning surface* on both methods —
 a single ``options=``\\ :class:`~repro.storage.options.ReadOptions`
 value (``faithful``) — so per-call read tuning is portable across every

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import re
 import struct
@@ -75,6 +76,9 @@ from ..obs import counter_add
 MANIFEST_NAME = "manifest.json"
 #: The append-only log of commits made since ``manifest.json``.
 MANIFEST_LOG_NAME = "manifest.log"
+#: The band table of the earlier sharded layout, one child store per
+#: band (``docs/SHARDED_STORE.md``): only a ``ShardedStore`` opens it.
+LEGACY_SHARDS_NAME = "shards.json"
 QUARANTINE_DIR = ".quarantine"
 TMP_SUFFIX = ".tmp"
 
@@ -494,7 +498,8 @@ def apply_manifest_record(doc: dict[str, Any], record: dict[str, Any]) -> None:
     list position — migration, re-ordering, zone backfill), ``retire``
     (names moved from the live list to ``retired``, stamped with the
     record's generation), ``drop`` (names removed from either list),
-    ``add`` (entries appended to the live list) and ``gc_horizon``.
+    ``add`` (entries appended to the live list), ``gc_horizon`` and
+    ``bands`` (the band table's interior edges; empty: one band).
     Only a record that removes or replaces entries walks the lists.
     Raises ``KeyError`` / ``ValueError`` / ``TypeError``, leaving ``doc``
     untouched, when the record names a fragment the document does not
@@ -542,6 +547,11 @@ def apply_manifest_record(doc: dict[str, Any], record: dict[str, Any]) -> None:
     live.extend(add)
     if horizon:
         doc["gc_horizon"] = horizon
+    bands = record.get("bands")
+    if bands:
+        doc["bands"] = bands
+    elif bands is not None:
+        doc.pop("bands", None)
     doc["generation"] = generation
 
 
@@ -759,27 +769,48 @@ def _file_seq(name: str) -> int:
     return int(m.group(1)) if m else -1
 
 
+def _span(mark) -> tuple[float, float]:
+    """A header's ``"band"`` or ``"compacted"`` mark as an address range
+    (no mark, or ``true``: the whole address space)."""
+    if mark is None or mark is True:
+        return (0, math.inf)
+    return (int(mark[0]), int(mark[1]))
+
+
 def _rebuild_rule(
-    unlisted: list[tuple[Any, dict[str, Any]]], newest_listed: int
+    unlisted: list[tuple[Any, dict[str, Any]]],
+    newest_listed: int,
+    table: set[tuple[int, int]] | None = None,
 ) -> dict[str, str]:
     """The rebuild rule: the readable fragment files the manifest does
     not list that a rebuild must not list either, each with why.
 
     ``unlisted`` pairs each file's view with its header's ``extra``;
     ``newest_listed`` is the highest file number the manifest lists
-    (live or retired), -1 without a manifest.  A file is superseded when
+    (live or retired), -1 without a manifest; ``table`` holds the
+    committed band table's ``(lo, hi)`` bands (``None`` without one).  A
+    file's band is its ``"band"`` mark, a compaction, split or merge
+    output's range its ``"compacted"`` mark (:func:`_span`).  A file is
+    superseded when
 
     1. its claimed sequence number is at or below ``newest_listed``: a
        committed fragment follows it (a compaction source, a replaced
        fragment, a write whose commit failed);
-    2. it claims a lower number than the newest compaction output among
-       the rest (``"compacted"``), which holds every fragment before it;
+    2. a newer compaction output of another commit has a range that
+       contains its band: the output holds every fragment of that range
+       before it (a split's two halves share a commit and a range);
     3. a newer file (a higher file number) claims the same number: that
        file is a replacement, and this one its original;
 
     and it is uncommitted when 4. it names its commit's last file
     (``"commit_end"``) and the file claiming that number carries another
-    mark or none: the commit never wrote it.  Every other file is live.
+    mark, or no file claims it and no compaction output is newer than it
+    (a band's compaction may retire the last file of a routed write whose
+    other pieces live on): the commit never wrote it; or 5. ``table``
+    lacks its band: a split or merge whose commit never landed.  Every
+    other file is live.  Every committed output supersedes, a superseded
+    one too (a split's halves cover less than the band it rewrote), and
+    rule 4 consults newer ones alone, so files are judged newest first.
     """
     out: dict[str, str] = {}
     rest = []  # (claimed sequence number, file number, name, extra)
@@ -791,22 +822,50 @@ def _rebuild_rule(
             )
         else:
             rest.append((seq, _file_seq(name), name, extra))
-    top_seq, _, top, _ = max(
-        (r for r in rest if r[3].get("compacted")), default=(-1, -1, "", {})
-    )
     newest_of_seq = {seq: (name, x) for seq, _, name, x in sorted(rest)}
-    for seq, _, name, extra in rest:
+    outputs: list[tuple] = []  # committed outputs: seq, name, range, end
+    for seq, _, name, extra in sorted(rest, reverse=True):
+        band = _span(extra.get("band"))
         end = extra.get("commit_end")
-        if seq < top_seq:
-            out[name] = f"superseded: older than compaction output {top}"
+        if table is not None and "band" in extra and band not in table:
+            out[name] = (
+                f"uncommitted: band [{band[0]}, {band[1]}) is not in the "
+                "committed band table"
+            )
+            continue
+        if end is not None:
+            holder = newest_of_seq.get(end)
+            if holder is None:
+                done = any(s > end for s, _, _, _ in outputs)
+            else:
+                done = holder[1].get("commit_end") == end
+            if not done:
+                out[name] = (
+                    "uncommitted: its commit never wrote its last file "
+                    f"frag-{end:06d}.bin"
+                )
+                continue
+        cover = next((
+            n for s, n, r, e in outputs
+            if s > seq and r[0] <= band[0] and band[1] <= r[1]
+            and (e is None or e != end)
+        ), None)
+        if cover is not None:
+            out[name] = f"superseded: older than compaction output {cover}"
         elif newest_of_seq[seq][0] != name:
             out[name] = f"superseded: replaced by {newest_of_seq[seq][0]}"
-        elif newest_of_seq.get(end, ("", {}))[1].get("commit_end") != end:
-            out[name] = (
-                "uncommitted: its commit never wrote its last file "
-                f"frag-{end:06d}.bin"
-            )
+        if extra.get("compacted"):
+            outputs.append((seq, name, _span(extra["compacted"]), end))
     return out
+
+
+def _rebuilt_edges(marks: list[tuple[float, float]]) -> list[int]:
+    """The band edges of a store rebuilt without its manifest, from its
+    live fragments' bands: each band's low edge but the lowest, less any
+    edge a live fragment's band spans.  So a band whose fragments are all
+    gone merges into its neighbour, and no fragment straddles an edge."""
+    lows = sorted({lo for lo, _ in marks})[1:]
+    return [e for e in lows if not any(lo < e < hi for lo, hi in marks)]
 
 
 def _tally_codecs(report: FsckReport, header: dict[str, Any]) -> None:
@@ -841,7 +900,8 @@ def fsck(
     header describes it, unless :func:`_rebuild_rule` quarantines it;
     recovered extras are appended in (sequence number, file name) order.
     Without a manifest every fragment file is an extra, so the rebuild
-    lists exactly the fragments a newest-wins read needs.
+    lists exactly the fragments a newest-wins read needs, and takes a
+    banded store's edges from their band marks (:func:`_rebuilt_edges`).
 
     When the store has a write-ahead log (a ``wal/`` subdirectory), every
     segment is scanned too: torn tails are reported (and truncated back to
@@ -875,7 +935,7 @@ def fsck(
                 k: manifest[k]
                 for k in (
                     "version", "shape", "format", "relative_coords", "codec",
-                    "gc_horizon", "addr_order",
+                    "gc_horizon", "addr_order", "bands",
                 )
                 if k in manifest
             }
@@ -955,8 +1015,20 @@ def fsck(
             quarantine_file(directory, path, reason=f"fsck: {reason}")
             issue.repaired = "quarantined"
         report.issues.append(issue)
+    table = None
+    if manifest_meta.get("shape") and any("band" in x for _, x in unlisted):
+        from ..core.linearize import address_space_size
+
+        bounds = [
+            0, *manifest_meta.get("bands", ()),
+            address_space_size(
+                manifest_meta["shape"],
+                manifest_meta.get("addr_order") or "row_major",
+            ),
+        ]
+        table = set(zip(bounds, bounds[1:]))
     stale = _rebuild_rule(
-        unlisted, max(map(_file_seq, listed_names), default=-1)
+        unlisted, max(map(_file_seq, listed_names), default=-1), table
     )
     recovered: list[FragmentInfo] = []
     for info, _ in unlisted:
@@ -1042,6 +1114,13 @@ def fsck(
         rebuilt["fragments"] = surviving + [f.to_entry() for f in recovered]
         if surviving_retired:
             rebuilt["retired"] = surviving_retired
+        if load is None:
+            edges = _rebuilt_edges([
+                _span(x.get("band")) for info, x in unlisted
+                if info.path.name not in stale
+            ])
+            if edges:
+                rebuilt["bands"] = edges
         write_bytes_atomic(
             manifest_path, encode_manifest(rebuilt), fsync=True
         )

@@ -314,8 +314,8 @@ class QueryKeys:
     * point queries set aside rows outside the shape (not-found
       everywhere; linearized they would alias in-shape cells), then
       linearize the rest once per order into :meth:`keys`' ``(sorted
-      keys, permutation)`` pair — the zone stage, the probe slices, the
-      WAL-tail overlay and the shard router all cut that one vector;
+      keys, permutation)`` pair — the zone stage, the probe slices and
+      the WAL-tail overlay all cut that one vector;
     * box queries decompose once per order into ascending address
       intervals (:meth:`intervals`) — in row-major order one interval
       per cell of the leading modes the box covers in part (:func:`repro.
@@ -398,14 +398,6 @@ class QueryKeys:
         s = int(sorted_keys.searchsorted(INDEX_DTYPE.type(lo), side="left"))
         e = int(sorted_keys.searchsorted(INDEX_DTYPE.type(hi), side="right"))
         return sorted_keys[s:e], perm[s:e]
-
-    def band(self, order: str, s: int, e: int) -> QueryKeys:
-        """Sorted keys ``[s, e)`` as a query of their own, rows in key
-        order (its results map back through ``keys(order)[1][s:e]``)."""
-        sorted_keys, perm = self.keys(order)
-        sub = QueryKeys(self.shape, points=self.points[perm[s:e]])
-        sub._keys[order] = (sorted_keys[s:e], np.arange(e - s))
-        return sub
 
     def intervals(self, order: str) -> AddressIntervals | None:
         """The box as ascending address intervals in ``order``'s space

@@ -92,12 +92,7 @@ from ..formats.registry import get_format, resolve_format
 from ..obs import counter_add, observe, span
 from ..readapi import ReadOutcome
 from .durability import (
-    MANIFEST_LOG_NAME as _MANIFEST_LOG,
-)
-from .durability import (
-    MANIFEST_NAME as _MANIFEST,
-)
-from .durability import (
+    LEGACY_SHARDS_NAME,
     AppendFile,
     FsckReport,
     _file_seq,
@@ -112,6 +107,8 @@ from .durability import (
     truncate_file,
     write_bytes_atomic,
 )
+from .durability import MANIFEST_LOG_NAME as _MANIFEST_LOG
+from .durability import MANIFEST_NAME as _MANIFEST
 from .fragment import (
     FragmentInfo,
     load_fragment,
@@ -233,6 +230,10 @@ class FragmentStore:
     query results are identical.
     """
 
+    #: Whether the class cuts writes at a manifest's band edges: a plain
+    #: store has one band and refuses a banded directory.
+    _BANDED = False
+
     def __init__(
         self,
         directory: str | Path,
@@ -249,6 +250,7 @@ class FragmentStore:
         self.fmt = resolve_format(format_name)
         self.format_name = self.fmt.name
         self.relative_coords = bool(opts.relative_coords)
+        self._check_fits(self.fmt)
         self.fsync = bool(opts.fsync)
         # ``codec=None`` adopts the codec recorded in an existing manifest
         # (so reopening a store — and then compacting it — keeps writing
@@ -327,6 +329,17 @@ class FragmentStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         clean_temp_files(self.directory)
         self._fragments: list[FragmentInfo] = []
+        #: The band table's interior edges in the store's address order,
+        #: and the edges the manifest last recorded (none: one band).
+        self._edges: list[int] = []
+        self._logged_edges: list[int] = []
+        legacy = (self.directory / LEGACY_SHARDS_NAME).exists()
+        if legacy and not self._BANDED:
+            raise ManifestError(
+                f"{self.directory} holds the legacy sharded layout "
+                f"({LEGACY_SHARDS_NAME} over shard-NNNN/ stores); opening "
+                "it with ShardedStore converts it into one banded store"
+            )
         if self._manifest_path().exists():
             self._load_manifest()
             self._warn_on_orphans()
@@ -336,7 +349,13 @@ class FragmentStore:
             # A fresh directory.  A log left without its checkpoint is
             # emptied first, so it never replays onto this one.
             self._truncate_log_locked()
-            self._save_manifest(checkpoint=True)
+            self._next_seq = 0
+            self._create()
+        if self._edges and not self._BANDED:
+            raise ManifestError(
+                f"{self.directory} holds a {len(self._edges) + 1}-band "
+                "store; open it with ShardedStore"
+            )
         self._next_seq = self._scan_next_seq()
         if self._linearizable and wal_path(self.directory).is_dir():
             with self._rw.write_locked():
@@ -396,6 +415,8 @@ class FragmentStore:
             for e in entries.get("retired", [])
         ]
         self._gc_horizon = int(entries.get("gc_horizon", 0))
+        self._edges = [int(e) for e in entries.get("bands", ())]
+        self._logged_edges = list(self._edges)
         self._close_manifest_log()
         self._delta = _Delta()
         self._mlog_bytes = load.log_bytes
@@ -509,6 +530,9 @@ class FragmentStore:
         if self._gc_horizon != self._logged_horizon:
             record["gc_horizon"] = self._gc_horizon
             self._logged_horizon = self._gc_horizon
+        if self._edges != self._logged_edges:
+            record["bands"] = list(self._edges)
+            self._logged_edges = list(self._edges)
         return record
 
     def _checkpoint_locked(self, settings: dict) -> None:
@@ -533,6 +557,8 @@ class FragmentStore:
             doc["retired"] = [f.to_entry() for f in self._retired]
         if self._gc_horizon:
             doc["gc_horizon"] = self._gc_horizon
+        if self._edges:
+            doc["bands"] = list(self._edges)
         data = encode_manifest(doc)
         self._ckpt_due = True
         log_path = self._manifest_log_path()
@@ -544,6 +570,7 @@ class FragmentStore:
         self._ckpt_bytes = len(data)
         self._ckpt_settings = settings
         self._logged_horizon = self._gc_horizon
+        self._logged_edges = list(self._edges)
         self._truncate_log_locked()
         self._ckpt_due = False
 
@@ -617,6 +644,24 @@ class FragmentStore:
             )
         self._save_manifest(checkpoint=True)
 
+    def _check_fits(self, fmt: SparseFormat) -> None:
+        """Reject an organization that needs linear addresses on a shape
+        whose cell count overflows them (``relative_coords`` stores each
+        fragment against its own box, which fits)."""
+        if (
+            fmt.linear_addresses and not self.relative_coords
+            and not fits_index_dtype(self.shape)
+        ):
+            raise ShapeError(
+                f"shape {self.shape} overflows the uint64 linear address "
+                f"space that {fmt.name} needs; store it as CSF or through "
+                "BlockedDataset (relative_coords)"
+            )
+
+    def _create(self) -> None:
+        """Commit a fresh directory's first manifest: one checkpoint."""
+        self._save_manifest(checkpoint=True)
+
     def _warn_on_orphans(self) -> None:
         """Surface fragment files the manifest does not list (uncommitted)."""
         listed = {f.path.name for f in self._fragments}
@@ -653,9 +698,7 @@ class FragmentStore:
         first (:meth:`_pack_wal_locked`).
         """
         with self._rw.write_locked():
-            part = self._package_coords(coords, values)
-            self._pack_wal_locked()
-            return self._commit_locked([part])[0]
+            return self._write_locked(self._package_coords(coords, values))[0]
 
     def write_canonical(
         self,
@@ -674,14 +717,14 @@ class FragmentStore:
         merge compaction path passes the union of the source fragments'
         boxes — skip re-deriving it from materialized coordinates.
 
-        :func:`~repro.storage.convert.convert_store` and the sharded
-        router write through here; it packs the WAL and runs the same
-        packaging step and commit as :meth:`write`.
+        :func:`~repro.storage.convert.convert_store` writes through
+        here; it packs the WAL and runs the same packaging step and
+        commit as :meth:`write`.
         """
         with self._rw.write_locked():
-            part = self._package(canon, values, bbox=bbox)
-            self._pack_wal_locked()
-            return self._commit_locked([part])[0]
+            return self._write_locked(
+                self._package_cut(canon, values, bbox=bbox)
+            )[0]
 
     def write_many(
         self,
@@ -708,14 +751,22 @@ class FragmentStore:
         """
         with self._rw.write_locked():
             packed = self._package_parts(parts, max_workers)
-            self._pack_wal_locked()
-            return [r.info for r in self._commit_locked(packed)]
+            return [r.info for r in self._write_locked(
+                [piece for pieces in packed for piece in pieces]
+            )]
+
+    def _write_locked(self, parts: list[_PackedPart]) -> list[WriteReceipt]:
+        """Commit packaged parts above the packed WAL tail (writer lock
+        held): the tail is older than every write."""
+        self._pack_wal_locked()
+        return self._commit_locked(parts)
 
     def _package_parts(
         self,
         parts: list[tuple[np.ndarray, np.ndarray]],
         max_workers: int | None,
-    ) -> list[_PackedPart]:
+    ) -> list[list[_PackedPart]]:
+        """:meth:`_package_coords` of every part, on the shared pool."""
         def task(part):
             return self._package_coords(*part)
 
@@ -737,7 +788,7 @@ class FragmentStore:
 
     def _package_coords(
         self, coords: np.ndarray, values: np.ndarray
-    ) -> _PackedPart:
+    ) -> list[_PackedPart]:
         coords = as_index_array(coords)
         values = np.asarray(values)
         if coords.ndim != 2 or coords.shape[1] != len(self.shape):
@@ -747,7 +798,18 @@ class FragmentStore:
         canon = CanonicalCoords.from_coords(
             coords, self.shape, addr_order=self.addr_order
         )
-        return self._package(canon, values)
+        return self._package_cut(canon, values)
+
+    def _package_cut(
+        self,
+        canon: CanonicalCoords,
+        values: np.ndarray,
+        *,
+        bbox: Box | None = None,
+    ) -> list[_PackedPart]:
+        """One part's fragments, one per band it touches: a one-band
+        store packages it whole (``ShardedStore`` cuts it)."""
+        return [self._package(canon, values, bbox=bbox)]
 
     def _package(
         self,
@@ -936,12 +998,6 @@ class FragmentStore:
                 "append() requires linearizable shapes (use write())"
             )
         addresses = linearize(coords, self.shape)
-        return self._append_addresses(addresses, values)
-
-    def _append_addresses(
-        self, addresses: np.ndarray, values: np.ndarray
-    ) -> int:
-        """Append pre-linearized points (the sharded router's entry)."""
         with self._rw.write_locked():
             with span("store.wal.append", format=self.format_name) as sp:
                 self._ensure_wal_locked()
@@ -985,10 +1041,12 @@ class FragmentStore:
         the WAL holds no points.
         """
         with self._rw.write_locked():
-            return self._pack_wal_locked()
+            receipts = self._pack_wal_locked()
+        return receipts[0] if receipts else None
 
-    def _pack_wal_locked(self) -> WriteReceipt | None:
-        """:meth:`pack_wal` under the writer lock.
+    def _pack_wal_locked(self) -> list[WriteReceipt]:
+        """:meth:`pack_wal` under the writer lock; its receipts, one per
+        band the tail touches (none for an empty WAL).
 
         The unpacked tail overlays every fragment on reads, so every
         write calls this first: a fragment committed while the tail holds
@@ -998,11 +1056,11 @@ class FragmentStore:
         """
         wal = self._wal
         if wal is None or wal.total_points == 0:
-            return None
+            return []
         with span("store.wal.pack", format=self.format_name) as sp:
             merged = merge_chunks(list(wal.iter_chunks()), self.shape)
-            [receipt] = self._commit_locked(
-                [self._package(merged.canonical, merged.values)]
+            receipts = self._commit_locked(
+                self._package_cut(merged.canonical, merged.values)
             )
             # The fragment is committed; from here on every crash leaves
             # only over-coverage (points both packed and still in the
@@ -1013,7 +1071,7 @@ class FragmentStore:
                 self._tail_cache = None
             sp.add_nnz(merged.canonical.n)
         counter_add("store.wal.pack_runs")
-        return receipt
+        return receipts
 
     def wal_stats(self) -> dict[str, int]:
         """Live WAL footprint: segments, bytes, unpacked points."""
@@ -1539,13 +1597,7 @@ class FragmentStore:
         value.
         """
         keys = QueryKeys.for_points(self.shape, query_coords)
-        return self._read_point_keys(keys, options or ReadOptions())
-
-    def _read_point_keys(
-        self, keys: QueryKeys, ropts: ReadOptions
-    ) -> ReadOutcome:
-        """:meth:`read_points` over pre-built keys (the shard router's
-        entry: a band arrives with its slice of the sorted keys)."""
+        ropts = options or ReadOptions()
         q = keys.points.shape[0]
         if q == 0:
             return ReadOutcome(np.zeros(0, dtype=bool), np.empty(0), 0, 0)
@@ -1773,60 +1825,99 @@ class FragmentStore:
         if strategy == "merge" and not fits_index_dtype(self.shape):
             strategy = "decode"  # no global linear addresses to merge on
         with span("store.compact", format=self.format_name) as sp:
-            n_before = len(self._fragments)
-            order = self._merge_order()
-            # "merge" extracts each fragment as a sorted address run;
-            # "decode" (the byte-identity reference) decodes it whole.
-            parts: list = []
-            merged_from: list[FragmentInfo] = []
-            for frag in list(self._fragments):
-                payload = self._load_fragment_guarded(frag)
-                if payload is None:
-                    continue
-                if strategy == "merge":
-                    parts.append(
-                        self._fragment_sorted_run(frag, payload, order=order)
-                    )
-                else:
-                    parts.append(self._payload_to_tensor(frag, payload))
-                merged_from.append(frag)
-            if not parts:
-                raise FragmentError(
-                    "nothing to compact: no readable fragments survive"
-                )
-            if strategy == "merge":
-                merged = merge_sorted_runs(parts, self.shape, addr_order=order)
-                part = self._package(
-                    merged.canonical,
-                    merged.values,
-                    bbox=self._union_bbox(merged_from),
-                )
-                nnz = merged.canonical.n
-            else:
-                coords = np.vstack([p.coords for p in parts])
-                values = np.concatenate([p.values for p in parts])
-                merged = SparseTensor(self.shape, coords, values).deduplicated(
-                    keep="last"
-                )
-                part = self._package_coords(merged.coords, merged.values)
-                nnz = merged.nnz
+            group = list(self._fragments)
+            canon, values, bbox, merged_from = self._merge_fragments(
+                group, strategy
+            )
+            [part] = self._package_cut(canon, values, bbox=bbox)
             # The output holds every fragment before it: its header says
             # so, for a rebuild without the manifest.
             part.extra["compacted"] = True
-            # The merged fragment takes the next unused sequence number, so
-            # its name cannot collide; quarantined fragments are already
-            # off the list.  One commit lists it and retires the sources:
-            # a checkpoint, which leaves the log empty.  A crash before it
-            # leaves the merged file as an orphan.
-            [receipt] = self._write_parts_locked([part])
-            with self._state_lock:
-                self._fragments = [receipt.info]
-                doomed = self._retire_locked(merged_from)
-            self._save_manifest(checkpoint=True, written=[receipt.info])
-            self._unlink(doomed)
-            sp.add_nnz(nnz)
-        counter_add("store.fragments_compacted", n_before)
+            # A checkpoint, which leaves the log empty.
+            [receipt] = self._rewrite_locked(
+                [part], merged_from, group=group, checkpoint=True
+            )
+            sp.add_nnz(canon.n)
+        counter_add("store.fragments_compacted", len(group))
         return receipt
+
+    def _merge_fragments(
+        self, frags: list[FragmentInfo], strategy: str = "merge"
+    ) -> tuple[CanonicalCoords, np.ndarray, Box | None, list[FragmentInfo]]:
+        """The newest-wins merge of ``frags`` (oldest first) as
+        ``(canonical, values, bbox, merged_from)``.
+
+        ``"merge"`` extracts each fragment as a sorted address run and
+        k-way merges the runs; ``"decode"`` (the byte-identity reference)
+        decodes each whole and deduplicates.  Corrupt fragments follow
+        the ``on_corruption`` policy; ``merged_from`` lists those read.
+        """
+        order = self._merge_order()
+        parts: list = []
+        merged_from: list[FragmentInfo] = []
+        for frag in frags:
+            payload = self._load_fragment_guarded(frag)
+            if payload is None:
+                continue
+            if strategy == "merge":
+                parts.append(
+                    self._fragment_sorted_run(frag, payload, order=order)
+                )
+            else:
+                parts.append(self._payload_to_tensor(frag, payload))
+            merged_from.append(frag)
+        if not parts:
+            raise FragmentError(
+                "nothing to compact: no readable fragments survive"
+            )
+        if strategy == "merge":
+            merged = merge_sorted_runs(parts, self.shape, addr_order=order)
+            return (
+                merged.canonical, merged.values,
+                self._union_bbox(merged_from), merged_from,
+            )
+        merged = SparseTensor(
+            self.shape,
+            np.vstack([p.coords for p in parts]),
+            np.concatenate([p.values for p in parts]),
+        ).deduplicated(keep="last")
+        canon = CanonicalCoords.from_coords(
+            as_index_array(merged.coords), self.shape,
+            addr_order=self.addr_order,
+        )
+        return canon, merged.values, None, merged_from
+
+    def _rewrite_locked(
+        self,
+        parts: list[_PackedPart],
+        merged_from: list[FragmentInfo],
+        *,
+        group: list[FragmentInfo],
+        checkpoint: bool,
+    ) -> list[WriteReceipt]:
+        """Commit ``parts`` in place of ``group`` (writer lock held): one
+        commit lists the outputs last and retires ``merged_from``, the
+        fragments they were merged from (the rest of ``group`` was
+        skipped as corrupt and leaves the list).  The outputs take the
+        next unused sequence numbers, so their names cannot collide; a
+        crash before the commit leaves them as orphans.
+        """
+        receipts = self._write_parts_locked(parts)
+        infos = [r.info for r in receipts]
+        names = {f.path.name for f in group}
+        merged = {f.path.name for f in merged_from}
+        with self._state_lock:
+            kept = [f for f in self._fragments if f.path.name not in names]
+            self._delta.drop.extend(
+                f.path.name for f in self._fragments
+                if f.path.name in names and f.path.name not in merged
+            )
+            self._fragments = kept + infos
+            self._delta.add.extend(infos)
+            doomed = self._retire_locked(merged_from)
+        self._save_manifest(checkpoint=checkpoint, written=infos)
+        self._unlink(doomed)
+        return receipts
 
     def _merge_order(self) -> str:
         """The address order compaction/conversion runs merge in.
@@ -1944,6 +2035,7 @@ class FragmentStore:
         self, index: int, format_name: str | SparseFormat
     ) -> FragmentInfo | None:
         fmt = resolve_format(format_name)
+        self._check_fits(fmt)
         with self._state_lock:
             frag = self._fragments[index]
         if frag.format_name == fmt.name:
@@ -1978,6 +2070,7 @@ class FragmentStore:
         Returns the replacement infos (fragments already in the target
         format are skipped).
         """
+        self._check_fits(resolve_format(format_name))
         out: list[FragmentInfo] = []
         for i in range(len(self.fragments)):
             info = self.migrate_fragment(i, format_name)
@@ -2151,23 +2244,16 @@ class FragmentStore:
         here.
         """
         keys = QueryKeys(self.shape, box=box)
-        return merge_box_hits(
-            self.shape, self._box_hits(keys, options or ReadOptions())
-        )
-
-    def _box_hits(self, keys: QueryKeys, ropts: ReadOptions) -> list:
-        """:meth:`read_box` up to its merge (the band router's entry:
-        every band's hits join one merge)."""
         with self._rw.read_locked():
             with span("store.read_box", format=self.format_name) as sp:
-                plan = self._plan_read(keys.box, "box", keys=keys)
+                plan = self._plan_read(box, "box", keys=keys)
                 parts = self._execute_box(
-                    keys, plan, self._wal_tail(), ropts,
+                    keys, plan, self._wal_tail(), options or ReadOptions(),
                     on_corruption=self.on_corruption,
                 )
                 sp.add_nnz(sum(hits.positions.size for hits, _ in parts))
         self._record_pruning(plan)
-        return parts
+        return merge_box_hits(self.shape, parts)
 
     def _execute_box(
         self,
@@ -2179,8 +2265,7 @@ class FragmentStore:
         on_corruption: str,
     ) -> list:
         """Run one planned box READ up to its merge — the executor behind
-        every store, snapshot and shard-band box read
-        (``docs/READ_PATH.md``).
+        every store and snapshot box read (``docs/READ_PATH.md``).
 
         Each planned fragment loads as planned and its organization's
         probe cuts the box's address intervals in the fragment's order,
@@ -2303,16 +2388,9 @@ class StoreSnapshot:
         """Point queries against the pinned view — the store's executor,
         so the same semantics and planner pruning as
         :meth:`FragmentStore.read_points`."""
-        return self._read_point_keys(
-            QueryKeys.for_points(self._store.shape, query_coords),
-            options or ReadOptions(),
-        )
-
-    def _read_point_keys(
-        self, keys: QueryKeys, ropts: ReadOptions
-    ) -> ReadOutcome:
         self._check_open()
         store = self._store
+        keys = QueryKeys.for_points(store.shape, query_coords)
         with store._rw.read_locked():
             plan = self._planner.plan(
                 self._fragments, self.generation, keys.bbox(),
@@ -2320,7 +2398,8 @@ class StoreSnapshot:
                 addr_order=store.addr_order,
             )
             return store._execute_points(
-                keys, plan, self._tail, ropts, on_corruption="raise"
+                keys, plan, self._tail, options or ReadOptions(),
+                on_corruption="raise",
             )
 
     def read_box(
@@ -2332,20 +2411,17 @@ class StoreSnapshot:
         """Box reads against the pinned view — the store's executor, so
         the same semantics and planner pruning as
         :meth:`FragmentStore.read_box`."""
-        keys = QueryKeys(self._store.shape, box=box)
-        return merge_box_hits(
-            keys.shape, self._box_hits(keys, options or ReadOptions())
-        )
-
-    def _box_hits(self, keys: QueryKeys, ropts: ReadOptions) -> list:
         self._check_open()
         store = self._store
+        keys = QueryKeys(store.shape, box=box)
         with store._rw.read_locked():
             plan = self._planner.plan(
-                self._fragments, self.generation, keys.box, kind="box",
+                self._fragments, self.generation, box, kind="box",
                 enabled=store.use_planner, keys=keys,
                 addr_order=store.addr_order,
             )
-            return store._execute_box(
-                keys, plan, self._tail, ropts, on_corruption="raise"
+            parts = store._execute_box(
+                keys, plan, self._tail, options or ReadOptions(),
+                on_corruption="raise",
             )
+        return merge_box_hits(store.shape, parts)

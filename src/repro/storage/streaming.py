@@ -41,8 +41,8 @@ class StreamingWriter:
     fragment: the tail stays in the log (replayed on next open), with a
     warning.
 
-    Also works over :class:`~repro.storage.sharded.ShardedStore` (it
-    exposes the same ``append`` / ``pack_wal`` pair).
+    Also works over :class:`~repro.storage.sharded.ShardedStore`, a
+    :class:`FragmentStore` itself.
     """
 
     def __init__(

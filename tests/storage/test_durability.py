@@ -227,10 +227,11 @@ class TestManifestEncoding:
         coords = np.column_stack([lin // 32, lin % 32]).astype(np.uint64)
         values = rng.random(40)
         store.write(coords, values)
-        for path in [directory / "shards.json",
-                     *directory.glob("*/manifest.json")]:
-            doc = json.loads(path.read_text())
-            path.write_text(json.dumps(doc, indent=1))
+        store.close()
+        path = directory / "manifest.json"
+        doc = json.loads(path.read_text())
+        assert doc["bands"]
+        path.write_text(json.dumps(doc, indent=1))
 
         reopened = ShardedStore(directory, (32, 32), "LINEAR", n_shards=2)
         out = reopened.read_points(coords)

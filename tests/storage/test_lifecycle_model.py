@@ -49,9 +49,7 @@ from hypothesis.stateful import (
 
 from repro.core import Box, FragmentError
 from repro.core.dtypes import fits_index_dtype
-from repro.core.linearize import linearize_order
 from repro.storage import FragmentStore, ShardedStore, StoreOptions, fsck
-from repro.storage.sharded import fsck_sharded
 from repro.testing.faults import DURABLE_OPS, CrashPlan, FaultEvent, inject
 
 from .test_wal import _open_fds_under, needs_proc_fd
@@ -134,9 +132,9 @@ class StoreLifecycle(RuleBasedStateMachine):
         #: Open snapshots, each with the oracle at its pin.
         self.snapshots: list[tuple[object, dict[int, float]]] = []
         self.last_value = 0.0
-        #: Store (".") or band directories where fsck recovered a crashed
-        #: compaction's output above its sources.
-        self.overcovered: set[str] = set()
+        #: Whether fsck recovered a crashed compaction's output above its
+        #: sources.
+        self.overcovered = False
         self.threads = set(threading.enumerate())
         self.store = None
 
@@ -284,7 +282,7 @@ class StoreLifecycle(RuleBasedStateMachine):
         for update in updates:
             self.oracle.update(update)
         if name == "compact":
-            self.overcovered.clear()
+            self.overcovered = False
 
     @rule(data=st.data())
     def write(self, data):
@@ -321,13 +319,9 @@ class StoreLifecycle(RuleBasedStateMachine):
     def set_addr_order(self, data):
         self._apply("set_addr_order", data)
 
-    # A split or merge deletes the old band directories, which an open
-    # ShardedSnapshot still reads (CHANGES.md, FOUND): close them first.
-
     @precondition(lambda self: self.config.sharded)
     @rule(data=st.data())
     def split(self, data):
-        self._close_snapshots()
         self._apply("split", data)
 
     @precondition(
@@ -335,7 +329,6 @@ class StoreLifecycle(RuleBasedStateMachine):
     )
     @rule(data=st.data())
     def merge(self, data):
-        self._close_snapshots()
         self._apply("merge", data)
 
     @rule(data=st.data())
@@ -361,28 +354,21 @@ class StoreLifecycle(RuleBasedStateMachine):
         self._close()
         self.store = self._open()
 
-    @rule(data=st.data())
-    def lose_the_manifest(self, data):
-        """Delete ``manifest.json`` and ``manifest.log`` (one band's, on a
-        sharded store) and reopen: the rebuild from the fragment files
-        lists what the store listed."""
+    @rule()
+    def lose_the_manifest(self):
+        """Delete ``manifest.json`` and ``manifest.log`` and reopen: the
+        rebuild from the fragment files lists what the store listed."""
         before = self._live_names()
-        target = self.directory
-        if self.config.sharded:
-            target = data.draw(st.sampled_from(
-                [e.path for e in self.store.shards]
-            ))
         self._close()
         for name in ("manifest.json", "manifest.log"):
-            (target / name).unlink(missing_ok=True)
+            (self.directory / name).unlink(missing_ok=True)
         self.store = self._open()
         after = self._live_names()
-        where = str(target.relative_to(self.directory))
-        if where in self.overcovered:
+        if self.overcovered:
             # fsck does not roll a crashed compaction forward: its output
             # stays listed above its sources, which a rebuild supersedes.
             assert set(after) <= set(before)
-            self.overcovered.discard(where)
+            self.overcovered = False
         else:
             assert after == before
 
@@ -406,40 +392,17 @@ class StoreLifecycle(RuleBasedStateMachine):
         del run
         self.store = None
         gc.collect()  # the abandoned store's descriptors
-        repair = fsck_sharded if self.config.sharded else fsck
-        report = repair(self.directory, repair=True)
-        if name == "compact":
-            self.overcovered.update(
-                str(Path(i.name).parent) for i in report.issues
-                if i.repaired == "recovered"
-            )
+        report = fsck(self.directory, repair=True)
+        if name == "compact" and any(
+            i.repaired == "recovered" for i in report.issues
+        ):
+            self.overcovered = True
         self.store = self._open()
         state = self._read_points()
-        if self.config.sharded:
-            # A routed write commits band by band, so a crash can leave
-            # each band at another prefix of the parts (CHANGES.md, FOUND):
-            # only each band's own state is before-or-after.
-            for band in self._band_cells():
-                assert any(
-                    {c: v for c, v in state.items() if c in band}
-                    == {c: v for c, v in s.items() if c in band}
-                    for s in states
-                ), f"{name} crashed at durable op {k}"
-        else:
-            assert state in (states[0], states[-1]), (
-                f"{name} crashed at durable op {k}"
-            )
-        self.oracle = state
-
-    def _band_cells(self) -> list[set[int]]:
-        """The cells of each band of the sharded store."""
-        addrs = linearize_order(
-            self.cells, self.config.shape, self.store.addr_order
+        assert state in (states[0], states[-1]), (
+            f"{name} crashed at durable op {k}"
         )
-        return [
-            set(np.flatnonzero((addrs >= e.addr_lo) & (addrs < e.addr_hi)).tolist())
-            for e in self.store.shards
-        ]
+        self.oracle = state
 
     # -- invariants --------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """ShardedStore: banding, routing, re-banding, and differential reads.
 
+A ShardedStore is one FragmentStore whose manifest carries a band table.
 The differential classes pin the headline contract: a ShardedStore and a
 single FragmentStore fed the same writes return **bit-identical** results
 for every format, planner on or off, before and after compaction and
@@ -14,13 +15,9 @@ import pytest
 
 from repro import Box, SparseTensor, StoreOptions, available_formats
 from repro.core.errors import ManifestError, ShapeError
-from repro.storage import (
-    FragmentStore,
-    ShardedStore,
-    fsck_sharded,
-    is_sharded_dir,
-)
-from repro.storage.sharded import SHARD_MANIFEST_NAME, SHARD_RANGE_NAME
+from repro.storage import FragmentStore, ShardedStore, fsck
+from repro.storage.durability import LEGACY_SHARDS_NAME, load_manifest
+from repro.testing.faults import OpRecorder, inject
 
 from ..conftest import read_as
 from .test_wal import _open_fds_under, needs_proc_fd
@@ -75,6 +72,69 @@ def assert_reads_identical(sharded, single, *, seed=7):
         assert np.array_equal(ta.values, tb.values)
 
 
+def committed(directory) -> dict:
+    """The store's committed manifest, log replayed."""
+    return load_manifest(directory).doc
+
+
+def band_marks(store) -> list:
+    """Each live fragment's header band mark."""
+    from repro.storage.fragment import load_fragment
+
+    return [load_fragment(f.path).extra.get("band") for f in store.fragments]
+
+
+def commits(events) -> int:
+    """Manifest commits among recorded ops: log appends + checkpoints."""
+    return sum(
+        (e.op == "write" and e.path.name == "manifest.log")
+        or (e.op == "rename" and e.path.name == "manifest.json")
+        for e in events
+    )
+
+
+def build_legacy(directory, shape, fmt="LINEAR", *, n_bands=2, parts=(),
+                 appends=(), addr_order="row_major", stats_keys=False):
+    """A directory in the layout ``ShardedStore`` wrote before its fold
+    into one store: ``shards.json`` over one child ``FragmentStore`` per
+    band in ``shard-NNNN/``, each with its ``range.json``; the parts are
+    routed to the bands, and ``appends`` stay unpacked in the WAL."""
+    from repro.core.linearize import address_space_size, linearize_order
+
+    directory.mkdir(parents=True)
+    cells = address_space_size(shape, addr_order)
+    cuts = [cells * i // n_bands for i in range(n_bands + 1)]
+    opts = StoreOptions(addr_order=addr_order)
+    children, bands = [], []
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        name = f"shard-{i:04d}"
+        children.append(FragmentStore(directory / name, shape, fmt,
+                                      options=opts))
+        sidecar = {"addr_lo": lo, "addr_hi": hi, "epoch": 1,
+                   "shape": list(shape)}
+        (directory / name / "range.json").write_text(json.dumps(sidecar))
+        band = {"dir": name, "addr_lo": lo, "addr_hi": hi, "epoch": 1}
+        if stats_keys:
+            band.update(nnz=1, bbox_origin=[0] * len(shape),
+                        bbox_size=[1] * len(shape))
+        bands.append(band)
+    for method, batches in (("write", parts), ("append", appends)):
+        for coords, values in batches:
+            coords = np.asarray(coords, dtype=np.uint64)
+            addrs = linearize_order(coords, shape, addr_order)
+            for child, lo, hi in zip(children, cuts, cuts[1:]):
+                mask = (addrs >= lo) & (addrs < hi)
+                if mask.any():
+                    getattr(child, method)(coords[mask], values[mask])
+    for child in children:
+        child.close()
+    doc = {"version": 1, "generation": 1, "shape": list(shape),
+           "format": fmt, "codec": None, "bands": bands}
+    if addr_order != "row_major":
+        doc["addr_order"] = addr_order
+    (directory / LEGACY_SHARDS_NAME).write_text(json.dumps(doc))
+
+
 class TestBanding:
     def test_bands_cover_address_space(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
@@ -89,36 +149,40 @@ class TestBanding:
         store = ShardedStore(tmp_path / "s", (2,), "COO", n_shards=16)
         assert len(store.shards) == 2
 
-    def test_each_shard_is_a_directory_with_sidecar(self, tmp_path):
+    def test_band_table_lives_in_the_manifest(self, tmp_path):
+        """The interior edges are the manifest's ``"bands"``, committed
+        with the store's first checkpoint; no directory or sidecar is
+        written per band."""
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=3)
-        for entry in store.shards:
-            assert entry.path.is_dir()
-            sidecar = json.loads((entry.path / SHARD_RANGE_NAME).read_text())
-            assert sidecar["addr_lo"] == entry.addr_lo
-            assert sidecar["addr_hi"] == entry.addr_hi
+        doc = json.loads((store.directory / "manifest.json").read_text())
+        assert doc["bands"] == [e.addr_lo for e in store.shards[1:]]
+        assert sorted(p.name for p in store.directory.iterdir()) == [
+            "manifest.json", "manifest.log",
+        ]
 
     def test_reopen_adopts_committed_bands(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
         names = [e.name for e in store.shards]
+        store.split(0, at=100)
+        store.close()
         # n_shards is ignored on reopen; the committed table wins.
         again = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=9)
-        assert [e.name for e in again.shards] == names
+        assert again.shards[0].addr_hi == 100
+        assert len(again.shards) == len(names) + 1
 
     def test_parent_with_old_stats_keys_opens_unchanged(self, tmp_path):
-        """Parent manifests that still carry per-shard stats open as
-        before (the keys are ignored) and lose them at the next commit."""
-        sharded, single = build_pair(tmp_path)
-        path = sharded.directory / SHARD_MANIFEST_NAME
-        doc = json.loads(path.read_text())
-        for band in doc["bands"]:
-            band.update(nnz=1, bbox_origin=[0, 0, 0], bbox_size=[1, 1, 1],
-                        zone={"addr_min": 0, "addr_max": 0, "hist": []})
-        path.write_text(json.dumps(doc))
-        reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
+        """A legacy ``shards.json`` whose bands still carry per-shard
+        stats keys converts like any other: the keys are ignored."""
+        parts = make_parts()
+        build_legacy(tmp_path / "legacy", SHAPE, n_bands=4, parts=parts,
+                     stats_keys=True)
+        single = FragmentStore(tmp_path / "single", SHAPE, "LINEAR")
+        for coords, values in parts:
+            single.write(coords, values)
+        reopened = ShardedStore(tmp_path / "legacy", SHAPE, "LINEAR")
+        assert len(reopened.shards) == 4
         assert_reads_identical(reopened, single)
         reopened.split(0)
-        for band in json.loads(path.read_text())["bands"]:
-            assert set(band) == {"dir", "addr_lo", "addr_hi", "epoch"}
         assert_reads_identical(reopened, single)
 
     def test_rejects_relative_coords(self, tmp_path):
@@ -131,13 +195,17 @@ class TestBanding:
             ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=0)
 
     def test_is_sharded_dir(self, tmp_path):
-        ShardedStore(tmp_path / "s", SHAPE, "LINEAR")
-        FragmentStore(tmp_path / "f", SHAPE, "LINEAR")
-        assert is_sharded_dir(tmp_path / "s")
-        assert not is_sharded_dir(tmp_path / "f")
-        # Detection survives a lost parent manifest (via range.json).
-        (tmp_path / "s" / SHARD_MANIFEST_NAME).unlink()
-        assert is_sharded_dir(tmp_path / "s")
+        """A banded directory is one whose manifest has ``"bands"``; a
+        plain FragmentStore refuses it, and a one-band store writes no
+        band key."""
+        ShardedStore(tmp_path / "s", SHAPE, "LINEAR").close()
+        FragmentStore(tmp_path / "f", SHAPE, "LINEAR").close()
+        ShardedStore(tmp_path / "one", SHAPE, "LINEAR", n_shards=1).close()
+        assert committed(tmp_path / "s")["bands"]
+        assert "bands" not in committed(tmp_path / "f")
+        assert "bands" not in committed(tmp_path / "one")
+        with pytest.raises(ManifestError, match="ShardedStore"):
+            FragmentStore(tmp_path / "s", SHAPE, "LINEAR")
 
 
 class TestRouting:
@@ -145,32 +213,33 @@ class TestRouting:
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
         coords, values = make_parts(n_parts=1, n=500)[0]
         store.write(coords, values)
-        # No cross-shard duplication: per-shard nnz sums to the part
-        # size (duplicates counted, same as a single FragmentStore).
+        # No cross-band duplication: per-band nnz sums to the part size
+        # (duplicates counted, same as a single FragmentStore).
         assert store.nnz == coords.shape[0]
         assert sum(r["nnz"] for r in store.stats()) == coords.shape[0]
-        # ...and every child holds only addresses inside its own band.
-        for i, entry in enumerate(store.shards):
-            for frag in store._child(i).fragments:
-                assert entry.addr_lo <= frag.zone.addr_min
-                assert frag.zone.addr_max < entry.addr_hi
+        # ...and every fragment holds only addresses inside its band,
+        # which its header records.
+        for entry, mark, frag in zip(store.shards, band_marks(store),
+                                     store.fragments):
+            assert mark == [entry.addr_lo, entry.addr_hi]
+            assert entry.addr_lo <= frag.zone.addr_min
+            assert frag.zone.addr_max < entry.addr_hi
 
     def test_parent_stats_track_writes(self, tmp_path):
-        """Per-shard stats come from the child stores; a routed write
-        leaves the parent's band table (and generation) alone."""
+        """Per-band stats come from the manifest's fragments; a routed
+        write leaves the band table alone."""
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
-        gen0 = store.generation
+        bands = store.shards
         coords, values = make_parts(n_parts=1)[0]
         store.write(coords, values)
-        assert store.generation == gen0
+        assert store.shards == bands
         rows = store.stats()
-        assert any(r["nnz"] for r in rows)
-        for i, row in enumerate(rows):
-            child = store._child(i)
-            assert row["nnz"] == child.nnz
-            assert row["fragments"] == (1 if row["nnz"] else 0)
-            for frag in child.fragments:
-                assert not frag.bbox.is_empty() and frag.zone is not None
+        assert all(row["nnz"] for row in rows)
+        for row in rows:
+            assert row["fragments"] == 1
+            assert row["generation"] == store.generation
+        for frag in store.fragments:
+            assert not frag.bbox.is_empty() and frag.zone is not None
 
     def test_untouched_shard_stays_empty(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
@@ -187,13 +256,11 @@ class TestRouting:
             assert row["nnz"] == 0 and row["fragments"] == 0
 
     def test_routed_ops_never_commit_parent(self, tmp_path):
-        """Routed writes, appends, packs, compactions and migrations
-        commit in the children only: no ``shards.json`` op, and the
-        parent generation stays put."""
-        from repro.testing.faults import OpRecorder, inject
-
+        """There is no parent manifest: routed writes, appends, packs,
+        compactions and migrations commit the one store manifest, write
+        no ``shards.json``, and leave the band table as it is."""
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
-        gen = store.generation
+        bands = store.shards
         parts = make_parts(n_parts=3)
         recorder = OpRecorder()
         with inject(recorder):
@@ -203,10 +270,13 @@ class TestRouting:
             store.pack_wal()
             store.compact()
             store.migrate_all("COO")
-        touched = [e for e in recorder.events
-                   if e.path.name.startswith(SHARD_MANIFEST_NAME)]
-        assert recorder.events and not touched
-        assert store.generation == gen
+        assert recorder.events
+        assert not any(e.path.name.startswith(LEGACY_SHARDS_NAME)
+                       for e in recorder.events)
+        assert {e.path.parent for e in recorder.events} <= {
+            store.directory, store.directory / "wal",
+        }
+        assert store.shards == bands
 
     def test_empty_write_is_noop(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR")
@@ -223,6 +293,7 @@ class TestRouting:
         out = store.write_many(parts)
         assert len(out) == 3
         assert all(receipts for receipts in out)
+        assert sum(len(receipts) for receipts in out) == len(store.fragments)
 
     def test_write_tensor(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR")
@@ -231,9 +302,50 @@ class TestRouting:
         assert store.nnz > 0
 
 
+class TestOneCommitPerMutation:
+    """Every mutation that spans bands is one manifest commit: one log
+    record or one checkpoint."""
+
+    @pytest.mark.parametrize("op", [
+        "write", "write_many", "pack_wal", "compact", "split", "merge",
+    ])
+    def test_one_commit(self, tmp_path, op):
+        store = ShardedStore(tmp_path / "s", (16, 16), "LINEAR", n_shards=2)
+        low = np.array([[1, 1], [3, 3]], dtype=np.uint64)
+        high = np.array([[9, 9], [12, 2]], dtype=np.uint64)
+        both = np.vstack([low, high])
+        store.write(both, np.arange(4.0))
+        store.write(both, np.arange(4.0) + 10)
+        if op == "pack_wal":
+            store.append(both, np.ones(4))
+        calls = {
+            "write": lambda: store.write(both, np.ones(4)),
+            "write_many": lambda: store.write_many(
+                [(low, np.ones(2)), (high, np.ones(2)), (both, np.ones(4))]
+            ),
+            "pack_wal": store.pack_wal,
+            "compact": store.compact,
+            "split": lambda: store.split(0),
+            "merge": lambda: store.merge(0),
+        }
+        recorder = OpRecorder()
+        with inject(recorder):
+            out = calls[op]()
+        assert commits(recorder.events) == 1
+        if op in ("write", "pack_wal", "compact"):
+            assert len(out) == 2  # one fragment per band, one commit
+        oracle = {(1, 1): 10.0, (3, 3): 11.0, (9, 9): 12.0, (12, 2): 13.0}
+        if op in ("write", "write_many", "pack_wal"):
+            oracle = dict.fromkeys(oracle, 1.0)
+        got = store.read_points(both)
+        assert got.found.all()
+        assert got.values.tolist() == [oracle[tuple(c)] for c in
+                                        both.tolist()]
+
+
 class TestBandRouting:
-    """Routing is the shard-level prune: a read reaches only the bands
-    its keys or box intervals fall in."""
+    """The planner's zone maps prune whole bands: a read visits only the
+    fragments of the bands its keys or box intervals fall in."""
 
     @pytest.mark.parametrize("order, box, band", [
         ("row_major", Box((7, 3, 3), (4, 10, 10)), 1),   # rows 6..11
@@ -252,18 +364,22 @@ class TestBandRouting:
             sharded.write(coords, values)
             single.write(coords, values)
         assert all(row["nnz"] for row in sharded.stats())
+        entry = sharded.shards[band]
         plan = sharded.explain(box)
-        assert [e.name for e in plan.fragments] == [sharded.shards[band].name]
+        assert plan.fragments
+        for frag in plan.fragments:
+            assert entry.addr_lo <= frag.zone.addr_min
+            assert frag.zone.addr_max < entry.addr_hi
 
         def counter(name):
             return {c["name"]: c["value"]
                     for c in obs.snapshot()["counters"]}.get(name, 0)
 
-        visited = counter("store.shard.visited")
-        pruned = counter("store.shard.pruned")
+        visited = counter("store.fragments_visited")
         got = sharded.read_box(box)
-        assert counter("store.shard.visited") == visited + 1
-        assert counter("store.shard.pruned") == pruned + 3
+        assert counter("store.fragments_visited") == visited + len(
+            plan.fragments
+        )
         want = single.read_box(box)
         assert want.nnz > 0
         assert np.array_equal(got.coords, want.coords)
@@ -272,8 +388,8 @@ class TestBandRouting:
 
     @pytest.mark.parametrize("order", ["row_major", "alto"])
     def test_reads_at_band_edges(self, tmp_path, order):
-        """The last cell of each band and the first of the next route to
-        their own bands, as points and as one-cell boxes."""
+        """The last cell of each band and the first of the next land in
+        their own bands and read back, as points and as one-cell boxes."""
         from repro.core.linearize import delinearize_order
 
         shape = (16, 16, 16)  # ALTO's address space is the cell count
@@ -286,6 +402,7 @@ class TestBandRouting:
         coords = delinearize_order(edges, shape, order)
         values = np.arange(1, edges.size + 1, dtype=float)
         sharded.write(coords, values)
+        assert len(sharded.fragments) == 4
         out = sharded.read_points(coords)
         assert out.found.all() and np.array_equal(out.values, values)
         for cell, value in zip(coords, values):
@@ -303,11 +420,14 @@ class TestPlanner:
             np.arange(10, dtype=np.uint64),
         ])
         store.write(coords, np.ones(10))
+        store.write(make_parts(n_parts=1)[0][0], np.ones(300))
         plan = store.explain(Box((0, 0, 0), (1, 1, 24)))
-        # Only the first band can hold row 0; empty shards masked out.
-        assert len(plan.fragments) == 1
-        assert plan.fragments[0].name == store.shards[0].name
-        assert plan.total_fragments == 4
+        # Only band 0 can hold row 0: the other bands' fragments prune.
+        assert plan.total_fragments == 5
+        first = store.shards[0]
+        assert plan.fragments
+        for frag in plan.fragments:
+            assert first.addr_lo <= frag.zone.addr_min < first.addr_hi
 
     def test_point_explain(self, tmp_path):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=4)
@@ -398,14 +518,17 @@ class TestCompaction:
         for row in sharded.stats():
             if row["nnz"]:
                 assert row["fragments"] == 1
+        assert band_marks(sharded) == [
+            [e.addr_lo, e.addr_hi] for e in sharded.shards
+        ]
 
     def test_compact_skips_single_fragment_shards(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
         sharded.compact()
-        gens = [s["generation"] for s in sharded.stats()]
+        gen = sharded.generation
         receipts = sharded.compact()       # everything already compacted
         assert receipts == []
-        assert [s["generation"] for s in sharded.stats()] == gens
+        assert sharded.generation == gen
 
     def test_compact_max_workers(self, tmp_path):
         sharded, single = build_pair(tmp_path)
@@ -439,11 +562,14 @@ class TestSplitMerge:
             sharded.split(0, at=sharded.shards[0].addr_hi + 10)
 
     def test_split_removes_old_directory(self, tmp_path):
+        """A split retires the band's old fragments: with no retention
+        their files are deleted after the commit, and fsck finds the
+        store clean."""
         sharded, _ = build_pair(tmp_path)
-        old = sharded.shards[0].path
+        old = [f.path for f in sharded._band_fragments()[0]]
         sharded.split(0)
-        assert not old.exists()
-        assert fsck_sharded(sharded.directory).clean
+        assert old and not any(path.exists() for path in old)
+        assert fsck(sharded.directory).clean
 
     def test_merge_joins_neighbours(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
@@ -453,9 +579,30 @@ class TestSplitMerge:
         sharded.merge(0)
         merged = sharded.shards[0]
         assert merged.addr_lo == a.addr_lo and merged.addr_hi == b.addr_hi
-        assert sharded.stats()[0]["nnz"] == a_row["nnz"] + b_row["nnz"]
+        # The merge rewrites both bands into one fragment, newest-wins.
+        assert 0 < sharded.stats()[0]["nnz"] <= a_row["nnz"] + b_row["nnz"]
+        assert sharded.stats()[0]["fragments"] == 1
         assert len(sharded.shards) == n_before - 1
-        assert fsck_sharded(sharded.directory).clean
+        assert fsck(sharded.directory).clean
+
+    @pytest.mark.parametrize("op", ["split", "merge"])
+    def test_failed_rebanding_keeps_the_table(self, tmp_path, op):
+        """A split or merge whose fragment write fails commits nothing:
+        the table, the fragments and the reads stay as they were."""
+        from repro.testing.faults import FaultPlan, FaultRule
+
+        sharded, single = build_pair(tmp_path)
+        bands, names = sharded.shards, [f.path.name for f in sharded.fragments]
+        plan = FaultPlan([FaultRule(op="rename", pattern="frag-*")])
+        with inject(plan), pytest.raises(OSError):
+            getattr(sharded, op)(0)
+        assert sharded.shards == bands
+        assert [f.path.name for f in sharded.fragments] == names
+        sharded.write(*make_parts(seed=9, n_parts=1)[0])
+        single.write(*make_parts(seed=9, n_parts=1)[0])
+        reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
+        assert reopened.shards == bands
+        assert_reads_identical(reopened, single)
 
     def test_merge_needs_right_neighbour(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
@@ -469,7 +616,7 @@ class TestSplitMerge:
         store.write(coords, values)
         assert len(store.shards) > 2
         for e, row in zip(store.shards, store.stats()):
-            # Post-split every shard is at/below threshold (or unsplittable).
+            # Post-split every band is at/below threshold (or unsplittable).
             assert row["nnz"] <= 100 or e.addr_hi - e.addr_lo <= 1
 
     def test_auto_merge_on_threshold(self, tmp_path):
@@ -481,42 +628,34 @@ class TestSplitMerge:
             np.arange(3, dtype=np.uint64),
         ])
         store.write(coords, np.ones(3))
-        # Every adjacent pair is under threshold -> collapse to one shard.
+        # Every adjacent pair is under threshold -> collapse to one band.
         assert len(store.shards) == 1
+        assert "bands" not in committed(store.directory)
 
 
 class TestRebandingLifecycle:
     @needs_proc_fd
-    def test_split_merge_and_fsck_leave_no_packer_threads(
-        self, tmp_path, monkeypatch
-    ):
-        """``split``, ``merge`` and ``fsck`` close the children they drop:
-        after ``close()`` no descriptor stays open under the store and no
-        thread it started is left."""
-        opened = []  # keeps every child alive, so an unclosed one shows
-        init = FragmentStore.__init__
-
-        def tracked(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            opened.append(self)
-
-        monkeypatch.setattr(FragmentStore, "__init__", tracked)
+    def test_split_merge_and_fsck_leave_no_packer_threads(self, tmp_path):
+        """A banded store is one store: after ``split``, ``merge`` and
+        ``fsck`` its ``close()`` leaves no descriptor open under it and no
+        thread it started."""
         before = set(threading.enumerate())
         store = ShardedStore(tmp_path / "s", (16, 16), "LINEAR", n_shards=2)
         coords = np.array([[1, 1], [2, 2], [3, 3], [9, 9]], dtype=np.uint64)
         store.write(coords, np.arange(4.0))
-        store.write(coords, np.arange(4.0) + 1)  # opens the manifest logs
-        store.append(coords[:2], np.ones(2))     # opens WAL segments
+        store.write(coords, np.arange(4.0) + 1)  # opens the manifest log
+        store.append(coords[:2], np.ones(2))     # opens a WAL segment
         assert _open_fds_under(tmp_path) >= 2
         store.split(0)
         store.merge(0)
-        store.read_points(coords)  # opens every band's child
+        store.read_points(coords)
         store.append(coords, np.ones(4))
-        store.fsck(repair=True)    # drops (and must close) the children
+        store.fsck(repair=True)
         store.close()
-        assert len(opened) > 2
         assert _open_fds_under(tmp_path) == 0
-        assert set(threading.enumerate()) - before == set()
+        started = [t for t in set(threading.enumerate()) - before
+                   if not t.name.startswith("repro-read")]
+        assert started == []
 
     @pytest.mark.parametrize("op", ["split", "merge"])
     def test_unpacked_tail_moves_with_the_band(self, tmp_path, op):
@@ -533,33 +672,69 @@ class TestRebandingLifecycle:
         assert out.found.all() and np.array_equal(out.values, [7.0, 8.0])
         reopened.close()
 
+    @pytest.mark.parametrize("op", ["split", "merge"])
+    def test_snapshot_survives_rebanding(self, tmp_path, op):
+        """A snapshot keeps reading across a split or merge: the old
+        fragments retire, and its pin keeps their files."""
+        store = ShardedStore(tmp_path / "s", (8, 6), "LINEAR", n_shards=2)
+        cell = np.array([[0, 1]], dtype=np.uint64)
+        store.write(cell, np.array([1.0]))
+        snap = store.snapshot()
+        if op == "split":
+            store.split(0, at=3)
+        else:
+            store.merge(0)
+        store.write(cell, np.array([2.0]))
+        assert snap.read_points(cell).values.tolist() == [1.0]
+        assert store.read_points(cell).values.tolist() == [2.0]
+        snap.close()
+        store.gc()
+        assert store.read_points(cell).values.tolist() == [2.0]
+
+    def test_snapshot_generation_time_travel(self, tmp_path):
+        store = ShardedStore(tmp_path / "s", (8, 6), "LINEAR", n_shards=2,
+                             options=StoreOptions(retain_generations=8))
+        cells = np.array([[0, 1], [6, 5]], dtype=np.uint64)
+        store.write(cells, np.array([1.0, 2.0]))
+        gen = store.generation
+        store.write(cells, np.array([3.0, 4.0]))
+        store.merge(0)
+        with store.snapshot(generation=gen) as snap:
+            assert type(snap).__name__ == "StoreSnapshot"
+            assert snap.read_points(cells).values.tolist() == [1.0, 2.0]
+        assert store.read_points(cells).values.tolist() == [3.0, 4.0]
+
+    def test_set_addr_order_rejected_with_bands(self, tmp_path):
+        store = ShardedStore(tmp_path / "s", (8, 6), "LINEAR", n_shards=2)
+        with pytest.raises(ValueError):
+            store.set_addr_order("alto")
+        store.merge(0)
+        store.set_addr_order("alto")
+        assert store.addr_order == "alto"
+
 
 class TestReopenAdoptsCodec:
-    """``codec=None`` on reopen adopts the parent manifest's codec, as
-    :class:`FragmentStore` adopts its own manifest's."""
+    """``codec=None`` on reopen adopts the manifest's codec, as
+    :class:`FragmentStore` does."""
 
-    @pytest.mark.parametrize("codec, recorded, written", [
+    @pytest.mark.parametrize("codec, reopen_codec, written", [
         ("cascade", "cascade", "cascade"),
-        (None, None, "raw"),  # a fresh store records null; bands write raw
+        (None, None, "raw"),  # a fresh store records raw; None adopts it
     ])
     def test_reopen_keeps_codec_through_split(self, tmp_path, codec,
-                                              recorded, written):
+                                              reopen_codec, written):
         store = ShardedStore(tmp_path / "s", SHAPE, "LINEAR", n_shards=2,
                              options=StoreOptions(codec=codec))
         for coords, values in make_parts():
             store.write(coords, values)
         store.close()
 
-        reopened = ShardedStore(tmp_path / "s", SHAPE, "LINEAR")
+        reopened = ShardedStore(tmp_path / "s", SHAPE, "LINEAR",
+                                options=StoreOptions(codec=reopen_codec))
         assert reopened.compression_stats()["codec"] == written
-        reopened.split(0)  # commits the parent, writes two new bands
-        parent = json.loads(
-            (reopened.directory / SHARD_MANIFEST_NAME).read_text()
-        )
-        assert parent["codec"] == recorded
-        for entry in reopened.shards:
-            child = json.loads((entry.path / "manifest.json").read_text())
-            assert child["codec"] == written
+        reopened.split(0)  # rewrites band 0 into two bands
+        assert committed(reopened.directory)["codec"] == written
+        assert reopened.codec == written
 
 
 class TestFsckSharded:
@@ -570,87 +745,149 @@ class TestFsckSharded:
         assert report.checked > 0
 
     def test_orphan_shard_dir_quarantined(self, tmp_path):
-        sharded, _ = build_pair(tmp_path)
-        orphan = sharded.directory / "shard-9999"
-        orphan.mkdir()
-        (orphan / SHARD_RANGE_NAME).write_text(
-            json.dumps({"addr_lo": 0, "addr_hi": 1, "epoch": 99})
-        )
-        report = fsck_sharded(sharded.directory)
-        assert any(i.kind == "extra" for i in report.issues)
-        report = fsck_sharded(sharded.directory, repair=True)
-        assert any(i.repaired == "quarantined" for i in report.issues)
-        assert not orphan.exists()
-        assert fsck_sharded(sharded.directory).clean
+        """A split output whose commit never landed claims a band the
+        committed table lacks: fsck quarantines it, never recovers it."""
+        from repro.testing.faults import CrashPlan, FaultRule
+
+        sharded, single = build_pair(tmp_path)
+        listed = {f.path.name for f in sharded.fragments}
+        plan = CrashPlan([FaultRule(op="write", pattern="manifest.log")])
+        with inject(plan), pytest.raises(OSError):
+            sharded.split(0)
+        orphans = {
+            p.name for p in sharded.directory.glob("frag-*.bin")
+        } - listed
+        assert len(orphans) == 2
+        report = fsck(sharded.directory)
+        assert orphans <= {i.name for i in report.issues if i.kind == "extra"}
+        report = fsck(sharded.directory, repair=True)
+        assert {i.name for i in report.issues
+                if i.repaired == "quarantined"} >= orphans
+        assert fsck(sharded.directory).clean
+        reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
+        assert len(reopened.shards) == 4
+        assert_reads_identical(reopened, single)
 
     def test_missing_shard_dir_recreated_empty(self, tmp_path):
-        import shutil
-
+        """A band's missing fragment file is dropped by the repair; the
+        band table stays and the band reads empty."""
         sharded, _ = build_pair(tmp_path)
-        victim = sharded.shards[1]
-        shutil.rmtree(victim.path)
-        report = fsck_sharded(sharded.directory)
-        assert not report.clean
+        sharded.compact()
+        victim = sharded._band_fragments()[1][0]
+        sharded.close()
+        victim.path.unlink()
+        report = fsck(sharded.directory)
         assert any(i.kind == "missing" for i in report.issues)
-        report = fsck_sharded(sharded.directory, repair=True)
-        assert any(i.kind == "missing" for i in report.issues)
-        # Coverage survives: the store reopens, the band reads empty.
+        fsck(sharded.directory, repair=True)
         reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
+        assert len(reopened.shards) == 4
         assert reopened.stats()[1]["nnz"] == 0
-        assert fsck_sharded(sharded.directory).clean
+        assert fsck(sharded.directory).clean
 
     def test_lost_parent_manifest_rebuilt(self, tmp_path):
+        """Without ``manifest.json`` and ``manifest.log`` the reopen
+        rebuilds the band table from the fragments' band marks."""
         sharded, single = build_pair(tmp_path)
-        nnz = sharded.nnz
-        (sharded.directory / SHARD_MANIFEST_NAME).unlink()
-        with pytest.raises(ManifestError):
-            ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
-        report = fsck_sharded(sharded.directory, repair=True)
-        assert report.repaired
+        nnz, bands = sharded.nnz, sharded.shards
+        sharded.close()
+        for name in ("manifest.json", "manifest.log"):
+            (sharded.directory / name).unlink()
         reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
         assert reopened.nnz == nnz
+        assert reopened.shards == bands
         assert_reads_identical(reopened, single)
+
+    def test_rebuild_keeps_a_write_whose_last_piece_was_rewritten(
+        self, tmp_path
+    ):
+        """A band's split may retire the last file of a routed commit
+        whose other piece lives on in another band; the split's newer
+        output vouches that the commit finished, so a rebuild keeps the
+        other piece (found by the lifecycle model)."""
+        store = ShardedStore(tmp_path / "s", (8, 6), "LINEAR", n_shards=2)
+        high, low = np.array([[4, 0]], np.uint64), np.array([[0, 0], [0, 1]],
+                                                           np.uint64)
+        store.write_many([(high, np.ones(1)), (low, np.ones(2) * 2)])
+        store.split(0)  # rewrites the low piece, the commit's last file
+        before = [f.path.name for f in store.fragments]
+        store.close()
+        for name in ("manifest.json", "manifest.log"):
+            (tmp_path / "s" / name).unlink()
+        reopened = ShardedStore(tmp_path / "s", (8, 6), "LINEAR")
+        assert [f.path.name for f in reopened.fragments] == before
+        assert len(reopened.shards) == 3
+        assert reopened.read_points(np.vstack([high, low])).values.tolist() \
+            == [1.0, 2.0, 2.0]
+
+    @pytest.mark.filterwarnings("ignore:.*rebuilt it:UserWarning")
+    def test_rebuild_after_splitting_a_split_half(self, tmp_path):
+        """A split's halves cover less than the band it rewrote; when a
+        later split rewrites a half, the first split's outputs still
+        supersede the band's original fragment, retained or not (found by
+        the lifecycle model)."""
+        opts = StoreOptions(addr_order="alto", retain_generations=2)
+        store = ShardedStore(tmp_path / "s", (8, 6), "LINEAR", n_shards=2,
+                             options=opts)
+        cells = np.array([[0, 0], [0, 1], [0, 2], [0, 3]], np.uint64)
+        store.write(cells, np.arange(1.0, 5.0))
+        store.split(0)
+        store.split(0)
+        store.split(2)
+        before = [f.path.name for f in store.fragments]
+        store.close()
+        for name in ("manifest.json", "manifest.log"):
+            (tmp_path / "s" / name).unlink()
+        reopened = ShardedStore(tmp_path / "s", (8, 6), "LINEAR",
+                                options=opts)
+        assert [f.path.name for f in reopened.fragments] == before
+        assert reopened.read_points(cells).values.tolist() == [1, 2, 3, 4]
 
     def test_corrupt_parent_manifest_rebuilt(self, tmp_path):
         sharded, single = build_pair(tmp_path)
-        (sharded.directory / SHARD_MANIFEST_NAME).write_text("{ not json")
+        sharded.close()
+        (sharded.directory / "manifest.json").write_text("{ not json")
         with pytest.raises(ManifestError):
             ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
-        fsck_sharded(sharded.directory, repair=True)
+        fsck(sharded.directory, repair=True)
         reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
+        assert len(reopened.shards) == 4
         assert_reads_identical(reopened, single)
 
     def test_repair_refreshes_band_stats(self, tmp_path):
-        """A rebuilt parent is the band table alone; the per-shard
-        counts, read from the child stores, come through unchanged."""
+        """A rebuilt table's per-band counts come through unchanged, and a
+        band whose fragments are all gone merges into its neighbour."""
         sharded, _ = build_pair(tmp_path)
-        expect = [(r["shard"], r["nnz"]) for r in sharded.stats()]
-        (sharded.directory / SHARD_MANIFEST_NAME).unlink()
-        fsck_sharded(sharded.directory, repair=True)
+        sharded.compact()
+        rows = [(r["addr_lo"], r["nnz"]) for r in sharded.stats()]
+        gone = sharded._band_fragments()[0][0]
+        sharded.close()
+        for name in ("manifest.json", "manifest.log"):
+            (sharded.directory / name).unlink()
+        gone.path.unlink()
         reopened = ShardedStore(tmp_path / "sharded", SHAPE, "LINEAR")
-        assert [(r["shard"], r["nnz"]) for r in reopened.stats()] == expect
-        parent = json.loads(
-            (sharded.directory / SHARD_MANIFEST_NAME).read_text()
-        )
-        for band in parent["bands"]:
-            assert set(band) == {"dir", "addr_lo", "addr_hi", "epoch"}
+        # Band 0 lost its one fragment: band 1 now starts at address 0.
+        assert [(r["addr_lo"], r["nnz"]) for r in reopened.stats()] == [
+            (0, rows[1][1]), *rows[2:],
+        ]
 
     def test_stale_parent_tmp_cleaned(self, tmp_path):
         sharded, _ = build_pair(tmp_path)
-        (sharded.directory / "shards.json.tmp").write_bytes(b"torn")
-        report = fsck_sharded(sharded.directory, repair=True)
+        (sharded.directory / "manifest.json.tmp").write_bytes(b"torn")
+        report = fsck(sharded.directory, repair=True)
         assert any(i.kind == "tmp" and i.repaired == "deleted"
                    for i in report.issues)
-        assert fsck_sharded(sharded.directory).clean
+        assert fsck(sharded.directory).clean
 
     def test_child_issue_reported_with_prefix(self, tmp_path):
+        """A corrupt fragment of one band is reported under its own file
+        name (the store is one directory, so there is no band prefix)."""
         sharded, _ = build_pair(tmp_path)
-        victim = sharded.shards[0]
-        frag = next(victim.path.glob("frag-*.bin"))
-        frag.write_bytes(b"garbage")
-        report = fsck_sharded(sharded.directory)
-        bad = [i for i in report.issues if i.name.startswith(victim.name)]
-        assert bad
+        victim = sharded._band_fragments()[0][0]
+        victim.path.write_bytes(b"garbage")
+        report = fsck(sharded.directory)
+        assert [i.name for i in report.issues if i.kind == "corrupt"] == [
+            victim.path.name
+        ]
 
 
 class TestStats:
@@ -676,5 +913,60 @@ class TestStats:
         counters = {
             c["name"]: c["value"] for c in obs.snapshot()["counters"]
         }
-        assert counters.get("store.shard.routed_parts", 0) > 0
-        assert counters.get("store.shard.visited", 0) > 0
+        assert counters.get("store.shard.routed_parts", 0) == len(
+            sharded.fragments
+        )
+        assert counters.get("store.fragments_visited", 0) > 0
+
+
+class TestLegacyLayout:
+    """A ``shards.json`` + ``shard-NNNN/`` directory converts in place on
+    open: one checkpoint, then the legacy files go."""
+
+    def build(self, directory, order="row_major"):
+        rng = np.random.default_rng(4)
+        parts = make_parts(seed=4)
+        appends = [(
+            rng.integers(0, 24, size=(50, 3)).astype(np.uint64),
+            rng.random(50),
+        )]
+        build_legacy(directory, SHAPE, n_bands=3, parts=parts,
+                     appends=appends, addr_order=order)
+        oracle = FragmentStore(directory.parent / f"oracle-{order}", SHAPE,
+                               "LINEAR", options=StoreOptions(addr_order=order))
+        for coords, values in parts:
+            oracle.write(coords, values)
+        oracle.append(*appends[0])
+        return oracle
+
+    @pytest.mark.parametrize("order", ["row_major", "alto"])
+    def test_opens_as_a_banded_store(self, tmp_path, order):
+        oracle = self.build(tmp_path / "legacy", order)
+        store = ShardedStore(tmp_path / "legacy", SHAPE, "LINEAR")
+        assert store.addr_order == order
+        assert len(store.shards) == 3
+        assert len(store.fragments) == 3
+        assert_reads_identical(store, oracle)
+        left = {p.name for p in (tmp_path / "legacy").iterdir()}
+        assert left == {"manifest.json", "manifest.log",
+                        *(f.path.name for f in store.fragments)}
+        assert fsck(tmp_path / "legacy").clean
+
+    def test_plain_store_and_cli_refuse_it(self, tmp_path, capsys):
+        from repro.cli import main
+
+        self.build(tmp_path / "legacy")
+        with pytest.raises(ManifestError, match="ShardedStore"):
+            FragmentStore(tmp_path / "legacy", SHAPE, "LINEAR")
+        for argv in (["fsck", str(tmp_path / "legacy")],
+                     ["stats", "--store", str(tmp_path / "legacy")]):
+            assert main(argv) == 1
+            assert "opening it with ShardedStore converts it" in (
+                capsys.readouterr().err
+            )
+
+    def test_children_without_band_table_raise(self, tmp_path):
+        self.build(tmp_path / "legacy")
+        (tmp_path / "legacy" / LEGACY_SHARDS_NAME).unlink()
+        with pytest.raises(ManifestError, match=str(tmp_path / "legacy")):
+            ShardedStore(tmp_path / "legacy", SHAPE, "LINEAR")

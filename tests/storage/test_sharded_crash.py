@@ -1,19 +1,20 @@
 """ShardedStore crash-consistency: kill every commit op and recover.
 
-Mirrors ``test_crash_consistency.py`` one level up: each workload —
-routed ``write_many``, ``split``, ``merge``, store creation — is first
-run under :class:`~repro.testing.faults.OpRecorder` to enumerate every
+A banded store is one FragmentStore whose manifest carries the band
+table, so each workload here — a routed ``write_many``, ``split``,
+``merge``, store creation, a legacy layout's conversion — is one
+manifest commit.  Each is first run under
+:class:`~repro.testing.faults.OpRecorder` to enumerate every
 durability-layer op, then replayed once per op with a plan that kills
 exactly that op.  The invariants (docs/SHARDED_STORE.md):
 
-* reopening from disk always succeeds — or raises ``ManifestError``
-  explicitly demanding ``fsck --repair``, after which it succeeds;
-* each child store holds a *prefix* of the parts routed to it, and a
-  band-table swap (split/merge) is all-or-nothing: the reopened store
-  shows either the old layout or the new one, never a mix;
-* ``fsck --repair`` always restores a clean tree without silently
-  dropping a committed fragment, and reads afterwards still match a
-  single FragmentStore fed the same writes.
+* reopening from disk always succeeds;
+* a routed write is all-or-nothing across every band it touches, and a
+  band-table change (split/merge) is too: the reopened store shows the
+  old table and fragments or the new ones, never a mix;
+* ``fsck --repair`` always restores a clean store without dropping a
+  committed fragment, and reads afterwards still match a single
+  FragmentStore fed the same writes.
 """
 
 import warnings
@@ -21,21 +22,21 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.errors import ManifestError
-from repro.storage import FragmentStore, ShardedStore, fsck_sharded
+from repro.storage import FragmentStore, ShardedStore, fsck
 from repro.testing.faults import (
-    FaultPlan,
+    CrashPlan,
     FaultRule,
     OpRecorder,
     inject,
     plan_for_crash_point,
 )
 
-SHAPE = (32, 32)  # 1024 cells; 2 shards cut at address 512 (row 16)
+from .test_sharded import build_legacy
+
+SHAPE = (32, 32)  # 1024 cells; 2 bands cut at address 512 (row 16)
 N_PARTS = 3
 
-# Children with crash-orphaned fragments warn when lazily opened mid-read;
-# that advisory is by design and asserted on elsewhere — not noise here.
+# A crash leaves uncommitted fragments that warn on open, by design.
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*not in the manifest.*:UserWarning"
 )
@@ -45,7 +46,7 @@ def part(j):
     """Part ``j``: 5 points on row ``j`` + 5 on row ``16+j``.
 
     Every part straddles both bands, and parts are pairwise disjoint, so
-    per-child prefixes are directly observable from which rows read back.
+    which parts each band holds is directly observable.
     """
     rows = np.concatenate([
         np.full(5, j, dtype=np.uint64),
@@ -62,7 +63,7 @@ def make_store(directory, **kw):
 
 def reopen(directory):
     with warnings.catch_warnings():
-        # Orphaned child fragments warn on open, by design.
+        # Uncommitted fragments warn on open, by design.
         warnings.simplefilter("ignore", UserWarning)
         return make_store(directory)
 
@@ -75,7 +76,8 @@ def make_single(directory, n_parts=N_PARTS):
 
 
 def assert_shard_prefixes(store):
-    """Each band holds a prefix of the parts routed to it."""
+    """Each band holds a prefix of the parts, and both bands the same
+    one: a routed write is whole or absent."""
     lower = []  # parts visible in the low band
     upper = []  # parts visible in the high band
     for j in range(N_PARTS):
@@ -94,6 +96,7 @@ def assert_shard_prefixes(store):
             upper.append(j)
     assert lower == list(range(len(lower))), f"low band not a prefix: {lower}"
     assert upper == list(range(len(upper))), f"high band not a prefix: {upper}"
+    assert lower == upper, f"a write in one band only: {lower} / {upper}"
     return lower, upper
 
 
@@ -115,9 +118,9 @@ class TestCreationCrash:
 
     def test_creation_ops(self, tmp_path):
         events = self.record(tmp_path)
-        # 2 sidecars (write+rename each) + the parent manifest commit.
-        assert [e.op for e in events] == ["write", "rename"] * 3
-        assert events[-1].path.name == "shards.json"
+        # One checkpoint commits the band table.
+        assert [e.op for e in events] == ["write", "rename"]
+        assert events[-1].path.name == "manifest.json"
 
     def test_every_creation_crash_recovers(self, tmp_path):
         events = self.record(tmp_path)
@@ -127,15 +130,11 @@ class TestCreationCrash:
             with inject(plan), pytest.raises(OSError):
                 make_store(directory)
             assert plan.fired
-            try:
-                store = reopen(directory)
-            except ManifestError:
-                report = fsck_sharded(directory, repair=True)
-                assert report.repaired
-                store = reopen(directory)
+            store = reopen(directory)
             # The recovered store covers the address space and works.
             assert store.shards[0].addr_lo == 0
             assert store.shards[-1].addr_hi == 32 * 32
+            assert len(store.shards) == 2
             store.write(*part(0))
             assert store.read_points(part(0)[0]).found.all()
 
@@ -164,32 +163,48 @@ class TestRoutedWriteCrash:
         for index in range(len(events)):
             directory = self.run_crash(tmp_path, events, index)
             store = reopen(directory)
-            lower, upper = assert_shard_prefixes(store)
-            outcomes.append((len(lower), len(upper)))
-
-            found_before = sum(
-                int(store.read_points(part(j)[0]).found.sum())
-                for j in range(N_PARTS)
-            )
-            report = fsck_sharded(directory, repair=True)
+            # The one commit failed: nothing of the batch is listed.
+            assert assert_shard_prefixes(store) == ([], [])
+            report = fsck(directory, repair=True)
             assert report.repaired
-            assert fsck_sharded(directory).clean
+            assert fsck(directory).clean
             repaired = reopen(directory)
-            # Repair recovers orphans, never drops committed points.
-            found_after = sum(
-                int(repaired.read_points(part(j)[0]).found.sum())
-                for j in range(N_PARTS)
-            )
-            assert found_after >= found_before
-            assert_shard_prefixes(repaired)
+            # Repair recovers a batch whose files were all written, and
+            # never half of one.
+            lower, _ = assert_shard_prefixes(repaired)
+            outcomes.append(len(lower))
             # The store keeps working after recovery: re-write every
             # part and converge to the single-store state.
             repaired.write_many([part(j) for j in range(N_PARTS)])
             assert_matches_single(repaired, single)
-        # Coverage sanity: some crash commits nothing, none commit all
-        # parts in both bands before the last injected op.
-        assert min(sum(o) for o in outcomes) == 0
-        assert max(sum(o) for o in outcomes) > 0
+        assert set(outcomes) == {0, N_PARTS}
+
+    def test_crash_between_bands_is_whole(self, tmp_path):
+        """A write of two cells that lie in two bands, killed at its 3rd
+        durable op (the second band's fragment), reads as before it after
+        the repair: its two fragments are one commit."""
+        def build(directory):
+            store = ShardedStore(directory, (8, 6), "LINEAR", n_shards=2)
+            store.append(cells, np.array([1.0, 2.0]))
+            store.pack_wal()
+            store.split(0)  # cuts between the two cells
+            return store
+
+        cells = np.array([[0, 0], [0, 1]], dtype=np.uint64)
+        recorder = OpRecorder()
+        store = build(tmp_path / "record")
+        with inject(recorder):
+            store.write(cells, np.array([3.0, 4.0]))
+        store = build(tmp_path / "crash")
+        plan = plan_for_crash_point(recorder.events, 2)
+        with inject(plan), pytest.raises(OSError):
+            store.write(cells, np.array([3.0, 4.0]))
+        store.fsck(repair=True)
+        store.close()
+        reopened = ShardedStore(tmp_path / "crash", (8, 6), "LINEAR")
+        assert reopened.read_points(cells).values.tolist() in (
+            [1.0, 2.0], [3.0, 4.0],
+        )
 
 
 class SplitMergeBase:
@@ -215,21 +230,26 @@ class SplitMergeBase:
             store = self.build(directory)
             before = [(e.addr_lo, e.addr_hi) for e in store.shards]
             plan = plan_for_crash_point(events, index)
-            with inject(plan), pytest.raises(OSError):
-                self.operate(store)
+            with inject(plan):
+                try:
+                    self.operate(store)
+                except OSError:
+                    pass  # a failed delete after the commit is not raised
             assert plan.fired, "the planned fault never triggered"
 
             reopened = reopen(directory)
             layout = [(e.addr_lo, e.addr_hi) for e in reopened.shards]
-            # All-or-nothing band swap: old layout or the new one.
-            assert layout == before or layout == self.expected_layout(before)
+            # All-or-nothing band-table change: old table or the new one.
+            assert layout == before or self.is_new_layout(layout, before)
             layouts.add(len(layout))
             assert_matches_single(reopened, single)
 
-            report = fsck_sharded(directory, repair=True)
+            report = fsck(directory, repair=True)
             assert report.repaired
-            assert fsck_sharded(directory).clean
-            assert_matches_single(reopen(directory), single)
+            assert fsck(directory).clean
+            repaired = reopen(directory)
+            assert [(e.addr_lo, e.addr_hi) for e in repaired.shards] == layout
+            assert_matches_single(repaired, single)
         return layouts
 
 
@@ -237,51 +257,25 @@ class TestSplitCrash(SplitMergeBase):
     def operate(self, store):
         store.split(0)
 
-    def expected_layout(self, before):
-        # Any cut strictly inside band 0 is acceptable.
-        return None  # overridden check below
-
-    def run_all_crash_points(self, tmp_path):
-        events = self.record(tmp_path)
-        single = make_single(tmp_path / "single")
-        n_layouts = set()
-        for index in range(len(events)):
-            directory = tmp_path / f"crash-{index}"
-            store = self.build(directory)
-            before = [(e.addr_lo, e.addr_hi) for e in store.shards]
-            plan = plan_for_crash_point(events, index)
-            with inject(plan), pytest.raises(OSError):
-                store.split(0)
-            assert plan.fired
-
-            reopened = reopen(directory)
-            layout = [(e.addr_lo, e.addr_hi) for e in reopened.shards]
-            if len(layout) == len(before):
-                assert layout == before
-            else:
-                # Committed split: band 0 became two contiguous bands.
-                assert len(layout) == len(before) + 1
-                assert layout[0][0] == before[0][0]
-                assert layout[1][1] == before[0][1]
-                assert layout[0][1] == layout[1][0]
-                assert layout[2:] == before[1:]
-            n_layouts.add(len(layout))
-            assert_matches_single(reopened, single)
-
-            fsck_sharded(directory, repair=True)
-            assert fsck_sharded(directory).clean
-            assert_matches_single(reopen(directory), single)
-        return n_layouts
+    def is_new_layout(self, layout, before):
+        # Band 0 became two contiguous bands; any cut inside it will do.
+        return (
+            len(layout) == len(before) + 1
+            and layout[0][0] == before[0][0]
+            and layout[1][1] == before[0][1]
+            and layout[0][1] == layout[1][0]
+            and layout[2:] == before[1:]
+        )
 
     def test_torn_parent_manifest(self, tmp_path):
-        """Routed writes never write ``shards.json``; re-banding does, and
-        a torn band-table commit leaves the committed layout in force."""
+        """A torn band-table commit — the split's manifest-log record —
+        is cut off on reopen, and the committed table stays in force."""
         events = self.record(tmp_path)
         torn_indices = [
             i for i, e in enumerate(events)
-            if e.op == "write" and e.path.name == "shards.json.tmp"
+            if e.op == "write" and e.path.name == "manifest.log"
         ]
-        assert torn_indices
+        assert len(torn_indices) == 1
         single = make_single(tmp_path / "single")
         for index in torn_indices:
             for torn in (0, 1, 100):
@@ -292,79 +286,113 @@ class TestSplitCrash(SplitMergeBase):
                 with inject(plan), pytest.raises(OSError):
                     store.split(0)
                 assert plan.fired
-                # The committed parent manifest survives a torn tmp.
                 store = reopen(directory)
                 assert [(e.addr_lo, e.addr_hi) for e in store.shards] == before
                 assert_shard_prefixes(store)
                 assert_matches_single(store, single)
-                fsck_sharded(directory, repair=True)
-                assert fsck_sharded(directory).clean
+                fsck(directory, repair=True)
+                assert fsck(directory).clean
 
     def test_every_split_crash_point(self, tmp_path):
         n_layouts = self.run_all_crash_points(tmp_path)
-        # Every injected kill lands before the parent commit, so the
-        # old layout always survives (the commit point is the very last
-        # durable op of the operation).
-        assert n_layouts == {2}
+        # Kills before the commit (the log append) keep the old table;
+        # kills after it, while the old fragments are deleted, the new.
+        assert n_layouts == {2, 3}
 
 
 class TestMergeCrash(SplitMergeBase):
     def operate(self, store):
         store.merge(0)
 
-    def expected_layout(self, before):
-        return [(before[0][0], before[1][1])] + before[2:]
+    def is_new_layout(self, layout, before):
+        return layout == [(before[0][0], before[1][1])] + before[2:]
 
     def test_every_merge_crash_point(self, tmp_path):
         layouts = self.run_all_crash_points(tmp_path)
-        assert 2 in layouts  # the old layout survives pre-commit kills
+        assert layouts == {1, 2}
 
 
 class TestOrphansAfterKilledRebanding:
-    def test_killed_split_orphans_are_quarantined(self, tmp_path):
-        directory = tmp_path / "ds"
+    def kill_split_commit(self, directory):
+        """Split band 0 and crash at its commit, both halves written."""
         store = make_store(directory)
         store.write_many([part(j) for j in range(N_PARTS)])
-        names_before = {e.name for e in store.shards}
-        # Kill the parent-manifest rename — both halves fully written.
-        plan = FaultPlan(
-            [FaultRule(op="rename", pattern="shards.json", times=1)]
+        names = {f.path.name for f in store.fragments}
+        plan = CrashPlan(
+            [FaultRule(op="write", pattern="manifest.log", times=1)]
         )
         with inject(plan), pytest.raises(OSError):
             store.split(0)
         assert plan.fired
-        # The half-written shard dirs are on disk but unreferenced.
-        on_disk = {p.name for p in directory.glob("shard-*") if p.is_dir()}
-        orphans = on_disk - names_before
+        on_disk = {p.name for p in directory.glob("frag-*.bin")}
+        orphans = on_disk - names
         assert len(orphans) == 2
-        report = fsck_sharded(directory)
+        return orphans
+
+    def test_killed_split_orphans_are_quarantined(self, tmp_path):
+        """The halves of a split whose commit never landed claim bands the
+        committed table lacks: fsck quarantines them, keeping the bytes."""
+        directory = tmp_path / "ds"
+        orphans = self.kill_split_commit(directory)
+        report = fsck(directory)
         flagged = {i.name for i in report.issues if i.kind == "extra"}
         assert orphans <= flagged
-        report = fsck_sharded(directory, repair=True)
+        report = fsck(directory, repair=True)
         assert {i.name for i in report.issues
                 if i.repaired == "quarantined"} >= orphans
-        assert fsck_sharded(directory).clean
-        # Quarantine keeps the bytes: dirs moved, not deleted.
+        assert fsck(directory).clean
         for name in orphans:
-            assert (directory / ".quarantine" / name).is_dir()
+            assert (directory / ".quarantine" / name).is_file()
+        assert len(reopen(directory).shards) == 2
 
     def test_lost_parent_after_killed_split_prefers_old_epoch(self, tmp_path):
-        """Sidecar rebuild must resurrect the *committed* layout, not the
-        half-finished split's newer-epoch orphans."""
+        """Without the manifest the rebuild cannot tell the killed split
+        from a committed one: its complete halves supersede the old band
+        (a roll-forward), and reads are the same either way."""
         directory = tmp_path / "ds"
-        store = make_store(directory)
-        store.write_many([part(j) for j in range(N_PARTS)])
-        old_names = {e.name for e in store.shards}
+        self.kill_split_commit(directory)
         single = make_single(tmp_path / "single")
-        plan = FaultPlan(
-            [FaultRule(op="rename", pattern="shards.json", times=1)]
-        )
-        with inject(plan), pytest.raises(OSError):
-            store.split(0)
-        (directory / "shards.json").unlink()
-        report = fsck_sharded(directory, repair=True)
-        assert report.repaired
+        for name in ("manifest.json", "manifest.log"):
+            (directory / name).unlink()
         reopened = reopen(directory)
-        assert {e.name for e in reopened.shards} == old_names
+        assert len(reopened.shards) == 3
         assert_matches_single(reopened, single)
-        assert fsck_sharded(directory).clean
+        assert fsck(directory).clean
+
+
+class TestLegacyConversionCrash:
+    """A crash at every durable op of a legacy layout's conversion, then a
+    reopen, reads what the legacy store held."""
+
+    def build(self, directory):
+        appends = [(np.array([[2, 7], [20, 3]], dtype=np.uint64),
+                    np.array([-1.0, -2.0]))]
+        build_legacy(directory, SHAPE, n_bands=2,
+                     parts=[part(j) for j in range(N_PARTS)],
+                     appends=appends)
+        return appends[0]
+
+    def test_every_conversion_crash_recovers(self, tmp_path):
+        tail, tail_values = self.build(tmp_path / "record")
+        recorder = OpRecorder()
+        with inject(recorder):
+            make_store(tmp_path / "record").close()
+        events = recorder.events
+        assert any(e.path.name == "shards.json" for e in events)
+        single = make_single(tmp_path / "single")
+        single.write(tail, tail_values)
+        for index in range(len(events)):
+            directory = tmp_path / f"crash-{index}"
+            self.build(directory)
+            plan = plan_for_crash_point(events, index)
+            with inject(plan), pytest.raises(OSError):
+                make_store(directory)
+            assert plan.fired
+            store = reopen(directory)
+            assert len(store.shards) == 2
+            assert_matches_single(store, single)
+            out = store.read_points(tail)
+            assert out.values.tolist() == tail_values.tolist()
+            assert not (directory / "shards.json").exists()
+            assert not list(directory.glob("shard-*"))
+            assert fsck(directory).clean

@@ -156,6 +156,40 @@ class TestRelativeCoords:
         assert out.found.all()
 
 
+WIDE = (1 << 40, 1 << 40)  # 2^80 cells: no uint64 linear address
+
+
+class TestWideShapes:
+    """A shape whose cell count overflows uint64 is rejected up front by
+    every organization that needs linear addresses; CSF stores it."""
+
+    @pytest.mark.parametrize("fmt", [
+        "COO", "COO-SORTED", "LINEAR", "GCSR++", "GCSC++", "HICOO",
+    ])
+    def test_linear_organizations_reject_at_construction(self, tmp_path, fmt):
+        with pytest.raises(ShapeError, match="BlockedDataset"):
+            FragmentStore(tmp_path / "ds", WIDE, fmt)
+        assert not (tmp_path / "ds").exists()
+        # Block-local coordinates fit: BlockedDataset's stores open.
+        FragmentStore(tmp_path / "rel", WIDE, fmt,
+                      options=StoreOptions(relative_coords=True))
+
+    def test_csf_stores_it(self, tmp_path):
+        from repro.storage import convert_store
+
+        coords = np.array([[0, 1 << 39], [(1 << 40) - 1, 3]], dtype=np.uint64)
+        s = FragmentStore(tmp_path / "ds", WIDE, "CSF")
+        s.write(coords, np.array([1.0, 2.0]))
+        assert s.read_points(coords).values.tolist() == [1.0, 2.0]
+        for migrate in (lambda: s.migrate_fragment(0, "LINEAR"),
+                        lambda: s.migrate_all("COO"),
+                        lambda: convert_store(s, tmp_path / "out", "GCSR++")):
+            with pytest.raises(ShapeError, match="BlockedDataset"):
+                migrate()
+        assert s.fragments[0].format_name == "CSF"
+        assert not (tmp_path / "out").exists()
+
+
 class TestRescanRobustness:
     """A rebuild from the fragment files (an open without
     ``manifest.json``, or ``store.fsck(repair=True)``) must survive

@@ -396,7 +396,7 @@ class TestStoreAppend:
 
     def test_append_requires_linearizable_shape(self, tmp_path):
         big = (1 << 22, 1 << 22, 1 << 22)  # overflows uint64 addresses
-        store = FragmentStore(tmp_path / "ds", big, "COO")
+        store = FragmentStore(tmp_path / "ds", big, "CSF")
         with pytest.raises(ShapeError, match="append"):
             store.append(
                 np.zeros((1, 3), dtype=np.uint64), np.ones(1)

@@ -33,6 +33,19 @@ class TestGenerateEncodeInfo:
         assert "frag-000000.bin" in out
         assert "CSF" in out
 
+    def test_banded_store_opens_from_its_manifest(self, tmp_path, capsys):
+        """``encode --shards`` writes one banded store; ``info``,
+        ``stats --shards`` and ``fsck`` open it from its manifest."""
+        npz = tmp_path / "data.npz"
+        store = tmp_path / "store"
+        main(["generate", "GSP", "32", "32", "-o", str(npz), "--seed", "1"])
+        assert main(["encode", str(npz), str(store), "--shards", "4"]) == 0
+        assert main(["info", str(store)]) == 0
+        assert main(["stats", "--store", str(store), "--shards"]) == 0
+        out = capsys.readouterr().out
+        assert "band-0003" in out and "address band" in out
+        assert main(["fsck", str(store)]) == 0
+
     def test_generated_npz_is_loadable(self, tmp_path):
         npz = tmp_path / "d.npz"
         main(["generate", "TSP", "64", "64", "-o", str(npz)])

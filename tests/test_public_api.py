@@ -113,8 +113,7 @@ class TestStoreReadTuningSurface:
         assert STORE_READ_TUNING == ("options",)
 
     @pytest.mark.parametrize("cls_name", [
-        "FragmentStore", "BlockedDataset", "ShardedStore",
-        "StoreSnapshot", "ShardedSnapshot",
+        "FragmentStore", "BlockedDataset", "ShardedStore", "StoreSnapshot",
     ])
     @pytest.mark.parametrize("method", ["read_points", "read_box"])
     def test_stores_accept_tuning_keywords(self, cls_name, method):
