@@ -347,15 +347,15 @@ def _render_shards_section(store) -> str:
 def _legacy_layout(directory: str) -> bool:
     """Whether ``directory`` holds the legacy sharded layout, which only
     a ``ShardedStore`` opens (converting it); says so on stderr."""
-    from .storage.durability import LEGACY_SHARDS_NAME
+    from .core.errors import ManifestError
+    from .storage.durability import refuse_legacy_layout
 
-    if not (Path(directory) / LEGACY_SHARDS_NAME).exists():
-        return False
-    print(f"{directory} holds the legacy sharded layout "
-          f"({LEGACY_SHARDS_NAME} over shard-NNNN/ stores); opening it "
-          "with ShardedStore converts it into one banded store",
-          file=sys.stderr)
-    return True
+    try:
+        refuse_legacy_layout(directory)
+    except ManifestError as exc:
+        print(exc, file=sys.stderr)
+        return True
+    return False
 
 
 def _open_store(directory: str, options=None):

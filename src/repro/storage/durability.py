@@ -83,6 +83,19 @@ QUARANTINE_DIR = ".quarantine"
 TMP_SUFFIX = ".tmp"
 
 
+def refuse_legacy_layout(directory: str | os.PathLike) -> None:
+    """Raise :class:`ManifestError` when ``directory`` holds the legacy
+    sharded layout.  Only opening it with ``ShardedStore`` converts it;
+    anything else must write nothing there first, since a root manifest
+    would pass for a finished conversion."""
+    if (Path(directory) / LEGACY_SHARDS_NAME).exists():
+        raise ManifestError(
+            f"{directory} holds the legacy sharded layout "
+            f"({LEGACY_SHARDS_NAME} over shard-NNNN/ stores); opening it "
+            "with ShardedStore converts it into one banded store"
+        )
+
+
 # ----------------------------------------------------------------------
 # Fault hook plumbing
 # ----------------------------------------------------------------------
@@ -804,13 +817,14 @@ def _rebuild_rule(
 
     and it is uncommitted when 4. it names its commit's last file
     (``"commit_end"``) and the file claiming that number carries another
-    mark, or no file claims it and no compaction output is newer than it
-    (a band's compaction may retire the last file of a routed write whose
-    other pieces live on): the commit never wrote it; or 5. ``table``
-    lacks its band: a split or merge whose commit never landed.  Every
-    other file is live.  Every committed output supersedes, a superseded
-    one too (a split's halves cover less than the band it rewrote), and
-    rule 4 consults newer ones alone, so files are judged newest first.
+    mark, or no file claims it and no newer compaction output vouches
+    for the commit (``"vouches"``: a band's rewrite that retired the last
+    file of a commit whose other pieces live on names it): the commit
+    never wrote it; or 5. ``table`` lacks its band: a split or merge
+    whose commit never landed.  Every other file is live.  Every
+    committed output supersedes, a superseded one too (a split's halves
+    cover less than the band it rewrote), and rules 2 and 4 consult
+    newer ones alone, so files are judged newest first.
     """
     out: dict[str, str] = {}
     rest = []  # (claimed sequence number, file number, name, extra)
@@ -823,7 +837,8 @@ def _rebuild_rule(
         else:
             rest.append((seq, _file_seq(name), name, extra))
     newest_of_seq = {seq: (name, x) for seq, _, name, x in sorted(rest)}
-    outputs: list[tuple] = []  # committed outputs: seq, name, range, end
+    # Committed outputs: seq, name, range, commit end, vouched-for ends.
+    outputs: list[tuple] = []
     for seq, _, name, extra in sorted(rest, reverse=True):
         band = _span(extra.get("band"))
         end = extra.get("commit_end")
@@ -836,7 +851,7 @@ def _rebuild_rule(
         if end is not None:
             holder = newest_of_seq.get(end)
             if holder is None:
-                done = any(s > end for s, _, _, _ in outputs)
+                done = any(end in v for *_, v in outputs)
             else:
                 done = holder[1].get("commit_end") == end
             if not done:
@@ -846,7 +861,7 @@ def _rebuild_rule(
                 )
                 continue
         cover = next((
-            n for s, n, r, e in outputs
+            n for s, n, r, e, _ in outputs
             if s > seq and r[0] <= band[0] and band[1] <= r[1]
             and (e is None or e != end)
         ), None)
@@ -855,7 +870,10 @@ def _rebuild_rule(
         elif newest_of_seq[seq][0] != name:
             out[name] = f"superseded: replaced by {newest_of_seq[seq][0]}"
         if extra.get("compacted"):
-            outputs.append((seq, name, _span(extra["compacted"]), end))
+            outputs.append((
+                seq, name, _span(extra["compacted"]), end,
+                extra.get("vouches", ()),
+            ))
     return out
 
 
@@ -909,11 +927,13 @@ def fsck(
     their final record are quarantined under ``repair=True``.  Retired
     fragments (superseded but kept for snapshots) are verified like live
     ones; missing or corrupt retired entries are dropped from the retained
-    list on repair.
+    list on repair.  A directory in the legacy sharded layout is refused
+    untouched (:func:`refuse_legacy_layout`).
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise ManifestError(f"not a store directory: {directory}")
+    refuse_legacy_layout(directory)
     manifest_path = directory / MANIFEST_NAME
 
     log_path = directory / MANIFEST_LOG_NAME

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.boundary import Box, extract_boundary
 from ..core.costmodel import NULL_COUNTER, OpCounter
-from ..core.errors import ChecksumError, FragmentIOError
+from ..core.errors import ChecksumError, FragmentError, FragmentIOError
 from ..core.linearize import DEFAULT_ADDRESS_ORDER, AddressIntervals
 from ..formats.base import (
     AddressProbeFormat,
@@ -110,11 +110,13 @@ class FragmentInfo:
     a fresh file name but pins ``seq`` to the replaced fragment's slot,
     in its header's ``extra`` too, so its points keep their position in
     the shadowing order when the manifest is rebuilt from the files.
-    Two more header marks serve that rebuild
+    More header marks serve that rebuild
     (:func:`~repro.storage.durability._rebuild_rule`): a compaction
-    output's ``extra`` carries ``"compacted": true`` (it holds every
-    fragment before it), and each file of a multi-file commit names the
-    commit's last file (``"commit_end"``).
+    output's ``extra`` carries ``"compacted"`` (``true``, or in a banded
+    store the ``[lo, hi]`` range it holds every earlier fragment of) and
+    may name the commits it vouches for (``"vouches"``), a banded
+    store's fragment its band (``"band"``), and each file of a
+    multi-file commit names the commit's last file (``"commit_end"``).
 
     ``addr_order`` names the linearization order the fragment's zone map
     (and any order-bearing payload) is expressed in — ``"row_major"``
@@ -290,17 +292,29 @@ def write_fragment(
     return FragmentInfo.from_header(path, unpack_header(blob)[0], blob)
 
 
-def read_fragment_header(path: str | os.PathLike) -> FragmentInfo:
-    """Decode only the header of a fragment file."""
-    path = Path(path)
+def _read_header(path: Path) -> dict[str, Any]:
     try:
         with open(path, "rb") as fh:
             # Headers are small; 64 KiB covers any realistic JSON header.
             head = fh.read(65536)
     except OSError as exc:
         raise FragmentIOError(f"cannot read fragment {path}: {exc}") from exc
-    header, _ = unpack_header(head)
-    return FragmentInfo.from_header(path, header)
+    return unpack_header(head)[0]
+
+
+def read_fragment_header(path: str | os.PathLike) -> FragmentInfo:
+    """Decode only the header of a fragment file."""
+    path = Path(path)
+    return FragmentInfo.from_header(path, _read_header(path))
+
+
+def read_fragment_marks(path: str | os.PathLike) -> dict[str, Any]:
+    """The ``extra`` marks of a fragment file's header, ``{}`` when it
+    cannot be read (a rebuild drops such a file anyway)."""
+    try:
+        return _read_header(Path(path)).get("extra") or {}
+    except FragmentError:
+        return {}
 
 
 def load_fragment(

@@ -11,7 +11,8 @@ merge` edit the edges and rewrite the touched bands in one commit).
 Reads are the store's own: zone maps prune the bands a query misses, and
 newest-wins ranks fragments by commit order.  Fragment headers record
 their band (``extra["band"]``) and a rewrite its range
-(``extra["compacted"]``), so a rebuild recovers the table
+(``extra["compacted"]``) and the routed commits whose last file it
+retired (``extra["vouches"]``), so a rebuild recovers the table
 (``docs/SHARDED_STORE.md``).  A directory in the earlier layout, a
 ``shards.json`` band table over one child store per band, converts in
 place on open, in one commit.

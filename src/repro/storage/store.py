@@ -92,7 +92,6 @@ from ..formats.registry import get_format, resolve_format
 from ..obs import counter_add, observe, span
 from ..readapi import ReadOutcome
 from .durability import (
-    LEGACY_SHARDS_NAME,
     AppendFile,
     FsckReport,
     _file_seq,
@@ -103,6 +102,7 @@ from .durability import (
     load_manifest,
     peek_manifest,
     quarantine_file,
+    refuse_legacy_layout,
     remove_file,
     truncate_file,
     write_bytes_atomic,
@@ -116,6 +116,7 @@ from .fragment import (
     query_fragment,
     query_fragment_box,
     read_fragment_header,
+    read_fragment_marks,
     write_fragment,
 )
 from .options import (
@@ -326,6 +327,8 @@ class FragmentStore:
         self._gc_horizon = 0
         self._pins: dict[int, frozenset[str]] = {}
         self._pin_counter = 0
+        if not self._BANDED:
+            refuse_legacy_layout(self.directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         clean_temp_files(self.directory)
         self._fragments: list[FragmentInfo] = []
@@ -333,13 +336,6 @@ class FragmentStore:
         #: and the edges the manifest last recorded (none: one band).
         self._edges: list[int] = []
         self._logged_edges: list[int] = []
-        legacy = (self.directory / LEGACY_SHARDS_NAME).exists()
-        if legacy and not self._BANDED:
-            raise ManifestError(
-                f"{self.directory} holds the legacy sharded layout "
-                f"({LEGACY_SHARDS_NAME} over shard-NNNN/ stores); opening "
-                "it with ShardedStore converts it into one banded store"
-            )
         if self._manifest_path().exists():
             self._load_manifest()
             self._warn_on_orphans()
@@ -614,12 +610,19 @@ class FragmentStore:
 
         Scanning the directory too means an uncommitted fragment left by a
         crash (file renamed, manifest not yet updated) is never overwritten
-        — ``repro fsck --repair`` can still recover it.
+        — ``repro fsck --repair`` can still recover it.  Nor is a number
+        up to such a fragment's ``"commit_end"`` reused: a later commit
+        that ended there would pass, in a rebuild, for the torn commit's
+        last file.
         """
-        names = {f.path.name for f in self._fragments}
-        names.update(f.path.name for f in self._retired)
-        names.update(p.name for p in self.directory.glob("frag-*.bin"))
-        return max(map(_file_seq, names), default=-1) + 1
+        listed = {f.path.name for f in self._fragments}
+        listed.update(f.path.name for f in self._retired)
+        on_disk = {p.name for p in self.directory.glob("frag-*.bin")}
+        return max([
+            *map(_file_seq, listed | on_disk),
+            *(read_fragment_marks(self.directory / name).get("commit_end", -1)
+              for name in on_disk - listed),
+        ], default=-1) + 1
 
     def _next_fragment_path(self) -> Path:
         path = self.directory / f"frag-{self._next_seq:06d}.bin"
@@ -1900,8 +1903,14 @@ class FragmentStore:
         fragments they were merged from (the rest of ``group`` was
         skipped as corrupt and leaves the list).  The outputs take the
         next unused sequence numbers, so their names cannot collide; a
-        crash before the commit leaves them as orphans.
+        crash before the commit leaves them as orphans.  They vouch for
+        the commits whose last file leaves with ``group``
+        (:meth:`_vouches`).
         """
+        vouches = self._vouches(group)
+        if vouches:
+            for part in parts:
+                part.extra["vouches"] = vouches
         receipts = self._write_parts_locked(parts)
         infos = [r.info for r in receipts]
         names = {f.path.name for f in group}
@@ -1918,6 +1927,26 @@ class FragmentStore:
         self._save_manifest(checkpoint=checkpoint, written=infos)
         self._unlink(doomed)
         return receipts
+
+    def _vouches(self, group: list[FragmentInfo]) -> list[int]:
+        """The multi-file commits a rewrite of ``group`` vouches for: the
+        ``"commit_end"`` of each live fragment outside ``group`` whose
+        commit's last file is not live outside it too (``group`` holds
+        it, or an earlier rewrite retired it).  A rebuild that finds such
+        a last file gone counts its commit as finished only on an
+        output's word (:func:`~repro.storage.durability._rebuild_rule`).
+        A rewrite of every live fragment vouches for none."""
+        names = {f.path.name for f in group}
+        ends, lasts = set(), set()
+        for frag in self._fragments:
+            if frag.path.name in names:
+                continue
+            end = read_fragment_marks(frag.path).get("commit_end")
+            if end is not None:
+                ends.add(end)
+                if frag.effective_seq() == end:
+                    lasts.add(end)
+        return sorted(ends - lasts)
 
     def _merge_order(self) -> str:
         """The address order compaction/conversion runs merge in.

@@ -643,9 +643,9 @@ class TestStaleDataStaysGone:
         """A crash inside one ``write_many`` commit: fsck once recovered
         the files that had reached the disk, so part of the batch became
         durable.  Each file names the commit's last file; without it the
-        batch is uncommitted.  A store reopened without fsck reuses that
-        file name for its next write, which must not finish the batch
-        when the manifest is lost later."""
+        batch is uncommitted.  A store reopened without fsck skips the
+        numbers the torn batch named, so its next write cannot pass for
+        the batch's last file when the manifest is lost later."""
         directory = tmp_path / "ds"
         store = FragmentStore(directory, (8, 8), "LINEAR")
         other = np.array([[1, 1]], dtype=np.uint64)
@@ -689,11 +689,35 @@ class TestStaleDataStaysGone:
                 assert not out.found.any()
             else:  # only the later write is live
                 assert [f.path.name for f in reopened.fragments] == [
-                    "frag-000002.bin",
+                    "frag-000003.bin",
                 ]
                 assert out.found.tolist() == [True, False]
                 assert out.values[0] == cell
         assert fsck(directory).clean
+
+    def test_a_later_batch_never_ends_on_a_torn_batch_number(self, tmp_path):
+        """A three-part ``write_many`` killed after its first file, then a
+        two-part one in a store reopened without fsck: had the second
+        batch reused the torn one's numbers, its last file would carry
+        the same ``commit_end`` and vouch for the torn batch's first file
+        once the manifest is lost."""
+        directory = tmp_path / "ds"
+        store = FragmentStore(directory, (8, 8), "LINEAR")
+        rows = np.arange(5, dtype=np.uint64)
+        cells = np.column_stack([rows, rows])
+        parts = [(cells[i:i + 1], np.array([float(i)])) for i in range(5)]
+        crash = CrashPlan([FaultRule(op="write", pattern="frag-000001.bin*")])
+        with inject(crash), pytest.raises(OSError):
+            store.write_many(parts[:3], max_workers=0)
+        with pytest.warns(UserWarning, match="not in the manifest"):
+            later = FragmentStore(directory, (8, 8), "LINEAR")
+        later.write_many(parts[3:], max_workers=0)
+        later.close()
+        (directory / "manifest.json").unlink()
+        (directory / "manifest.log").unlink()
+        fsck(directory, repair=True)
+        out = FragmentStore(directory, (8, 8), "LINEAR").read_points(cells)
+        assert out.found.tolist() == [False, False, False, True, True]
 
     def test_fsck_recovers_an_orphan_newer_than_every_listed(self, tmp_path):
         directory = tmp_path / "ds"

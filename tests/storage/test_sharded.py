@@ -965,6 +965,23 @@ class TestLegacyLayout:
                 capsys.readouterr().err
             )
 
+    def test_fsck_refuses_it_and_writes_nothing(self, tmp_path):
+        """fsck has no band table to check a legacy directory against: it
+        refuses, so a repair never writes a root manifest that the next
+        open would take for a finished conversion."""
+        directory = tmp_path / "legacy"
+        oracle = self.build(directory)
+        tree = {p: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+        for repair in (False, True):
+            with pytest.raises(ManifestError, match="ShardedStore"):
+                fsck(directory, repair=repair)
+        assert {
+            p: p.read_bytes() for p in directory.rglob("*") if p.is_file()
+        } == tree
+        assert_reads_identical(
+            ShardedStore(directory, SHAPE, "LINEAR"), oracle
+        )
+
     def test_children_without_band_table_raise(self, tmp_path):
         self.build(tmp_path / "legacy")
         (tmp_path / "legacy" / LEGACY_SHARDS_NAME).unlink()

@@ -206,6 +206,43 @@ class TestRoutedWriteCrash:
             [1.0, 2.0], [3.0, 4.0],
         )
 
+    @pytest.mark.filterwarnings("ignore:.*rebuilt it:UserWarning")
+    def test_torn_write_stays_torn_after_a_band_compaction(self, tmp_path):
+        """A write of two cells in two bands, killed at its second band's
+        fragment, leaves its first piece naming a last file that was
+        never written.  The store reopens without fsck, writes twice to
+        the other band and compacts that band into a file newer than that
+        last number; a rebuild without the manifest still reads the write
+        as absent: the output vouches only for commits it saw committed."""
+        shape = (8, 6)  # 2 bands cut at address 24 (row 4)
+        cells = np.array([[0, 0], [4, 0]], dtype=np.uint64)
+        other = np.array([[5, 0]], dtype=np.uint64)
+        store = ShardedStore(tmp_path / "record", shape, "LINEAR", n_shards=2)
+        recorder = OpRecorder()
+        with inject(recorder):
+            store.write(cells, np.array([1.0, 2.0]))
+        last = next(i for i, e in enumerate(recorder.events)
+                    if e.path.name == "frag-000001.bin")
+        directory = tmp_path / "crash"
+        store = ShardedStore(directory, shape, "LINEAR", n_shards=2)
+        with inject(plan_for_crash_point(recorder.events, last)), \
+                pytest.raises(OSError):
+            store.write(cells, np.array([1.0, 2.0]))
+        store = ShardedStore(directory, shape, "LINEAR")
+        store.write(other, np.array([3.0]))
+        store.write(other, np.array([4.0]))
+        store.compact()  # band 1 only: frag-000002/3 become frag-000004
+        store.close()
+        assert sorted(p.name for p in directory.glob("frag-*.bin")) == [
+            "frag-000000.bin", "frag-000004.bin",
+        ]
+        for name in ("manifest.json", "manifest.log"):
+            (directory / name).unlink()
+        rebuilt = ShardedStore(directory, shape, "LINEAR")
+        out = rebuilt.read_points(np.vstack([cells, other]))
+        assert out.found.tolist() == [False, False, True]
+        assert out.values.tolist() == [4.0]
+
 
 class SplitMergeBase:
     def build(self, directory):
